@@ -163,6 +163,7 @@ def parse_instance(text: str) -> RawInstance | Instance:
             fields[0][2] != INSTANCE_FORMAT:
         raise ParseError(f"line 1: expected 'format: {INSTANCE_FORMAT}'")
     head: dict[str, str] = {}
+    head_line: dict[str, int] = {}
     rows: list[tuple[int, str]] = []
     for lineno, key, value in fields[1:]:
         if key == "row":
@@ -171,6 +172,7 @@ def parse_instance(text: str) -> RawInstance | Instance:
             raise ParseError(f"line {lineno}: duplicate field {key!r}")
         else:
             head[key] = value
+            head_line[key] = lineno
     for need in ("kind", "n", "m"):
         if need not in head:
             raise ParseError(f"missing field {need!r}")
@@ -178,6 +180,10 @@ def parse_instance(text: str) -> RawInstance | Instance:
         n, m = int(head["n"]), int(head["m"])
     except ValueError:
         raise ParseError("fields n, m must be integers") from None
+    for key, size in (("n", n), ("m", m)):
+        if size < 1:
+            raise ParseError(
+                f"line {head_line[key]}: field {key} must be at least 1")
     if len(rows) != n:
         raise ParseError(f"expected {n} row lines, found {len(rows)}")
 
@@ -185,10 +191,15 @@ def parse_instance(text: str) -> RawInstance | Instance:
         if "k" not in head:
             raise ParseError("missing field 'k'")
         k = parse_rational(head["k"], "field k")
+        if k <= 1:
+            raise ParseError(f"line {head_line['k']}: k must exceed 1")
         high = []
         for lineno, value in rows:
             if len(value) != m or any(ch not in "01" for ch in value):
                 raise ParseError(f"line {lineno}: row must be {m} of 0/1")
+            if "0" not in value:
+                raise ParseError(
+                    f"line {lineno}: row has no cost-1 chore (a 0 entry)")
             high.append(tuple(ch == "1" for ch in value))
         return Instance(n, m, k, tuple(high))
     if head["kind"] == "raw":

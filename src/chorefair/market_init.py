@@ -10,6 +10,8 @@ Earnings are then balanced by firing transfer chains: a chain ships one
 chore out of an over-earner, one chore into an under-earner, and passes
 through intermediaries so that every single move hands a chore to an agent
 for which it is ratio-minimal (so the equilibrium survives each move).
+Chains are searched and fired on bitmask bundles: Python ints over chores
+for bundles and MPB sets, and over agents for the BFS layers.
 Finally agents are partitioned into groups headed by successive big earners;
 the groups are ordered so that all later processing can treat "raised before
 unraised" as "smaller index before larger index".
@@ -84,82 +86,128 @@ def build_initial_state(instance: Instance) -> MarketState:
     return state
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _ChainView:
-    """Mutable working view used while firing chains; payments stay fixed."""
+    """Mutable working view used while firing chains; payments stay fixed.
+
+    Bundles, MPB sets and the payment-k chores are bitmasks over chores;
+    succ[u] is the bitmask of agents v != u that u can give a chore to
+    (u's bundle meets MPB_v).  MPB sets depend only on payments, so succ[u]
+    changes only when u's own bundle does, and is refreshed then.
+    """
 
     def __init__(self, state: MarketState):
-        self.state = state
-        self.n = state.instance.n
+        n, m = state.instance.n, state.instance.m
+        self.n = n
         self.owner = list(state.allocation.owner)
-        self.bundles = [set() for _ in range(self.n)]
+        self.bundles = [0] * n
         for e, o in enumerate(self.owner):
-            self.bundles[o].add(e)
+            self.bundles[o] |= 1 << e
         self.pay = state.pay_units
+        self.high = sum(1 << e for e in range(m) if state.pay_is_high(e))
+        self.pay_low, self.pay_high = state.unit, state.instance.high_units
         self.earn = list(state.earn_units)
-        self.mpb = state.mpb  # depends only on payments, constant here
+        self.mpb = [sum(1 << e for e in items) for items in state.mpb]
+        self.takers = [0] * m  # agents for which chore e is ratio-minimal
+        for v, items in enumerate(state.mpb):
+            for e in items:
+                self.takers[e] |= 1 << v
+        self.succ = [0] * n
+        for u in range(n):
+            self.refresh(u)
+
+    def refresh(self, u: int) -> None:
+        """Recompute succ[u] from u's current bundle."""
+        reach = 0
+        for e in _bits(self.bundles[u]):
+            reach |= self.takers[e]
+        self.succ[u] = reach & ~(1 << u)
 
     def hat(self, i: int) -> int:
-        if not self.bundles[i]:
+        bundle = self.bundles[i]
+        if not bundle:
             return 0
-        return self.earn[i] - max(self.pay[e] for e in self.bundles[i])
-
-    def givable(self, u: int, v: int) -> set[int]:
-        return self.bundles[u] & self.mpb[v]
+        return self.earn[i] - (self.pay_high if bundle & self.high
+                               else self.pay_low)
 
     def move(self, e: int, u: int, v: int) -> None:
-        if e not in self.mpb[v]:
+        if not self.mpb[v] >> e & 1:
             raise MPBViolation(f"chore {e} is not ratio-minimal for agent {v}")
-        self.bundles[u].remove(e)
-        self.bundles[v].add(e)
+        bit = 1 << e
+        self.bundles[u] ^= bit
+        self.bundles[v] |= bit
         self.owner[e] = v
         self.earn[u] -= self.pay[e]
         self.earn[v] += self.pay[e]
 
 
-def _shortest_chain_from(view: _ChainView, i: int) -> list[int] | None:
-    """BFS over 'can give to' edges from i; nearest endpoint j with
-    hat(i) > earning(j), smallest index within the winning layer."""
+def _shortest_chain_from(view: _ChainView, i: int,
+                         max_len: int) -> list[int] | None:
+    """Layered BFS over 'can give to' edges from i, looking at chains of at
+    most max_len agents.  Returns the chain to the smallest-index endpoint j
+    with hat(i) > earning(j) in the nearest layer holding one; each agent's
+    parent is the smallest-index agent of the previous layer that can give
+    to it."""
     hat_i = view.hat(i)
-    parent = {i: None}
-    layer = [i]
-    while layer:
-        nxt = []
-        hits = []
-        for u in sorted(layer):
-            for v in range(view.n):
-                if v in parent or v == u:
-                    continue
-                if view.givable(u, v):
-                    parent[v] = u
-                    nxt.append(v)
-                    if hat_i > view.earn[v]:
-                        hits.append(v)
-        if hits:
-            j = min(hits)
-            path = [j]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
+    seen = frontier = 1 << i
+    layers = [frontier]
+    while len(layers) < max_len:
+        reached = 0
+        for u in _bits(frontier):
+            reached |= view.succ[u]
+        frontier = reached & ~seen
+        if not frontier:
+            return None
+        hit = next((v for v in _bits(frontier) if hat_i > view.earn[v]), None)
+        if hit is not None:
+            path = [hit]
+            for layer in reversed(layers):
+                v = path[-1]
+                path.append(next(u for u in _bits(layer)
+                                 if view.succ[u] >> v & 1))
             return path[::-1]
-        layer = nxt
+        seen |= frontier
+        layers.append(frontier)
     return None
 
 
 def _best_chain(view: _ChainView) -> list[int] | None:
+    """Shortest chain over all heads, ties to the smallest head.  A later
+    head can only win with a strictly shorter chain, so its search is cut
+    one agent below the best length found so far."""
     best: list[int] | None = None
     floor = min(view.earn)
     for i in range(view.n):
         if view.hat(i) <= floor:
             continue  # no endpoint anywhere could satisfy the condition
-        chain = _shortest_chain_from(view, i)
-        if chain and (best is None or (len(chain), chain) < (len(best), best)):
+        chain = _shortest_chain_from(
+            view, i, view.n if best is None else len(best) - 1)
+        if chain is not None:
             best = chain
+            if len(best) == 2:
+                break
     return best
 
 
 def find_violating_chain(state: MarketState) -> list[int] | None:
     """Shortest chain i = u_0, ..., u_t = j (each u_s holds a chore that is
-    ratio-minimal for u_{s+1}) with hat_earning(i) > earning(j); ties broken
-    toward the lexicographically least chain.  None at the fixed point."""
+    ratio-minimal for u_{s+1}) with hat_earning(i) > earning(j).  None at
+    the fixed point.
+
+    Ties: the smallest-index head with a shortest chain wins; from it the
+    endpoint is the smallest-index qualifying agent of the nearest layer of
+    the breadth-first search, and the chain follows BFS parents back, where
+    an agent's parent is the smallest-index agent of the previous layer
+    that can give to it.  This is not always the lexicographically least
+    shortest chain.
+    """
     return _best_chain(_ChainView(state))
 
 
@@ -168,11 +216,14 @@ def _fire(view: _ChainView, chain: list[int]) -> None:
     holds its original bundle at giving time."""
     for s in range(len(chain) - 2, -1, -1):
         u, v = chain[s], chain[s + 1]
-        options = view.givable(u, v)
+        options = view.bundles[u] & view.mpb[v]
         if not options:
             raise MPBViolation(f"chain edge {u}->{v} lost its witness chore")
-        e = min(options, key=lambda x: (view.pay[x], x))  # prefer payment-1
-        view.move(e, u, v)
+        low = options & ~view.high  # prefer payment-1
+        pick = low or options
+        view.move((pick & -pick).bit_length() - 1, u, v)
+    for u in chain:
+        view.refresh(u)
 
 
 def resolve_overpaid_paths(state: MarketState) -> MarketState:

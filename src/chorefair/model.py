@@ -106,21 +106,31 @@ def normalize_instance(raw: RawInstance) -> Instance:
     ratio = None
     high = []
     for i, row in enumerate(raw.costs):
-        for c in row:
-            if c <= 0:
-                raise ZeroCost(f"cost {c} is not strictly positive")
-        low = min(row)
-        scaled = sorted({c / low for c in row})
-        if len(scaled) > 2:
+        # Fractions are canonical (and ints expose the same two fields), so
+        # equal values are equal (numerator, denominator) pairs
+        pairs = [(c.numerator, c.denominator) for c in row]
+        values = set(pairs)
+        if min(values)[0] <= 0:
+            bad = next(c for c in row if c <= 0)
+            raise ZeroCost(f"cost {bad} is not strictly positive")
+        if len(values) > 2:
+            low = min(row)
+            scaled = sorted({c / low for c in row})
             raise NotBiValued(
                 f"agent {i} has {len(scaled)} distinct scaled costs: {scaled}")
-        if len(scaled) == 2:
-            if ratio is None:
-                ratio = scaled[1]
-            elif scaled[1] != ratio:
-                raise NotBiValued(
-                    f"rows disagree on the cost ratio: {ratio} vs {scaled[1]}")
-        high.append(tuple(c != low for c in row))
+        if len(values) == 1:
+            high.append((False,) * len(row))
+            continue
+        low, top = values
+        if low[0] * top[1] > top[0] * low[1]:  # order by cross-multiplying
+            low, top = top, low
+        row_ratio = Fraction(top[0] * low[1], top[1] * low[0])
+        if ratio is None:
+            ratio = row_ratio
+        elif row_ratio != ratio:
+            raise NotBiValued(
+                f"rows disagree on the cost ratio: {ratio} vs {row_ratio}")
+        high.append(tuple(pair == top for pair in pairs))
     if ratio is None:
         raise AlreadyUniform("every row is uniform; ratio k would be 1")
     return Instance(n=raw.n, m=raw.m, k=ratio, high=tuple(high))

@@ -112,6 +112,27 @@ def test_solve_rejects_uniform_instances_cleanly(paths):
     assert main(["solve", paths["inst"]]) in (1, 2)
 
 
+MALFORMED_INSTANCES = {
+    "normalized k below 1": ("kind: normalized", "n: 2", "m: 2", "k: 1/2",
+                             "row: 01", "row: 10"),
+    "normalized all-1 row": ("kind: normalized", "n: 2", "m: 2", "k: 2",
+                             "row: 01", "row: 11"),
+    "normalized n zero": ("kind: normalized", "n: 0", "m: 2", "k: 2"),
+    "raw n zero": ("kind: raw", "n: 0", "m: 2"),
+    "raw m zero": ("kind: raw", "n: 1", "m: 0", "row:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INSTANCES))
+def test_malformed_instances_exit_2_without_a_traceback(paths, capsys, case):
+    lines = ("format: chorefair-instance/1",) + MALFORMED_INSTANCES[case]
+    open(paths["inst"], "w").write("\n".join(lines) + "\n")
+    assert main(["solve", paths["inst"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: line ")
+    assert "Traceback" not in err
+
+
 def test_bench_writes_the_grid(paths):
     assert main(["bench", "--n", "2,3", "--m", "4", "--k", "2,3",
                  "--high-prob", "1/2", "--seeds", "2",

@@ -1,0 +1,63 @@
+"""Golden report fingerprints: speed and refactor work must not move them.
+
+Each line of golden_fingerprints.txt names one case of a fixed seeded grid
+and the `report_fingerprint` of its auto-mode report.  An intended change to
+a fingerprint must be justified in CHANGES.md; regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+from fractions import Fraction
+
+import pytest
+
+from chorefair import GenParams, gen_instance, report_fingerprint, run_pipeline
+
+from conftest import rotation_instance
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden_fingerprints.txt")
+KS = (Fraction(2), Fraction(3), Fraction(5, 2))
+SIZES = ((4, 8), (8, 24), (16, 64), (64, 256))
+SEEDS = (1, 2)
+HIGH_PROB = Fraction(3, 4)
+
+
+def grid():
+    """(case name, instance) pairs, in file order."""
+    for n, m in SIZES:
+        for k in KS:
+            for seed in SEEDS:
+                name = f"gen n={n} m={m} k={k} seed={seed}"
+                yield name, gen_instance(GenParams(n, m, k, HIGH_PROB, seed))
+    yield "rotation", rotation_instance()
+
+
+def fingerprint(instance) -> str:
+    return report_fingerprint(run_pipeline(instance))
+
+
+def load_golden() -> dict[str, str]:
+    golden = {}
+    with open(GOLDEN_PATH) as fh:
+        for line in fh:
+            name, _, digest = line.rstrip("\n").rpartition(" ")
+            golden[name] = digest
+    return golden
+
+
+def test_golden_file_covers_the_grid():
+    assert list(load_golden()) == [name for name, _ in grid()]
+
+
+@pytest.mark.parametrize("name,instance", list(grid()),
+                         ids=[name for name, _ in grid()])
+def test_fingerprint_is_unchanged(name, instance):
+    assert fingerprint(instance) == load_golden()[name]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_PATH, "w") as out:
+        for name, instance in grid():
+            out.write(f"{name} {fingerprint(instance)}\n")

@@ -73,6 +73,19 @@ def test_two_hop_chain_fires_when_no_single_hop_violates():
     assert find_violating_chain(resolved) is None
 
 
+def test_chain_ties_follow_the_smallest_parent_not_the_least_chain():
+    # edge chores 0->1, 0->2, 1->4, 2->3, 3->5, 4->5 (held by the first
+    # agent, cost 1 to both), then two padding chores per agent
+    edges = [{0, 1}, {0, 2}, {1, 4}, {2, 3}, {3, 5}, {4, 5}]
+    padding = [{a} for a in range(6) for _ in range(2)]
+    entry = build_initial_state(low_sets(*edges, *padding))
+    assert [earning_units(entry, i) for i in range(6)] == [4, 3, 3, 3, 3, 2]
+    # both [0, 1, 4, 5] and [0, 2, 3, 5] are shortest; agent 5 is first
+    # reached from 3, the smaller agent of the second layer {3, 4}, and 3
+    # from 2, so the lexicographically larger chain wins
+    assert find_violating_chain(entry) == [0, 2, 3, 5]
+
+
 def test_mpb_graph_edge_means_the_successor_could_give():
     inst = low_sets({0}, {0}, {0}, {0, 1})
     entry = build_initial_state(inst)

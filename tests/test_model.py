@@ -11,6 +11,7 @@ from chorefair import (
     Instance,
     NotBiValued,
     PaymentVector,
+    RawInstance,
     ZeroCost,
     as_rational,
     build_market_state,
@@ -72,6 +73,44 @@ def test_normalize_rejects_uniform_matrix():
         normalize_instance(raw_instance([[1, 1], [1, 1]]))
     with pytest.raises(AlreadyUniform):
         normalize_instance(raw_instance([[2, 2], [5, 5]]))
+
+
+def test_normalize_error_messages_are_stable():
+    cases = [
+        ([[0, 1]], ZeroCost, "cost 0 is not strictly positive"),
+        ([[1, -2]], ZeroCost, "cost -2 is not strictly positive"),
+        ([[3, "1/2", 0]], ZeroCost, "cost 0 is not strictly positive"),
+        ([["1/2", "3/2", "5/2"]], NotBiValued,
+         "agent 0 has 3 distinct scaled costs: "
+         "[Fraction(1, 1), Fraction(3, 1), Fraction(5, 1)]"),
+        ([[1, 2], [3, 4]], NotBiValued,
+         "rows disagree on the cost ratio: 2 vs 4/3"),
+        ([[2, 4], [3, 9]], NotBiValued,
+         "rows disagree on the cost ratio: 2 vs 3"),
+        ([[1, 1], [2, 2]], AlreadyUniform,
+         "every row is uniform; ratio k would be 1"),
+    ]
+    for rows, error, message in cases:
+        with pytest.raises(error) as info:
+            normalize_instance(raw_instance(rows))
+        assert str(info.value) == message
+
+
+def test_normalize_checks_rows_in_order():
+    # row 0's three values are reported before row 1's zero entry
+    with pytest.raises(NotBiValued):
+        normalize_instance(raw_instance([[1, 2, 3], [0, 1, 1]]))
+    with pytest.raises(ZeroCost):
+        normalize_instance(raw_instance([[1, 2, 2], [0, 1, 3]]))
+
+
+def test_normalize_accepts_int_rows_built_without_raw_instance():
+    rows = ((3, 7, 3), (6, 14, 14), (5, 5, 5))
+    direct = normalize_instance(RawInstance(3, 3, rows))
+    assert direct == normalize_instance(raw_instance(rows))
+    assert type(direct.k) is Fraction and direct.k == Fraction(7, 3)
+    assert direct.high == ((False, True, False), (False, True, True),
+                           (False, False, False))
 
 
 def test_normalize_treats_uniform_row_as_all_low():
