@@ -10,14 +10,17 @@ import argparse
 import sys
 
 from .errors import ChorefairError
-from .harness import (GenParams, bench, equilibrium_from_parts, gen_instance,
-                      instance_digest, instance_text, load_instance,
-                      load_report, parse_rational, replay_report,
-                      report_fingerprint, report_text, run_pipeline,
-                      save_instance, save_report)
+from .harness import (GenParams, Verdicts, bench, equilibrium_from_parts,
+                      gen_instance, instance_digest, instance_text,
+                      load_instance, load_report, parse_rational,
+                      replay_report, report_fingerprint, report_text,
+                      resolve_mode, run_pipeline, save_instance, save_report,
+                      verdicts_succeed)
 from .model import Instance, RawInstance, normalize_instance
 from .oracle import DEFAULT_BUDGET, best_efx_beta_over_po, exists_efx_po
-from .verify import check_EF1, check_equilibrium, check_pEF1, min_beta_EFX
+from .trace import replay_trace
+from .verify import (check_EF1, check_equilibrium, check_pEF1, min_beta_EFX,
+                     min_beta_pEFX)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -63,7 +66,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Re-derive every verdict of a stored report from its stored states."""
+    """Re-derive every verdict and the status of a stored report.
+
+    The final verdicts are recomputed on the stored final state.  The
+    entry-* verdicts describe the pEF1 output, so that state is rebuilt by
+    replaying the report's pef1 events on the stored entry state, which
+    must itself be an equilibrium.  oracle-po is taken from the report.
+    """
     inst = _load_normalized(args.instance)
     report = load_report(args.report)
     problems: list[str] = []
@@ -71,45 +80,81 @@ def _cmd_verify(args) -> int:
         problems.append("digest mismatch: report was made for a different instance")
     if report.verdicts is None:
         problems.append("report carries no verdicts")
+    elif sorted(report.new_to_old) != list(range(inst.n)):
+        problems.append("new-to-old is not a permutation")
     else:
-        perm = report.new_to_old
-        if sorted(perm) != list(range(inst.n)):
-            problems.append("new-to-old is not a permutation")
-        else:
-            reindexed = Instance(inst.n, inst.m, inst.k,
-                                 tuple(inst.high[old] for old in perm))
-            final = equilibrium_from_parts(reindexed, report.owner,
-                                           report.pay_high)
-            v = report.verdicts
-            checks = [
-                ("final-equilibrium", check_equilibrium(final).holds,
-                 v.final_equilibrium),
-                ("final-pef1", check_pEF1(final).holds, v.final_pef1),
-                ("beta-efx", min_beta_EFX(reindexed, final.allocation).value,
-                 v.beta_efx),
-            ]
-            entry = equilibrium_from_parts(reindexed, report.entry_owner,
-                                           report.entry_pay_high)
-            checks += [
-                ("entry-equilibrium", check_equilibrium(entry).holds,
-                 v.entry_equilibrium),
-                ("entry-pef1", check_pEF1(entry).holds, v.entry_pef1),
-                ("entry-ef1", check_EF1(reindexed, entry.allocation).holds,
-                 v.entry_ef1),
-            ]
-            for name, fresh, stored in checks:
-                if fresh != stored:
-                    problems.append(
-                        f"{name}: recomputed {fresh}, report says {stored}")
-            owner, pay = replay_report(report)
-            if owner != report.owner or pay != report.pay_high:
-                problems.append("trace replay does not reach the final state")
+        problems += _verify_verdicts(inst, report)
     if problems:
         for p in problems:
             print(f"verify: {p}", file=sys.stderr)
         return 1
     print(f"verify: ok (fingerprint {report_fingerprint(report)[:16]})")
     return 0
+
+
+def _verify_verdicts(inst: Instance, report) -> list[str]:
+    reindexed = Instance(inst.n, inst.m, inst.k,
+                         tuple(inst.high[old] for old in report.new_to_old))
+    problems = []
+    try:
+        replayed = replay_report(report)
+        pef1_parts = replay_trace(
+            report.entry_owner, report.entry_pay_high,
+            [ev for ev in report.trace if ev.stage == "pef1"])
+    except ValueError as err:
+        return [f"trace replay failed: {err}"]
+    if replayed != (report.owner, report.pay_high):
+        problems.append("trace replay does not reach the final state")
+    entry_parts = (report.entry_owner, report.entry_pay_high)
+    final_parts = (report.owner, report.pay_high)
+    entry = equilibrium_from_parts(reindexed, *entry_parts)
+    final = equilibrium_from_parts(reindexed, *final_parts)
+    # the pEF1 output is the final state when no later stage moved a
+    # chore, and the entry state when no payment round ran
+    pef1_out = {entry_parts: entry, final_parts: final}.get(pef1_parts) \
+        or equilibrium_from_parts(reindexed, *pef1_parts)
+    checked = {}  # (equilibrium, pEF1) verdicts, once per distinct state
+    for state in (entry, final, pef1_out):
+        if id(state) not in checked:
+            checked[id(state)] = (check_equilibrium(state).holds,
+                                  check_pEF1(state).holds)
+    if not checked[id(entry)][0]:
+        problems.append("the stored entry state is not an equilibrium")
+    final_eq, final_pef1 = checked[id(final)]
+    entry_eq, entry_pef1 = checked[id(pef1_out)]
+    v = report.verdicts
+    fresh = Verdicts(
+        entry_equilibrium=entry_eq, entry_pef1=entry_pef1,
+        entry_ef1=check_EF1(reindexed, pef1_out.allocation).holds,
+        final_equilibrium=final_eq, final_pef1=final_pef1,
+        beta_pefx=min_beta_pEFX(final).value,
+        beta_efx=min_beta_EFX(reindexed, final.allocation).value,
+        oracle_po=v.oracle_po)
+    for name, field in _VERDICT_FIELDS:
+        if getattr(fresh, field) != getattr(v, field):
+            problems.append(f"{name}: recomputed {getattr(fresh, field)}, "
+                            f"report says {getattr(v, field)}")
+    if report.mode not in _MODES or \
+            report.mode != resolve_mode(report.requested_mode, inst.k):
+        problems.append(f"mode: {report.mode!r} is not what requested mode "
+                        f"{report.requested_mode!r} resolves to")
+    status = verdicts_succeed(fresh, report.mode, inst.k)
+    if status != report.success:
+        problems.append(f"status: recomputed {_status(status)}, "
+                        f"report says {_status(report.success)}")
+    return problems
+
+
+_VERDICT_FIELDS = (
+    ("entry-equilibrium", "entry_equilibrium"), ("entry-pef1", "entry_pef1"),
+    ("entry-ef1", "entry_ef1"), ("final-equilibrium", "final_equilibrium"),
+    ("final-pef1", "final_pef1"), ("beta-pefx", "beta_pefx"),
+    ("beta-efx", "beta_efx"))
+_MODES = ("pef1", "approx", "exact2")
+
+
+def _status(success: bool) -> str:
+    return "ok" if success else "failed"
 
 
 def _cmd_oracle(args) -> int:

@@ -97,7 +97,8 @@ def gen_instance(params: GenParams) -> RawInstance:
 def _fmt_rational(x: ExactRational | Unbounded) -> str:
     if isinstance(x, Unbounded):
         return "unbounded"
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -264,10 +265,24 @@ class RunReport:
         return tuple(ev for stage in self.stages for ev in stage.events)
 
 
-def _resolve_mode(mode: str, k: ExactRational) -> str:
+def resolve_mode(mode: str, k: ExactRational) -> str:
     if mode == "auto":
         return "exact2" if k == 2 else "approx"
     return mode
+
+
+def verdicts_succeed(v: Verdicts, mode: str, k: ExactRational) -> bool:
+    """A run's status: every verdict holds and the mode's bound is met
+    (pEF1 for pef1, beta-efx <= 2 - 1/k for approx, exact EFX plus pEF1
+    for exact2); an oracle-po verdict, when present, must hold."""
+    if mode == "pef1":
+        bound_ok = v.entry_pef1
+    elif mode == "approx":
+        bound_ok = beta_le(v.beta_efx, 2 - 1 / k)
+    else:
+        bound_ok = v.beta_efx == 1 and v.final_pef1
+    return (v.entry_equilibrium and v.entry_pef1 and v.entry_ef1
+            and v.final_equilibrium and bound_ok and v.oracle_po is not False)
 
 
 def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
@@ -286,12 +301,11 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
     try:
         inst = normalize_instance(instance) \
             if isinstance(instance, RawInstance) else instance
-        resolved = _resolve_mode(mode, inst.k)
-        sink: list[MarketState] = []
+        resolved = resolve_mode(mode, inst.k)
         t1 = time.perf_counter()
-        state = run_pef1(inst, state_sink=sink)
+        state = run_pef1(inst)
         timings["pef1"] = time.perf_counter() - t1
-        entry = sink[0]
+        entry = state.entry
         stages = [StageSummary("pef1", state.round_count, state.trace)]
 
         pef1_market = state.market
@@ -335,14 +349,7 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
                         final_pef1, beta_pefx, beta_efx, oracle_po)
     timings["verify"] = time.perf_counter() - t1
 
-    if resolved == "pef1":
-        bound_ok = entry_pef1
-    elif resolved == "approx":
-        bound_ok = beta_le(beta_efx, 2 - 1 / inst.k)
-    else:
-        bound_ok = beta_efx == 1 and final_pef1
-    success = (entry_eq and entry_pef1 and entry_ef1 and final_eq
-               and bound_ok and oracle_po is not False)
+    success = verdicts_succeed(verdicts, resolved, inst.k)
     timings["total"] = time.perf_counter() - t0
     return RunReport(
         digest=instance_digest(inst), mode=resolved, requested_mode=mode,

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 from .errors import (GroupPropertyViolation, InternalInvariant,
                      IterationCapExceeded, MPBViolation)
-from .model import (Allocation, Instance, MarketState, PaymentVector,
-                    build_market_state, hat_earning_units)
+from .model import (Allocation, Instance, MarketState, MarketView,
+                    PaymentVector, bits, build_market_state,
+                    hat_earning_units)
 
 
 @dataclass(frozen=True)
@@ -86,66 +87,36 @@ def build_initial_state(instance: Instance) -> MarketState:
     return state
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+class _ChainView(MarketView):
+    """The market view while firing chains; payments stay fixed.
 
-
-class _ChainView:
-    """Mutable working view used while firing chains; payments stay fixed.
-
-    Bundles, MPB sets and the payment-k chores are bitmasks over chores;
-    succ[u] is the bitmask of agents v != u that u can give a chore to
-    (u's bundle meets MPB_v).  MPB sets depend only on payments, so succ[u]
-    changes only when u's own bundle does, and is refreshed then.
+    earn[i] is re-derived from the masks for the agents of each fired
+    chain.  succ[u] is the bitmask of agents v != u that u can give a chore
+    to (u's bundle meets MPB_v).  MPB sets depend only on payments, so
+    succ[u] changes only when u's own bundle does, and is refreshed then.
     """
 
     def __init__(self, state: MarketState):
-        n, m = state.instance.n, state.instance.m
-        self.n = n
-        self.owner = list(state.allocation.owner)
-        self.bundles = [0] * n
-        for e, o in enumerate(self.owner):
-            self.bundles[o] |= 1 << e
-        self.pay = state.pay_units
-        self.high = sum(1 << e for e in range(m) if state.pay_is_high(e))
-        self.pay_low, self.pay_high = state.unit, state.instance.high_units
-        self.earn = list(state.earn_units)
-        self.mpb = [sum(1 << e for e in items) for items in state.mpb]
-        self.takers = [0] * m  # agents for which chore e is ratio-minimal
-        for v, items in enumerate(state.mpb):
-            for e in items:
+        super().__init__(state)
+        self.takers = [0] * state.instance.m  # agents for which e is ratio-minimal
+        for v in range(self.n):
+            for e in bits(self.mpb(v)):
                 self.takers[e] |= 1 << v
-        self.succ = [0] * n
-        for u in range(n):
+        self.earn = [0] * self.n
+        self.succ = [0] * self.n
+        for u in range(self.n):
             self.refresh(u)
 
     def refresh(self, u: int) -> None:
-        """Recompute succ[u] from u's current bundle."""
+        """Recompute earn[u] and succ[u] from u's current bundle."""
+        self.earn[u] = self.earning(u)
         reach = 0
-        for e in _bits(self.bundles[u]):
+        for e in bits(self.bundles[u]):
             reach |= self.takers[e]
         self.succ[u] = reach & ~(1 << u)
 
     def hat(self, i: int) -> int:
-        bundle = self.bundles[i]
-        if not bundle:
-            return 0
-        return self.earn[i] - (self.pay_high if bundle & self.high
-                               else self.pay_low)
-
-    def move(self, e: int, u: int, v: int) -> None:
-        if not self.mpb[v] >> e & 1:
-            raise MPBViolation(f"chore {e} is not ratio-minimal for agent {v}")
-        bit = 1 << e
-        self.bundles[u] ^= bit
-        self.bundles[v] |= bit
-        self.owner[e] = v
-        self.earn[u] -= self.pay[e]
-        self.earn[v] += self.pay[e]
+        return self.earn[i] - self.top_pay(i)
 
 
 def _shortest_chain_from(view: _ChainView, i: int,
@@ -160,17 +131,17 @@ def _shortest_chain_from(view: _ChainView, i: int,
     layers = [frontier]
     while len(layers) < max_len:
         reached = 0
-        for u in _bits(frontier):
+        for u in bits(frontier):
             reached |= view.succ[u]
         frontier = reached & ~seen
         if not frontier:
             return None
-        hit = next((v for v in _bits(frontier) if hat_i > view.earn[v]), None)
+        hit = next((v for v in bits(frontier) if hat_i > view.earn[v]), None)
         if hit is not None:
             path = [hit]
             for layer in reversed(layers):
                 v = path[-1]
-                path.append(next(u for u in _bits(layer)
+                path.append(next(u for u in bits(layer)
                                  if view.succ[u] >> v & 1))
             return path[::-1]
         seen |= frontier
@@ -216,7 +187,7 @@ def _fire(view: _ChainView, chain: list[int]) -> None:
     holds its original bundle at giving time."""
     for s in range(len(chain) - 2, -1, -1):
         u, v = chain[s], chain[s + 1]
-        options = view.bundles[u] & view.mpb[v]
+        options = view.bundles[u] & view.mpb(v)
         if not options:
             raise MPBViolation(f"chain edge {u}->{v} lost its witness chore")
         low = options & ~view.high  # prefer payment-1
@@ -257,8 +228,7 @@ def resolve_overpaid_paths(state: MarketState) -> MarketState:
         fires += 1
         if fires > cap:
             raise IterationCapExceeded(f"more than {cap} chains fired")
-    out = build_market_state(state.instance, Allocation(tuple(view.owner)),
-                             state.payments)
+    out = view.market()
     for i in range(n):
         if any(e not in out.mpb[i] for e in out.allocation.bundle(i)):
             raise MPBViolation("chain resolution broke the equilibrium")

@@ -12,7 +12,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import AlreadyUniform, InvalidPayment, NotBiValued, ZeroCost
+from .errors import (AlreadyUniform, InternalInvariant, InvalidPayment,
+                     MPBViolation, NotBiValued, ZeroCost)
 
 # Exact rational scalar used throughout.  Fraction already guarantees the
 # canonical form (reduced, positive denominator) and exact field operations.
@@ -93,6 +94,12 @@ class Instance:
     def cost_units(self) -> tuple[tuple[int, ...], ...]:
         p, q = self.k.numerator, self.k.denominator
         return tuple(tuple(p if h else q for h in row) for row in self.high)
+
+    @cached_property
+    def low_masks(self) -> tuple[int, ...]:
+        """Per agent, the bitmask of the chores costing it 1."""
+        return tuple(sum(1 << e for e, h in enumerate(row) if not h)
+                     for row in self.high)
 
 
 def normalize_instance(raw: RawInstance) -> Instance:
@@ -286,3 +293,84 @@ def hat_earning(state: MarketState, agent: int) -> Fraction:
     is what the payment-based fairness conditions compare against.
     """
     return Fraction(hat_earning_units(state, agent), state.unit)
+
+
+def bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class MarketView:
+    """Mutable bitmask view of a market, for loops that move chores or
+    raise payments many times before anyone needs a MarketState.
+
+    The view maintains owner[e], bundles[i] (a bitmask over chores) and
+    high (the bitmask of chores paying k).  Everything else is derived from
+    these and the instance's cost-1 masks L_i: earning(i) by popcount,
+    MPB_i = L_i & high when that is nonempty (ratio 1/k) and otherwise the
+    chores whose cost equals their payment, L_i ^ high (ratio 1).
+    """
+
+    def __init__(self, state: MarketState):
+        inst = state.instance
+        self.instance = inst
+        self.n = inst.n
+        self.owner = list(state.allocation.owner)
+        self.bundles = [0] * inst.n
+        for e, o in enumerate(self.owner):
+            self.bundles[o] |= 1 << e
+        self.high = sum(1 << e for e in range(inst.m) if state.pay_is_high(e))
+        self.low_cost = inst.low_masks
+        self.pay_low, self.pay_high = inst.unit, inst.high_units
+
+    def earning(self, i: int) -> int:
+        bundle = self.bundles[i]
+        return (self.pay_low * bundle.bit_count()
+                + (self.pay_high - self.pay_low) * (bundle & self.high).bit_count())
+
+    def earnings(self) -> list[int]:
+        return [self.earning(i) for i in range(self.n)]
+
+    def top_pay(self, i: int) -> int:
+        """The largest payment in i's bundle; 0 if it is empty."""
+        bundle = self.bundles[i]
+        if not bundle:
+            return 0
+        return self.pay_high if bundle & self.high else self.pay_low
+
+    def hats(self, earn: list[int]) -> list[int]:
+        """Each agent's earning earn[i] minus its largest payment."""
+        return [e - self.top_pay(i) for i, e in enumerate(earn)]
+
+    def raised(self, i: int) -> bool:
+        """True iff i's ratio is 1/k, i.e. some cost-1 chore pays k."""
+        return bool(self.low_cost[i] & self.high)
+
+    def mpb(self, i: int) -> int:
+        cheap = self.low_cost[i] & self.high
+        return cheap or self.low_cost[i] ^ self.high
+
+    def move(self, e: int, u: int, v: int) -> None:
+        if not self.mpb(v) >> e & 1:
+            raise MPBViolation(f"chore {e} is not ratio-minimal for agent {v}")
+        bit = 1 << e
+        self.bundles[u] ^= bit
+        self.bundles[v] |= bit
+        self.owner[e] = v
+
+    def market(self) -> MarketState:
+        """Build the MarketState; the owner list must agree with the bundles."""
+        for i, bundle in enumerate(self.bundles):
+            for e in bits(bundle):
+                if self.owner[e] != i:
+                    raise InternalInvariant(
+                        f"chore {e} is in agent {i}'s bundle but owned by "
+                        f"agent {self.owner[e]}")
+        inst = self.instance
+        return build_market_state(
+            inst, Allocation(tuple(self.owner)),
+            PaymentVector.from_high_flags(
+                inst.k, [bool(self.high >> e & 1) for e in range(inst.m)]))

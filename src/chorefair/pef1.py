@@ -10,18 +10,22 @@ an unraised intermediary that still holds part of l's entry bundle.
 Agents are relabeled once, before the loop, so that the group order produced
 by the partition coincides with index order; all tie-breaks favor smaller
 indices, which makes raised agents win ties against unraised ones.
+
+The rounds run on one bitmask MarketView; a MarketState is built once, for
+the result (and per round only for a caller's state_sink).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from .errors import (AllEmpty, IterationCapExceeded, LemmaViolation,
-                     MissingIntermediary, MPBViolation, RaiseOverflow)
+from .errors import (AllEmpty, InternalInvariant, IterationCapExceeded,
+                     LemmaViolation, MissingIntermediary, MPBViolation,
+                     RaiseOverflow)
 from .market_init import (AgentGroups, build_initial_state,
                           partition_agent_groups, resolve_overpaid_paths)
-from .model import (Allocation, Instance, MarketState, PaymentVector,
-                    build_market_state, earning, hat_earning,
-                    hat_earning_units)
+from .model import (Allocation, Instance, MarketState, MarketView, bits,
+                    build_market_state, hat_earning_units)
 from .trace import TraceEvent
 
 
@@ -29,6 +33,7 @@ from .trace import TraceEvent
 class SolverState:
     """Loop state: current market, which agents are still unraised, the fixed
     group structure, and the entry bundles (consulted by the rotation branch).
+    entry is the market before the first round.
     """
     market: MarketState
     unraised: frozenset[int]
@@ -36,6 +41,7 @@ class SolverState:
     initial_bundles: tuple[frozenset[int], ...]
     round_count: int
     trace: tuple[TraceEvent, ...] = ()
+    entry: MarketState | None = None
 
     @staticmethod
     def from_market(market: MarketState,
@@ -47,19 +53,29 @@ class SolverState:
         bundles = tuple(frozenset(market.allocation.bundle(i)) for i in range(n))
         if unraised is None:
             unraised = frozenset(ident)
-        return SolverState(market, unraised, groups, bundles, 0)
+        return SolverState(market, unraised, groups, bundles, 0, entry=market)
+
+
+def _big_earner(hats, earn) -> int:
+    """Largest earning after dropping one chore, ties to the smaller index."""
+    if not any(earn):
+        raise AllEmpty("all bundles are empty")
+    return hats.index(max(hats))
+
+
+def _least_earner(earn) -> int:
+    """Smallest earning, ties to the smaller index."""
+    return earn.index(min(earn))
 
 
 def select_big_earner(market: MarketState) -> int:
     """Agent maximizing earning-after-dropping-one-chore, ties to smaller index."""
-    n = market.instance.n
-    if all(market.earn_units[i] == 0 for i in range(n)):
-        raise AllEmpty("all bundles are empty")
-    return min(range(n), key=lambda i: (-hat_earning_units(market, i), i))
+    hats = [hat_earning_units(market, i) for i in range(market.instance.n)]
+    return _big_earner(hats, market.earn_units)
 
 
 def select_least_earner(market: MarketState) -> int:
-    return min(range(market.instance.n), key=lambda i: (market.earn_units[i], i))
+    return _least_earner(market.earn_units)
 
 
 def _group_index(groups: AgentGroups, agent: int) -> int:
@@ -69,134 +85,189 @@ def _group_index(groups: AgentGroups, agent: int) -> int:
     raise LemmaViolation(f"agent {agent} belongs to no group")
 
 
+class _Rounds:
+    """The payment rounds, run on one MarketView.
+
+    The view's owner list, bundle masks and payment-k mask are the state;
+    each round derives earnings, hats, MPB sets and ratios from them.  A
+    MarketState is built only when state() is asked for.
+    """
+
+    def __init__(self, state: SolverState):
+        self.start = state
+        self.view = MarketView(state.market)
+        self.unraised = state.unraised
+        self.initial = [sum(1 << e for e in items)
+                        for items in state.initial_bundles]
+        self.round_count = state.round_count
+        self.events: list[TraceEvent] = []
+        # groups of two or more agents, as ascending member lists
+        self.shared = [sorted(g) for g in state.groups.groups if len(g) > 1]
+        self.earn = self.view.earnings()
+        self.hats = self.view.hats(self.earn)
+
+    def state(self) -> SolverState:
+        if not self.events:
+            return self.start
+        start = self.start
+        return SolverState(self.view.market(), self.unraised, start.groups,
+                           start.initial_bundles, self.round_count,
+                           start.trace + tuple(self.events), start.entry)
+
+    def step(self) -> bool:
+        """Execute one round; False signals the terminal pEF1 condition."""
+        view, earn, hats = self.view, self.earn, self.hats
+        inst = view.instance
+        b = _big_earner(hats, earn)
+        l = _least_earner(earn)
+        if hats[b] <= earn[l]:
+            return False
+
+        def earning(i: int) -> Fraction:
+            return Fraction(earn[i], view.pay_low)
+
+        unraised = self.unraised
+        events: list[TraceEvent] = []
+        rnd = self.round_count + 1
+        least_before = earning(l)
+        touched = {b, l}
+
+        if l in unraised:
+            if b in unraised:
+                group = self.start.groups.groups[
+                    _group_index(self.start.groups, b)]
+                if l in group:
+                    raise LemmaViolation(
+                        "least earner shares the big earner's group; the "
+                        "terminal check should have fired (pEF1 holds inside "
+                        "groups)")
+                raised = 0
+                for a in group:
+                    raised |= view.bundles[a]
+                clash = raised & view.high
+                if clash:
+                    raise RaiseOverflow(
+                        f"chore {(clash & -clash).bit_length() - 1} already "
+                        f"pays {inst.k}; raising would leave the two-value "
+                        "payment range")
+                view.high |= raised
+                unraised = unraised - group
+                touched |= group
+                events.append(TraceEvent(
+                    stage="pef1", round=rnd, kind="raise", agents=(b,),
+                    items=tuple(bits(raised)),
+                    earn_before=(earning(b),),
+                    earn_after=(earning(b) * inst.k,),
+                    least_earning=least_before))
+            bundle_b = view.bundles[b]
+            e = (bundle_b & -bundle_b).bit_length() - 1
+            view.move(e, b, l)
+            events.append(TraceEvent(
+                stage="pef1", round=rnd, kind="transfer", agents=(b, l),
+                items=(e,), earn_before=(earning(b), earning(l)),
+                least_earning=least_before))
+            moved = {e: l}
+        else:
+            if b in unraised:
+                raise LemmaViolation(
+                    "least earner is raised while the big earner is not")
+            entry_l = self.initial[l]
+            i = next((a for a in sorted(unraised)
+                      if view.bundles[a] & entry_l), None)
+            if i is None:
+                raise MissingIntermediary(
+                    f"no unraised agent holds part of agent {l}'s entry bundle")
+            e1_opts = view.bundles[b] & view.mpb(i)
+            if not e1_opts:
+                raise MPBViolation(
+                    f"no chore of big earner {b} is ratio-minimal for "
+                    f"intermediary {i}")
+            e1 = (e1_opts & -e1_opts).bit_length() - 1
+            e2_opts = view.bundles[i] & entry_l
+            e2 = (e2_opts & -e2_opts).bit_length() - 1
+            view.move(e1, b, i)
+            view.move(e2, i, l)
+            touched.add(i)
+            events.append(TraceEvent(
+                stage="pef1", round=rnd, kind="rotate", agents=(b, i, l),
+                items=(e1, e2),
+                earn_before=(earning(b), earning(i), earning(l)),
+                least_earning=least_before))
+            moved = {e1: i, e2: l}
+
+        self.unraised = unraised
+        after, self.hats = self._assert_round(moved, touched)
+        # fill in post-round earnings on the last event
+        last = events[-1]
+        events[-1] = replace(last, earn_after=tuple(
+            Fraction(after[a], view.pay_low) for a in last.agents))
+        self.events += events
+        self.round_count = rnd
+        self.earn = after
+        return True
+
+    def _assert_round(self, moved: dict[int, int], touched: set[int]
+                      ) -> tuple[list[int], list[int]]:
+        """Check the round from the view's masks alone; return the
+        earnings and hats."""
+        view = self.view
+        inst = view.instance
+        n = view.n
+        unraised = self.unraised
+        groups = self.start.groups.groups
+        covered = 0
+        for bundle in view.bundles:
+            if covered & bundle:
+                raise InternalInvariant("two bundles share a chore")
+            covered |= bundle
+        if covered != (1 << inst.m) - 1:
+            raise InternalInvariant("some chore is in no bundle")
+        mpb = [view.mpb(i) for i in range(n)]
+        for e, dst in moved.items():
+            if not mpb[dst] >> e & 1:
+                raise MPBViolation(
+                    f"moved chore {e} is not ratio-minimal for receiver {dst}")
+        for i in range(n):
+            if view.bundles[i] & ~mpb[i]:
+                raise MPBViolation(f"round broke the equilibrium at agent {i}")
+            if view.raised(i) == (i in unraised):
+                got, want = (1 / inst.k, 1) if i in unraised else (1, 1 / inst.k)
+                raise LemmaViolation(
+                    f"agent {i} has ratio {got}, expected {want}")
+        # raised groups must form a prefix of the group order, never all of them
+        seen_unraised = False
+        for g in groups:
+            g_unraised = g <= unraised
+            if not g_unraised and (g & unraised):
+                raise LemmaViolation("a group is only partially raised")
+            if seen_unraised and not g_unraised:
+                raise LemmaViolation("raised groups do not form a prefix")
+            seen_unraised = seen_unraised or g_unraised
+        if not (groups[-1] <= unraised):
+            raise LemmaViolation("the last group must stay unraised")
+        earn = view.earnings()
+        hats = view.hats(earn)
+        # hat <= earning for every agent, so pEF1 fails inside a group iff
+        # its largest hat exceeds its smallest earning
+        for g in self.shared:
+            g_hats = [hats[a] for a in g]
+            g_earn = [earn[a] for a in g]
+            top, floor = max(g_hats), min(g_earn)
+            if top > floor:
+                raise LemmaViolation(
+                    f"pEF1 broke inside a group: {g[g_hats.index(top)]} vs "
+                    f"{g[g_earn.index(floor)]}")
+        for i in range(n):
+            if i not in touched and earn[i] != self.earn[i]:
+                raise LemmaViolation(
+                    f"earning of uninvolved agent {i} changed during the round")
+        return earn, hats
+
+
 def pef1_round(state: SolverState) -> SolverState | None:
     """Execute one round; None signals the terminal pEF1 condition."""
-    market = state.market
-    inst = market.instance
-    b = select_big_earner(market)
-    l = select_least_earner(market)
-    if hat_earning_units(market, b) <= market.earn_units[l]:
-        return None
-
-    owner = list(market.allocation.owner)
-    pay_high = [market.pay_is_high(e) for e in range(inst.m)]
-    unraised = state.unraised
-    events: list[TraceEvent] = []
-    rnd = state.round_count + 1
-    least_before = earning(market, l)
-    bundle_b = sorted(market.allocation.bundle(b))
-    touched = {b, l}
-
-    if l in unraised:
-        if b in unraised:
-            r = _group_index(state.groups, b)
-            group = state.groups.groups[r]
-            if l in group:
-                raise LemmaViolation(
-                    "least earner shares the big earner's group; the terminal "
-                    "check should have fired (pEF1 holds inside groups)")
-            raised_items = sorted(
-                e for e in range(inst.m) if owner[e] in group)
-            for e in raised_items:
-                if pay_high[e]:
-                    raise RaiseOverflow(
-                        f"chore {e} already pays {inst.k}; raising would leave "
-                        "the two-value payment range")
-                pay_high[e] = True
-            unraised = unraised - group
-            touched |= group
-            events.append(TraceEvent(
-                stage="pef1", round=rnd, kind="raise", agents=(b,),
-                items=tuple(raised_items),
-                earn_before=(earning(market, b),),
-                earn_after=(earning(market, b) * inst.k,),
-                least_earning=least_before))
-        e = bundle_b[0]
-        owner[e] = l
-        events.append(TraceEvent(
-            stage="pef1", round=rnd, kind="transfer", agents=(b, l),
-            items=(e,),
-            earn_before=(earning(market, b), earning(market, l)),
-            earn_after=(), least_earning=least_before))
-        moved = {e: l}
-    else:
-        if b in unraised:
-            raise LemmaViolation(
-                "least earner is raised while the big earner is not")
-        candidates = [i for i in sorted(unraised)
-                      if set(market.allocation.bundle(i)) & state.initial_bundles[l]]
-        if not candidates:
-            raise MissingIntermediary(
-                f"no unraised agent holds part of agent {l}'s entry bundle")
-        i = candidates[0]
-        e1_opts = sorted(set(bundle_b) & market.mpb[i])
-        if not e1_opts:
-            raise MPBViolation(
-                f"no chore of big earner {b} is ratio-minimal for intermediary {i}")
-        e1 = e1_opts[0]
-        e2 = min(set(market.allocation.bundle(i)) & state.initial_bundles[l])
-        owner[e1] = i
-        owner[e2] = l
-        touched.add(i)
-        events.append(TraceEvent(
-            stage="pef1", round=rnd, kind="rotate", agents=(b, i, l),
-            items=(e1, e2),
-            earn_before=(earning(market, b), earning(market, i), earning(market, l)),
-            earn_after=(), least_earning=least_before))
-        moved = {e1: i, e2: l}
-
-    new_market = build_market_state(
-        inst, Allocation(tuple(owner)),
-        PaymentVector.from_high_flags(inst.k, pay_high))
-    _assert_round(state, new_market, unraised, moved, touched)
-
-    # fill in post-round earnings on the last event
-    last = events[-1]
-    events[-1] = replace(
-        last, earn_after=tuple(earning(new_market, a) for a in last.agents))
-    return SolverState(new_market, unraised, state.groups,
-                       state.initial_bundles, rnd,
-                       state.trace + tuple(events))
-
-
-def _assert_round(state: SolverState, market: MarketState,
-                  unraised: frozenset[int], moved: dict[int, int],
-                  touched: set[int]) -> None:
-    inst = market.instance
-    n = inst.n
-    for e, dst in moved.items():
-        if e not in market.mpb[dst]:
-            raise MPBViolation(
-                f"moved chore {e} is not ratio-minimal for receiver {dst}")
-    for i in range(n):
-        if any(e not in market.mpb[i] for e in market.allocation.bundle(i)):
-            raise MPBViolation(f"round broke the equilibrium at agent {i}")
-        want = 1 if i in unraised else inst.k ** -1
-        if market.alpha[i] != want:
-            raise LemmaViolation(
-                f"agent {i} has ratio {market.alpha[i]}, expected {want}")
-    # raised groups must form a prefix of the group order, never all of them
-    seen_unraised = False
-    for g in state.groups.groups:
-        g_unraised = g <= unraised
-        if not g_unraised and (g & unraised):
-            raise LemmaViolation("a group is only partially raised")
-        if seen_unraised and not g_unraised:
-            raise LemmaViolation("raised groups do not form a prefix")
-        seen_unraised = seen_unraised or g_unraised
-    if not (state.groups.groups[-1] <= unraised):
-        raise LemmaViolation("the last group must stay unraised")
-    for g in state.groups.groups:
-        hats = {i: hat_earning_units(market, i) for i in g}
-        for i in g:
-            for j in g:
-                if i != j and hats[i] > market.earn_units[j]:
-                    raise LemmaViolation(
-                        f"pEF1 broke inside a group: {i} vs {j}")
-    for i in range(n):
-        if i not in touched and market.earn_units[i] != state.market.earn_units[i]:
-            raise LemmaViolation(
-                f"earning of uninvolved agent {i} changed during the round")
+    rounds = _Rounds(state)
+    return rounds.state() if rounds.step() else None
 
 
 def _reindex(resolved: MarketState, groups: AgentGroups
@@ -238,25 +309,23 @@ def run_pef1(instance: Instance, *, state_sink: list | None = None) -> SolverSta
         market=market,
         unraised=frozenset(range(instance.n)),
         groups=groups,
-        initial_bundles=tuple(frozenset(market.allocation.bundle(i))
-                              for i in range(instance.n)),
-        round_count=0)
+        initial_bundles=tuple(
+            frozenset(b) for b in market.allocation.bundles(instance.n)),
+        round_count=0, entry=market)
     if state_sink is not None:
-        state_sink.append(state.market)
+        state_sink.append(market)
+    rounds = _Rounds(state)
     cap = 4 * instance.n ** 2 * instance.m ** 2
     prev_least = None
-    while True:
-        nxt = pef1_round(state)
-        if nxt is None:
-            return state
-        least = nxt.trace[-1].least_earning
+    while rounds.step():
+        least = rounds.events[-1].least_earning
         if prev_least is not None and least < prev_least:
             raise LemmaViolation(
                 f"least earner earning dropped from {prev_least} to {least}")
         prev_least = least
-        state = nxt
         if state_sink is not None:
-            state_sink.append(state.market)
-        if state.round_count > cap:
+            state_sink.append(rounds.view.market())
+        if rounds.round_count > cap:
             raise IterationCapExceeded(
                 f"solver exceeded {cap} rounds on n={instance.n} m={instance.m}")
+    return rounds.state()

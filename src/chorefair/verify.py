@@ -69,20 +69,22 @@ _OK = FairnessVerdict(holds=True, witness=None)
 
 def check_equilibrium(state: MarketState) -> FairnessVerdict:
     """Every agent's bundle must sit inside its minimal pain-per-buck set."""
-    for i in range(state.instance.n):
+    for i, bundle in enumerate(state.allocation.bundles(state.instance.n)):
         mpb = state.mpb[i]
-        for e in state.allocation.bundle(i):
+        for e in bundle:
             if e not in mpb:
                 lhs = Fraction(state.instance.cost_units[i][e], state.pay_units[e])
                 return FairnessVerdict(False, Witness(i, None, e, lhs, state.alpha[i]))
     return _OK
 
 
-def _max_pay_item(state: MarketState, agent: int) -> int | None:
-    best_e, best_p = None, -1
+def _max_pay_items(state: MarketState) -> list[int | None]:
+    """Per agent, the first chore of largest payment in its bundle."""
+    best_e: list[int | None] = [None] * state.instance.n
+    best_p = [-1] * state.instance.n
     for e, o in enumerate(state.allocation.owner):
-        if o == agent and state.pay_units[e] > best_p:
-            best_e, best_p = e, state.pay_units[e]
+        if state.pay_units[e] > best_p[o]:
+            best_e[o], best_p[o] = e, state.pay_units[e]
     return best_e
 
 
@@ -94,17 +96,16 @@ def check_pEF1(state: MarketState) -> FairnessVerdict:
     """
     n = state.instance.n
     earn = state.earn_units
-    hats = []
-    for i in range(n):
-        e = _max_pay_item(state, i)
-        hats.append(earn[i] - (state.pay_units[e] if e is not None else 0))
+    top = _max_pay_items(state)
+    hats = [earn[i] - (state.pay_units[e] if e is not None else 0)
+            for i, e in enumerate(top)]
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             if hats[i] > earn[j]:
                 return FairnessVerdict(False, Witness(
-                    i, j, _max_pay_item(state, i),
+                    i, j, top[i],
                     Fraction(hats[i], state.unit), Fraction(earn[j], state.unit)))
     return _OK
 
@@ -117,9 +118,11 @@ def min_beta_pEFX(state: MarketState) -> BetaResult:
     bundle pays nothing.
     """
     n = state.instance.n
+    residuals = [_pay_residual(state, bundle)
+                 for bundle in state.allocation.bundles(n)]
     return _min_beta(
         n,
-        residual=lambda i: _pay_residual(state, i),
+        residual=lambda i: residuals[i],
         against=lambda i, j: state.earn_units[j],
     )
 
@@ -167,8 +170,12 @@ def min_beta_EFX(instance: Instance, allocation: Allocation) -> BetaResult:
 
 
 def _min_beta(n: int, residual, against) -> BetaResult:
-    """Shared scan: maximize residual(i)/against(i, j) over ordered pairs."""
-    best: Fraction | None = None
+    """Shared scan: maximize residual(i)/against(i, j) over ordered pairs.
+
+    Ratios are compared by cross-multiplying their integer parts; the first
+    maximal pair wins and one Fraction is built at the end.
+    """
+    best_num, best_den = 0, 1
     best_pair: tuple[int, int] | None = None
     for i in range(n):
         num = residual(i)
@@ -180,18 +187,16 @@ def _min_beta(n: int, residual, against) -> BetaResult:
             den = against(i, j)
             if den == 0:
                 return BetaResult(UNBOUNDED, (i, j))
-            ratio = Fraction(num, den)
-            if best is None or ratio > best:
-                best, best_pair = ratio, (i, j)
-    if best is None or best < 1:
+            if best_pair is None or num * best_den > best_num * den:
+                best_num, best_den, best_pair = num, den, (i, j)
+    if best_pair is None or best_num < best_den:
         # beta is defined for beta >= 1; with no pair forcing more the notion
         # holds vacuously at 1 (single agent, no envy, or all singletons)
         return BetaResult(Fraction(1), None)
-    return BetaResult(best, best_pair)
+    return BetaResult(Fraction(best_num, best_den), best_pair)
 
 
-def _pay_residual(state: MarketState, i: int) -> int:
-    mine = [e for e, o in enumerate(state.allocation.owner) if o == i]
+def _pay_residual(state: MarketState, mine: tuple[int, ...]) -> int:
     if not mine:
         return 0
     total = sum(state.pay_units[e] for e in mine)

@@ -1,5 +1,6 @@
 """Shared builders: hand-checked fixture states and hypothesis strategies."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,32 @@ def owned_instance(k, owners, rows=None) -> Instance:
     return Instance(n, m, Fraction(k), tuple(tuple(r) for r in high))
 
 
+def skewed_owned_instance(k, sizes, seed=None, sprinkle=Fraction(0)) -> Instance:
+    """owned_instance where agent i owns sizes[i] chores.
+
+    Without a seed the chores are dealt in agent order.  With one they are
+    shuffled, and every agent but 0 also costs 1, with probability
+    sprinkle, on each chore agent 0 does not own.  Nobody else costs 1 on
+    agent 0's chores, so a large sizes[0] forces payment rounds; two or
+    three large bundles make the raised big earners fall below each other,
+    which is what drives the rotation branch.
+    """
+    owners = [i for i, size in enumerate(sizes) for _ in range(size)]
+    if seed is None:
+        return owned_instance(k, owners)
+    rng = random.Random(seed)
+    rng.shuffle(owners)
+    n, m = len(sizes), len(owners)
+    high = [[owners[e] != i for e in range(m)] for i in range(n)]
+    for e in range(m):
+        if owners[e] == 0:
+            continue
+        for i in range(1, n):
+            if rng.random() < sprinkle:
+                high[i][e] = False
+    return owned_instance(k, owners, dict(enumerate(high)))
+
+
 def market_from_parts(instance, owners, high_pay) -> MarketState:
     flags = [e in high_pay for e in range(instance.m)]
     return build_market_state(
@@ -48,11 +75,11 @@ def market_from_parts(instance, owners, high_pay) -> MarketState:
 # Forces the three-agent rotation: raise a0, feed the two small agents,
 # raise a1, then a0 drops below everyone while only a1 has slack.  The
 # intermediary a2 holds entry items of a0 by then.
-ROTATION_OWNERS = [0] * 8 + [1] * 7 + [2] + [3]
+ROTATION_SIZES = (8, 7, 1, 1)
 
 
 def rotation_instance() -> Instance:
-    return owned_instance(2, ROTATION_OWNERS)
+    return skewed_owned_instance(2, ROTATION_SIZES)
 
 
 # One agent (a6) with an all-low row strongly envies the two-item agents;

@@ -2,8 +2,10 @@
 
 import pytest
 
-from chorefair import load_report
+from chorefair import load_report, save_instance
 from chorefair.cli import main
+
+from conftest import rotation_instance
 
 
 @pytest.fixture
@@ -81,6 +83,74 @@ def test_verify_rejects_a_forged_verdict(paths, capsys):
         text.replace("verdict beta-efx: 1/1", "verdict beta-efx: 2/1"))
     capsys.readouterr()
     assert main(["verify", paths["inst"], paths["report"]]) == 1
+
+
+def test_verify_accepts_a_report_whose_payment_rounds_ran(paths, capsys):
+    # the entry-* verdicts describe the pEF1 output, after the rounds
+    save_instance(paths["inst"], rotation_instance())
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    report = load_report(paths["report"])
+    assert report.stages[0].name == "pef1" and report.stages[0].rounds > 0
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 0
+    assert "verify: ok" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_forged_entry_verdict(paths, capsys):
+    save_instance(paths["inst"], rotation_instance())
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    text = open(paths["report"]).read()
+    assert "verdict entry-pef1: true" in text
+    open(paths["report"], "w").write(
+        text.replace("verdict entry-pef1: true", "verdict entry-pef1: false"))
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    assert "entry-pef1: recomputed True" in capsys.readouterr().err
+
+
+def test_verify_recomputes_status_and_beta_pefx(paths, capsys):
+    gen_ok(paths)
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    lines = open(paths["report"]).read().splitlines()
+    assert "status: ok" in lines
+    lines = ["status: failed" if line == "status: ok"
+             else "verdict beta-pefx: 99/1"
+             if line.startswith("verdict beta-pefx:") else line
+             for line in lines]
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    err = capsys.readouterr().err
+    assert "verify: status: recomputed ok, report says failed" in err
+    assert "verify: beta-pefx: recomputed" in err
+
+
+def test_verify_rejects_a_forged_mode(paths, capsys):
+    # at k = 2 auto resolves to exact2; approx would judge by another bound
+    gen_ok(paths)
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    text = open(paths["report"]).read()
+    assert "mode: exact2" in text
+    open(paths["report"], "w").write(
+        text.replace("mode: exact2", "mode: approx"))
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    assert "verify: mode: 'approx'" in capsys.readouterr().err
+
+
+def test_verify_reports_an_unreplayable_trace(paths, capsys):
+    save_instance(paths["inst"], rotation_instance())
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    lines = open(paths["report"]).read().splitlines()
+    idx = next(i for i, line in enumerate(lines)
+               if "kind=transfer" in line)
+    lines[idx] = lines[idx].replace("agents=", "agents=3,")
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    err = capsys.readouterr().err
+    assert "trace replay failed" in err
+    assert "Traceback" not in err
 
 
 def test_normalized_gen_writes_zero_one_rows(paths):

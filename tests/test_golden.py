@@ -14,7 +14,7 @@ import pytest
 
 from chorefair import GenParams, gen_instance, report_fingerprint, run_pipeline
 
-from conftest import rotation_instance
+from conftest import rotation_instance, skewed_owned_instance
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_fingerprints.txt")
@@ -22,6 +22,15 @@ KS = (Fraction(2), Fraction(3), Fraction(5, 2))
 SIZES = ((4, 8), (8, 24), (16, 64), (64, 256))
 SEEDS = (1, 2)
 HIGH_PROB = Fraction(3, 4)
+# Round-heavy owned patterns: tens of payment rounds each, and together
+# every pEF1 event kind (raise, transfer, rotate); (sizes, k, seed).
+SKEWED = (((20, 18, 16, 2, 1, 1, 1), Fraction(3), 8),
+          ((20, 18, 16, 2, 1, 1, 1), Fraction(2), 15),
+          ((24, 20, 3, 2, 1, 1), Fraction(3), 18),
+          ((30, 25, 20, 2, 2, 1, 1, 1), Fraction(3), 1),
+          ((30, 25, 20, 2, 2, 1, 1, 1), Fraction(5, 2), 0),
+          ((60, 20, 12, 9, 7, 6, 5, 4, 4, 3, 3), Fraction(5, 2), 3))
+SPRINKLE = Fraction(1, 20)
 
 
 def grid():
@@ -32,6 +41,9 @@ def grid():
                 name = f"gen n={n} m={m} k={k} seed={seed}"
                 yield name, gen_instance(GenParams(n, m, k, HIGH_PROB, seed))
     yield "rotation", rotation_instance()
+    for sizes, k, seed in SKEWED:
+        name = f"skewed sizes={','.join(map(str, sizes))} k={k} seed={seed}"
+        yield name, skewed_owned_instance(k, sizes, seed, SPRINKLE)
 
 
 def fingerprint(instance) -> str:

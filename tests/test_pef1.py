@@ -1,5 +1,6 @@
 """Payment-EF1 solver: round mechanics, the rotation branch, termination."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import given, settings
 
 from chorefair import (
     Allocation,
+    ChorefairError,
+    InternalInvariant,
     Instance,
+    MPBViolation,
     PaymentVector,
     SolverState,
     build_market_state,
@@ -21,7 +25,10 @@ from chorefair import (
     select_least_earner,
 )
 
-from conftest import generated_instances, owned_instance, rotation_instance
+from chorefair.pef1 import _Rounds
+
+from conftest import (generated_instances, owned_instance, rotation_instance,
+                      skewed_owned_instance)
 
 
 def test_selectors_break_ties_toward_smaller_index():
@@ -164,3 +171,97 @@ def test_final_allocation_is_a_permutation_of_the_items(inst):
     owner = state.market.allocation.owner
     assert len(owner) == inst.m
     assert all(0 <= o < inst.n for o in owner)
+
+
+def _entry_state(final):
+    """The solver state before the first round of a finished run."""
+    n = final.market.instance.n
+    return replace(final, market=final.entry, unraised=frozenset(range(n)),
+                   round_count=0, trace=())
+
+
+@given(generated_instances(max_n=5, max_m=9))
+@settings(max_examples=60)
+def test_sink_markets_match_a_fresh_build(inst):
+    sink = []
+    state = run_pef1(inst, state_sink=sink)
+    assert sink[0] == state.entry
+    assert sink[-1] == state.market
+    for market in sink:
+        assert market == build_market_state(
+            market.instance, market.allocation, market.payments)
+
+
+@pytest.mark.parametrize("seed", [8, 15])
+def test_stepping_pef1_round_reproduces_run_pef1(seed):
+    inst = skewed_owned_instance(3, (20, 18, 16, 2, 1, 1, 1), seed,
+                                 Fraction(1, 20))
+    sink = []
+    final = run_pef1(inst, state_sink=sink)
+    assert {ev.kind for ev in final.trace} == {"raise", "transfer", "rotate"}
+    state, markets = _entry_state(final), [final.entry]
+    while (nxt := pef1_round(state)) is not None:
+        state = nxt
+        markets.append(state.market)
+    assert markets == sink
+    assert state == final
+
+
+def _corrupt_bundle_on(view):
+    view.bundles[3] |= view.bundles[0] & -view.bundles[0]
+
+
+def _corrupt_bundle_off(view):
+    view.bundles[3] &= view.bundles[3] - 1
+
+
+def _corrupt_bundle_moved(view):
+    # bundles still partition the chores, but agent 3 now holds a chore of
+    # agent 0 that costs it k at payment 1
+    low = view.bundles[0] & -view.bundles[0]
+    view.bundles[0] ^= low
+    view.bundles[3] |= low
+
+
+def _corrupt_payments(view):
+    # a chore of the unraised agent 3 that costs it 1 starts paying k
+    view.high |= view.bundles[3] & view.low_cost[3]
+
+
+def _corrupt_owner(view):
+    view.owner[view.bundles[3].bit_length() - 1] = 2
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_bundle_on, _corrupt_bundle_off,
+                                     _corrupt_bundle_moved, _corrupt_payments,
+                                     _corrupt_owner])
+def test_a_corrupted_view_fails_the_run(rotation, corrupt):
+    final = run_pef1(rotation)
+    rounds = _Rounds(_entry_state(final))
+    corrupt(rounds.view)
+    with pytest.raises(ChorefairError):
+        while rounds.step():
+            pass
+        rounds.state()
+
+
+def test_round_checks_recompute_earnings_from_the_masks(rotation):
+    final = run_pef1(rotation)
+    rounds = _Rounds(_entry_state(final))
+    rounds.earn[3] += 1  # agent 3 is neither selected nor touched in round 1
+    with pytest.raises(ChorefairError, match="uninvolved agent 3"):
+        rounds.step()
+
+
+def test_bundles_must_partition_the_chores(rotation):
+    rounds = _Rounds(_entry_state(run_pef1(rotation)))
+    _corrupt_bundle_on(rounds.view)
+    with pytest.raises(InternalInvariant, match="share a chore"):
+        rounds.step()
+
+
+def test_round_checks_every_bundle_against_its_mpb_set(rotation):
+    rounds = _Rounds(_entry_state(run_pef1(rotation)))
+    _corrupt_bundle_moved(rounds.view)
+    with pytest.raises(MPBViolation, match="equilibrium at agent 3"):
+        rounds.step()
