@@ -5,16 +5,16 @@ optimality, reallocates toward bounded-envy allocations, verifies every
 claimed fairness property exactly, and cross-checks against exhaustive
 ground truth on small instances.  All arithmetic is exact rational.
 """
-from .approx_efx import (ApproxResult, approx_from_equilibrium, approx_round,
+from .approx_efx import (approx_from_equilibrium, approx_round,
                          run_approx_efx, strong_envy_target)
-from .efx_k2 import (K2Result, earning_tiers, efx_violation,
+from .efx_k2 import (earning_tiers, efx_violation,
                      k2_from_equilibrium, k2_round, run_efx_k2)
 from .errors import (AllEmpty, AlreadyUniform, BudgetExceeded, ChorefairError,
                      GroupPropertyViolation, InternalInvariant,
                      InvalidPayment, InvariantViolation, IterationCapExceeded,
                      LemmaViolation, MissingIntermediary, MPBViolation,
                      NotBiValued, ParseError, PreconditionViolated,
-                     RaiseOverflow, RoundCapExceeded, TierViolation, ZeroCost)
+                     RaiseOverflow, TierViolation, ZeroCost)
 from .harness import (GenParams, RunReport, SplitMix64, StageSummary,
                       Verdicts, bench, gen_instance, instance_digest,
                       instance_text, load_instance, load_report,
@@ -34,8 +34,8 @@ from .model import (Allocation, ExactRational, Instance, MarketState,
 from .oracle import (DEFAULT_BUDGET, best_efx_beta_over_po, cost_profile,
                      dominates, enumerate_allocations, exists_efx_po,
                      is_pareto_optimal)
-from .pef1 import (SolverState, pef1_round, run_pef1, select_big_earner,
-                   select_least_earner)
+from .pef1 import (SolverState, StageResult, pef1_round, run_pef1,
+                   select_big_earner, select_least_earner)
 from .trace import TraceEvent, replay_trace
 from .verify import (UNBOUNDED, BetaResult, FairnessVerdict, Unbounded,
                      Witness, beta_le, check_EF1, check_equilibrium,
@@ -44,16 +44,16 @@ from .verify import (UNBOUNDED, BetaResult, FairnessVerdict, Unbounded,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxResult", "approx_from_equilibrium", "approx_round",
+    "approx_from_equilibrium", "approx_round",
     "run_approx_efx", "strong_envy_target",
-    "K2Result", "earning_tiers", "efx_violation", "k2_from_equilibrium",
+    "earning_tiers", "efx_violation", "k2_from_equilibrium",
     "k2_round", "run_efx_k2",
     "AllEmpty", "AlreadyUniform", "BudgetExceeded", "ChorefairError",
     "GroupPropertyViolation", "InternalInvariant", "InvalidPayment",
     "InvariantViolation", "IterationCapExceeded", "LemmaViolation",
     "MissingIntermediary", "MPBViolation", "NotBiValued", "ParseError",
-    "PreconditionViolated", "RaiseOverflow", "RoundCapExceeded",
-    "TierViolation", "ZeroCost",
+    "PreconditionViolated", "RaiseOverflow", "TierViolation",
+    "ZeroCost",
     "GenParams", "RunReport", "SplitMix64", "StageSummary", "Verdicts",
     "bench", "gen_instance", "instance_digest", "instance_text",
     "load_instance", "load_report", "parse_instance", "parse_rational",
@@ -70,8 +70,8 @@ __all__ = [
     "raw_instance", "replace_allocation",
     "DEFAULT_BUDGET", "best_efx_beta_over_po", "cost_profile", "dominates",
     "enumerate_allocations", "exists_efx_po", "is_pareto_optimal",
-    "SolverState", "pef1_round", "run_pef1", "select_big_earner",
-    "select_least_earner",
+    "SolverState", "StageResult", "pef1_round", "run_pef1",
+    "select_big_earner", "select_least_earner",
     "TraceEvent", "replay_trace",
     "UNBOUNDED", "BetaResult", "FairnessVerdict", "Unbounded", "Witness",
     "beta_le", "check_EF1", "check_equilibrium", "check_pEF1",

@@ -8,29 +8,33 @@ so the market remains an equilibrium and the result is Pareto optimal.
 
 The count of high-payment holders that also hold a low-payment chore drops
 by exactly one per round, which bounds the loop by n.
+
+The stage runs on one bitmask MarketView: chores move through its
+MPB-checked move, envy is read off the popcount EnvyKernel, and a
+MarketState is built once, at the end.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (IterationCapExceeded, LemmaViolation, MPBViolation,
                      PreconditionViolated)
-from .model import Instance, MarketState, earning, replace_allocation
-from .pef1 import SolverState, run_pef1
+from .model import (EnvyKernel, Instance, MarketState, MarketView, bits,
+                    bundle_masks)
+from .pef1 import SolverState, StageResult, run_pef1
 from .trace import TraceEvent
 
 
-@dataclass(frozen=True)
-class ApproxResult:
-    market: MarketState
-    rounds: int
-    trace: tuple[TraceEvent, ...]
-    pef1: SolverState | None = None
-
-
-def _bundle_cost_units(market: MarketState, i: int, items) -> int:
-    cu = market.instance.cost_units[i]
-    return sum(cu[e] for e in items)
+def _strong_envy(instance: Instance, bundles, earn) -> tuple[int, int] | None:
+    p, q = instance.high_units, instance.unit
+    kernel = EnvyKernel(instance, bundles)
+    for i, row in enumerate(kernel.cost):
+        lhs = p * kernel.residual(i)
+        targets = [j for j, c in enumerate(row)
+                   if j != i and lhs > (2 * p - q) * c]
+        if targets:
+            return i, min(targets, key=lambda j: (earn[j], j))
+    return None
 
 
 def strong_envy_target(market: MarketState) -> tuple[int, int] | None:
@@ -38,160 +42,128 @@ def strong_envy_target(market: MarketState) -> tuple[int, int] | None:
     least-earning agent it fails against.  None when the test passes.
     """
     inst = market.instance
-    p, q = inst.high_units, inst.unit
-    for i in range(inst.n):
-        bundle = market.allocation.bundle(i)
-        if len(bundle) <= 1:
-            continue
-        cu = inst.cost_units[i]
-        residual = sum(cu[e] for e in bundle) - min(cu[e] for e in bundle)
-        targets = [
-            j for j in range(inst.n) if j != i
-            and p * residual > (2 * p - q) * _bundle_cost_units(
-                market, i, market.allocation.bundle(j))
-        ]
-        if targets:
-            return i, min(targets, key=lambda j: (market.earn_units[j], j))
-    return None
+    return _strong_envy(inst, bundle_masks(market.allocation.owner, inst.n),
+                        market.earn_units)
 
 
-def _high_holders(market: MarketState) -> frozenset[int]:
-    inst = market.instance
-    return frozenset(
-        i for i in range(inst.n)
-        if any(market.pay_is_high(e) for e in market.allocation.bundle(i)))
+def _mixed_holder_count(view: MarketView) -> int:
+    return sum(1 for b in view.bundles if b & view.high and b & ~view.high)
 
 
-def _mixed_holder_count(market: MarketState) -> int:
-    return sum(
-        1 for i in _high_holders(market)
-        if any(not market.pay_is_high(e) for e in market.allocation.bundle(i)))
-
-
-def entry_tier_units(market: MarketState) -> int:
+def entry_tier_units(view: MarketView, earn: list[int]) -> int:
     """Smallest earning among agents without a high-payment chore, validated
     against the band structure every strongly-envied entry state must have.
     """
-    inst = market.instance
-    p, q = inst.high_units, inst.unit
-    high = _high_holders(market)
-    lows = [i for i in range(inst.n) if i not in high]
+    p, q = view.pay_high, view.pay_low
+    high = [i for i, b in enumerate(view.bundles) if b & view.high]
+    lows = [i for i, b in enumerate(view.bundles) if not b & view.high]
     if not lows:
         raise LemmaViolation(
             "strong envy requires an agent without high-payment chores")
-    z = min(market.earn_units[i] for i in lows)
+    z = min(earn[i] for i in lows)
     if z >= p:
         raise LemmaViolation(f"low-group base earning {z} is not below {p}")
     for i in lows:
-        if market.earn_units[i] not in (z, z + q):
+        if earn[i] not in (z, z + q):
             raise LemmaViolation(
-                f"agent {i} earns {market.earn_units[i]} outside {{z, z+1}}")
+                f"agent {i} earns {earn[i]} outside {{z, z+1}}")
     for i in high:
-        if not p <= market.earn_units[i] <= p + z:
+        if not p <= earn[i] <= p + z:
             raise LemmaViolation(
-                f"agent {i} earns {market.earn_units[i]} outside [k, k+z]")
+                f"agent {i} earns {earn[i]} outside [k, k+z]")
     return z
 
 
-def approx_round(market: MarketState, z_units: int,
-                 round_no: int) -> tuple[MarketState, TraceEvent] | None:
-    """One exchange; None when the allocation is already (2 - 1/k)-EFX."""
-    found = strong_envy_target(market)
+def approx_round(view: MarketView, earn: list[int], z_units: int,
+                 round_no: int) -> TraceEvent | None:
+    """One exchange on the view; None when the allocation is already
+    (2 - 1/k)-EFX.  earn holds the view's earnings and is updated."""
+    found = _strong_envy(view.instance, view.bundles, earn)
     if found is None:
         return None
     i, j = found
-    high = _high_holders(market)
-    if i not in high or j in high:
+    highs_i, bundle_j = view.bundles[i] & view.high, view.bundles[j]
+    if not highs_i or bundle_j & view.high:
         raise LemmaViolation(
             f"strong envy must run from a high-payment holder to a "
             f"non-holder, got {i} -> {j}")
-    if market.alpha[i] != 1:
-        raise LemmaViolation(f"violator {i} has ratio {market.alpha[i]}, not 1")
-    bundle_i = sorted(market.allocation.bundle(i))
-    bundle_j = sorted(market.allocation.bundle(j))
-    if any(e not in market.mpb[i] for e in bundle_j):
-        raise MPBViolation(
-            f"the strongly envied bundle of {j} is not ratio-minimal for {i}")
-    highs_i = [e for e in bundle_i if market.pay_is_high(e)]
-    if len(highs_i) != 1:
+    if view.raised(i):
         raise LemmaViolation(
-            f"violator {i} holds {len(highs_i)} high-payment chores, expected 1")
-    e = highs_i[0]
-    if e not in market.mpb[j]:
-        raise MPBViolation(
-            f"high-payment chore {e} is not ratio-minimal for receiver {j}")
+            f"violator {i} has ratio {1 / view.instance.k}, not 1")
+    if highs_i.bit_count() != 1:
+        raise LemmaViolation(
+            f"violator {i} holds {highs_i.bit_count()} high-payment chores, "
+            "expected 1")
+    e = highs_i.bit_length() - 1
 
-    mixed_before = _mixed_holder_count(market)
-    owner = list(market.allocation.owner)
-    for x in bundle_j:
-        owner[x] = i
-    owner[e] = j
-    new_market = replace_allocation(market, owner)
-    _assert_round(market, new_market, z_units, i, j, mixed_before)
+    mixed_before = _mixed_holder_count(view)
+    view.move(e, i, j)
+    for x in bits(bundle_j):
+        view.move(x, j, i)
+    after = _assert_round(view, earn, z_units, i, j, mixed_before)
+    q = view.pay_low
     event = TraceEvent(
         stage="approx_efx", round=round_no, kind="bundle_swap",
-        agents=(i, j), items=(e, *bundle_j),
-        earn_before=(earning(market, i), earning(market, j)),
-        earn_after=(earning(new_market, i), earning(new_market, j)))
-    return new_market, event
+        agents=(i, j), items=(e, *bits(bundle_j)),
+        earn_before=(Fraction(earn[i], q), Fraction(earn[j], q)),
+        earn_after=(Fraction(after[i], q), Fraction(after[j], q)))
+    earn[:] = after
+    return event
 
 
-def _assert_round(old: MarketState, market: MarketState, z_units: int,
-                  i: int, j: int, mixed_before: int) -> None:
-    inst = market.instance
-    p, q = inst.high_units, inst.unit
-    for a in range(inst.n):
-        if any(e not in market.mpb[a] for e in market.allocation.bundle(a)):
+def _assert_round(view: MarketView, before: list[int], z_units: int,
+                  i: int, j: int, mixed_before: int) -> list[int]:
+    """Check the exchange from the view's masks alone; return the earnings."""
+    p, q = view.pay_high, view.pay_low
+    view.check_partition()
+    for a, bundle in enumerate(view.bundles):
+        if bundle & ~view.mpb(a):
             raise MPBViolation(f"exchange broke the equilibrium at agent {a}")
-        if a not in (i, j) and market.earn_units[a] != old.earn_units[a]:
+    earn = view.earnings()
+    for a in range(view.n):
+        if a not in (i, j) and earn[a] != before[a]:
             raise LemmaViolation(
                 f"earning of uninvolved agent {a} changed during the exchange")
-    high = _high_holders(market)
-    for a in range(inst.n):
-        lo, hi = (p, p + z_units) if a in high else (z_units, p + z_units)
-        if not lo <= market.earn_units[a] <= hi:
+    holds_high = [bool(b & view.high) for b in view.bundles]
+    for a in range(view.n):
+        lo, hi = (p, p + z_units) if holds_high[a] else (z_units, p + z_units)
+        if not lo <= earn[a] <= hi:
             raise LemmaViolation(
-                f"agent {a} earns {market.earn_units[a]} outside [{lo}, {hi}]")
-    lows = sorted(set(range(inst.n)) - high)
+                f"agent {a} earns {earn[a]} outside [{lo}, {hi}]")
+    lows = [a for a in range(view.n) if not holds_high[a]]
+    kernel = EnvyKernel(view.instance, view.bundles)
     for a in lows:
-        cu = inst.cost_units[a]
-        bundle = market.allocation.bundle(a)
-        if len(bundle) <= 1:
-            continue
-        residual = sum(cu[e] for e in bundle) - min(cu[e] for e in bundle)
+        lhs = p * kernel.residual(a)
         for b in lows:
-            if b != a and p * residual > (2 * p - q) * _bundle_cost_units(
-                    market, a, market.allocation.bundle(b)):
+            if b != a and lhs > (2 * p - q) * kernel.cost[a][b]:
                 raise LemmaViolation(
                     f"agents {a} and {b} left the low group's envy bound")
-    mixed_after = _mixed_holder_count(market)
+    mixed_after = _mixed_holder_count(view)
     if mixed_after != mixed_before - 1:
         raise LemmaViolation(
             f"mixed-holder count went {mixed_before} -> {mixed_after}, "
             "expected a drop of exactly one")
+    return earn
 
 
 def approx_from_equilibrium(market: MarketState,
-                            pef1: SolverState | None = None) -> ApproxResult:
-    if strong_envy_target(market) is None:
-        return ApproxResult(market, 0, (), pef1)
-    z = entry_tier_units(market)
+                            pef1: SolverState | None = None) -> StageResult:
+    view = MarketView(market)
+    earn = view.earnings()
+    if _strong_envy(market.instance, view.bundles, earn) is None:
+        return StageResult(market, 0, (), pef1)
+    z = entry_tier_units(view, earn)
     trace: list[TraceEvent] = []
-    rounds = 0
     cap = market.instance.n + 1
-    while True:
-        step = approx_round(market, z, rounds + 1)
-        if step is None:
-            return ApproxResult(market, rounds, tuple(trace), pef1)
-        market, event = step
+    while (event := approx_round(view, earn, z, len(trace) + 1)) is not None:
         trace.append(event)
-        rounds += 1
-        if rounds > cap:
+        if len(trace) > cap:
             raise IterationCapExceeded(
                 f"exchange stage exceeded {cap} rounds")
+    return StageResult(view.market(), len(trace), tuple(trace), pef1)
 
 
-def run_approx_efx(instance: Instance) -> ApproxResult:
+def run_approx_efx(instance: Instance) -> StageResult:
     """Full pipeline: pEF1 equilibrium, then exchanges until (2 - 1/k)-EFX.
 
     The result is stated in the reindexed agent frame of the pEF1 stage;

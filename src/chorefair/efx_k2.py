@@ -10,77 +10,69 @@ optimality survive; the count of top-tier agents holding both payment
 values drops by one per round.
 
 Payments stay fixed, so the unraised set passed in stays valid throughout.
+The stage runs on one bitmask MarketView: chores move through its
+MPB-checked move, envy is read off the popcount EnvyKernel, and a
+MarketState is built once, at the end.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (IterationCapExceeded, LemmaViolation, MPBViolation,
                      PreconditionViolated, TierViolation)
-from .model import Instance, MarketState, earning, replace_allocation
-from .pef1 import SolverState, run_pef1
+from .model import (EnvyKernel, Instance, MarketState, MarketView,
+                    bundle_masks)
+from .pef1 import SolverState, StageResult, run_pef1
 from .trace import TraceEvent
 
 
-@dataclass(frozen=True)
-class K2Result:
-    market: MarketState
-    rounds: int
-    trace: tuple[TraceEvent, ...]
-    pef1: SolverState | None = None
+def _tiers(earn) -> tuple[int, dict[int, int]]:
+    z = min(earn)
+    tiers = {}
+    for i, units in enumerate(earn):
+        off = units - z
+        if off not in (0, 1, 2):
+            raise TierViolation(
+                f"agent {i} earns {units}, more than 2 above the base {z}")
+        tiers[i] = off
+    return z, tiers
 
 
 def earning_tiers(market: MarketState) -> tuple[int, dict[int, int]]:
     """Base earning z and each agent's offset in {0, 1, 2} above it."""
-    inst = market.instance
-    z = min(market.earn_units)
-    tiers = {}
-    for i in range(inst.n):
-        off = market.earn_units[i] - z
-        if off not in (0, 1, 2):
-            raise TierViolation(
-                f"agent {i} earns {market.earn_units[i]}, more than 2 above "
-                f"the base {z}")
-        tiers[i] = off
-    return z, tiers
+    return _tiers(market.earn_units)
+
+
+def _efx_violation(instance: Instance, bundles) -> tuple[int, int] | None:
+    kernel = EnvyKernel(instance, bundles)
+    for i, row in enumerate(kernel.cost):
+        residual = kernel.residual(i)
+        for j, c in enumerate(row):
+            if j != i and residual > c:
+                return i, j
+    return None
 
 
 def efx_violation(market: MarketState) -> tuple[int, int] | None:
     """Smallest (i, j) lexicographically with i failing exact EFX toward j."""
     inst = market.instance
-    for i in range(inst.n):
-        bundle = market.allocation.bundle(i)
-        if len(bundle) <= 1:
-            continue
-        cu = inst.cost_units[i]
-        residual = sum(cu[e] for e in bundle) - min(cu[e] for e in bundle)
-        for j in range(inst.n):
-            if j != i and residual > sum(
-                    cu[e] for e in market.allocation.bundle(j)):
-                return i, j
-    return None
+    return _efx_violation(inst, bundle_masks(market.allocation.owner, inst.n))
 
 
-def _mixed_top_count(market: MarketState, z: int) -> int:
-    count = 0
-    for i in range(market.instance.n):
-        if market.earn_units[i] != z + 2:
-            continue
-        bundle = market.allocation.bundle(i)
-        if any(market.pay_is_high(e) for e in bundle) and \
-                any(not market.pay_is_high(e) for e in bundle):
-            count += 1
-    return count
+def _mixed_top_count(view: MarketView, earn: list[int], z: int) -> int:
+    return sum(1 for b, units in zip(view.bundles, earn)
+               if units == z + 2 and b & view.high and b & ~view.high)
 
 
-def k2_round(market: MarketState, unraised: frozenset[int],
-             round_no: int) -> tuple[MarketState, TraceEvent] | None:
-    """One trade; None when the allocation is exactly EFX."""
-    found = efx_violation(market)
+def k2_round(view: MarketView, earn: list[int], unraised: frozenset[int],
+             round_no: int) -> TraceEvent | None:
+    """One trade on the view; None when the allocation is exactly EFX.
+    earn holds the view's earnings and is updated."""
+    found = _efx_violation(view.instance, view.bundles)
     if found is None:
         return None
     i, j = found
-    z, tiers = earning_tiers(market)
+    z, tiers = _tiers(earn)
     if tiers[i] != 2 or tiers[j] != 0:
         raise TierViolation(
             f"violating pair must earn (z+2, z), got offsets "
@@ -88,95 +80,90 @@ def k2_round(market: MarketState, unraised: frozenset[int],
     if i not in unraised or j not in unraised:
         raise LemmaViolation(
             f"violating pair ({i}, {j}) must both be unraised")
-    bundle_i = sorted(market.allocation.bundle(i))
-    bundle_j = sorted(market.allocation.bundle(j))
-    if any(e not in market.mpb[i] for e in bundle_j):
+    bundle_i, bundle_j = view.bundles[i], view.bundles[j]
+    if bundle_j & ~view.mpb(i):
         raise MPBViolation(
             f"the envied bundle of {j} is not ratio-minimal for {i}")
-    highs_i = [e for e in bundle_i if market.pay_is_high(e)]
-    lows_i = [e for e in bundle_i if not market.pay_is_high(e)]
+    highs_i, lows_i = bundle_i & view.high, bundle_i & ~view.high
     if not highs_i or not lows_i:
         raise LemmaViolation(
             f"violator {i} must hold both payment values, has "
-            f"{len(highs_i)} high and {len(lows_i)} low")
-    e_i = highs_i[0]
-    if e_i not in market.mpb[j]:
-        raise MPBViolation(
-            f"payment-2 chore {e_i} is not ratio-minimal for receiver {j}")
+            f"{highs_i.bit_count()} high and {lows_i.bit_count()} low")
+    e_i = (highs_i & -highs_i).bit_length() - 1
 
-    mixed_before = _mixed_top_count(market, z)
-    owner = list(market.allocation.owner)
-    lows_j = [e for e in bundle_j if not market.pay_is_high(e)]
+    mixed_before = _mixed_top_count(view, earn, z)
+    lows_j = bundle_j & ~view.high
+    view.move(e_i, i, j)
     if lows_j:
-        e_j = lows_j[0]
-        owner[e_i] = j
-        owner[e_j] = i
+        e_j = (lows_j & -lows_j).bit_length() - 1
+        view.move(e_j, j, i)
         kind, items = "swap", (e_i, e_j)
     else:
-        owner[e_i] = j
         kind, items = "move", (e_i,)
-    new_market = replace_allocation(market, owner)
-    _assert_round(market, new_market, z, i, j, kind, mixed_before)
+    after = _assert_round(view, earn, z, i, j, kind, mixed_before)
+    q = view.pay_low
     event = TraceEvent(
         stage="efx_k2", round=round_no, kind=kind, agents=(i, j), items=items,
-        earn_before=(earning(market, i), earning(market, j)),
-        earn_after=(earning(new_market, i), earning(new_market, j)))
-    return new_market, event
+        earn_before=(Fraction(earn[i], q), Fraction(earn[j], q)),
+        earn_after=(Fraction(after[i], q), Fraction(after[j], q)))
+    earn[:] = after
+    return event
 
 
-def _assert_round(old: MarketState, market: MarketState, z: int,
-                  i: int, j: int, kind: str, mixed_before: int) -> None:
-    inst = market.instance
-    for a in range(inst.n):
-        if any(e not in market.mpb[a] for e in market.allocation.bundle(a)):
+def _assert_round(view: MarketView, before: list[int], z: int,
+                  i: int, j: int, kind: str, mixed_before: int) -> list[int]:
+    """Check the trade from the view's masks alone; return the earnings."""
+    view.check_partition()
+    for a, bundle in enumerate(view.bundles):
+        if bundle & ~view.mpb(a):
             raise MPBViolation(f"trade broke the equilibrium at agent {a}")
-        if a not in (i, j) and market.earn_units[a] != old.earn_units[a]:
+    earn = view.earnings()
+    for a in range(view.n):
+        if a not in (i, j) and earn[a] != before[a]:
             raise LemmaViolation(
                 f"earning of uninvolved agent {a} changed during the trade")
     if kind == "swap":
         want_i, want_j = z + 1, z + 1
     else:
         want_i, want_j = z, z + 2
-    if market.earn_units[i] != want_i or market.earn_units[j] != want_j:
+    if earn[i] != want_i or earn[j] != want_j:
         raise TierViolation(
-            f"trade left earnings ({market.earn_units[i]}, "
-            f"{market.earn_units[j]}), expected ({want_i}, {want_j})")
-    for a in range(inst.n):
-        if not z <= market.earn_units[a] <= z + 2:
+            f"trade left earnings ({earn[i]}, {earn[j]}), expected "
+            f"({want_i}, {want_j})")
+    for a, bundle in enumerate(view.bundles):
+        if not z <= earn[a] <= z + 2:
             raise TierViolation(
-                f"agent {a} earns {market.earn_units[a]} outside "
-                f"[{z}, {z + 2}]")
-        if market.earn_units[a] == z + 2 and not any(
-                market.pay_is_high(e) for e in market.allocation.bundle(a)):
+                f"agent {a} earns {earn[a]} outside [{z}, {z + 2}]")
+        if earn[a] == z + 2 and not bundle & view.high:
             raise TierViolation(
                 f"top-tier agent {a} holds no payment-2 chore, breaking pEF1")
-    mixed_after = _mixed_top_count(market, z)
+    mixed_after = _mixed_top_count(view, earn, z)
     if mixed_after != mixed_before - 1:
         raise LemmaViolation(
             f"mixed top-tier count went {mixed_before} -> {mixed_after}, "
             "expected a drop of exactly one")
+    return earn
 
 
 def k2_from_equilibrium(market: MarketState, unraised: frozenset[int],
-                        pef1: SolverState | None = None) -> K2Result:
+                        pef1: SolverState | None = None) -> StageResult:
     if market.instance.k != 2:
         raise PreconditionViolated(
             f"exact EFX stage needs k = 2, got {market.instance.k}")
+    view = MarketView(market)
+    earn = view.earnings()
     trace: list[TraceEvent] = []
-    rounds = 0
     cap = market.instance.n + 1
-    while True:
-        step = k2_round(market, unraised, rounds + 1)
-        if step is None:
-            return K2Result(market, rounds, tuple(trace), pef1)
-        market, event = step
+    while (event := k2_round(view, earn, unraised,
+                             len(trace) + 1)) is not None:
         trace.append(event)
-        rounds += 1
-        if rounds > cap:
+        if len(trace) > cap:
             raise IterationCapExceeded(f"trade stage exceeded {cap} rounds")
+    return StageResult(view.market() if trace else market, len(trace),
+                       tuple(trace), pef1)
 
 
-def run_efx_k2(instance: Instance) -> K2Result:
+def run_efx_k2(instance: Instance) -> StageResult:
     """Full pipeline for {1,2} costs: pEF1 equilibrium, then trades to EFX.
 
     The result is stated in the reindexed agent frame of the pEF1 stage;

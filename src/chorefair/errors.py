@@ -78,10 +78,6 @@ class IterationCapExceeded(ChorefairError):
     """A loop ran past its defensive iteration bound (or revisited a state)."""
 
 
-class RoundCapExceeded(ChorefairError):
-    """A reallocation loop exceeded its proven round bound."""
-
-
 class BudgetExceeded(ChorefairError):
     """Exhaustive enumeration would exceed the configured budget."""
 

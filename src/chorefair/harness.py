@@ -20,14 +20,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .approx_efx import ApproxResult, approx_from_equilibrium
-from .efx_k2 import K2Result, k2_from_equilibrium
+from .approx_efx import approx_from_equilibrium
+from .efx_k2 import k2_from_equilibrium
 from .errors import ChorefairError, ParseError
 from .model import (Allocation, ExactRational, Instance, MarketState,
                     PaymentVector, RawInstance, as_rational,
                     build_market_state, normalize_instance)
 from .oracle import is_pareto_optimal
-from .pef1 import run_pef1
+from .pef1 import StageResult, run_pef1
 from .trace import TraceEvent, replay_trace
 from .verify import UNBOUNDED, Unbounded, beta_le, check_EF1, check_pEF1, \
     check_equilibrium, min_beta_EFX, min_beta_pEFX
@@ -313,7 +313,7 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
         if resolved == "pef1":
             final = pef1_market
         elif resolved == "approx":
-            result: ApproxResult | K2Result = approx_from_equilibrium(
+            result: StageResult = approx_from_equilibrium(
                 pef1_market, state)
             stages.append(StageSummary("approx_efx", result.rounds,
                                        result.trace))

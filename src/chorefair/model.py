@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from typing import Sequence
 
 from .errors import (AlreadyUniform, InternalInvariant, InvalidPayment,
@@ -98,7 +99,7 @@ class Instance:
     @cached_property
     def low_masks(self) -> tuple[int, ...]:
         """Per agent, the bitmask of the chores costing it 1."""
-        return tuple(sum(1 << e for e, h in enumerate(row) if not h)
+        return tuple(int("".join(["0" if h else "1" for h in reversed(row)]), 2)
                      for row in self.high)
 
 
@@ -209,7 +210,12 @@ class MarketState:
 
 def build_market_state(instance: Instance, allocation: Allocation,
                        payments: PaymentVector) -> MarketState:
-    """Validate payments and owners, then derive ratios, MPB sets and groups."""
+    """Validate payments and owners, then derive ratios, MPB sets and groups.
+
+    Ratios and MPB sets come from the cost-1 masks L_i and the payment-k
+    mask H, as in MarketView.mpb: MPB_i = L_i & H at ratio 1/k when that is
+    nonempty, otherwise the chores whose cost equals their payment.
+    """
     n, m, k = instance.n, instance.m, instance.k
     if len(allocation.owner) != m:
         raise ValueError("allocation length does not match m")
@@ -219,48 +225,39 @@ def build_market_state(instance: Instance, allocation: Allocation,
         raise ValueError("payment vector length does not match m")
     p_hi, q = k.numerator, k.denominator
     pay_units = []
+    high = 0
     for e, p in enumerate(payments.payments):
         if p == 1:
             pay_units.append(q)
         elif p == k:
             pay_units.append(p_hi)
+            high |= 1 << e
         else:
             raise InvalidPayment(f"payment of chore {e} is {p}, expected 1 or {k}")
-    pay_units = tuple(pay_units)
-    cost_units = instance.cost_units
 
     alpha: list[Fraction] = []
     mpb: list[frozenset[int]] = []
-    for i in range(n):
-        row = cost_units[i]
-        # candidate ratios are 1/k (cost 1, payment k), 1, and k; the row
-        # constraint guarantees a cost-1 chore so the minimum is 1/k or 1
-        has_low_high = any(row[e] == q and pay_units[e] == p_hi for e in range(m))
-        if has_low_high:
-            alpha.append(1 / k)
-            mpb.append(frozenset(e for e in range(m)
-                                 if row[e] == q and pay_units[e] == p_hi))
-        else:
-            alpha.append(ONE)
-            mpb.append(frozenset(e for e in range(m) if row[e] == pay_units[e]))
+    low_k = 1 / k
+    for low_cost in instance.low_masks:
+        cheap = low_cost & high
+        alpha.append(low_k if cheap else ONE)
+        mpb.append(mask_set(cheap or low_cost ^ high))
 
-    low_items = frozenset(e for e in range(m) if pay_units[e] == q)
-    high_items = frozenset(range(m)) - low_items
+    high_items = mask_set(high)
     earn_units = [0] * n
-    holds_high = [False] * n
+    holds_high = 0
     for e, o in enumerate(allocation.owner):
         earn_units[o] += pay_units[e]
-        if e in high_items:
-            holds_high[o] = True
-    high_agents = frozenset(i for i in range(n) if holds_high[i])
-    low_agents = frozenset(range(n)) - high_agents
+        if pay_units[e] != q:
+            holds_high |= 1 << o
+    high_agents = mask_set(holds_high)
 
     return MarketState(
         instance=instance, allocation=allocation, payments=payments,
         alpha=tuple(alpha), mpb=tuple(mpb),
-        low_items=low_items, high_items=high_items,
-        low_agents=low_agents, high_agents=high_agents,
-        unit=q, pay_units=pay_units, earn_units=tuple(earn_units),
+        low_items=frozenset(range(m)) - high_items, high_items=high_items,
+        low_agents=frozenset(range(n)) - high_agents, high_agents=high_agents,
+        unit=q, pay_units=tuple(pay_units), earn_units=tuple(earn_units),
     )
 
 
@@ -303,6 +300,50 @@ def bits(mask: int):
         mask ^= low
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def mask_set(mask: int) -> frozenset[int]:
+    """The set bits of mask as a frozenset: its binary digits, least
+    significant first, select from 0, 1, 2, ... without a Python loop."""
+    return frozenset(compress(count(), bin(mask)[:1:-1].encode()
+                              .translate(_BINARY_DIGITS)))
+
+
+def bundle_masks(owner: Sequence[int], n: int) -> list[int]:
+    """Per agent, the bitmask of the chores it owns."""
+    masks = [0] * n
+    for e, o in enumerate(owner):
+        masks[o] |= 1 << e
+    return masks
+
+
+class EnvyKernel:
+    """Every bundle's cost in every agent's eyes, by popcount.
+
+    With L_i agent i's cost-1 mask and X_j a bundle mask, in 1/q units
+    cost[i][j] = c_i(X_j) = p*|X_j| - (p - q)*|X_j & L_i|.  Agent i's
+    cheapest own chore costs q when X_i meets L_i and p otherwise; its
+    costliest costs p when X_i leaves L_i and q otherwise; both are 0 for
+    an empty bundle.
+    """
+
+    def __init__(self, instance: Instance, bundles: Sequence[int]):
+        p, q = instance.high_units, instance.unit
+        sizes = [p * b.bit_count() for b in bundles]
+        low_masks = instance.low_masks
+        self.cost = [[s - (p - q) * (b & low).bit_count()
+                      for b, s in zip(bundles, sizes)] for low in low_masks]
+        self.cheapest = [(q if b & low else p) if b else 0
+                         for b, low in zip(bundles, low_masks)]
+        self.costliest = [(p if b & ~low else q) if b else 0
+                          for b, low in zip(bundles, low_masks)]
+
+    def residual(self, i: int) -> int:
+        """c_i(X_i) less i's cheapest own chore, the EFX comparison's left side."""
+        return self.cost[i][i] - self.cheapest[i]
+
+
 class MarketView:
     """Mutable bitmask view of a market, for loops that move chores or
     raise payments many times before anyone needs a MarketState.
@@ -319,9 +360,7 @@ class MarketView:
         self.instance = inst
         self.n = inst.n
         self.owner = list(state.allocation.owner)
-        self.bundles = [0] * inst.n
-        for e, o in enumerate(self.owner):
-            self.bundles[o] |= 1 << e
+        self.bundles = bundle_masks(self.owner, inst.n)
         self.high = sum(1 << e for e in range(inst.m) if state.pay_is_high(e))
         self.low_cost = inst.low_masks
         self.pay_low, self.pay_high = inst.unit, inst.high_units
@@ -352,6 +391,16 @@ class MarketView:
     def mpb(self, i: int) -> int:
         cheap = self.low_cost[i] & self.high
         return cheap or self.low_cost[i] ^ self.high
+
+    def check_partition(self) -> None:
+        """The bundles must be disjoint and cover every chore."""
+        covered = 0
+        for bundle in self.bundles:
+            if covered & bundle:
+                raise InternalInvariant("two bundles share a chore")
+            covered |= bundle
+        if covered != (1 << self.instance.m) - 1:
+            raise InternalInvariant("some chore is in no bundle")
 
     def move(self, e: int, u: int, v: int) -> None:
         if not self.mpb(v) >> e & 1:

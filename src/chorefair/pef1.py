@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import (AllEmpty, InternalInvariant, IterationCapExceeded,
-                     LemmaViolation, MissingIntermediary, MPBViolation,
-                     RaiseOverflow)
+from .errors import (AllEmpty, IterationCapExceeded, LemmaViolation,
+                     MissingIntermediary, MPBViolation, RaiseOverflow)
 from .market_init import (AgentGroups, build_initial_state,
                           partition_agent_groups, resolve_overpaid_paths)
 from .model import (Allocation, Instance, MarketState, MarketView, bits,
@@ -54,6 +53,17 @@ class SolverState:
         if unraised is None:
             unraised = frozenset(ident)
         return SolverState(market, unraised, groups, bundles, 0, entry=market)
+
+
+@dataclass(frozen=True)
+class StageResult:
+    """The market after a reallocation stage run on a pEF1 equilibrium,
+    with the stage's round count and trace; pef1 is the state it started
+    from, when the stage was run on one."""
+    market: MarketState
+    rounds: int
+    trace: tuple[TraceEvent, ...]
+    pef1: SolverState | None = None
 
 
 def _big_earner(hats, earn) -> int:
@@ -215,13 +225,7 @@ class _Rounds:
         n = view.n
         unraised = self.unraised
         groups = self.start.groups.groups
-        covered = 0
-        for bundle in view.bundles:
-            if covered & bundle:
-                raise InternalInvariant("two bundles share a chore")
-            covered |= bundle
-        if covered != (1 << inst.m) - 1:
-            raise InternalInvariant("some chore is in no bundle")
+        view.check_partition()
         mpb = [view.mpb(i) for i in range(n)]
         for e, dst in moved.items():
             if not mpb[dst] >> e & 1:

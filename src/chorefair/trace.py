@@ -31,7 +31,6 @@ class TraceEvent:
     earn_before: tuple[Fraction, ...] = ()
     earn_after: tuple[Fraction, ...] = ()
     least_earning: Fraction | None = None
-    eta: int | None = None
 
     def moves(self) -> list[tuple[int, int, int]]:
         """(item, from_agent, to_agent) triples in execution order."""

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Allocation, Instance, MarketState
+from .model import (Allocation, EnvyKernel, Instance, MarketState,
+                    bundle_masks)
 
 
 class Unbounded:
@@ -120,30 +121,20 @@ def min_beta_pEFX(state: MarketState) -> BetaResult:
     n = state.instance.n
     residuals = [_pay_residual(state, bundle)
                  for bundle in state.allocation.bundles(n)]
-    return _min_beta(
-        n,
-        residual=lambda i: residuals[i],
-        against=lambda i, j: state.earn_units[j],
-    )
+    return _min_beta(residuals, lambda i: state.earn_units)
 
 
 def check_EF1(instance: Instance, allocation: Allocation) -> FairnessVerdict:
     """Cost envy-freeness up to one chore (drop the costliest own chore)."""
-    n = instance.n
-    cu = instance.cost_units
-    bundles = allocation.bundles(n)
-    for i in range(n):
-        mine = bundles[i]
-        if not mine:
-            continue
-        total = sum(cu[i][e] for e in mine)
-        lhs_units = total - max(cu[i][e] for e in mine)
-        for j in range(n):
-            if i == j:
-                continue
-            rhs_units = sum(cu[i][e] for e in bundles[j])
-            if lhs_units > rhs_units:
-                drop = max(mine, key=lambda e: (cu[i][e], -e))
+    bundles = bundle_masks(allocation.owner, instance.n)
+    kernel = EnvyKernel(instance, bundles)
+    for i, row in enumerate(kernel.cost):
+        lhs_units = row[i] - kernel.costliest[i]
+        for j, rhs_units in enumerate(row):
+            if j != i and lhs_units > rhs_units:
+                # the first chore of largest cost in i's bundle
+                costly = bundles[i] & ~instance.low_masks[i] or bundles[i]
+                drop = (costly & -costly).bit_length() - 1
                 return FairnessVerdict(False, Witness(
                     i, j, drop,
                     Fraction(lhs_units, instance.unit), Fraction(rhs_units, instance.unit)))
@@ -152,39 +143,26 @@ def check_EF1(instance: Instance, allocation: Allocation) -> FairnessVerdict:
 
 def min_beta_EFX(instance: Instance, allocation: Allocation) -> BetaResult:
     """Smallest beta with c_i(X_i - e) <= beta * c_i(X_j) for all pairs, all e."""
-    n = instance.n
-    cu = instance.cost_units
-    bundles = allocation.bundles(n)
-
-    def residual(i: int) -> int:
-        mine = bundles[i]
-        if not mine:
-            return 0
-        total = sum(cu[i][e] for e in mine)
-        return total - min(cu[i][e] for e in mine)
-
-    def against(i: int, j: int) -> int:
-        return sum(cu[i][e] for e in bundles[j])
-
-    return _min_beta(n, residual, against)
+    kernel = EnvyKernel(instance,
+                        bundle_masks(allocation.owner, instance.n))
+    return _min_beta([kernel.residual(i) for i in range(instance.n)],
+                     kernel.cost.__getitem__)
 
 
-def _min_beta(n: int, residual, against) -> BetaResult:
-    """Shared scan: maximize residual(i)/against(i, j) over ordered pairs.
+def _min_beta(residuals: list[int], against) -> BetaResult:
+    """Shared scan: maximize residuals[i]/against(i)[j] over ordered pairs.
 
     Ratios are compared by cross-multiplying their integer parts; the first
     maximal pair wins and one Fraction is built at the end.
     """
     best_num, best_den = 0, 1
     best_pair: tuple[int, int] | None = None
-    for i in range(n):
-        num = residual(i)
+    for i, num in enumerate(residuals):
         if num == 0:
             continue  # removing the cheapest chore clears the bundle's excess
-        for j in range(n):
+        for j, den in enumerate(against(i)):
             if i == j:
                 continue
-            den = against(i, j)
             if den == 0:
                 return BetaResult(UNBOUNDED, (i, j))
             if best_pair is None or num * best_den > best_num * den:

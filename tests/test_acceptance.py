@@ -23,7 +23,6 @@ from chorefair import (
     MPBViolation,
     PreconditionViolated,
     RaiseOverflow,
-    RoundCapExceeded,
     TierViolation,
     approx_from_equilibrium,
     beta_le,
@@ -51,7 +50,7 @@ from chorefair import (
 from conftest import K2_UNRAISED, golden6_market, move_market, swap_market
 
 ENGINE_FAULTS = (LemmaViolation, PreconditionViolated, MPBViolation,
-                 RaiseOverflow, IterationCapExceeded, RoundCapExceeded,
+                 RaiseOverflow, IterationCapExceeded,
                  MissingIntermediary, InternalInvariant,
                  GroupPropertyViolation, TierViolation)
 

@@ -3,10 +3,15 @@
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 
 from chorefair import (
+    InternalInvariant,
+    LemmaViolation,
+    MPBViolation,
     approx_from_equilibrium,
+    approx_round,
     check_equilibrium,
     earning_units,
     min_beta_EFX,
@@ -14,6 +19,8 @@ from chorefair import (
     run_pef1,
     strong_envy_target,
 )
+from chorefair.approx_efx import entry_tier_units
+from chorefair.model import MarketView
 
 from conftest import generated_instances, golden6_market
 
@@ -152,3 +159,47 @@ def test_selector_agrees_with_naive_scan(inst):
         assert all(
             (earning_units(market, j), j) <= (earning_units(market, t), t)
             for t in targets)
+
+
+def _exchange_view():
+    """The golden market's view and earnings before its one exchange,
+    (6, 0), with the entry band base z."""
+    view = MarketView(golden6_market())
+    earn = view.earnings()
+    return view, earn, entry_tier_units(view, earn)
+
+
+def _chore_off_mpb(view, earn):
+    # agent 2's chore 4 costs k to agent 5 at payment 1; the bundles still
+    # partition
+    view.bundles[2] ^= 1 << 4
+    view.bundles[5] |= 1 << 4
+
+
+def _chore_in_two_bundles(view, earn):
+    view.bundles[6] |= 1 << 2
+
+
+def _uninvolved_earning(view, earn):
+    earn[3] += 1
+
+
+@pytest.mark.parametrize("corrupt,error,match", [
+    (_chore_off_mpb, MPBViolation, "equilibrium at agent 5"),
+    (_chore_in_two_bundles, InternalInvariant, "share a chore"),
+    (_uninvolved_earning, LemmaViolation, "uninvolved agent 3"),
+])
+def test_a_corrupted_view_fails_the_exchange(corrupt, error, match):
+    view, earn, z = _exchange_view()
+    corrupt(view, earn)
+    with pytest.raises(error, match=match):
+        approx_round(view, earn, z, 1)
+
+
+def test_an_exchange_on_the_view_matches_the_stage():
+    view, earn, z = _exchange_view()
+    event = approx_round(view, earn, z, 1)
+    result = approx_from_equilibrium(golden6_market())
+    assert (event,) == result.trace
+    assert view.market() == result.market
+    assert earn == list(result.market.earn_units)

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from chorefair import (
+    InternalInvariant,
+    LemmaViolation,
+    MPBViolation,
     PreconditionViolated,
     check_equilibrium,
     check_pEF1,
@@ -13,9 +16,12 @@ from chorefair import (
     earning_units,
     efx_violation,
     k2_from_equilibrium,
+    k2_round,
     min_beta_EFX,
     run_efx_k2,
 )
+
+from chorefair.model import MarketView
 
 from conftest import (
     K2_UNRAISED,
@@ -128,3 +134,45 @@ def test_final_earnings_span_at_most_two_units(inst):
     result = run_efx_k2(inst)
     earns = [earning_units(result.market, i) for i in range(inst.n)]
     assert max(earns) - min(earns) <= 2
+
+
+def _trade_view():
+    """The swap market's view and earnings before its one trade, (4, 0)."""
+    view = MarketView(swap_market())
+    return view, view.earnings()
+
+
+def _chore_off_mpb(view, earn):
+    # agent 3's payment-1 chore 11 goes to the raised agent 5, whose MPB
+    # set holds only payment-2 chores; the bundles still partition
+    view.bundles[3] ^= 1 << 11
+    view.bundles[5] |= 1 << 11
+
+
+def _chore_in_no_bundle(view, earn):
+    view.bundles[3] ^= 1 << 11
+
+
+def _uninvolved_earning(view, earn):
+    earn[3] += 1
+
+
+@pytest.mark.parametrize("corrupt,error,match", [
+    (_chore_off_mpb, MPBViolation, "equilibrium at agent 5"),
+    (_chore_in_no_bundle, InternalInvariant, "in no bundle"),
+    (_uninvolved_earning, LemmaViolation, "uninvolved agent 3"),
+])
+def test_a_corrupted_view_fails_the_trade(corrupt, error, match):
+    view, earn = _trade_view()
+    corrupt(view, earn)
+    with pytest.raises(error, match=match):
+        k2_round(view, earn, K2_UNRAISED, 1)
+
+
+def test_a_trade_on_the_view_matches_the_stage():
+    view, earn = _trade_view()
+    event = k2_round(view, earn, K2_UNRAISED, 1)
+    result = k2_from_equilibrium(swap_market(), K2_UNRAISED)
+    assert (event,) == result.trace
+    assert view.market() == result.market
+    assert earn == list(result.market.earn_units)

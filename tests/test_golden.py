@@ -12,12 +12,17 @@ from fractions import Fraction
 
 import pytest
 
-from chorefair import GenParams, gen_instance, report_fingerprint, run_pipeline
+from chorefair import (GenParams, gen_instance, load_instance,
+                       report_fingerprint, run_pipeline)
 
 from conftest import rotation_instance, skewed_owned_instance
 
-GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "golden_fingerprints.txt")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_PATH = os.path.join(HERE, "golden_fingerprints.txt")
+# The benchmark's committed small instances: each fires one reallocation
+# event kind (three bundle_swap, three swap, three move).  Read only.
+STAGE_INPUTS = os.path.join(os.path.dirname(HERE), "bench", "inputs")
+STAGE_KINDS = ("bundle_swap", "swap", "move")
 KS = (Fraction(2), Fraction(3), Fraction(5, 2))
 SIZES = ((4, 8), (8, 24), (16, 64), (64, 256))
 SEEDS = (1, 2)
@@ -44,6 +49,15 @@ def grid():
     for sizes, k, seed in SKEWED:
         name = f"skewed sizes={','.join(map(str, sizes))} k={k} seed={seed}"
         yield name, skewed_owned_instance(k, sizes, seed, SPRINKLE)
+    for name in stage_cases():
+        yield f"stage {name}", load_instance(
+            os.path.join(STAGE_INPUTS, name + ".inst"))
+
+
+def stage_cases() -> list[str]:
+    """File stems of the committed stage instances, in name order."""
+    return sorted(f[:-len(".inst")] for f in os.listdir(STAGE_INPUTS)
+                  if f.endswith(".inst"))
 
 
 def fingerprint(instance) -> str:
@@ -67,6 +81,16 @@ def test_golden_file_covers_the_grid():
                          ids=[name for name, _ in grid()])
 def test_fingerprint_is_unchanged(name, instance):
     assert fingerprint(instance) == load_golden()[name]
+
+
+def test_stage_cases_fire_every_reallocation_kind():
+    fired = set()
+    for name in stage_cases():
+        instance = load_instance(os.path.join(STAGE_INPUTS, name + ".inst"))
+        kinds = {ev.kind for ev in run_pipeline(instance).trace}
+        assert name.split("-")[0] in kinds, name
+        fired |= kinds
+    assert set(STAGE_KINDS) <= fired
 
 
 if __name__ == "__main__":

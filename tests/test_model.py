@@ -215,3 +215,22 @@ def test_hat_earning_drops_largest_payment(inst):
     state = build_market_state(inst, Allocation(tuple(owner)), pay)
     biggest = max(pay.payments)
     assert earning(state, 0) - hat_earning(state, 0) == biggest
+
+
+@given(instances(max_n=5, max_m=8), st.data())
+def test_market_state_matches_the_ratio_definition(inst, data):
+    owner = tuple(data.draw(st.lists(st.integers(0, inst.n - 1),
+                                     min_size=inst.m, max_size=inst.m)))
+    flags = data.draw(st.lists(st.booleans(), min_size=inst.m,
+                               max_size=inst.m))
+    pay = PaymentVector.from_high_flags(inst.k, flags)
+    state = build_market_state(inst, Allocation(owner), pay)
+    for i in range(inst.n):
+        ratios = [inst.cost(i, e) / pay.payments[e] for e in range(inst.m)]
+        assert state.alpha[i] == min(ratios)
+        assert state.mpb[i] == frozenset(
+            e for e, r in enumerate(ratios) if r == min(ratios))
+    assert state.high_items == frozenset(e for e in range(inst.m) if flags[e])
+    assert state.low_items == frozenset(range(inst.m)) - state.high_items
+    assert state.high_agents == frozenset(owner[e] for e in state.high_items)
+    assert state.low_agents == frozenset(range(inst.n)) - state.high_agents

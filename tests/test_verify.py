@@ -3,20 +3,25 @@
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chorefair import (
     UNBOUNDED,
     Allocation,
+    FairnessVerdict,
     PaymentVector,
     beta_le,
     build_market_state,
     check_EF1,
     check_equilibrium,
     check_pEF1,
+    efx_violation,
     min_beta_EFX,
     min_beta_pEFX,
+    Witness,
 )
+from chorefair.model import EnvyKernel, bundle_masks
+from chorefair.oracle import _beta_units, _cost_matrix, _exact_efx
 
 from conftest import instances, market_from_parts, owned_instance
 
@@ -166,3 +171,47 @@ def test_witness_reproduces_violated_inequality():
     w = verdict.witness
     assert w is not None
     assert w.lhs > w.rhs
+
+
+def naive_ef1(inst, owner):
+    """check_EF1 by a per-chore scan: the first (i, j) in order failing EF1,
+    dropping the first chore of largest cost in i's bundle."""
+    cu = inst.cost_units
+    bundles = [[e for e in range(inst.m) if owner[e] == i]
+               for i in range(inst.n)]
+    for i, j in product(range(inst.n), repeat=2):
+        if i == j or not bundles[i]:
+            continue
+        top = max(cu[i][e] for e in bundles[i])
+        lhs = sum(cu[i][e] for e in bundles[i]) - top
+        rhs = sum(cu[i][e] for e in bundles[j])
+        if lhs > rhs:
+            drop = next(e for e in bundles[i] if cu[i][e] == top)
+            return FairnessVerdict(False, Witness(
+                i, j, drop, Fraction(lhs, inst.unit), Fraction(rhs, inst.unit)))
+    return FairnessVerdict(True, None)
+
+
+@st.composite
+def owned_instances(draw):
+    """An instance with an owner vector; small agent counts against up to
+    eight chores make empty bundles and singletons common."""
+    inst = draw(instances(max_n=5, max_m=8))
+    owner = tuple(draw(st.lists(st.integers(0, inst.n - 1),
+                                min_size=inst.m, max_size=inst.m)))
+    return inst, owner
+
+
+@given(owned_instances())
+@example((owned_instance(3, [0, 1, 2, 0]), (0, 0, 0, 0)))  # two empty
+@example((owned_instance(2, [0, 1, 2]), (2, 0, 1)))  # all singletons
+def test_envy_kernel_matches_the_oracle_reference(case):
+    inst, owner = case
+    kernel = EnvyKernel(inst, bundle_masks(owner, inst.n))
+    assert kernel.cost == _cost_matrix(inst, owner)
+    units = _beta_units(inst, owner)
+    want = UNBOUNDED if units is UNBOUNDED else Fraction(*units)
+    assert min_beta_EFX(inst, Allocation(owner)).value == want
+    market = _state(inst, owner)
+    assert (efx_violation(market) is None) == _exact_efx(inst, owner)
+    assert check_EF1(inst, Allocation(owner)) == naive_ef1(inst, owner)
