@@ -2,19 +2,23 @@
 
 Exit status is nonzero whenever a contractual verdict fails: a solve whose
 report is not successful, a verify that finds a stored report inconsistent,
-or an oracle run contradicting a requested property.
+an oracle run contradicting a requested property, or a bench grid with a
+failed row.
 """
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 
 from .errors import ChorefairError
-from .harness import (GenParams, Verdicts, bench, equilibrium_from_parts,
-                      gen_instance, instance_digest, instance_text,
-                      load_instance, load_report, parse_rational,
-                      replay_report, report_fingerprint, report_text,
-                      resolve_mode, run_pipeline, save_instance, save_report,
+from .harness import (BENCH_COLUMNS, VERDICT_KEYS, GenParams, Verdicts,
+                      bench, equilibrium_from_parts, gen_instance,
+                      instance_digest, instance_text, load_instance,
+                      load_report, parse_rational, replay_report,
+                      report_fingerprint, report_text, resolve_mode,
+                      run_pipeline, save_instance, save_report,
                       verdicts_succeed)
 from .model import Instance, RawInstance, normalize_instance
 from .oracle import DEFAULT_BUDGET, best_efx_beta_over_po, exists_efx_po
@@ -92,17 +96,43 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _verify_stages(report) -> list[str]:
+    """Stage names against the mode; each stage's rounds against its
+    events, which number the rounds 1..R."""
+    problems = []
+    names = [stage.name for stage in report.stages]
+    if report.mode in _STAGES and names != _STAGES[report.mode]:
+        problems.append(f"stages: {names} are not {_STAGES[report.mode]} "
+                        f"for mode {report.mode}")
+    for stage in report.stages:
+        numbers = {ev.round for ev in stage.events}
+        if numbers != set(range(1, stage.rounds + 1)):
+            problems.append(f"stage {stage.name}: rounds={stage.rounds} but "
+                            f"its events number rounds {sorted(numbers)}")
+    return problems
+
+
 def _verify_verdicts(inst: Instance, report) -> list[str]:
+    # the stored states cannot be built for an instance of another shape
+    shape = [f"{name}: report says {got}, instance has {want}"
+             for name, got, want in (("n", report.n, inst.n),
+                                     ("m", report.m, inst.m),
+                                     ("k", report.k, inst.k),
+                                     ("chores in owner", len(report.owner),
+                                      inst.m))
+             if got != want]
+    if shape:
+        return shape
+    problems = _verify_stages(report)
     reindexed = Instance(inst.n, inst.m, inst.k,
                          tuple(inst.high[old] for old in report.new_to_old))
-    problems = []
     try:
         replayed = replay_report(report)
         pef1_parts = replay_trace(
             report.entry_owner, report.entry_pay_high,
             [ev for ev in report.trace if ev.stage == "pef1"])
     except ValueError as err:
-        return [f"trace replay failed: {err}"]
+        return problems + [f"trace replay failed: {err}"]
     if replayed != (report.owner, report.pay_high):
         problems.append("trace replay does not reach the final state")
     entry_parts = (report.entry_owner, report.entry_pay_high)
@@ -130,11 +160,11 @@ def _verify_verdicts(inst: Instance, report) -> list[str]:
         beta_pefx=min_beta_pEFX(final).value,
         beta_efx=min_beta_EFX(reindexed, final.allocation).value,
         oracle_po=v.oracle_po)
-    for name, field in _VERDICT_FIELDS:
-        if getattr(fresh, field) != getattr(v, field):
-            problems.append(f"{name}: recomputed {getattr(fresh, field)}, "
-                            f"report says {getattr(v, field)}")
-    if report.mode not in _MODES or \
+    for key, name in VERDICT_KEYS:
+        if getattr(fresh, name) != getattr(v, name):
+            problems.append(f"{key}: recomputed {getattr(fresh, name)}, "
+                            f"report says {getattr(v, name)}")
+    if report.mode not in _STAGES or \
             report.mode != resolve_mode(report.requested_mode, inst.k):
         problems.append(f"mode: {report.mode!r} is not what requested mode "
                         f"{report.requested_mode!r} resolves to")
@@ -145,12 +175,9 @@ def _verify_verdicts(inst: Instance, report) -> list[str]:
     return problems
 
 
-_VERDICT_FIELDS = (
-    ("entry-equilibrium", "entry_equilibrium"), ("entry-pef1", "entry_pef1"),
-    ("entry-ef1", "entry_ef1"), ("final-equilibrium", "final_equilibrium"),
-    ("final-pef1", "final_pef1"), ("beta-pefx", "beta_pefx"),
-    ("beta-efx", "beta_efx"))
-_MODES = ("pef1", "approx", "exact2")
+# each mode's stage names, in run order
+_STAGES = {"pef1": ["pef1"], "approx": ["pef1", "approx_efx"],
+           "exact2": ["pef1", "efx_k2"]}
 
 
 def _status(success: bool) -> str:
@@ -175,17 +202,28 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    """Write the grid's CSV; exit 1 when a row failed or hit an error other
+    than AlreadyUniform, which is a property of the seed's draw."""
     k_values = [parse_rational(t, "--k") for t in args.k.split(",")]
     n_values = [int(t) for t in args.n.split(",")]
     m_values = [int(t) for t in args.m.split(",")]
-    high_prob = parse_rational(args.high_prob, "--high-prob")
+    probs = [parse_rational(t, "--high-prob")
+             for t in args.high_prob.split(",")]
     grid = [
-        GenParams(n=n, m=m, k=k, high_prob=high_prob, seed=seed)
+        GenParams(n=n, m=m, k=k, high_prob=prob, seed=seed)
         for k in k_values for n in n_values for m in m_values
+        for prob in probs
         for seed in range(args.seed, args.seed + args.seeds)
     ]
-    _write(args.out, bench(grid, mode=args.mode))
-    return 0
+    text = bench(grid, mode=args.mode)
+    _write(args.out, text)
+    column = BENCH_COLUMNS.index("status")
+    statuses = [row[column] for row in csv.reader(io.StringIO(text))]
+    bad = sum(s == "failed" or s.startswith("error:")
+              and not s.startswith("error:AlreadyUniform") for s in statuses)
+    if bad:
+        print(f"bench: {bad} of {len(grid)} rows failed", file=sys.stderr)
+    return 1 if bad else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="4")
     p.add_argument("--m", default="8")
     p.add_argument("--k", default="2")
-    p.add_argument("--high-prob", default="1/2")
+    p.add_argument("--high-prob", default="1/2",
+                   help="comma list, like --n, --m and --k")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--mode", default="auto",

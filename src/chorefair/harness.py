@@ -17,7 +17,7 @@ import csv
 import hashlib
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .approx_efx import approx_from_equilibrium
@@ -241,6 +241,11 @@ class Verdicts:
     oracle_po: bool | None = None
 
 
+# (report key, Verdicts field) pairs in report order; oracle-po is optional
+VERDICT_KEYS = tuple((f.name.replace("_", "-"), f.name)
+                     for f in fields(Verdicts))
+
+
 @dataclass(frozen=True)
 class RunReport:
     digest: str
@@ -410,18 +415,12 @@ def report_text(report: RunReport, *, timings: bool = True) -> str:
         lines.append(f"stage: {stage.name} rounds={stage.rounds}")
         lines.extend(_event_line(ev) for ev in stage.events)
     v = report.verdicts
-    if v is not None:
-        lines += [
-            f"verdict entry-equilibrium: {_fmt_bool(v.entry_equilibrium)}",
-            f"verdict entry-pef1: {_fmt_bool(v.entry_pef1)}",
-            f"verdict entry-ef1: {_fmt_bool(v.entry_ef1)}",
-            f"verdict final-equilibrium: {_fmt_bool(v.final_equilibrium)}",
-            f"verdict final-pef1: {_fmt_bool(v.final_pef1)}",
-            f"verdict beta-pefx: {_fmt_rational(v.beta_pefx)}",
-            f"verdict beta-efx: {_fmt_rational(v.beta_efx)}",
-        ]
-        if v.oracle_po is not None:
-            lines.append(f"verdict oracle-po: {_fmt_bool(v.oracle_po)}")
+    for key, name in VERDICT_KEYS:
+        value = None if v is None else getattr(v, name)
+        if value is not None:
+            text = _fmt_bool(value) if isinstance(value, bool) \
+                else _fmt_rational(value)
+            lines.append(f"verdict {key}: {text}")
     if timings:
         for name in sorted(report.timings):
             lines.append(f"timing {name}: {report.timings[name]:.6f}")
@@ -439,6 +438,21 @@ def report_fingerprint(report: RunReport) -> str:
         report_text(report, timings=False).encode()).hexdigest()
 
 
+def _parse_int(token: str, where: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{where}: not an integer: {token!r}") from None
+
+
+def _parse_choice(token: str, choices: tuple[str, str], where: str) -> bool:
+    """True for the first choice, False for the second."""
+    if token not in choices:
+        raise ParseError(f"{where}: expected {' or '.join(choices)}, "
+                         f"got {token!r}")
+    return token == choices[0]
+
+
 def _parse_event(lineno: int, body: str) -> TraceEvent:
     kv = {}
     for token in body.split():
@@ -449,7 +463,8 @@ def _parse_event(lineno: int, body: str) -> TraceEvent:
 
     def ints(key):
         raw = kv.get(key, "")
-        return tuple(int(t) for t in raw.split(",") if t)
+        return tuple(_parse_int(t, f"line {lineno}") for t in raw.split(",")
+                     if t)
 
     def rationals(key):
         raw = kv.get(key, "")
@@ -459,7 +474,8 @@ def _parse_event(lineno: int, body: str) -> TraceEvent:
     try:
         least = kv.get("least")
         return TraceEvent(
-            stage=kv["stage"], round=int(kv["round"]), kind=kv["kind"],
+            stage=kv["stage"], kind=kv["kind"],
+            round=_parse_int(kv["round"], f"line {lineno}"),
             agents=ints("agents"), items=ints("items"),
             earn_before=rationals("earn_before"),
             earn_after=rationals("earn_after"),
@@ -507,7 +523,11 @@ def parse_report(text: str) -> RunReport:
         elif key.startswith("verdict "):
             verdict_raw[key[len("verdict "):]] = value
         elif key.startswith("timing "):
-            timings[key[len("timing "):]] = float(value)
+            try:
+                timings[key[len("timing "):]] = float(value)
+            except ValueError:
+                raise ParseError(f"line {lineno}: timing is not a number: "
+                                 f"{value!r}") from None
         else:
             head[key] = value
     close_stage()
@@ -517,37 +537,46 @@ def parse_report(text: str) -> RunReport:
             raise ParseError(f"missing field {key!r}")
         return head[key]
 
-    def parse_beta(token):
-        return UNBOUNDED if token == "unbounded" \
-            else parse_rational(token, "verdict")
+    def verdict(key):
+        if key not in verdict_raw:
+            raise ParseError(f"missing verdict {key!r}")
+        token, where = verdict_raw[key], f"verdict {key}"
+        if key.startswith("beta-"):
+            return UNBOUNDED if token == "unbounded" \
+                else parse_rational(token, where)
+        return _parse_choice(token, ("true", "false"), where)
 
     verdicts = None
     if verdict_raw:
-        verdicts = Verdicts(
-            entry_equilibrium=verdict_raw["entry-equilibrium"] == "true",
-            entry_pef1=verdict_raw["entry-pef1"] == "true",
-            entry_ef1=verdict_raw["entry-ef1"] == "true",
-            final_equilibrium=verdict_raw["final-equilibrium"] == "true",
-            final_pef1=verdict_raw["final-pef1"] == "true",
-            beta_pefx=parse_beta(verdict_raw["beta-pefx"]),
-            beta_efx=parse_beta(verdict_raw["beta-efx"]),
-            oracle_po=None if "oracle-po" not in verdict_raw
-            else verdict_raw["oracle-po"] == "true")
+        verdicts = Verdicts(**{
+            name: verdict(key) for key, name in VERDICT_KEYS
+            if key != "oracle-po" or key in verdict_raw})
+    n = _parse_int(want("n"), "field n")
+    vectors = {}  # one entry per chore in each; verify compares with m
+    for key in ("entry-owner", "owner"):
+        vectors[key] = tuple(_parse_int(t, f"field {key}")
+                             for t in head.get(key, "").split())
+        if any(not 0 <= o < n for o in vectors[key]):
+            raise ParseError(f"field {key}: an agent index is not below {n}")
+    for key in ("entry-pay-high", "pay-high"):
+        if set(head.get(key, "")) - set("01"):
+            raise ParseError(f"field {key}: expected characters 0/1")
+        vectors[key] = tuple(ch == "1" for ch in head.get(key, ""))
+    if len({len(v) for v in vectors.values()}) > 1:
+        raise ParseError("fields entry-owner, entry-pay-high, owner and "
+                         "pay-high differ in length")
     return RunReport(
         digest=want("digest"), mode=want("mode"),
         requested_mode=want("requested-mode"),
-        n=int(want("n")), m=int(want("m")),
+        n=n, m=_parse_int(want("m"), "field m"),
         k=parse_rational(want("k"), "field k"),
-        new_to_old=tuple(int(t) for t in head.get("new-to-old", "").split()),
-        entry_owner=tuple(int(t)
-                          for t in head.get("entry-owner", "").split()),
-        entry_pay_high=tuple(ch == "1"
-                             for ch in head.get("entry-pay-high", "")),
-        owner=tuple(int(t) for t in head.get("owner", "").split()),
-        pay_high=tuple(ch == "1" for ch in head.get("pay-high", "")),
-        stages=tuple(stages), verdicts=verdicts,
-        success=want("status") == "ok", error=head.get("error"),
-        timings=timings)
+        new_to_old=tuple(_parse_int(t, "field new-to-old")
+                         for t in head.get("new-to-old", "").split()),
+        entry_owner=vectors["entry-owner"],
+        entry_pay_high=vectors["entry-pay-high"], owner=vectors["owner"],
+        pay_high=vectors["pay-high"], stages=tuple(stages), verdicts=verdicts,
+        success=_parse_choice(want("status"), ("ok", "failed"), "status"),
+        error=head.get("error"), timings=timings)
 
 
 # -------------------------------------------------------------------- bench
@@ -566,29 +595,23 @@ def bench(grid: list[GenParams], *, mode: str = "auto") -> str:
     writer.writerow(BENCH_COLUMNS)
     worst: dict[str, ExactRational | Unbounded] = {}
     for params in grid:
+        cell = [params.n, params.m, _fmt_rational(params.k),
+                _fmt_rational(params.high_prob), params.seed]
         try:
-            raw = gen_instance(params)
-            report = run_pipeline(raw, mode)
+            report = run_pipeline(gen_instance(params), mode)
+            error = report.error
         except ChorefairError as err:
-            writer.writerow([params.n, params.m, _fmt_rational(params.k),
-                             _fmt_rational(params.high_prob), params.seed,
-                             mode, f"error:{type(err).__name__}",
-                             "", "", "", "", "", "", "", ""])
-            continue
-        if report.verdicts is None:
-            writer.writerow([params.n, params.m, _fmt_rational(params.k),
-                             _fmt_rational(params.high_prob), params.seed,
-                             report.mode, f"error:{report.error}",
-                             "", "", "", "", "", "", "", ""])
+            report, error = None, type(err).__name__
+        if report is None or report.verdicts is None:
+            writer.writerow(cell + [mode, f"error:{error}"] + [""] * 8)
             continue
         v = report.verdicts
         key = _fmt_rational(params.k)
         if key not in worst or beta_le(worst[key], v.beta_efx):
             worst[key] = v.beta_efx
         stage_rounds = sum(s.rounds for s in report.stages[1:])
-        writer.writerow([
-            params.n, params.m, key, _fmt_rational(params.high_prob),
-            params.seed, report.mode, "ok" if report.success else "failed",
+        writer.writerow(cell + [
+            report.mode, "ok" if report.success else "failed",
             report.stages[0].rounds, stage_rounds,
             _fmt_rational(v.beta_efx), _fmt_rational(v.beta_pefx),
             _fmt_bool(v.final_equilibrium), _fmt_bool(v.entry_pef1),

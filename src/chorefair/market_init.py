@@ -10,85 +10,54 @@ Earnings are then balanced by firing transfer chains: a chain ships one
 chore out of an over-earner, one chore into an under-earner, and passes
 through intermediaries so that every single move hands a chore to an agent
 for which it is ratio-minimal (so the equilibrium survives each move).
-Chains are searched and fired on bitmask bundles: Python ints over chores
-for bundles and MPB sets, and over agents for the BFS layers.
 Finally agents are partitioned into groups headed by successive big earners;
 the groups are ordered so that all later processing can treat "raised before
-unraised" as "smaller index before larger index".
+unraised" as "smaller index before larger index".  Everything here runs on
+bitmasks: Python ints over chores for bundles and MPB sets, and over agents
+for the search layers and the groups.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (GroupPropertyViolation, InternalInvariant,
                      IterationCapExceeded, MPBViolation)
 from .model import (Allocation, Instance, MarketState, MarketView,
-                    PaymentVector, bits, build_market_state,
-                    hat_earning_units)
-
-
-@dataclass(frozen=True)
-class ItemPartition:
-    """Chores costing k to everyone vs the rest (everything someone costs 1)."""
-    consistently_large: frozenset[int]
-    remainder: frozenset[int]
-
-
-def split_items(instance: Instance) -> ItemPartition:
-    large = frozenset(
-        e for e in range(instance.m)
-        if all(instance.high[i][e] for i in range(instance.n))
-    )
-    return ItemPartition(large, frozenset(range(instance.m)) - large)
-
-
-@dataclass(frozen=True)
-class MPBGraph:
-    """Directed adjacency: edge i -> j iff X_j intersects MPB_i (i != j)."""
-    successors: tuple[frozenset[int], ...]
-
-
-def build_mpb_graph(state: MarketState) -> MPBGraph:
-    n = state.instance.n
-    bundles = [set(state.allocation.bundle(i)) for i in range(n)]
-    succ = []
-    for i in range(n):
-        mpb = state.mpb[i]
-        succ.append(frozenset(
-            j for j in range(n) if j != i and bundles[j] & mpb))
-    return MPBGraph(tuple(succ))
+                    PaymentVector, bits, build_market_state, mask_set)
 
 
 def build_initial_state(instance: Instance) -> MarketState:
     """Entry equilibrium with all ratios exactly 1; see module docstring."""
     n, m = instance.n, instance.m
-    parts = split_items(instance)
-    pay_high = [e in parts.consistently_large for e in range(m)]
-    owner = [-1] * m
     q, p = instance.unit, instance.high_units
+    owner = [-1] * m
     earn = [0] * n
-    for e in sorted(parts.remainder):
-        i = next(a for a in range(n) if not instance.high[a][e])
-        owner[e] = i
-        earn[i] += q
-    for e in sorted(parts.consistently_large):
-        i = min(range(n), key=lambda a: (earn[a], a))
+    dealt = 0  # the chores some agent costs 1 on, paid 1
+    for i, low in enumerate(instance.low_masks):
+        mine = low & ~dealt
+        for e in bits(mine):
+            owner[e] = i
+        earn[i] = q * mine.bit_count()
+        dealt |= low
+    large = ((1 << m) - 1) & ~dealt  # consistently large chores, paid k
+    for e in bits(large):
+        i = earn.index(min(earn))
         owner[e] = i
         earn[i] += p
     state = build_market_state(
         instance, Allocation(tuple(owner)),
-        PaymentVector.from_high_flags(instance.k, pay_high))
-    if any(a != 1 for a in state.alpha):
+        PaymentVector.from_high_flags(
+            instance.k, [bool(large >> e & 1) for e in range(m)]))
+    view = MarketView(state)
+    if any(view.raised(i) for i in range(n)):
         raise InternalInvariant(f"entry ratios not all 1: {state.alpha}")
-    for i in range(n):
-        if any(e not in state.mpb[i] for e in state.allocation.bundle(i)):
-            raise InternalInvariant("entry allocation is not an equilibrium")
+    if any(view.bundles[i] & ~view.mpb(i) for i in range(n)):
+        raise InternalInvariant("entry allocation is not an equilibrium")
     return state
 
 
 class _ChainView(MarketView):
-    """The market view while firing chains; payments stay fixed.
+    """The market view for the chains and the partition; payments stay fixed.
 
     earn[i] is re-derived from the masks for the agents of each fired
     chain.  succ[u] is the bitmask of agents v != u that u can give a chore
@@ -228,11 +197,9 @@ def resolve_overpaid_paths(state: MarketState) -> MarketState:
         fires += 1
         if fires > cap:
             raise IterationCapExceeded(f"more than {cap} chains fired")
-    out = view.market()
-    for i in range(n):
-        if any(e not in out.mpb[i] for e in out.allocation.bundle(i)):
-            raise MPBViolation("chain resolution broke the equilibrium")
-    return out
+    if any(view.bundles[i] & ~view.mpb(i) for i in range(n)):
+        raise MPBViolation("chain resolution broke the equilibrium")
+    return view.market()
 
 
 @dataclass(frozen=True)
@@ -259,62 +226,71 @@ def partition_agent_groups(state: MarketState) -> AgentGroups:
     groups cost k on every chore held by earlier groups, all consistently
     large chores sit in the last group, and pEF1 holds inside each group.
     """
-    n = state.instance.n
-    bundles = [set(state.allocation.bundle(i)) for i in range(n)]
-    hats = [hat_earning_units(state, i) for i in range(n)]
-
-    ungrouped = set(range(n))
-    groups: list[frozenset[int]] = []
+    view = _ChainView(state)
+    hats = view.hats(view.earn)
+    ungrouped = (1 << view.n) - 1
+    groups: list[int] = []
     reps: list[int] = []
     while ungrouped:
-        b = min(ungrouped, key=lambda a: (-hats[a], a))
-        # reverse reachability to b: predecessors of y are agents whose MPB
-        # set meets y's bundle, all vertices restricted to ungrouped
-        members = {b}
-        queue = deque([b])
-        while queue:
-            y = queue.popleft()
-            for x in sorted(ungrouped - members):
-                if bundles[y] & state.mpb[x]:
-                    members.add(x)
-                    queue.append(x)
-        groups.append(frozenset(members))
+        b = min(bits(ungrouped), key=lambda a: (-hats[a], a))
+        # reverse reachability to b: the predecessors of y are the agents
+        # whose MPB set meets y's bundle, which is succ[y]
+        members = frontier = 1 << b
+        while frontier:
+            reach = 0
+            for y in bits(frontier):
+                reach |= view.succ[y]
+            frontier = reach & ungrouped & ~members
+            members |= frontier
+        groups.append(members)
         reps.append(b)
-        ungrouped -= members
+        ungrouped &= ~members
 
-    new_to_old = tuple(a for g in groups for a in sorted(g))
-    old_to_new = [0] * n
+    _assert_group_properties(view, hats, groups)
+    new_to_old = tuple(a for g in groups for a in bits(g))
+    old_to_new = [0] * view.n
     for new, old in enumerate(new_to_old):
         old_to_new[old] = new
+    return AgentGroups(tuple(mask_set(g) for g in groups), tuple(reps),
+                       new_to_old, tuple(old_to_new))
 
-    _assert_group_properties(state, groups, bundles)
-    return AgentGroups(tuple(groups), tuple(reps), new_to_old, tuple(old_to_new))
+
+def _union(masks: list[int], group: int) -> int:
+    out = 0
+    for a in bits(group):
+        out |= masks[a]
+    return out
 
 
-def _assert_group_properties(state, groups, bundles) -> None:
-    n = state.instance.n
-    cu = state.instance.cost_units
-    hi = state.instance.high_units
-    earn = state.earn_units
-    hats = [hat_earning_units(state, i) for i in range(n)]
+def _assert_group_properties(view: _ChainView, hats: list[int],
+                             groups: list[int]) -> None:
+    """Check the group facts from the masks; each witness is the first in
+    ascending index order."""
+    low, earn = view.low_cost, view.earn
     for r, g in enumerate(groups):
+        held = _union(view.bundles, g)
         for g2 in groups[r + 1:]:
-            for i in g:
-                for j in g2:
-                    for e in bundles[i]:
-                        if cu[j][e] != hi:
-                            raise GroupPropertyViolation(
-                                f"agent {j} (later group) costs 1 on chore {e} "
-                                f"held by agent {i} (earlier group)")
-        for i in g:
-            for j in g:
-                if i != j and hats[i] > earn[j]:
-                    raise GroupPropertyViolation(
-                        f"pEF1 fails inside a group: hat({i})={hats[i]} > "
-                        f"earning({j})={earn[j]} (units)")
-    large = split_items(state.instance).consistently_large
-    last = groups[-1]
-    for e in large:
-        if state.allocation.owner[e] not in last:
+            if held & _union(low, g2):
+                i, j = next((i, j) for i in bits(g) for j in bits(g2)
+                            if view.bundles[i] & low[j])
+                shared = view.bundles[i] & low[j]
+                raise GroupPropertyViolation(
+                    f"agent {j} (later group) costs 1 on chore "
+                    f"{(shared & -shared).bit_length() - 1} held by "
+                    f"agent {i} (earlier group)")
+        # hat <= earning for every agent, so pEF1 fails inside a group iff
+        # its largest hat exceeds its smallest earning
+        members = list(bits(g))
+        if max(hats[a] for a in members) > min(earn[a] for a in members):
+            i, j = next((i, j) for i in members for j in members
+                        if i != j and hats[i] > earn[j])
             raise GroupPropertyViolation(
-                f"consistently large chore {e} held outside the last group")
+                f"pEF1 fails inside a group: hat({i})={hats[i]} > "
+                f"earning({j})={earn[j]} (units)")
+    # consistently large chores: no agent costs 1 on them
+    large = ((1 << view.instance.m) - 1) & ~_union(low, (1 << view.n) - 1)
+    stray = large & ~_union(view.bundles, groups[-1])
+    if stray:
+        raise GroupPropertyViolation(
+            f"consistently large chore {(stray & -stray).bit_length() - 1} "
+            f"held outside the last group")

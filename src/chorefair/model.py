@@ -182,27 +182,17 @@ class MarketState:
     """An allocation with payments plus everything derived from them.
 
     alpha[i] is agent i's best pain-per-buck ratio min_e c_i(e)/p(e) and
-    mpb[i] the set of chores attaining it.  low_items/high_items split chores
-    by payment (1 vs k); low_agents hold only payment-1 chores, high_agents
-    hold at least one payment-k chore.  The two agent sets partition N and
-    the two item sets partition M.
+    mpb[i] the set of chores attaining it.
     """
     instance: Instance
     allocation: Allocation
     payments: PaymentVector
     alpha: tuple[Fraction, ...]
     mpb: tuple[frozenset[int], ...]
-    low_items: frozenset[int]
-    high_items: frozenset[int]
-    low_agents: frozenset[int]
-    high_agents: frozenset[int]
     # integer mirrors (multiples of 1/unit)
     unit: int
     pay_units: tuple[int, ...]
     earn_units: tuple[int, ...]
-
-    def bundle(self, agent: int) -> tuple[int, ...]:
-        return self.allocation.bundle(agent)
 
     def pay_is_high(self, item: int) -> bool:
         return self.pay_units[item] != self.unit
@@ -210,7 +200,7 @@ class MarketState:
 
 def build_market_state(instance: Instance, allocation: Allocation,
                        payments: PaymentVector) -> MarketState:
-    """Validate payments and owners, then derive ratios, MPB sets and groups.
+    """Validate payments and owners, then derive ratios and MPB sets.
 
     Ratios and MPB sets come from the cost-1 masks L_i and the payment-k
     mask H, as in MarketView.mpb: MPB_i = L_i & H at ratio 1/k when that is
@@ -243,27 +233,14 @@ def build_market_state(instance: Instance, allocation: Allocation,
         alpha.append(low_k if cheap else ONE)
         mpb.append(mask_set(cheap or low_cost ^ high))
 
-    high_items = mask_set(high)
     earn_units = [0] * n
-    holds_high = 0
     for e, o in enumerate(allocation.owner):
         earn_units[o] += pay_units[e]
-        if pay_units[e] != q:
-            holds_high |= 1 << o
-    high_agents = mask_set(holds_high)
 
     return MarketState(
         instance=instance, allocation=allocation, payments=payments,
-        alpha=tuple(alpha), mpb=tuple(mpb),
-        low_items=frozenset(range(m)) - high_items, high_items=high_items,
-        low_agents=frozenset(range(n)) - high_agents, high_agents=high_agents,
-        unit=q, pay_units=tuple(pay_units), earn_units=tuple(earn_units),
-    )
-
-
-def replace_allocation(state: MarketState, owner: Sequence[int]) -> MarketState:
-    """New state with the same payments but a different allocation."""
-    return build_market_state(state.instance, Allocation(tuple(owner)), state.payments)
+        alpha=tuple(alpha), mpb=tuple(mpb), unit=q,
+        pay_units=tuple(pay_units), earn_units=tuple(earn_units))
 
 
 def earning(state: MarketState, agent: int) -> Fraction:

@@ -49,7 +49,7 @@ class SolverState:
         n = market.instance.n
         ident = tuple(range(n))
         groups = AgentGroups((frozenset(ident),), (0,), ident, ident)
-        bundles = tuple(frozenset(market.allocation.bundle(i)) for i in range(n))
+        bundles = tuple(map(frozenset, market.allocation.bundles(n)))
         if unraised is None:
             unraised = frozenset(ident)
         return SolverState(market, unraised, groups, bundles, 0, entry=market)

@@ -210,3 +210,124 @@ def test_bench_writes_the_grid(paths):
     lines = open(paths["csv"]).read().strip().splitlines()
     assert lines[0].startswith("n,m,k")
     assert len(lines) == 1 + 8 + 2  # header, cells, aggregates
+
+
+def test_bench_takes_a_high_prob_list_and_aggregates_per_k(paths):
+    assert main(["bench", "--n", "2,3", "--m", "2,3,4", "--k", "2,3",
+                 "--high-prob", "1/4,1/2", "--seeds", "1",
+                 "--out", paths["csv"]]) == 0
+    rows = open(paths["csv"]).read().strip().splitlines()
+    assert len(rows) == 1 + 2 * 3 * 2 * 2 + 2
+    assert {row.split(",")[3] for row in rows[1:-2]} == {"1/4", "1/2"}
+    assert [row.split(",")[2] for row in rows
+            if row.startswith("aggregate")] == ["2/1", "3/1"]
+
+
+def test_bench_exits_1_on_a_failed_row(paths, capsys):
+    # exact2 refuses k = 3, so every row is an error
+    assert main(["bench", "--n", "2", "--m", "3", "--k", "3",
+                 "--seeds", "2", "--mode", "exact2",
+                 "--out", paths["csv"]]) == 1
+    assert "bench: 2 of 2 rows failed" in capsys.readouterr().err
+
+
+def solved_report_lines(paths):
+    """The report of the k = 3 recipe instance, as lines."""
+    assert main(["gen", "--n", "3", "--m", "6", "--k", "3",
+                 "--high-prob", "1/2", "--seed", "5",
+                 "--out", paths["inst"]]) == 0
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    return open(paths["report"]).read().splitlines()
+
+
+def edit_report(paths, old, new):
+    lines = solved_report_lines(paths)
+    assert old in lines
+    lines[lines.index(old)] = new
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+
+
+TAMPERED_HEADERS = {
+    "k": ("k: 3/1", "k: 5/1", "k: report says 5, instance has 3"),
+    "n": ("n: 3", "n: 4", "n: report says 4, instance has 3"),
+    "m": ("m: 6", "m: 7", "m: report says 7, instance has 6"),
+    "rounds": ("stage: pef1 rounds=0", "stage: pef1 rounds=7",
+               "stage pef1: rounds=7 but its events number rounds []"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(TAMPERED_HEADERS))
+def test_verify_rejects_a_tampered_header(paths, capsys, field):
+    old, new, problem = TAMPERED_HEADERS[field]
+    edit_report(paths, old, new)
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    assert f"verify: {problem}" in capsys.readouterr().err
+
+
+def test_verify_rejects_stages_that_do_not_fit_the_mode(paths, capsys):
+    edit_report(paths, "stage: approx_efx rounds=0",
+                "stage: efx_k2 rounds=0")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    assert "verify: stages: ['pef1', 'efx_k2'] are not ['pef1', " \
+        "'approx_efx'] for mode approx" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_event_outside_the_stated_rounds(paths, capsys):
+    save_instance(paths["inst"], rotation_instance())
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    text = open(paths["report"]).read()
+    rounds = load_report(paths["report"]).stages[0].rounds
+    stated = f"stage: pef1 rounds={rounds}"
+    assert stated in text
+    open(paths["report"], "w").write(
+        text.replace(stated, f"stage: pef1 rounds={rounds - 1}"))
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    assert f"verify: stage pef1: rounds={rounds - 1} but its events " \
+        "number rounds [1, " in capsys.readouterr().err
+
+
+def _drop_field(key):
+    return lambda lines: [ln for ln in lines if not ln.startswith(f"{key}:")]
+
+
+def _edit_field(key, change):
+    def edit(lines):
+        return [f"{key}: " + change(line.split(": ", 1)[1])
+                if line.startswith(f"{key}:") else line for line in lines]
+    return edit
+
+
+MALFORMED_REPORTS = {
+    "n not an integer": _edit_field("n", lambda v: "x"),
+    "timing not a number": _edit_field("timing total", lambda v: "abc"),
+    "verdict missing": _drop_field("verdict entry-pef1"),
+    "verdict not a boolean": _edit_field("verdict entry-pef1",
+                                         lambda v: "yes"),
+    "status unknown": _edit_field("status", lambda v: "fine"),
+    "owner entry out of range": _edit_field("owner", lambda v: "3" + v[1:]),
+    "owner entry not an integer": _edit_field("owner",
+                                              lambda v: "x" + v[1:]),
+    "owner one entry too many": _edit_field("owner", lambda v: v + " 0"),
+    "entry-owner one entry short": _edit_field("entry-owner",
+                                               lambda v: v[:-2]),
+    "pay-high not 0/1": _edit_field("entry-pay-high",
+                                    lambda v: "7" + v[1:]),
+    "pay-high one flag too many": _edit_field("pay-high", lambda v: v + "0"),
+    "event round not an integer": lambda lines: lines + [
+        "event: stage=pef1 round=x kind=transfer agents=0,1 items=0 "
+        "earn_before=1/1,0/1 earn_after=0/1,1/1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_malformed_reports_exit_2_without_a_traceback(paths, capsys, case):
+    lines = MALFORMED_REPORTS[case](solved_report_lines(paths))
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: ")
+    assert "Traceback" not in err

@@ -1,21 +1,25 @@
-"""Entry equilibrium: item split, forced allocation, chains, groups."""
+"""Entry equilibrium: forced allocation, chains, groups."""
 
+from collections import deque
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, strategies as st
 
 from chorefair import (
+    GroupPropertyViolation,
     Instance,
     build_initial_state,
-    build_mpb_graph,
     earning_units,
     find_violating_chain,
+    hat_earning_units,
     partition_agent_groups,
     resolve_overpaid_paths,
-    split_items,
 )
 
-from conftest import generated_instances, owned_instance, rotation_instance
+from conftest import (K_VALUES, generated_instances, market_from_parts,
+                      owned_instance, rotation_instance,
+                      skewed_owned_instance)
 
 
 def low_sets(*lows_per_item):
@@ -24,14 +28,6 @@ def low_sets(*lows_per_item):
     high = tuple(
         tuple(i not in s for s in lows_per_item) for i in range(n))
     return Instance(n, len(lows_per_item), Fraction(2), high)
-
-
-def test_split_items_finds_consistently_large_column():
-    inst = Instance(2, 3, Fraction(2), ((False, True, True),
-                                        (False, False, True)))
-    parts = split_items(inst)
-    assert parts.consistently_large == frozenset({2})
-    assert parts.remainder == frozenset({0, 1})
 
 
 def test_initial_state_assigns_low_items_to_smallest_low_agent():
@@ -84,15 +80,6 @@ def test_chain_ties_follow_the_smallest_parent_not_the_least_chain():
     # reached from 3, the smaller agent of the second layer {3, 4}, and 3
     # from 2, so the lexicographically larger chain wins
     assert find_violating_chain(entry) == [0, 2, 3, 5]
-
-
-def test_mpb_graph_edge_means_the_successor_could_give():
-    inst = low_sets({0}, {0}, {0}, {0, 1})
-    entry = build_initial_state(inst)
-    graph = build_mpb_graph(entry)
-    # a0 holds chore 3, which is ratio-minimal for a1
-    assert 0 in graph.successors[1]
-    assert graph.successors[0] == frozenset()
 
 
 def test_groups_merge_when_a_tight_give_edge_survives():
@@ -163,3 +150,86 @@ def test_group_index_maps_are_inverse_permutations(inst):
     # groups tile the agent set in representative order
     tiled = [a for g in groups.groups for a in sorted(g)]
     assert sorted(tiled) == list(range(n))
+
+
+def low_rows(k, m, *rows):
+    """Instance from 'which chores cost agent i 1' sets, one per agent."""
+    high = tuple(tuple(e not in row for e in range(m)) for row in rows)
+    return Instance(len(rows), m, Fraction(k), high)
+
+
+def test_group_check_rejects_a_later_group_costing_1_on_earlier_chores():
+    # a1 is raised by chore 2's payment, so no MPB edge reaches a0's
+    # bundle and a1 forms its own later group, yet it costs 1 on chore 1
+    state = market_from_parts(low_rows(2, 3, {0, 1}, {1, 2}), (0, 0, 1), {2})
+    with pytest.raises(GroupPropertyViolation,
+                       match=r"^agent 1 \(later group\) costs 1 on chore 1 "
+                             r"held by agent 0 \(earlier group\)$"):
+        partition_agent_groups(state)
+
+
+def test_group_check_rejects_pef1_failing_inside_a_group():
+    state = market_from_parts(low_rows(2, 4, {0, 1, 2, 3}, {0, 1, 2, 3}),
+                              (0, 0, 0, 1), set())
+    with pytest.raises(GroupPropertyViolation,
+                       match=r"^pEF1 fails inside a group: hat\(0\)=2 > "
+                             r"earning\(1\)=1 \(units\)$"):
+        partition_agent_groups(state)
+
+
+def test_group_check_rejects_a_large_chore_outside_the_last_group():
+    # chore 2 costs k to everyone but sits with a0, while the raised a1
+    # forms the last group on its own
+    state = market_from_parts(low_rows(2, 3, {0}, {1}), (0, 1, 0), {1, 2})
+    with pytest.raises(GroupPropertyViolation,
+                       match=r"^consistently large chore 2 held outside "
+                             r"the last group$"):
+        partition_agent_groups(state)
+
+
+def reference_groups(state):
+    """The partition by its definition, on frozensets: repeatedly take the
+    largest hat earning among ungrouped agents (ties to the smaller index)
+    and add every ungrouped agent with a directed path to it, where x
+    points at y iff MPB_x meets y's bundle."""
+    n = state.instance.n
+    bundles = [frozenset(state.allocation.bundle(i)) for i in range(n)]
+    hats = [hat_earning_units(state, i) for i in range(n)]
+    ungrouped = set(range(n))
+    groups, reps = [], []
+    while ungrouped:
+        b = min(ungrouped, key=lambda a: (-hats[a], a))
+        members, queue = {b}, deque([b])
+        while queue:
+            y = queue.popleft()
+            for x in ungrouped - members:
+                if bundles[y] & state.mpb[x]:
+                    members.add(x)
+                    queue.append(x)
+        groups.append(frozenset(members))
+        reps.append(b)
+        ungrouped -= members
+    return tuple(groups), tuple(reps)
+
+
+def assert_matches_reference(inst):
+    resolved = resolve_overpaid_paths(build_initial_state(inst))
+    groups = partition_agent_groups(resolved)
+    assert (groups.groups, groups.representatives) == \
+        reference_groups(resolved)
+    assert groups.new_to_old == tuple(a for g in groups.groups
+                                      for a in sorted(g))
+
+
+@given(generated_instances(max_n=8, max_m=12))
+def test_partition_matches_the_frozenset_reference(inst):
+    assert_matches_reference(inst)
+
+
+@given(st.sampled_from(K_VALUES),
+       st.lists(st.integers(1, 9), min_size=2, max_size=6),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 3)]))
+def test_partition_matches_the_reference_on_skewed_owned_states(
+        k, sizes, seed, sprinkle):
+    assert_matches_reference(skewed_owned_instance(k, sizes, seed, sprinkle))

@@ -22,7 +22,6 @@ from chorefair import (
     instance_to_raw,
     normalize_instance,
     raw_instance,
-    replace_allocation,
 )
 
 from conftest import instances, owned_instance
@@ -189,14 +188,6 @@ def test_alpha_and_mpb_reflect_cost_payment_ratios():
     assert state.mpb[1] == frozenset({1, 2})
 
 
-def test_replace_allocation_keeps_payments():
-    state = _two_agent_state()
-    moved = replace_allocation(state, [1, 0, 1])
-    assert moved.allocation.owner == (1, 0, 1)
-    assert moved.payments == state.payments
-    assert earning_units(moved, 1) == 2
-
-
 @given(instances(max_n=4, max_m=6))
 def test_earnings_sum_to_total_payment(inst):
     owner = [e % inst.n for e in range(inst.m)]
@@ -230,7 +221,3 @@ def test_market_state_matches_the_ratio_definition(inst, data):
         assert state.alpha[i] == min(ratios)
         assert state.mpb[i] == frozenset(
             e for e, r in enumerate(ratios) if r == min(ratios))
-    assert state.high_items == frozenset(e for e in range(inst.m) if flags[e])
-    assert state.low_items == frozenset(range(inst.m)) - state.high_items
-    assert state.high_agents == frozenset(owner[e] for e in state.high_items)
-    assert state.low_agents == frozenset(range(inst.n)) - state.high_agents

@@ -22,11 +22,3 @@ def test_worked_examples_narrate_every_reallocation_kind():
     for kind in ("bundle_swap", "swap", "move"):
         assert f", {kind}, agents" in proc.stdout
 
-
-def test_bench_grid_writes_a_tiny_grid(tmp_path):
-    out = tmp_path / "grid.csv"
-    proc = run_script("bench_grid.py", "--max-n", "3", "--max-m", "4",
-                      "--repeats", "1", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    rows = out.read_text().splitlines()
-    assert any(row.startswith("aggregate") for row in rows)
