@@ -11,7 +11,6 @@ from fractions import Fraction
 from chorefair import (
     Allocation,
     Instance,
-    PaymentVector,
     approx_from_equilibrium,
     build_market_state,
     check_equilibrium,
@@ -37,17 +36,16 @@ def owned(k, owners, rows=None) -> Instance:
 
 
 def market(inst, owners, high_pay):
-    flags = [e in high_pay for e in range(inst.m)]
-    return build_market_state(
-        inst, Allocation(tuple(owners)),
-        PaymentVector.from_high_flags(inst.k, flags))
+    return build_market_state(inst, Allocation(tuple(owners)),
+                              sum(1 << e for e in high_pay))
 
 
 def show(state, label):
     print(f"  {label}:")
     for i in range(state.instance.n):
         bundle = sorted(state.allocation.bundle(i))
-        pays = " ".join(str(state.pay_units[e]) for e in bundle)
+        pays = " ".join(str(state.pay_high if state.high >> e & 1
+                            else state.pay_low) for e in bundle)
         print(f"    agent {i}: earns {earning_units(state, i):>3} units"
               f"  items {bundle} (pay units: {pays})")
 

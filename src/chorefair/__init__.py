@@ -13,7 +13,7 @@ from .efx_k2 import (earning_tiers, efx_violation,
                      k2_from_equilibrium, k2_round, run_efx_k2)
 from .errors import (AllEmpty, AlreadyUniform, BudgetExceeded, ChorefairError,
                      GroupPropertyViolation, InternalInvariant,
-                     InvalidPayment, InvariantViolation, IterationCapExceeded,
+                     InvariantViolation, IterationCapExceeded,
                      LemmaViolation, MissingIntermediary, MPBViolation,
                      NotBiValued, ParseError, PreconditionViolated,
                      RaiseOverflow, TierViolation, ZeroCost)
@@ -21,17 +21,15 @@ from .harness import (GenParams, RunReport, SplitMix64, StageSummary,
                       Verdicts, bench, gen_instance, instance_digest,
                       instance_text, load_instance, load_report,
                       parse_instance, parse_rational, parse_report,
-                      equilibrium_from_parts, replay_report,
-                      report_fingerprint, report_text, run_pipeline,
-                      save_instance, save_report)
+                      equilibrium_from_parts, report_fingerprint,
+                      report_text, run_pipeline, save_instance, save_report)
 from .market_init import (AgentGroups, build_initial_state,
                           find_violating_chain, partition_agent_groups,
                           resolve_overpaid_paths)
 from .model import (Allocation, ExactRational, Instance, MarketState,
-                    PaymentVector, RawInstance, as_rational,
-                    build_market_state, earning, earning_units, hat_earning,
-                    hat_earning_units, instance_to_raw, normalize_instance,
-                    raw_instance)
+                    RawInstance, as_rational, build_market_state, earning,
+                    earning_units, hat_earning, hat_earning_units,
+                    instance_to_raw, normalize_instance, raw_instance)
 from .oracle import (DEFAULT_BUDGET, best_efx_beta_over_po, cost_profile,
                      dominates, enumerate_allocations, exists_efx_po,
                      is_pareto_optimal)

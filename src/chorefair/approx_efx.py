@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from .errors import (IterationCapExceeded, LemmaViolation, MPBViolation,
                      PreconditionViolated)
-from .model import (EnvyKernel, Instance, MarketState, MarketView, bits,
-                    bundle_masks)
+from .model import EnvyKernel, Instance, MarketState, MarketView, bits
 from .pef1 import SolverState, StageResult, run_pef1
 from .trace import TraceEvent
 
@@ -41,9 +40,7 @@ def strong_envy_target(market: MarketState) -> tuple[int, int] | None:
     """Smallest agent i failing the (2 - 1/k)-EFX test, paired with the
     least-earning agent it fails against.  None when the test passes.
     """
-    inst = market.instance
-    return _strong_envy(inst, bundle_masks(market.allocation.owner, inst.n),
-                        market.earn_units)
+    return _strong_envy(market.instance, market.bundles, market.earn_units)
 
 
 def _mixed_holder_count(view: MarketView) -> int:

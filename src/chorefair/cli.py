@@ -12,19 +12,18 @@ import csv
 import io
 import sys
 
-from .errors import ChorefairError
-from .harness import (BENCH_COLUMNS, VERDICT_KEYS, GenParams, Verdicts,
-                      bench, equilibrium_from_parts, gen_instance,
-                      instance_digest, instance_text, load_instance,
-                      load_report, parse_rational, replay_report,
-                      report_fingerprint, report_text, resolve_mode,
-                      run_pipeline, save_instance, save_report,
+from .errors import ChorefairError, ParseError
+from .harness import (BENCH_COLUMNS, MODE_STAGES, MODES, VERDICT_KEYS,
+                      GenParams, bench, compute_verdicts,
+                      equilibrium_from_parts, gen_instance, instance_digest,
+                      instance_text, load_instance, load_report, parse_int,
+                      parse_rational, report_fingerprint, report_text,
+                      resolve_mode, run_pipeline, save_report,
                       verdicts_succeed)
-from .model import Instance, RawInstance, normalize_instance
+from .model import Instance, RawInstance, normalize_instance, relabel_agents
 from .oracle import DEFAULT_BUDGET, best_efx_beta_over_po, exists_efx_po
 from .trace import replay_trace
-from .verify import (check_EF1, check_equilibrium, check_pEF1, min_beta_EFX,
-                     min_beta_pEFX)
+from .verify import check_equilibrium
 
 
 def _write(path: str | None, text: str) -> None:
@@ -35,11 +34,21 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _gen_params(**values) -> GenParams:
+    """GenParams from option values; a rejected value is a ParseError that
+    names its option (GenParams's messages start with the field name)."""
+    try:
+        return GenParams(**values)
+    except ValueError as err:
+        name, _, need = str(err).partition(" ")
+        raise ParseError(f"--{name.replace('_', '-')} {need}") from None
+
+
 def _cmd_gen(args) -> int:
-    params = GenParams(n=args.n, m=args.m, k=parse_rational(args.k, "--k"),
-                       high_prob=parse_rational(args.high_prob, "--high-prob"),
-                       seed=args.seed)
-    raw = gen_instance(params)
+    raw = gen_instance(_gen_params(
+        n=args.n, m=args.m, k=parse_rational(args.k, "--k"),
+        high_prob=parse_rational(args.high_prob, "--high-prob"),
+        seed=args.seed))
     if args.normalized:
         _write(args.out, instance_text(normalize_instance(raw)))
     else:
@@ -101,8 +110,9 @@ def _verify_stages(report) -> list[str]:
     events, which number the rounds 1..R."""
     problems = []
     names = [stage.name for stage in report.stages]
-    if report.mode in _STAGES and names != _STAGES[report.mode]:
-        problems.append(f"stages: {names} are not {_STAGES[report.mode]} "
+    want = list(MODE_STAGES.get(report.mode, names))
+    if names != want:
+        problems.append(f"stages: {names} are not {want} "
                         f"for mode {report.mode}")
     for stage in report.stages:
         numbers = {ev.round for ev in stage.events}
@@ -124,47 +134,35 @@ def _verify_verdicts(inst: Instance, report) -> list[str]:
     if shape:
         return shape
     problems = _verify_stages(report)
-    reindexed = Instance(inst.n, inst.m, inst.k,
-                         tuple(inst.high[old] for old in report.new_to_old))
-    try:
-        replayed = replay_report(report)
-        pef1_parts = replay_trace(
-            report.entry_owner, report.entry_pay_high,
-            [ev for ev in report.trace if ev.stage == "pef1"])
-    except ValueError as err:
-        return problems + [f"trace replay failed: {err}"]
-    if replayed != (report.owner, report.pay_high):
-        problems.append("trace replay does not reach the final state")
+    reindexed = relabel_agents(inst, report.new_to_old)
+    # replay the pef1 events, then the later stages' from where they end
+    trace = report.trace
+    cut = next((t for t, ev in enumerate(trace) if ev.stage != "pef1"),
+               len(trace))
     entry_parts = (report.entry_owner, report.entry_pay_high)
     final_parts = (report.owner, report.pay_high)
+    try:
+        pef1_parts = replay_trace(*entry_parts, trace[:cut])
+        replayed = replay_trace(*pef1_parts, trace[cut:])
+    except ValueError as err:
+        return problems + [f"trace replay failed: {err}"]
+    if replayed != final_parts:
+        problems.append("trace replay does not reach the final state")
     entry = equilibrium_from_parts(reindexed, *entry_parts)
     final = equilibrium_from_parts(reindexed, *final_parts)
     # the pEF1 output is the final state when no later stage moved a
     # chore, and the entry state when no payment round ran
     pef1_out = {entry_parts: entry, final_parts: final}.get(pef1_parts) \
         or equilibrium_from_parts(reindexed, *pef1_parts)
-    checked = {}  # (equilibrium, pEF1) verdicts, once per distinct state
-    for state in (entry, final, pef1_out):
-        if id(state) not in checked:
-            checked[id(state)] = (check_equilibrium(state).holds,
-                                  check_pEF1(state).holds)
-    if not checked[id(entry)][0]:
+    if not check_equilibrium(entry).holds:
         problems.append("the stored entry state is not an equilibrium")
-    final_eq, final_pef1 = checked[id(final)]
-    entry_eq, entry_pef1 = checked[id(pef1_out)]
     v = report.verdicts
-    fresh = Verdicts(
-        entry_equilibrium=entry_eq, entry_pef1=entry_pef1,
-        entry_ef1=check_EF1(reindexed, pef1_out.allocation).holds,
-        final_equilibrium=final_eq, final_pef1=final_pef1,
-        beta_pefx=min_beta_pEFX(final).value,
-        beta_efx=min_beta_EFX(reindexed, final.allocation).value,
-        oracle_po=v.oracle_po)
+    fresh = compute_verdicts(pef1_out, final, v.oracle_po)
     for key, name in VERDICT_KEYS:
         if getattr(fresh, name) != getattr(v, name):
             problems.append(f"{key}: recomputed {getattr(fresh, name)}, "
                             f"report says {getattr(v, name)}")
-    if report.mode not in _STAGES or \
+    if report.mode not in MODE_STAGES or \
             report.mode != resolve_mode(report.requested_mode, inst.k):
         problems.append(f"mode: {report.mode!r} is not what requested mode "
                         f"{report.requested_mode!r} resolves to")
@@ -173,11 +171,6 @@ def _verify_verdicts(inst: Instance, report) -> list[str]:
         problems.append(f"status: recomputed {_status(status)}, "
                         f"report says {_status(report.success)}")
     return problems
-
-
-# each mode's stage names, in run order
-_STAGES = {"pef1": ["pef1"], "approx": ["pef1", "approx_efx"],
-           "exact2": ["pef1", "efx_k2"]}
 
 
 def _status(success: bool) -> str:
@@ -205,12 +198,14 @@ def _cmd_bench(args) -> int:
     """Write the grid's CSV; exit 1 when a row failed or hit an error other
     than AlreadyUniform, which is a property of the seed's draw."""
     k_values = [parse_rational(t, "--k") for t in args.k.split(",")]
-    n_values = [int(t) for t in args.n.split(",")]
-    m_values = [int(t) for t in args.m.split(",")]
+    n_values = [parse_int(t, "--n") for t in args.n.split(",")]
+    m_values = [parse_int(t, "--m") for t in args.m.split(",")]
     probs = [parse_rational(t, "--high-prob")
              for t in args.high_prob.split(",")]
+    if args.seeds < 1:
+        raise ParseError(f"--seeds must be at least 1, got {args.seeds}")
     grid = [
-        GenParams(n=n, m=m, k=k, high_prob=prob, seed=seed)
+        _gen_params(n=n, m=m, k=k, high_prob=prob, seed=seed)
         for k in k_values for n in n_values for m in m_values
         for prob in probs
         for seed in range(args.seed, args.seed + args.seeds)
@@ -246,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the pipeline on an instance file")
     p.add_argument("instance")
-    p.add_argument("--mode", default="auto",
-                   choices=["auto", "pef1", "approx", "exact2"])
+    p.add_argument("--mode", default="auto", choices=MODES)
     p.add_argument("--trace", action="store_true",
                    help="print the report even when writing to --out")
     p.add_argument("--oracle-budget", type=int, default=None,
@@ -277,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list, like --n, --m and --k")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0, help="first seed")
-    p.add_argument("--mode", default="auto",
-                   choices=["auto", "pef1", "approx", "exact2"])
+    p.add_argument("--mode", default="auto", choices=MODES)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from .errors import (IterationCapExceeded, LemmaViolation, MPBViolation,
                      PreconditionViolated, TierViolation)
-from .model import (EnvyKernel, Instance, MarketState, MarketView,
-                    bundle_masks)
+from .model import EnvyKernel, Instance, MarketState, MarketView
 from .pef1 import SolverState, StageResult, run_pef1
 from .trace import TraceEvent
 
@@ -55,8 +54,7 @@ def _efx_violation(instance: Instance, bundles) -> tuple[int, int] | None:
 
 def efx_violation(market: MarketState) -> tuple[int, int] | None:
     """Smallest (i, j) lexicographically with i failing exact EFX toward j."""
-    inst = market.instance
-    return _efx_violation(inst, bundle_masks(market.allocation.owner, inst.n))
+    return _efx_violation(market.instance, market.bundles)
 
 
 def _mixed_top_count(view: MarketView, earn: list[int], z: int) -> int:

@@ -26,10 +26,6 @@ class AlreadyUniform(ChorefairError):
 
 # ---- market state ----------------------------------------------------------
 
-class InvalidPayment(ChorefairError):
-    """A payment is outside {1, k}."""
-
-
 class AllEmpty(ChorefairError):
     """Big-earner selection requires at least one nonempty bundle."""
 

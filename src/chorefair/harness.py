@@ -24,11 +24,11 @@ from .approx_efx import approx_from_equilibrium
 from .efx_k2 import k2_from_equilibrium
 from .errors import ChorefairError, ParseError
 from .model import (Allocation, ExactRational, Instance, MarketState,
-                    PaymentVector, RawInstance, as_rational,
-                    build_market_state, normalize_instance)
+                    RawInstance, as_rational, build_market_state,
+                    normalize_instance)
 from .oracle import is_pareto_optimal
-from .pef1 import StageResult, run_pef1
-from .trace import TraceEvent, replay_trace
+from .pef1 import run_pef1
+from .trace import TraceEvent
 from .verify import UNBOUNDED, Unbounded, beta_le, check_EF1, check_pEF1, \
     check_equilibrium, min_beta_EFX, min_beta_pEFX
 
@@ -61,16 +61,19 @@ class GenParams:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n, m >= 1, got n={self.n} m={self.m}")
+        # each message starts with the field's name, which the CLI maps to
+        # its option
         object.__setattr__(self, "k", as_rational(self.k))
         object.__setattr__(self, "high_prob", as_rational(self.high_prob))
-        if self.k <= 1:
-            raise ValueError(f"need k > 1, got {self.k}")
-        if not 0 <= self.high_prob <= 1:
-            raise ValueError(f"high_prob outside [0, 1]: {self.high_prob}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed outside 64-bit range: {self.seed}")
+        for name, ok, need in (
+                ("n", self.n >= 1, "at least 1"),
+                ("m", self.m >= 1, "at least 1"),
+                ("k", self.k > 1, "above 1"),
+                ("high_prob", 0 <= self.high_prob <= 1, "in [0, 1]"),
+                ("seed", 0 <= self.seed < 1 << 64, "in [0, 2^64)")):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {need}, got {getattr(self, name)}")
 
 
 def gen_instance(params: GenParams) -> RawInstance:
@@ -270,6 +273,12 @@ class RunReport:
         return tuple(ev for stage in self.stages for ev in stage.events)
 
 
+# each mode's stage names, in run order; auto resolves to approx or exact2
+MODE_STAGES = {"pef1": ("pef1",), "approx": ("pef1", "approx_efx"),
+               "exact2": ("pef1", "efx_k2")}
+MODES = ("auto", *MODE_STAGES)
+
+
 def resolve_mode(mode: str, k: ExactRational) -> str:
     if mode == "auto":
         return "exact2" if k == 2 else "approx"
@@ -299,7 +308,7 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
     when k = 2 and approx otherwise.  Engine errors come back as a failed
     report with the message in .error rather than raising.
     """
-    if mode not in ("auto", "pef1", "approx", "exact2"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -311,21 +320,20 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
         state = run_pef1(inst)
         timings["pef1"] = time.perf_counter() - t1
         entry = state.entry
-        stages = [StageSummary("pef1", state.round_count, state.trace)]
+        names = MODE_STAGES[resolved]
+        stages = [StageSummary(names[0], state.round_count, state.trace)]
 
         pef1_market = state.market
         t1 = time.perf_counter()
         if resolved == "pef1":
             final = pef1_market
-        elif resolved == "approx":
-            result: StageResult = approx_from_equilibrium(
-                pef1_market, state)
-            stages.append(StageSummary("approx_efx", result.rounds,
-                                       result.trace))
-            final = result.market
         else:
-            result = k2_from_equilibrium(pef1_market, state.unraised, state)
-            stages.append(StageSummary("efx_k2", result.rounds, result.trace))
+            if resolved == "approx":
+                result = approx_from_equilibrium(pef1_market, state)
+            else:
+                result = k2_from_equilibrium(pef1_market, state.unraised,
+                                             state)
+            stages.append(StageSummary(names[1], result.rounds, result.trace))
             final = result.market
         timings["stage"] = time.perf_counter() - t1
     except ChorefairError as err:
@@ -338,20 +346,12 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
 
     t1 = time.perf_counter()
     reindexed = pef1_market.instance
-    entry_eq = check_equilibrium(pef1_market).holds
-    entry_pef1 = check_pEF1(pef1_market).holds
-    entry_ef1 = check_EF1(reindexed, pef1_market.allocation).holds
-    final_eq = check_equilibrium(final).holds
-    final_pef1 = check_pEF1(final).holds
-    beta_pefx = min_beta_pEFX(final).value
-    beta_efx = min_beta_EFX(reindexed, final.allocation).value
     oracle_po = None
     if oracle_budget is not None and \
             reindexed.n ** reindexed.m < oracle_budget:
         oracle_po = is_pareto_optimal(reindexed, final.allocation,
                                       budget=oracle_budget)
-    verdicts = Verdicts(entry_eq, entry_pef1, entry_ef1, final_eq,
-                        final_pef1, beta_pefx, beta_efx, oracle_po)
+    verdicts = compute_verdicts(pef1_market, final, oracle_po)
     timings["verify"] = time.perf_counter() - t1
 
     success = verdicts_succeed(verdicts, resolved, inst.k)
@@ -361,18 +361,29 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
         n=inst.n, m=inst.m, k=inst.k,
         new_to_old=state.groups.new_to_old,
         entry_owner=entry.allocation.owner,
-        entry_pay_high=tuple(entry.pay_is_high(e) for e in range(inst.m)),
-        owner=final.allocation.owner,
-        pay_high=tuple(final.pay_is_high(e) for e in range(inst.m)),
+        entry_pay_high=_flags(entry.high, inst.m),
+        owner=final.allocation.owner, pay_high=_flags(final.high, inst.m),
         stages=tuple(stages), verdicts=verdicts, success=success,
         timings=timings)
 
 
-def replay_report(report: RunReport) -> tuple[tuple[int, ...],
-                                              tuple[bool, ...]]:
-    """Re-apply the trace to the entry state; must land on the final state."""
-    return replay_trace(report.entry_owner, report.entry_pay_high,
-                        report.trace)
+def compute_verdicts(pef1: MarketState, final: MarketState,
+                     oracle_po: bool | None) -> Verdicts:
+    """The recomputable verdicts of a run whose pEF1 stage ended at pef1
+    and whose last stage ended at final (the same object when that stage
+    moved nothing, which is then checked once); oracle-po is passed in."""
+    inst = pef1.instance
+    entry = check_equilibrium(pef1).holds, check_pEF1(pef1).holds
+    end = entry if final is pef1 else \
+        (check_equilibrium(final).holds, check_pEF1(final).holds)
+    return Verdicts(*entry, check_EF1(inst, pef1.allocation).holds, *end,
+                    min_beta_pEFX(final).value,
+                    min_beta_EFX(inst, final.allocation).value, oracle_po)
+
+
+def _flags(mask: int, m: int) -> tuple[bool, ...]:
+    """The m per-chore flags of a bitmask, chore 0 first."""
+    return tuple(bit == "1" for bit in format(mask, f"0{m}b")[::-1])
 
 
 # ---------------------------------------------------------------- report IO
@@ -438,7 +449,7 @@ def report_fingerprint(report: RunReport) -> str:
         report_text(report, timings=False).encode()).hexdigest()
 
 
-def _parse_int(token: str, where: str) -> int:
+def parse_int(token: str, where: str) -> int:
     try:
         return int(token)
     except ValueError:
@@ -463,7 +474,7 @@ def _parse_event(lineno: int, body: str) -> TraceEvent:
 
     def ints(key):
         raw = kv.get(key, "")
-        return tuple(_parse_int(t, f"line {lineno}") for t in raw.split(",")
+        return tuple(parse_int(t, f"line {lineno}") for t in raw.split(",")
                      if t)
 
     def rationals(key):
@@ -475,7 +486,7 @@ def _parse_event(lineno: int, body: str) -> TraceEvent:
         least = kv.get("least")
         return TraceEvent(
             stage=kv["stage"], kind=kv["kind"],
-            round=_parse_int(kv["round"], f"line {lineno}"),
+            round=parse_int(kv["round"], f"line {lineno}"),
             agents=ints("agents"), items=ints("items"),
             earn_before=rationals("earn_before"),
             earn_after=rationals("earn_after"),
@@ -551,10 +562,10 @@ def parse_report(text: str) -> RunReport:
         verdicts = Verdicts(**{
             name: verdict(key) for key, name in VERDICT_KEYS
             if key != "oracle-po" or key in verdict_raw})
-    n = _parse_int(want("n"), "field n")
+    n = parse_int(want("n"), "field n")
     vectors = {}  # one entry per chore in each; verify compares with m
     for key in ("entry-owner", "owner"):
-        vectors[key] = tuple(_parse_int(t, f"field {key}")
+        vectors[key] = tuple(parse_int(t, f"field {key}")
                              for t in head.get(key, "").split())
         if any(not 0 <= o < n for o in vectors[key]):
             raise ParseError(f"field {key}: an agent index is not below {n}")
@@ -568,9 +579,9 @@ def parse_report(text: str) -> RunReport:
     return RunReport(
         digest=want("digest"), mode=want("mode"),
         requested_mode=want("requested-mode"),
-        n=n, m=_parse_int(want("m"), "field m"),
+        n=n, m=parse_int(want("m"), "field m"),
         k=parse_rational(want("k"), "field k"),
-        new_to_old=tuple(_parse_int(t, "field new-to-old")
+        new_to_old=tuple(parse_int(t, "field new-to-old")
                          for t in head.get("new-to-old", "").split()),
         entry_owner=vectors["entry-owner"],
         entry_pay_high=vectors["entry-pay-high"], owner=vectors["owner"],
@@ -626,7 +637,8 @@ def bench(grid: list[GenParams], *, mode: str = "auto") -> str:
 
 def equilibrium_from_parts(instance: Instance, owner: tuple[int, ...],
                            pay_high: tuple[bool, ...]) -> MarketState:
-    """Convenience assembly used by the CLI verify path and tests."""
-    return build_market_state(
-        instance, Allocation(tuple(owner)),
-        PaymentVector.from_high_flags(instance.k, tuple(pay_high)))
+    """The market of an owner vector and per-chore payment-k flags."""
+    if len(pay_high) != instance.m:
+        raise ValueError("payment flags length does not match m")
+    high = int("".join("1" if h else "0" for h in reversed(pay_high)), 2)
+    return build_market_state(instance, Allocation(tuple(owner)), high)

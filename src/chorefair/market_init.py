@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import (GroupPropertyViolation, InternalInvariant,
                      IterationCapExceeded, MPBViolation)
-from .model import (Allocation, Instance, MarketState, MarketView,
-                    PaymentVector, bits, build_market_state, mask_set)
+from .model import (Allocation, Instance, MarketState, MarketView, bits,
+                    build_market_state, mask_set)
 
 
 def build_initial_state(instance: Instance) -> MarketState:
@@ -44,14 +44,12 @@ def build_initial_state(instance: Instance) -> MarketState:
         i = earn.index(min(earn))
         owner[e] = i
         earn[i] += p
-    state = build_market_state(
-        instance, Allocation(tuple(owner)),
-        PaymentVector.from_high_flags(
-            instance.k, [bool(large >> e & 1) for e in range(m)]))
-    view = MarketView(state)
-    if any(view.raised(i) for i in range(n)):
-        raise InternalInvariant(f"entry ratios not all 1: {state.alpha}")
-    if any(view.bundles[i] & ~view.mpb(i) for i in range(n)):
+    state = build_market_state(instance, Allocation(tuple(owner)), large)
+    raised = [i for i in range(n) if state.raised(i)]
+    if raised:
+        raise InternalInvariant(f"entry ratios not all 1: agents {raised} "
+                                f"are at 1/{instance.k}")
+    if any(state.bundles[i] & ~state.mpb(i) for i in range(n)):
         raise InternalInvariant("entry allocation is not an equilibrium")
     return state
 
@@ -188,7 +186,7 @@ def resolve_overpaid_paths(state: MarketState) -> MarketState:
         if not (view.earn[head] < before_head):
             raise InternalInvariant("chain did not reduce the head's earning")
         gain = view.earn[tail] - before_tail
-        if gain not in (state.unit, state.instance.high_units):
+        if gain not in (view.pay_low, view.pay_high):
             raise InternalInvariant("chain tail gained other than one chore's payment")
         key = tuple(view.owner)
         if key in seen:

@@ -1,20 +1,21 @@
-"""Core domain types: instances, allocations, payments, and market state.
+"""Core domain types: instances, allocations and the market state.
 
 All arithmetic is exact.  Public values are `fractions.Fraction`; internally
-every quantity is also mirrored as an integer count of 1/q units, where
-k = p/q in lowest terms.  Costs and payments only ever take the values 1 and
-k, so the unit view makes every comparison an integer comparison.
+every quantity is an integer count of 1/q units, where k = p/q in lowest
+terms.  Costs and payments only ever take the values 1 and k, so a payment
+vector is one bit per chore (the payment-k mask) and every comparison is an
+integer comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
 from typing import Sequence
 
-from .errors import (AlreadyUniform, InternalInvariant, InvalidPayment,
-                     MPBViolation, NotBiValued, ZeroCost)
+from .errors import (AlreadyUniform, InternalInvariant, MPBViolation,
+                     NotBiValued, ZeroCost)
 
 # Exact rational scalar used throughout.  Fraction already guarantees the
 # canonical form (reduced, positive denominator) and exact field operations.
@@ -144,6 +145,16 @@ def normalize_instance(raw: RawInstance) -> Instance:
     return Instance(n=raw.n, m=raw.m, k=ratio, high=tuple(high))
 
 
+def relabel_agents(instance: Instance, new_to_old: Sequence[int]) -> Instance:
+    """The instance whose agent r is agent new_to_old[r] of the given one.
+    Its cost-1 masks are the given instance's, permuted, not rebuilt."""
+    out = Instance(instance.n, instance.m, instance.k,
+                   tuple(instance.high[old] for old in new_to_old))
+    object.__setattr__(out, "low_masks",
+                       tuple(instance.low_masks[old] for old in new_to_old))
+    return out
+
+
 def instance_to_raw(instance: Instance) -> RawInstance:
     """Expand a normalized instance back into an explicit cost matrix."""
     costs = tuple(
@@ -167,85 +178,88 @@ class Allocation:
         return tuple(tuple(b) for b in out)
 
 
+class _MarketMasks:
+    """What a market's masks determine, written once for MarketState and
+    MarketView.  Both provide bundles (one chore bitmask per agent), high
+    (the bitmask of chores paying k), low_cost (the instance's cost-1 masks
+    L_i) and the two payments in 1/q units, pay_low = q and pay_high = p.
+
+    Agent i is raised, at pain-per-buck ratio 1/k, iff some cost-1 chore
+    pays k; its MPB set is then L_i & high, and otherwise the chores whose
+    cost equals their payment, L_i ^ high, at ratio 1.
+    """
+
+    def raised(self, i: int) -> bool:
+        return bool(self.low_cost[i] & self.high)
+
+    def mpb(self, i: int) -> int:
+        low = self.low_cost[i]
+        return low & self.high or low ^ self.high
+
+    def earning(self, i: int) -> int:
+        """Total payment of i's bundle, by popcount."""
+        bundle = self.bundles[i]
+        return (self.pay_low * bundle.bit_count()
+                + (self.pay_high - self.pay_low) * (bundle & self.high).bit_count())
+
+    def top_pay(self, i: int) -> int:
+        """The largest payment in i's bundle; 0 if it is empty."""
+        bundle = self.bundles[i]
+        if not bundle:
+            return 0
+        return self.pay_high if bundle & self.high else self.pay_low
+
+    def hats(self, earn: Sequence[int]) -> list[int]:
+        """Each agent's earning earn[i] minus its largest payment."""
+        return [e - self.top_pay(i) for i, e in enumerate(earn)]
+
+
 @dataclass(frozen=True)
-class PaymentVector:
-    """Per-chore payments; each entry must be exactly 1 or k."""
-    payments: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_high_flags(k: Fraction, flags: Sequence[bool]) -> "PaymentVector":
-        return PaymentVector(tuple(k if f else ONE for f in flags))
-
-
-@dataclass(frozen=True)
-class MarketState:
-    """An allocation with payments plus everything derived from them.
-
-    alpha[i] is agent i's best pain-per-buck ratio min_e c_i(e)/p(e) and
-    mpb[i] the set of chores attaining it.
+class MarketState(_MarketMasks):
+    """A frozen market: the allocation, its bundle masks, the payment-k
+    mask high and each agent's earning in 1/q units (derived on
+    construction).  Ratios, MPB sets and hats come from _MarketMasks.
     """
     instance: Instance
     allocation: Allocation
-    payments: PaymentVector
-    alpha: tuple[Fraction, ...]
-    mpb: tuple[frozenset[int], ...]
-    # integer mirrors (multiples of 1/unit)
-    unit: int
-    pay_units: tuple[int, ...]
-    earn_units: tuple[int, ...]
+    high: int
+    bundles: tuple[int, ...]
+    earn_units: tuple[int, ...] = field(init=False)
 
-    def pay_is_high(self, item: int) -> bool:
-        return self.pay_units[item] != self.unit
+    def __post_init__(self):
+        object.__setattr__(self, "earn_units", tuple(
+            self.earning(i) for i in range(self.instance.n)))
+
+    @property
+    def low_cost(self) -> tuple[int, ...]:
+        return self.instance.low_masks
+
+    @property
+    def pay_low(self) -> int:
+        return self.instance.unit
+
+    @property
+    def pay_high(self) -> int:
+        return self.instance.high_units
 
 
 def build_market_state(instance: Instance, allocation: Allocation,
-                       payments: PaymentVector) -> MarketState:
-    """Validate payments and owners, then derive ratios and MPB sets.
-
-    Ratios and MPB sets come from the cost-1 masks L_i and the payment-k
-    mask H, as in MarketView.mpb: MPB_i = L_i & H at ratio 1/k when that is
-    nonempty, otherwise the chores whose cost equals their payment.
-    """
-    n, m, k = instance.n, instance.m, instance.k
+                       high: int) -> MarketState:
+    """Validate the owners and the payment-k mask, then take the bundles."""
+    n, m = instance.n, instance.m
     if len(allocation.owner) != m:
         raise ValueError("allocation length does not match m")
-    if any(not (0 <= o < n) for o in allocation.owner):
+    if min(allocation.owner) < 0 or max(allocation.owner) >= n:
         raise ValueError("allocation owner out of range")
-    if len(payments.payments) != m:
-        raise ValueError("payment vector length does not match m")
-    p_hi, q = k.numerator, k.denominator
-    pay_units = []
-    high = 0
-    for e, p in enumerate(payments.payments):
-        if p == 1:
-            pay_units.append(q)
-        elif p == k:
-            pay_units.append(p_hi)
-            high |= 1 << e
-        else:
-            raise InvalidPayment(f"payment of chore {e} is {p}, expected 1 or {k}")
-
-    alpha: list[Fraction] = []
-    mpb: list[frozenset[int]] = []
-    low_k = 1 / k
-    for low_cost in instance.low_masks:
-        cheap = low_cost & high
-        alpha.append(low_k if cheap else ONE)
-        mpb.append(mask_set(cheap or low_cost ^ high))
-
-    earn_units = [0] * n
-    for e, o in enumerate(allocation.owner):
-        earn_units[o] += pay_units[e]
-
-    return MarketState(
-        instance=instance, allocation=allocation, payments=payments,
-        alpha=tuple(alpha), mpb=tuple(mpb), unit=q,
-        pay_units=tuple(pay_units), earn_units=tuple(earn_units))
+    if high >> m:  # a negative mask shifts to -1
+        raise ValueError(f"payment mask has a bit at or above m={m}")
+    return MarketState(instance, allocation, high,
+                       tuple(bundle_masks(allocation.owner, n)))
 
 
 def earning(state: MarketState, agent: int) -> Fraction:
     """Total payment of the agent's bundle."""
-    return Fraction(state.earn_units[agent], state.unit)
+    return Fraction(state.earn_units[agent], state.pay_low)
 
 
 def earning_units(state: MarketState, agent: int) -> int:
@@ -253,11 +267,7 @@ def earning_units(state: MarketState, agent: int) -> int:
 
 
 def hat_earning_units(state: MarketState, agent: int) -> int:
-    best = 0
-    for e, o in enumerate(state.allocation.owner):
-        if o == agent and state.pay_units[e] > best:
-            best = state.pay_units[e]
-    return state.earn_units[agent] - best
+    return state.earn_units[agent] - state.top_pay(agent)
 
 
 def hat_earning(state: MarketState, agent: int) -> Fraction:
@@ -266,7 +276,7 @@ def hat_earning(state: MarketState, agent: int) -> Fraction:
     Equivalently the best earning achievable after dropping one chore, which
     is what the payment-based fairness conditions compare against.
     """
-    return Fraction(hat_earning_units(state, agent), state.unit)
+    return Fraction(hat_earning_units(state, agent), state.pay_low)
 
 
 def bits(mask: int):
@@ -321,15 +331,12 @@ class EnvyKernel:
         return self.cost[i][i] - self.cheapest[i]
 
 
-class MarketView:
+class MarketView(_MarketMasks):
     """Mutable bitmask view of a market, for loops that move chores or
     raise payments many times before anyone needs a MarketState.
 
-    The view maintains owner[e], bundles[i] (a bitmask over chores) and
-    high (the bitmask of chores paying k).  Everything else is derived from
-    these and the instance's cost-1 masks L_i: earning(i) by popcount,
-    MPB_i = L_i & high when that is nonempty (ratio 1/k) and otherwise the
-    chores whose cost equals their payment, L_i ^ high (ratio 1).
+    The view maintains owner[e], bundles[i] and high; everything else is
+    derived from these as in _MarketMasks.
     """
 
     def __init__(self, state: MarketState):
@@ -337,37 +344,13 @@ class MarketView:
         self.instance = inst
         self.n = inst.n
         self.owner = list(state.allocation.owner)
-        self.bundles = bundle_masks(self.owner, inst.n)
-        self.high = sum(1 << e for e in range(inst.m) if state.pay_is_high(e))
+        self.bundles = list(state.bundles)
+        self.high = state.high
         self.low_cost = inst.low_masks
         self.pay_low, self.pay_high = inst.unit, inst.high_units
 
-    def earning(self, i: int) -> int:
-        bundle = self.bundles[i]
-        return (self.pay_low * bundle.bit_count()
-                + (self.pay_high - self.pay_low) * (bundle & self.high).bit_count())
-
     def earnings(self) -> list[int]:
         return [self.earning(i) for i in range(self.n)]
-
-    def top_pay(self, i: int) -> int:
-        """The largest payment in i's bundle; 0 if it is empty."""
-        bundle = self.bundles[i]
-        if not bundle:
-            return 0
-        return self.pay_high if bundle & self.high else self.pay_low
-
-    def hats(self, earn: list[int]) -> list[int]:
-        """Each agent's earning earn[i] minus its largest payment."""
-        return [e - self.top_pay(i) for i, e in enumerate(earn)]
-
-    def raised(self, i: int) -> bool:
-        """True iff i's ratio is 1/k, i.e. some cost-1 chore pays k."""
-        return bool(self.low_cost[i] & self.high)
-
-    def mpb(self, i: int) -> int:
-        cheap = self.low_cost[i] & self.high
-        return cheap or self.low_cost[i] ^ self.high
 
     def check_partition(self) -> None:
         """The bundles must be disjoint and cover every chore."""
@@ -395,8 +378,5 @@ class MarketView:
                     raise InternalInvariant(
                         f"chore {e} is in agent {i}'s bundle but owned by "
                         f"agent {self.owner[e]}")
-        inst = self.instance
-        return build_market_state(
-            inst, Allocation(tuple(self.owner)),
-            PaymentVector.from_high_flags(
-                inst.k, [bool(self.high >> e & 1) for e in range(inst.m)]))
+        return build_market_state(self.instance, Allocation(tuple(self.owner)),
+                                  self.high)

@@ -24,20 +24,20 @@ from .errors import (AllEmpty, IterationCapExceeded, LemmaViolation,
 from .market_init import (AgentGroups, build_initial_state,
                           partition_agent_groups, resolve_overpaid_paths)
 from .model import (Allocation, Instance, MarketState, MarketView, bits,
-                    build_market_state, hat_earning_units)
+                    build_market_state, relabel_agents)
 from .trace import TraceEvent
 
 
 @dataclass(frozen=True)
 class SolverState:
     """Loop state: current market, which agents are still unraised, the fixed
-    group structure, and the entry bundles (consulted by the rotation branch).
-    entry is the market before the first round.
+    group structure, and the entry bundle masks (consulted by the rotation
+    branch).  entry is the market before the first round.
     """
     market: MarketState
     unraised: frozenset[int]
     groups: AgentGroups
-    initial_bundles: tuple[frozenset[int], ...]
+    initial_bundles: tuple[int, ...]
     round_count: int
     trace: tuple[TraceEvent, ...] = ()
     entry: MarketState | None = None
@@ -49,10 +49,10 @@ class SolverState:
         n = market.instance.n
         ident = tuple(range(n))
         groups = AgentGroups((frozenset(ident),), (0,), ident, ident)
-        bundles = tuple(map(frozenset, market.allocation.bundles(n)))
         if unraised is None:
             unraised = frozenset(ident)
-        return SolverState(market, unraised, groups, bundles, 0, entry=market)
+        return SolverState(market, unraised, groups, market.bundles, 0,
+                           entry=market)
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ def _least_earner(earn) -> int:
 
 def select_big_earner(market: MarketState) -> int:
     """Agent maximizing earning-after-dropping-one-chore, ties to smaller index."""
-    hats = [hat_earning_units(market, i) for i in range(market.instance.n)]
-    return _big_earner(hats, market.earn_units)
+    return _big_earner(market.hats(market.earn_units), market.earn_units)
 
 
 def select_least_earner(market: MarketState) -> int:
@@ -107,8 +106,7 @@ class _Rounds:
         self.start = state
         self.view = MarketView(state.market)
         self.unraised = state.unraised
-        self.initial = [sum(1 << e for e in items)
-                        for items in state.initial_bundles]
+        self.initial = state.initial_bundles
         self.round_count = state.round_count
         self.events: list[TraceEvent] = []
         # groups of two or more agents, as ascending member lists
@@ -277,14 +275,11 @@ def pef1_round(state: SolverState) -> SolverState | None:
 def _reindex(resolved: MarketState, groups: AgentGroups
              ) -> tuple[MarketState, AgentGroups]:
     """Relabel agents so groups occupy contiguous ascending index ranges."""
-    inst = resolved.instance
-    perm = groups.new_to_old
     inv = groups.old_to_new
-    new_inst = Instance(inst.n, inst.m, inst.k,
-                        tuple(inst.high[old] for old in perm))
+    new_inst = relabel_agents(resolved.instance, groups.new_to_old)
     new_owner = tuple(inv[o] for o in resolved.allocation.owner)
     new_market = build_market_state(new_inst, Allocation(new_owner),
-                                    resolved.payments)
+                                    resolved.high)
     start = 0
     new_groups = []
     new_reps = []
@@ -313,9 +308,7 @@ def run_pef1(instance: Instance, *, state_sink: list | None = None) -> SolverSta
         market=market,
         unraised=frozenset(range(instance.n)),
         groups=groups,
-        initial_bundles=tuple(
-            frozenset(b) for b in market.allocation.bundles(instance.n)),
-        round_count=0, entry=market)
+        initial_bundles=market.bundles, round_count=0, entry=market)
     if state_sink is not None:
         state_sink.append(market)
     rounds = _Rounds(state)

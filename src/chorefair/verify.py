@@ -70,44 +70,36 @@ _OK = FairnessVerdict(holds=True, witness=None)
 
 def check_equilibrium(state: MarketState) -> FairnessVerdict:
     """Every agent's bundle must sit inside its minimal pain-per-buck set."""
-    for i, bundle in enumerate(state.allocation.bundles(state.instance.n)):
-        mpb = state.mpb[i]
-        for e in bundle:
-            if e not in mpb:
-                lhs = Fraction(state.instance.cost_units[i][e], state.pay_units[e])
-                return FairnessVerdict(False, Witness(i, None, e, lhs, state.alpha[i]))
+    for i, bundle in enumerate(state.bundles):
+        stray = bundle & ~state.mpb(i)
+        if stray:
+            e = (stray & -stray).bit_length() - 1
+            k = state.instance.k
+            lhs = state.instance.cost(i, e) / (k if state.high >> e & 1 else 1)
+            alpha = 1 / k if state.raised(i) else Fraction(1)
+            return FairnessVerdict(False, Witness(i, None, e, lhs, alpha))
     return _OK
-
-
-def _max_pay_items(state: MarketState) -> list[int | None]:
-    """Per agent, the first chore of largest payment in its bundle."""
-    best_e: list[int | None] = [None] * state.instance.n
-    best_p = [-1] * state.instance.n
-    for e, o in enumerate(state.allocation.owner):
-        if state.pay_units[e] > best_p[o]:
-            best_e[o], best_p[o] = e, state.pay_units[e]
-    return best_e
 
 
 def check_pEF1(state: MarketState) -> FairnessVerdict:
     """Payment envy-freeness up to one chore.
 
     Holds iff for every pair i != j with X_i nonempty, dropping i's largest
-    payment leaves earning at most p(X_j).
+    payment leaves earning at most p(X_j).  Since hat(i) <= p(X_i), the pair
+    (i, i) never fails, so the first failing i is the first whose hat
+    exceeds the smallest earning.
     """
-    n = state.instance.n
     earn = state.earn_units
-    top = _max_pay_items(state)
-    hats = [earn[i] - (state.pay_units[e] if e is not None else 0)
-            for i, e in enumerate(top)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if hats[i] > earn[j]:
-                return FairnessVerdict(False, Witness(
-                    i, j, top[i],
-                    Fraction(hats[i], state.unit), Fraction(earn[j], state.unit)))
+    hats = state.hats(earn)
+    floor = min(earn)
+    for i, hat in enumerate(hats):
+        if hat > floor:
+            j = next(j for j, e in enumerate(earn) if hat > e)
+            # the first chore of largest payment in i's bundle
+            top = state.bundles[i] & state.high or state.bundles[i]
+            return FairnessVerdict(False, Witness(
+                i, j, (top & -top).bit_length() - 1,
+                Fraction(hat, state.pay_low), Fraction(earn[j], state.pay_low)))
     return _OK
 
 
@@ -118,9 +110,10 @@ def min_beta_pEFX(state: MarketState) -> BetaResult:
     some agent keeps positive payment after the removal while the compared
     bundle pays nothing.
     """
-    n = state.instance.n
-    residuals = [_pay_residual(state, bundle)
-                 for bundle in state.allocation.bundles(n)]
+    q, p = state.pay_low, state.pay_high
+    # less the cheapest payment: q when some chore of b pays 1
+    residuals = [earn - ((q if b & ~state.high else p) if b else 0)
+                 for b, earn in zip(state.bundles, state.earn_units)]
     return _min_beta(residuals, lambda i: state.earn_units)
 
 
@@ -173,9 +166,3 @@ def _min_beta(residuals: list[int], against) -> BetaResult:
         return BetaResult(Fraction(1), None)
     return BetaResult(Fraction(best_num, best_den), best_pair)
 
-
-def _pay_residual(state: MarketState, mine: tuple[int, ...]) -> int:
-    if not mine:
-        return 0
-    total = sum(state.pay_units[e] for e in mine)
-    return total - min(state.pay_units[e] for e in mine)

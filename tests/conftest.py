@@ -12,7 +12,6 @@ from chorefair import (
     GenParams,
     Instance,
     MarketState,
-    PaymentVector,
     build_market_state,
     gen_instance,
     normalize_instance,
@@ -66,10 +65,9 @@ def skewed_owned_instance(k, sizes, seed=None, sprinkle=Fraction(0)) -> Instance
 
 
 def market_from_parts(instance, owners, high_pay) -> MarketState:
-    flags = [e in high_pay for e in range(instance.m)]
-    return build_market_state(
-        instance, Allocation(tuple(owners)),
-        PaymentVector.from_high_flags(instance.k, flags))
+    """The market of an owner vector and a set of payment-k chores."""
+    return build_market_state(instance, Allocation(tuple(owners)),
+                              sum(1 << e for e in high_pay))
 
 
 # Forces the three-agent rotation: raise a0, feed the two small agents,

@@ -96,11 +96,9 @@ def test_mixed_holder_count_drops_by_one():
     result = approx_from_equilibrium(market)
 
     def mixed(state):
-        count = 0
-        for i in range(state.instance.n):
-            pays = {state.pay_units[e] for e in state.allocation.bundle(i)}
-            count += len(pays) == 2
-        return count
+        """Agents holding a chore of each payment."""
+        return sum(1 for b in state.bundles
+                   if b & state.high and b & ~state.high)
 
     assert mixed(market) == 3
     assert mixed(result.market) == 2

@@ -331,3 +331,24 @@ def test_malformed_reports_exit_2_without_a_traceback(paths, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("ParseError: ")
     assert "Traceback" not in err
+
+
+BAD_OPTIONS = {
+    "bench --n x": (["bench", "--n", "x"], "--n"),
+    "bench --high-prob 3/2": (["bench", "--high-prob", "3/2"], "--high-prob"),
+    "bench --seeds -1": (["bench", "--seeds", "-1"], "--seeds"),
+    "gen --k 1": (["gen", "--n", "2", "--m", "3", "--k", "1"], "--k"),
+    "gen --n 0": (["gen", "--n", "0", "--m", "3", "--k", "2"], "--n"),
+    "gen --seed -5": (["gen", "--n", "2", "--m", "3", "--k", "2",
+                       "--seed", "-5"], "--seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+def test_bad_gen_and_bench_options_exit_2_naming_the_option(paths, capsys,
+                                                            case):
+    argv, option = BAD_OPTIONS[case]
+    assert main(argv + ["--out", paths["csv"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ParseError: ")
+    assert option in err

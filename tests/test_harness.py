@@ -20,7 +20,7 @@ from chorefair import (
     parse_instance,
     parse_rational,
     parse_report,
-    replay_report,
+    replay_trace,
     report_fingerprint,
     report_text,
     run_pipeline,
@@ -194,7 +194,8 @@ def test_fingerprint_ignores_timings():
 
 def test_replay_report_reproduces_the_final_state():
     report = run_pipeline(rotation_instance())
-    owner, pay_high = replay_report(report)
+    owner, pay_high = replay_trace(report.entry_owner, report.entry_pay_high,
+                                   report.trace)
     assert owner == report.owner
     assert pay_high == report.pay_high
 

@@ -38,8 +38,8 @@ def test_initial_state_assigns_low_items_to_smallest_low_agent():
     assert state.allocation.owner[1] == 1
     # the all-high chore is paid k and goes to the min earner
     assert state.allocation.owner[2] == 0
-    assert state.pay_units == (1, 1, 2)
-    assert state.alpha == (Fraction(1), Fraction(1))
+    assert state.high == 0b100  # payments (1, 1, 2)
+    assert not state.raised(0) and not state.raised(1)  # ratios 1
 
 
 def test_single_hop_chain_moves_shared_low_chore():
@@ -195,6 +195,8 @@ def reference_groups(state):
     n = state.instance.n
     bundles = [frozenset(state.allocation.bundle(i)) for i in range(n)]
     hats = [hat_earning_units(state, i) for i in range(n)]
+    mpb = [frozenset(e for e in range(state.instance.m)
+                     if state.mpb(x) >> e & 1) for x in range(n)]
     ungrouped = set(range(n))
     groups, reps = [], []
     while ungrouped:
@@ -203,7 +205,7 @@ def reference_groups(state):
         while queue:
             y = queue.popleft()
             for x in ungrouped - members:
-                if bundles[y] & state.mpb[x]:
+                if bundles[y] & mpb[x]:
                     members.add(x)
                     queue.append(x)
         groups.append(frozenset(members))

@@ -10,7 +10,6 @@ from chorefair import (
     AlreadyUniform,
     Instance,
     NotBiValued,
-    PaymentVector,
     RawInstance,
     ZeroCost,
     as_rational,
@@ -23,6 +22,7 @@ from chorefair import (
     normalize_instance,
     raw_instance,
 )
+from chorefair.model import relabel_agents
 
 from conftest import instances, owned_instance
 
@@ -149,11 +149,6 @@ def test_instance_rejects_k_at_most_one():
         Instance(1, 1, Fraction(1), ((False,),))
 
 
-def test_payment_vector_from_flags():
-    pay = PaymentVector.from_high_flags(Fraction(3), [False, True, False])
-    assert pay.payments == (Fraction(1), Fraction(3), Fraction(1))
-
-
 def test_allocation_bundles_partition_items():
     alloc = Allocation((1, 0, 1, 1))
     assert alloc.bundle(0) == (1,)
@@ -163,8 +158,21 @@ def test_allocation_bundles_partition_items():
 
 def _two_agent_state():
     inst = owned_instance(2, [0, 0, 1])
-    pay = PaymentVector.from_high_flags(inst.k, [False, True, False])
-    return build_market_state(inst, Allocation((0, 0, 1)), pay)
+    return build_market_state(inst, Allocation((0, 0, 1)), 0b010)
+
+
+@pytest.mark.parametrize("owner, high, message", [
+    ((0, 0), 0, "allocation length"),
+    ((0, 0, 2), 0, "owner out of range"),
+    ((0, 0, -1), 0, "owner out of range"),
+    ((0, 0, 1), 0b1000, "bit at or above m=3"),
+    ((0, 0, 1), -1, "bit at or above m=3"),
+])
+def test_build_market_state_rejects_bad_owners_and_masks(owner, high,
+                                                          message):
+    inst = owned_instance(2, [0, 0, 1])
+    with pytest.raises(ValueError, match=message):
+        build_market_state(inst, Allocation(owner), high)
 
 
 def test_earning_views_agree_with_manual_sums():
@@ -181,30 +189,30 @@ def test_earning_views_agree_with_manual_sums():
 def test_alpha_and_mpb_reflect_cost_payment_ratios():
     state = _two_agent_state()
     # agent 0: item 0 ratio 1, item 1 ratio 1/2, item 2 ratio 2
-    assert state.alpha[0] == Fraction(1, 2)
-    assert state.mpb[0] == frozenset({1})
+    assert state.raised(0)  # alpha = 1/k = 1/2
+    assert state.mpb(0) == 0b010
     # agent 1: item 0 ratio 2, item 1 ratio 1, item 2 ratio 1
-    assert state.alpha[1] == Fraction(1)
-    assert state.mpb[1] == frozenset({1, 2})
+    assert not state.raised(1)  # alpha = 1
+    assert state.mpb(1) == 0b110
 
 
 @given(instances(max_n=4, max_m=6))
 def test_earnings_sum_to_total_payment(inst):
     owner = [e % inst.n for e in range(inst.m)]
-    pay = PaymentVector.from_high_flags(
-        inst.k, [e % 2 == 0 for e in range(inst.m)])
-    state = build_market_state(inst, Allocation(tuple(owner)), pay)
+    pay = [inst.k if e % 2 == 0 else 1 for e in range(inst.m)]
+    state = build_market_state(inst, Allocation(tuple(owner)),
+                               sum(1 << e for e in range(0, inst.m, 2)))
     total = sum(earning(state, i) for i in range(inst.n))
-    assert total == sum(pay.payments)
+    assert total == sum(pay)
 
 
 @given(instances(max_n=4, max_m=6))
 def test_hat_earning_drops_largest_payment(inst):
     owner = [0] * inst.m
-    pay = PaymentVector.from_high_flags(
-        inst.k, [e % 3 == 0 for e in range(inst.m)])
-    state = build_market_state(inst, Allocation(tuple(owner)), pay)
-    biggest = max(pay.payments)
+    pay = [inst.k if e % 3 == 0 else 1 for e in range(inst.m)]
+    state = build_market_state(inst, Allocation(tuple(owner)),
+                               sum(1 << e for e in range(0, inst.m, 3)))
+    biggest = max(pay)
     assert earning(state, 0) - hat_earning(state, 0) == biggest
 
 
@@ -214,10 +222,26 @@ def test_market_state_matches_the_ratio_definition(inst, data):
                                      min_size=inst.m, max_size=inst.m)))
     flags = data.draw(st.lists(st.booleans(), min_size=inst.m,
                                max_size=inst.m))
-    pay = PaymentVector.from_high_flags(inst.k, flags)
-    state = build_market_state(inst, Allocation(owner), pay)
+    pay = [inst.k if f else Fraction(1) for f in flags]
+    state = build_market_state(inst, Allocation(owner),
+                               sum(1 << e for e, f in enumerate(flags) if f))
     for i in range(inst.n):
-        ratios = [inst.cost(i, e) / pay.payments[e] for e in range(inst.m)]
-        assert state.alpha[i] == min(ratios)
-        assert state.mpb[i] == frozenset(
-            e for e, r in enumerate(ratios) if r == min(ratios))
+        ratios = [inst.cost(i, e) / pay[e] for e in range(inst.m)]
+        assert (1 / inst.k if state.raised(i) else 1) == min(ratios)
+        assert state.mpb(i) == sum(
+            1 << e for e, r in enumerate(ratios) if r == min(ratios))
+        mine = [pay[e] for e in range(inst.m) if owner[e] == i]
+        assert earning(state, i) == sum(mine, Fraction(0))
+        assert hat_earning(state, i) == \
+            sum(mine, Fraction(0)) - max(mine, default=Fraction(0))
+
+
+@given(instances(max_n=5, max_m=8), st.randoms(use_true_random=False))
+def test_relabel_agents_permutes_rows_and_cost_1_masks(inst, rng):
+    new_to_old = list(range(inst.n))
+    rng.shuffle(new_to_old)
+    fresh = Instance(inst.n, inst.m, inst.k,
+                     tuple(inst.high[old] for old in new_to_old))
+    relabeled = relabel_agents(inst, new_to_old)
+    assert relabeled == fresh
+    assert relabeled.low_masks == fresh.low_masks

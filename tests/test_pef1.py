@@ -12,7 +12,6 @@ from chorefair import (
     InternalInvariant,
     Instance,
     MPBViolation,
-    PaymentVector,
     SolverState,
     build_market_state,
     check_equilibrium,
@@ -34,18 +33,14 @@ from conftest import (generated_instances, owned_instance, rotation_instance,
 def test_selectors_break_ties_toward_smaller_index():
     # two agents with equal earnings and equal hats
     inst = owned_instance(2, [0, 0, 1, 1])
-    state = build_market_state(
-        inst, Allocation((0, 0, 1, 1)),
-        PaymentVector.from_high_flags(inst.k, [False] * 4))
+    state = build_market_state(inst, Allocation((0, 0, 1, 1)), 0)
     assert select_big_earner(state) == 0
     assert select_least_earner(state) == 0
 
 
 def test_select_big_earner_rejects_all_empty():
     inst = Instance(2, 1, Fraction(2), ((False,), (False,)))
-    state = build_market_state(
-        inst, Allocation((0,)),
-        PaymentVector.from_high_flags(inst.k, [False]))
+    state = build_market_state(inst, Allocation((0,)), 0)
     # someone earns, so fine
     assert select_big_earner(state) == 0
     empty = SolverState.from_market(state)
@@ -88,7 +83,7 @@ def test_rotation_routes_through_the_entry_bundle_holder(rotation):
     assert (b, mid, l) == (1, 2, 0)
     assert ev.items == (9, 0)
     e1, e2 = ev.items
-    assert state.initial_bundles[l].issuperset({e2})
+    assert state.initial_bundles[l] >> e2 & 1
     assert ev.earn_before is not None and ev.earn_after is not None
 
 
@@ -97,11 +92,10 @@ def test_raise_multiplies_group_payments(rotation):
     run_pef1(rotation, state_sink=sink)
     entry = sink[0]
     raised_round = sink[1]  # first round raises a0's group
-    p0_entry = [entry.pay_units[e] for e in entry.allocation.bundle(0)]
-    bundle0 = raised_round.allocation.bundle(0)
+    assert rotation.k == 2
     # one chore moved away the same round; the rest doubled
-    assert all(raised_round.pay_units[e] == 2 for e in bundle0)
-    assert all(p == 1 for p in p0_entry)
+    assert not raised_round.bundles[0] & ~raised_round.high  # all pay 2
+    assert not entry.bundles[0] & entry.high  # all paid 1
 
 
 def test_trace_replays_to_the_final_state(rotation):
@@ -110,12 +104,11 @@ def test_trace_replays_to_the_final_state(rotation):
     entry = sink[0]
     owner, pay_high = replay_trace(
         entry.allocation.owner,
-        tuple(entry.pay_units[e] != entry.unit for e in range(rotation.m)),
+        tuple(bool(entry.high >> e & 1) for e in range(rotation.m)),
         state.trace)
     assert owner == state.market.allocation.owner
     assert pay_high == tuple(
-        state.market.pay_units[e] != state.market.unit
-        for e in range(rotation.m))
+        bool(state.market.high >> e & 1) for e in range(rotation.m))
 
 
 def test_least_earning_never_drops_along_the_trace(rotation):
@@ -189,7 +182,7 @@ def test_sink_markets_match_a_fresh_build(inst):
     assert sink[-1] == state.market
     for market in sink:
         assert market == build_market_state(
-            market.instance, market.allocation, market.payments)
+            market.instance, market.allocation, market.high)
 
 
 @pytest.mark.parametrize("seed", [8, 15])

@@ -9,9 +9,7 @@ from chorefair import (
     UNBOUNDED,
     Allocation,
     FairnessVerdict,
-    PaymentVector,
     beta_le,
-    build_market_state,
     check_EF1,
     check_equilibrium,
     check_pEF1,
@@ -215,3 +213,84 @@ def test_envy_kernel_matches_the_oracle_reference(case):
     market = _state(inst, owner)
     assert (efx_violation(market) is None) == _exact_efx(inst, owner)
     assert check_EF1(inst, Allocation(owner)) == naive_ef1(inst, owner)
+
+
+def _pay(inst, high_pay, e):
+    return inst.k if e in high_pay else Fraction(1)
+
+
+def naive_equilibrium(inst, owner, high_pay):
+    """check_equilibrium by a per-chore scan: the first agent holding a chore
+    whose cost-to-payment ratio exceeds the agent's least ratio alpha_i."""
+    for i in range(inst.n):
+        ratios = [inst.cost(i, e) / _pay(inst, high_pay, e)
+                  for e in range(inst.m)]
+        alpha = min(ratios)
+        for e in range(inst.m):
+            if owner[e] == i and ratios[e] != alpha:
+                return FairnessVerdict(False, Witness(i, None, e, ratios[e], alpha))
+    return FairnessVerdict(True, None)
+
+
+def _bundle_pays(inst, owner, high_pay):
+    return [[(_pay(inst, high_pay, e), e) for e in range(inst.m) if owner[e] == i]
+            for i in range(inst.n)]
+
+
+def naive_pef1(inst, owner, high_pay):
+    """check_pEF1 by a per-chore scan, dropping the first chore of largest
+    payment from i's bundle."""
+    pays = _bundle_pays(inst, owner, high_pay)
+    earn = [sum((p for p, _ in b), Fraction(0)) for b in pays]
+    for i, j in product(range(inst.n), repeat=2):
+        if i == j or not pays[i]:
+            continue
+        top = max(p for p, _ in pays[i])
+        if earn[i] - top > earn[j]:
+            drop = next(e for p, e in pays[i] if p == top)
+            return FairnessVerdict(False, Witness(i, j, drop, earn[i] - top, earn[j]))
+    return FairnessVerdict(True, None)
+
+
+def naive_beta_pefx(inst, owner, high_pay):
+    """min_beta_pEFX by a per-chore scan: the first pair of largest ratio of
+    p(X_i) less its cheapest payment to p(X_j), clamped to 1."""
+    pays = _bundle_pays(inst, owner, high_pay)
+    earn = [sum((p for p, _ in b), Fraction(0)) for b in pays]
+    best, pair = None, None
+    for i, j in product(range(inst.n), repeat=2):
+        if i == j or not pays[i]:
+            continue
+        residual = earn[i] - min(p for p, _ in pays[i])
+        if residual == 0:
+            continue
+        if earn[j] == 0:
+            return UNBOUNDED, (i, j)
+        if best is None or residual / earn[j] > best:
+            best, pair = residual / earn[j], (i, j)
+    if best is None or best < 1:
+        return Fraction(1), None
+    return best, pair
+
+
+@st.composite
+def paid_markets(draw):
+    """An instance with an owner vector and a set of payment-k chores."""
+    inst, owner = draw(owned_instances())
+    high_pay = frozenset(e for e in range(inst.m) if draw(st.booleans()))
+    return inst, owner, high_pay
+
+
+@given(paid_markets())
+@example((owned_instance(3, [0, 1, 2, 0]), (0, 0, 0, 0), frozenset({1})))
+@example((owned_instance(3, [0, 1, 2, 0]), (1, 1, 0, 1), frozenset({0, 3})))
+@example((owned_instance(2, [0, 1, 2]), (2, 0, 1), frozenset()))
+@example((owned_instance(2, [0, 1, 2]), (0, 1, 2), frozenset({0, 1, 2})))
+def test_payment_verifiers_match_a_per_chore_reference(case):
+    inst, owner, high_pay = case
+    market = _state(inst, owner, high_pay)
+    assert check_equilibrium(market) == naive_equilibrium(inst, owner, high_pay)
+    assert check_pEF1(market) == naive_pef1(inst, owner, high_pay)
+    result = min_beta_pEFX(market)
+    assert (result.value, result.binding_pair) == \
+        naive_beta_pefx(inst, owner, high_pay)
