@@ -18,8 +18,7 @@ from .harness import (BENCH_COLUMNS, MODE_STAGES, MODES, VERDICT_KEYS,
                       equilibrium_from_parts, gen_instance, instance_digest,
                       instance_text, load_instance, load_report, parse_int,
                       parse_rational, report_fingerprint, report_text,
-                      resolve_mode, run_pipeline, save_report,
-                      verdicts_succeed)
+                      resolve_mode, run_pipeline, verdicts_succeed)
 from .model import Instance, RawInstance, normalize_instance, relabel_agents
 from .oracle import DEFAULT_BUDGET, best_efx_beta_over_po, exists_efx_po
 from .trace import replay_trace
@@ -66,7 +65,8 @@ def _cmd_solve(args) -> int:
     report = run_pipeline(inst, args.mode, oracle_budget=args.oracle_budget)
     text = report_text(report)
     if args.out:
-        save_report(args.out, report)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         if args.trace:
             sys.stdout.write(text)
     else:

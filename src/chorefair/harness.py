@@ -36,6 +36,7 @@ INSTANCE_FORMAT = "chorefair-instance/1"
 REPORT_FORMAT = "chorefair-report/1"
 
 _MASK = (1 << 64) - 1
+_BITS = {"0": False, "1": True}  # a checked 0/1 string's flags, by map
 
 
 class SplitMix64:
@@ -119,6 +120,17 @@ def parse_rational(token: str, where: str = "value") -> Fraction:
     return Fraction(num, den)
 
 
+def _parse_rationals(tokens: list[str], where: str,
+                     known: dict[str, Fraction]) -> tuple[Fraction, ...]:
+    """parse_rational of every token.  Spellings not yet in known are
+    parsed once each, in first-seen order, so an error names the first bad
+    token; known keeps them for the later lines of the same file."""
+    for t in dict.fromkeys(tokens):
+        if t not in known:
+            known[t] = parse_rational(t, where)
+    return tuple(map(known.__getitem__, tokens))
+
+
 def _fields(text: str) -> list[tuple[int, str, str]]:
     """(line number, key, value) triples; '#' starts a comment line."""
     out = []
@@ -145,8 +157,9 @@ def instance_text(instance: RawInstance | Instance) -> str:
         lines.append(f"n: {instance.n}")
         lines.append(f"m: {instance.m}")
         lines.append(f"k: {_fmt_rational(instance.k)}")
-        for row in instance.high:
-            lines.append("row: " + "".join("1" if h else "0" for h in row))
+        full, width = (1 << instance.m) - 1, f"0{instance.m}b"
+        for low in instance.low_masks:
+            lines.append("row: " + format(~low & full, width)[::-1])
     else:
         lines.append("kind: raw")
         lines.append(f"n: {instance.n}")
@@ -162,6 +175,12 @@ def load_instance(path: str) -> RawInstance | Instance:
 
 
 def parse_instance(text: str) -> RawInstance | Instance:
+    """The raw or normalized instance of an instance file's text.
+
+    A raw file's tokens are parsed once per distinct spelling, so a row of
+    m entries over a few values builds a few Fractions; a ParseError names
+    the first bad token in row order.
+    """
     fields = _fields(text)
     if not fields or fields[0][1] != "format" or \
             fields[0][2] != INSTANCE_FORMAT:
@@ -199,22 +218,21 @@ def parse_instance(text: str) -> RawInstance | Instance:
             raise ParseError(f"line {head_line['k']}: k must exceed 1")
         high = []
         for lineno, value in rows:
-            if len(value) != m or any(ch not in "01" for ch in value):
+            if len(value) != m or value.strip("01"):
                 raise ParseError(f"line {lineno}: row must be {m} of 0/1")
             if "0" not in value:
                 raise ParseError(
                     f"line {lineno}: row has no cost-1 chore (a 0 entry)")
-            high.append(tuple(ch == "1" for ch in value))
+            high.append(tuple(map(_BITS.__getitem__, value)))
         return Instance(n, m, k, tuple(high))
     if head["kind"] == "raw":
-        costs = []
+        costs, known = [], {}
         for lineno, value in rows:
             tokens = value.split()
             if len(tokens) != m:
                 raise ParseError(
                     f"line {lineno}: expected {m} entries, found {len(tokens)}")
-            costs.append(tuple(
-                parse_rational(t, f"line {lineno}") for t in tokens))
+            costs.append(_parse_rationals(tokens, f"line {lineno}", known))
         return RawInstance(n, m, tuple(costs))
     raise ParseError(f"unknown kind {head['kind']!r}")
 
@@ -456,6 +474,15 @@ def parse_int(token: str, where: str) -> int:
         raise ParseError(f"{where}: not an integer: {token!r}") from None
 
 
+def _parse_ints(tokens: list[str], where: str) -> tuple[int, ...]:
+    """parse_int of every token, converted at C speed; on a bad token the
+    per-token pass names the first one."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        return tuple(parse_int(t, where) for t in tokens)
+
+
 def _parse_choice(token: str, choices: tuple[str, str], where: str) -> bool:
     """True for the first choice, False for the second."""
     if token not in choices:
@@ -464,34 +491,32 @@ def _parse_choice(token: str, choices: tuple[str, str], where: str) -> bool:
     return token == choices[0]
 
 
-def _parse_event(lineno: int, body: str) -> TraceEvent:
+def _parse_event(lineno: int, body: str,
+                 known: dict[str, Fraction]) -> TraceEvent:
     kv = {}
     for token in body.split():
         if "=" not in token:
             raise ParseError(f"line {lineno}: bad event token {token!r}")
         key, value = token.split("=", 1)
         kv[key] = value
+    where = f"line {lineno}"
 
-    def ints(key):
-        raw = kv.get(key, "")
-        return tuple(parse_int(t, f"line {lineno}") for t in raw.split(",")
-                     if t)
+    def tokens(key):
+        return list(filter(None, kv.get(key, "").split(",")))
 
-    def rationals(key):
-        raw = kv.get(key, "")
-        return tuple(parse_rational(t, f"line {lineno}")
-                     for t in raw.split(",") if t)
+    def rationals(spellings):
+        return _parse_rationals(spellings, where, known)
 
     try:
         least = kv.get("least")
         return TraceEvent(
             stage=kv["stage"], kind=kv["kind"],
-            round=parse_int(kv["round"], f"line {lineno}"),
-            agents=ints("agents"), items=ints("items"),
-            earn_before=rationals("earn_before"),
-            earn_after=rationals("earn_after"),
-            least_earning=None if least is None
-            else parse_rational(least, f"line {lineno}"))
+            round=parse_int(kv["round"], where),
+            agents=_parse_ints(tokens("agents"), where),
+            items=_parse_ints(tokens("items"), where),
+            earn_before=rationals(tokens("earn_before")),
+            earn_after=rationals(tokens("earn_after")),
+            least_earning=None if least is None else rationals([least])[0])
     except KeyError as missing:
         raise ParseError(f"line {lineno}: event missing {missing}") from None
 
@@ -511,6 +536,7 @@ def parse_report(text: str) -> RunReport:
     verdict_raw: dict[str, str] = {}
     timings: dict[str, float] = {}
     stage_open: tuple[str, int] | None = None
+    known: dict[str, Fraction] = {}  # the events' rationals, by spelling
 
     def close_stage():
         nonlocal stage_open, events
@@ -530,7 +556,7 @@ def parse_report(text: str) -> RunReport:
         elif key == "event":
             if stage_open is None:
                 raise ParseError(f"line {lineno}: event outside a stage")
-            events.append(_parse_event(lineno, value))
+            events.append(_parse_event(lineno, value, known))
         elif key.startswith("verdict "):
             verdict_raw[key[len("verdict "):]] = value
         elif key.startswith("timing "):
@@ -565,14 +591,14 @@ def parse_report(text: str) -> RunReport:
     n = parse_int(want("n"), "field n")
     vectors = {}  # one entry per chore in each; verify compares with m
     for key in ("entry-owner", "owner"):
-        vectors[key] = tuple(parse_int(t, f"field {key}")
-                             for t in head.get(key, "").split())
-        if any(not 0 <= o < n for o in vectors[key]):
+        owners = vectors[key] = _parse_ints(head.get(key, "").split(),
+                                            f"field {key}")
+        if owners and not 0 <= min(owners) <= max(owners) < n:
             raise ParseError(f"field {key}: an agent index is not below {n}")
     for key in ("entry-pay-high", "pay-high"):
-        if set(head.get(key, "")) - set("01"):
+        if head.get(key, "").strip("01"):
             raise ParseError(f"field {key}: expected characters 0/1")
-        vectors[key] = tuple(ch == "1" for ch in head.get(key, ""))
+        vectors[key] = tuple(map(_BITS.__getitem__, head.get(key, "")))
     if len({len(v) for v in vectors.values()}) > 1:
         raise ParseError("fields entry-owner, entry-pay-high, owner and "
                          "pay-high differ in length")
@@ -581,8 +607,8 @@ def parse_report(text: str) -> RunReport:
         requested_mode=want("requested-mode"),
         n=n, m=parse_int(want("m"), "field m"),
         k=parse_rational(want("k"), "field k"),
-        new_to_old=tuple(parse_int(t, "field new-to-old")
-                         for t in head.get("new-to-old", "").split()),
+        new_to_old=_parse_ints(head.get("new-to-old", "").split(),
+                               "field new-to-old"),
         entry_owner=vectors["entry-owner"],
         entry_pay_high=vectors["entry-pay-high"], owner=vectors["owner"],
         pay_high=vectors["pay-high"], stages=tuple(stages), verdicts=verdicts,

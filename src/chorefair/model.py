@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, repeat
+from operator import is_, is_not
 from typing import Sequence
 
 from .errors import (AlreadyUniform, InternalInvariant, MPBViolation,
@@ -104,6 +105,18 @@ class Instance:
                      for row in self.high)
 
 
+def _distinct_objects(row: tuple) -> list:
+    """The distinct objects of row, in first-seen order.  Parsed and
+    generated rows share one object per value, so this is one C-speed
+    identity pass per value.  Three objects already show a row that is not
+    bi-valued; any further objects are found by one dict on their ids."""
+    out = []
+    while row and len(out) < 3:
+        out.append(row[0])
+        row = tuple(compress(row, map(is_not, row, repeat(row[0]))))
+    return out + list(dict(zip(map(id, row), row)).values())
+
+
 def normalize_instance(raw: RawInstance) -> Instance:
     """Rescale each agent's row by its own minimum and classify entries.
 
@@ -115,31 +128,30 @@ def normalize_instance(raw: RawInstance) -> Instance:
     ratio = None
     high = []
     for i, row in enumerate(raw.costs):
-        # Fractions are canonical (and ints expose the same two fields), so
-        # equal values are equal (numerator, denominator) pairs
-        pairs = [(c.numerator, c.denominator) for c in row]
-        values = set(pairs)
-        if min(values)[0] <= 0:
-            bad = next(c for c in row if c <= 0)
+        objects = _distinct_objects(row)
+        values = list(dict.fromkeys(objects))  # first object of each value
+        bad = next((c for c in values if c <= 0), None)
+        if bad is not None:
             raise ZeroCost(f"cost {bad} is not strictly positive")
         if len(values) > 2:
-            low = min(row)
-            scaled = sorted({c / low for c in row})
+            low = min(values)
+            scaled = sorted({c / low for c in values})
             raise NotBiValued(
                 f"agent {i} has {len(scaled)} distinct scaled costs: {scaled}")
         if len(values) == 1:
             high.append((False,) * len(row))
             continue
-        low, top = values
-        if low[0] * top[1] > top[0] * low[1]:  # order by cross-multiplying
-            low, top = top, low
-        row_ratio = Fraction(top[0] * low[1], top[1] * low[0])
+        low, top = sorted(values)
+        row_ratio = Fraction(top) / low
         if ratio is None:
             ratio = row_ratio
         elif row_ratio != ratio:
             raise NotBiValued(
                 f"rows disagree on the cost ratio: {ratio} vs {row_ratio}")
-        high.append(tuple(pair == top for pair in pairs))
+        if sum(c == top for c in objects) == 1:  # top is its only object
+            high.append(tuple(map(is_, row, repeat(top))))
+        else:
+            high.append(tuple(c == top for c in row))
     if ratio is None:
         raise AlreadyUniform("every row is uniform; ratio k would be 1")
     return Instance(n=raw.n, m=raw.m, k=ratio, high=tuple(high))

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorefair import (
+    AlreadyUniform,
+    ChorefairError,
     GenParams,
+    Instance,
+    NotBiValued,
     ParseError,
     SplitMix64,
     bench,
@@ -26,7 +30,9 @@ from chorefair import (
     run_pipeline,
     save_instance,
     save_report,
+    ZeroCost,
 )
+from chorefair.model import relabel_agents
 
 from conftest import rotation_instance
 
@@ -223,3 +229,165 @@ def test_bench_emits_one_row_per_cell_plus_aggregates():
     # aggregate carries the worst beta-efx seen for its k
     for row in aggregates:
         assert row.split(",")[9] != ""
+
+
+# ------------------------------------------- parse contract, token by token
+
+def reference_rational(token, where):
+    """The parse rules restated: one Fraction per token, no sharing."""
+    num_s, _, den_s = token.partition("/") if "/" in token \
+        else (token, "", "1")
+    try:
+        num, den = int(num_s), int(den_s)
+    except ValueError:
+        raise ParseError(f"{where}: not a rational: {token!r}") from None
+    if den == 0:
+        raise ParseError(f"{where}: zero denominator in {token!r}")
+    return Fraction(num, den)
+
+
+def reference_normalize(rows):
+    """Per-entry classification by (numerator, denominator) pairs."""
+    ratio, high = None, []
+    for i, row in enumerate(rows):
+        pairs = [(c.numerator, c.denominator) for c in row]
+        values = set(pairs)
+        if min(values)[0] <= 0:
+            bad = next(c for c in row if c <= 0)
+            raise ZeroCost(f"cost {bad} is not strictly positive")
+        if len(values) > 2:
+            scaled = sorted({c / min(row) for c in row})
+            raise NotBiValued(
+                f"agent {i} has {len(scaled)} distinct scaled costs: {scaled}")
+        if len(values) == 1:
+            high.append((False,) * len(row))
+            continue
+        low, top = sorted(values, key=lambda p: Fraction(*p))
+        row_ratio = Fraction(*top) / Fraction(*low)
+        if ratio is None:
+            ratio = row_ratio
+        elif row_ratio != ratio:
+            raise NotBiValued(
+                f"rows disagree on the cost ratio: {ratio} vs {row_ratio}")
+        high.append(tuple(p == top for p in pairs))
+    if ratio is None:
+        raise AlreadyUniform("every row is uniform; ratio k would be 1")
+    return Instance(len(rows), len(rows[0]), ratio, tuple(high))
+
+
+def outcome(fn, *args):
+    """fn's result, or the class and message of the error it raised."""
+    try:
+        return fn(*args)
+    except ChorefairError as err:
+        return type(err), str(err)
+
+
+# equal values under several spellings, then nonpositive, malformed and
+# zero-denominator tokens; a row draws a few of these and repeats them
+GOOD_TOKENS = ("1", "1/1", "2/2", "2", "4/2", "2/1", "3", "3/1", "6/2",
+               "1/2", "2/4", "3/2", "6/4")
+BAD_TOKENS = ("0", "0/5", "-1", "1/-2", "abc", "1/", "/2", "1//2", "3/0",
+              "0/0")
+# weighted four to one toward the good tokens, so that most rows parse
+TOKENS = st.sampled_from(GOOD_TOKENS * 4 + BAD_TOKENS)
+
+
+@st.composite
+def raw_texts(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    rows = []
+    for _ in range(n):
+        palette = draw(st.lists(TOKENS, min_size=1, max_size=4))
+        rows.append(draw(st.lists(st.sampled_from(palette), min_size=m,
+                                  max_size=m)))
+    return rows
+
+
+@given(raw_texts())
+@settings(max_examples=300)
+def test_parse_then_normalize_matches_the_per_token_reference(rows):
+    text = "\n".join(["format: chorefair-instance/1", "kind: raw",
+                      f"n: {len(rows)}", f"m: {len(rows[0])}"]
+                     + ["row: " + " ".join(row) for row in rows]) + "\n"
+
+    def reference():
+        # row lines start at line 5, after the four head lines
+        return tuple(tuple(reference_rational(t, f"line {5 + i}")
+                           for t in row) for i, row in enumerate(rows))
+
+    parsed, expected = outcome(parse_instance, text), outcome(reference)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert parsed == expected
+        return
+    assert parsed.costs == expected
+    assert outcome(normalize_instance, parsed) == \
+        outcome(reference_normalize, expected)
+
+
+EARNINGS = ("3", "3/1", "6/2", "5/2", "10/4", "0", "-1/2", "x", "2/0", "1/")
+EARNING_FIELDS = st.tuples(st.lists(st.sampled_from(EARNINGS), max_size=6),
+                           st.lists(st.sampled_from(EARNINGS), max_size=6),
+                           st.none() | st.sampled_from(EARNINGS))
+
+
+@given(st.lists(EARNING_FIELDS, min_size=1, max_size=3))
+@settings(max_examples=200)
+def test_event_earnings_match_the_per_token_reference(events):
+    # the events share one stage, so a spelling recurs across lines
+    lines = report_text(run_pipeline(rotation_instance())).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("stage:"))
+    for e, (before, after, least) in enumerate(events):
+        event = (f"event: stage=pef1 round={e + 1} kind=raise agents=0 "
+                 f"items= earn_before={','.join(before)} "
+                 f"earn_after={','.join(after)}")
+        if least is not None:
+            event += f" least={least}"
+        lines.insert(at + 1 + e, event)
+
+    def reference():
+        out = []
+        for e, (before, after, least) in enumerate(events):
+            where = f"line {at + 2 + e}"
+            out.append((
+                tuple(reference_rational(t, where) for t in before),
+                tuple(reference_rational(t, where) for t in after),
+                None if least is None else reference_rational(least, where)))
+        return out
+
+    expected = outcome(reference)
+    parsed = outcome(parse_report, "\n".join(lines) + "\n")
+    if isinstance(expected[0], type):
+        assert parsed == expected
+        return
+    got = parsed.stages[0].events[:len(events)]
+    assert [(ev.earn_before, ev.earn_after, ev.least_earning)
+            for ev in got] == expected
+
+
+def test_repeated_spellings_share_one_fraction_per_row():
+    text = ("format: chorefair-instance/1\nkind: raw\nn: 1\nm: 4\n"
+            "row: 3/6 2 1/2 2\n")
+    row = parse_instance(text).costs[0]
+    assert row == (Fraction(1, 2), 2, Fraction(1, 2), 2)
+    assert row[1] is row[3] and row[0] is not row[2]
+    assert normalize_instance(parse_instance(text)).high == \
+        ((False, True, False, True),)
+
+
+@given(st.integers(1, 4), st.integers(1, 70), st.data())
+@settings(max_examples=100)
+def test_instance_text_matches_the_per_cell_rendering(n, m, data):
+    high = [data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+            for _ in range(n)]
+    for row in high:
+        row[data.draw(st.integers(0, m - 1))] = False
+    inst = Instance(n, m, Fraction(5, 2), tuple(map(tuple, high)))
+    perm = data.draw(st.permutations(range(n)))
+    for case in (inst, relabel_agents(inst, perm)):
+        expected = "\n".join(
+            ["format: chorefair-instance/1", "kind: normalized", f"n: {n}",
+             f"m: {m}", "k: 5/2"]
+            + ["row: " + "".join("1" if h else "0" for h in row)
+               for row in case.high]) + "\n"
+        assert instance_text(case) == expected
