@@ -9,7 +9,6 @@ import argparse
 from fractions import Fraction
 
 from chorefair import (
-    Allocation,
     Instance,
     approx_from_equilibrium,
     build_market_state,
@@ -23,6 +22,7 @@ from chorefair import (
     report_fingerprint,
     strong_envy_target,
 )
+from chorefair.model import bits, bundle_masks
 
 
 def owned(k, owners, rows=None) -> Instance:
@@ -36,14 +36,14 @@ def owned(k, owners, rows=None) -> Instance:
 
 
 def market(inst, owners, high_pay):
-    return build_market_state(inst, Allocation(tuple(owners)),
+    return build_market_state(inst, bundle_masks(owners, inst.n),
                               sum(1 << e for e in high_pay))
 
 
 def show(state, label):
     print(f"  {label}:")
     for i in range(state.instance.n):
-        bundle = sorted(state.allocation.bundle(i))
+        bundle = list(bits(state.bundles[i]))
         pays = " ".join(str(state.pay_high if state.high >> e & 1
                             else state.pay_low) for e in bundle)
         print(f"    agent {i}: earns {earning_units(state, i):>3} units"
@@ -94,7 +94,7 @@ def demo_exchange():
     result = approx_from_equilibrium(before)
     narrate(result.trace)
     show(result.market, "after")
-    beta = min_beta_EFX(result.market.instance, result.market.allocation)
+    beta = min_beta_EFX(result.market)
     print(f"  envy factor after: {beta.value} (bound 2 - 1/k = 11/6)")
     print()
 
@@ -116,7 +116,7 @@ def demo_swap():
     result = k2_from_equilibrium(before, frozenset(range(5)))
     narrate(result.trace)
     show(result.market, "after")
-    beta = min_beta_EFX(result.market.instance, result.market.allocation)
+    beta = min_beta_EFX(result.market)
     print(f"  envy factor after: {beta.value} (exactly envy-free up to"
           " any item)")
     print()
@@ -131,7 +131,7 @@ def demo_move():
     result = k2_from_equilibrium(before, frozenset(range(5)))
     narrate(result.trace)
     show(result.market, "after")
-    beta = min_beta_EFX(result.market.instance, result.market.allocation)
+    beta = min_beta_EFX(result.market)
     print(f"  envy factor after: {beta.value}")
     print()
 

@@ -17,16 +17,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (IterationCapExceeded, LemmaViolation, MPBViolation,
+from .errors import (IterationCapExceeded, LemmaViolation,
                      PreconditionViolated)
 from .model import EnvyKernel, Instance, MarketState, MarketView, bits
 from .pef1 import SolverState, StageResult, run_pef1
 from .trace import TraceEvent
 
 
-def _strong_envy(instance: Instance, bundles, earn) -> tuple[int, int] | None:
-    p, q = instance.high_units, instance.unit
-    kernel = EnvyKernel(instance, bundles)
+def strong_envy_target(market: MarketState | MarketView
+                       ) -> tuple[int, int] | None:
+    """Smallest agent i failing the (2 - 1/k)-EFX test, paired with the
+    least-earning agent it fails against.  None when the test passes.
+    """
+    p, q = market.pay_high, market.pay_low
+    earn = market.earn_units
+    kernel = EnvyKernel(market.instance, market.bundles)
     for i, row in enumerate(kernel.cost):
         lhs = p * kernel.residual(i)
         targets = [j for j, c in enumerate(row)
@@ -36,22 +41,16 @@ def _strong_envy(instance: Instance, bundles, earn) -> tuple[int, int] | None:
     return None
 
 
-def strong_envy_target(market: MarketState) -> tuple[int, int] | None:
-    """Smallest agent i failing the (2 - 1/k)-EFX test, paired with the
-    least-earning agent it fails against.  None when the test passes.
-    """
-    return _strong_envy(market.instance, market.bundles, market.earn_units)
-
-
 def _mixed_holder_count(view: MarketView) -> int:
     return sum(1 for b in view.bundles if b & view.high and b & ~view.high)
 
 
-def entry_tier_units(view: MarketView, earn: list[int]) -> int:
+def entry_tier_units(view: MarketView) -> int:
     """Smallest earning among agents without a high-payment chore, validated
     against the band structure every strongly-envied entry state must have.
     """
     p, q = view.pay_high, view.pay_low
+    earn = view.earn_units
     high = [i for i, b in enumerate(view.bundles) if b & view.high]
     lows = [i for i, b in enumerate(view.bundles) if not b & view.high]
     if not lows:
@@ -71,11 +70,11 @@ def entry_tier_units(view: MarketView, earn: list[int]) -> int:
     return z
 
 
-def approx_round(view: MarketView, earn: list[int], z_units: int,
+def approx_round(view: MarketView, z_units: int,
                  round_no: int) -> TraceEvent | None:
     """One exchange on the view; None when the allocation is already
-    (2 - 1/k)-EFX.  earn holds the view's earnings and is updated."""
-    found = _strong_envy(view.instance, view.bundles, earn)
+    (2 - 1/k)-EFX.  The view's earn_units is updated."""
+    found = strong_envy_target(view)
     if found is None:
         return None
     i, j = found
@@ -97,30 +96,22 @@ def approx_round(view: MarketView, earn: list[int], z_units: int,
     view.move(e, i, j)
     for x in bits(bundle_j):
         view.move(x, j, i)
-    after = _assert_round(view, earn, z_units, i, j, mixed_before)
-    q = view.pay_low
+    after = _assert_round(view, z_units, i, j, mixed_before)
+    before, q = view.earn_units, view.pay_low
     event = TraceEvent(
         stage="approx_efx", round=round_no, kind="bundle_swap",
         agents=(i, j), items=(e, *bits(bundle_j)),
-        earn_before=(Fraction(earn[i], q), Fraction(earn[j], q)),
+        earn_before=(Fraction(before[i], q), Fraction(before[j], q)),
         earn_after=(Fraction(after[i], q), Fraction(after[j], q)))
-    earn[:] = after
+    view.earn_units = after
     return event
 
 
-def _assert_round(view: MarketView, before: list[int], z_units: int,
-                  i: int, j: int, mixed_before: int) -> list[int]:
+def _assert_round(view: MarketView, z_units: int, i: int, j: int,
+                  mixed_before: int) -> list[int]:
     """Check the exchange from the view's masks alone; return the earnings."""
     p, q = view.pay_high, view.pay_low
-    view.check_partition()
-    for a, bundle in enumerate(view.bundles):
-        if bundle & ~view.mpb(a):
-            raise MPBViolation(f"exchange broke the equilibrium at agent {a}")
-    earn = view.earnings()
-    for a in range(view.n):
-        if a not in (i, j) and earn[a] != before[a]:
-            raise LemmaViolation(
-                f"earning of uninvolved agent {a} changed during the exchange")
+    earn = view.check_round("exchange", (i, j))
     holds_high = [bool(b & view.high) for b in view.bundles]
     for a in range(view.n):
         lo, hi = (p, p + z_units) if holds_high[a] else (z_units, p + z_units)
@@ -145,14 +136,13 @@ def _assert_round(view: MarketView, before: list[int], z_units: int,
 
 def approx_from_equilibrium(market: MarketState,
                             pef1: SolverState | None = None) -> StageResult:
-    view = MarketView(market)
-    earn = view.earnings()
-    if _strong_envy(market.instance, view.bundles, earn) is None:
+    if strong_envy_target(market) is None:
         return StageResult(market, 0, (), pef1)
-    z = entry_tier_units(view, earn)
+    view = MarketView(market)
+    z = entry_tier_units(view)
     trace: list[TraceEvent] = []
     cap = market.instance.n + 1
-    while (event := approx_round(view, earn, z, len(trace) + 1)) is not None:
+    while (event := approx_round(view, z, len(trace) + 1)) is not None:
         trace.append(event)
         if len(trace) > cap:
             raise IterationCapExceeded(

@@ -48,10 +48,10 @@ def _cmd_gen(args) -> int:
         n=args.n, m=args.m, k=parse_rational(args.k, "--k"),
         high_prob=parse_rational(args.high_prob, "--high-prob"),
         seed=args.seed))
-    if args.normalized:
-        _write(args.out, instance_text(normalize_instance(raw)))
-    else:
-        _write(args.out, instance_text(raw))
+    # a draw that does not normalize (all rows uniform) is an error, so gen
+    # never writes an instance that solve rejects
+    inst = normalize_instance(raw)
+    _write(args.out, instance_text(inst if args.normalized else raw))
     return 0
 
 
@@ -142,8 +142,8 @@ def _verify_verdicts(inst: Instance, report) -> list[str]:
     entry_parts = (report.entry_owner, report.entry_pay_high)
     final_parts = (report.owner, report.pay_high)
     try:
-        pef1_parts = replay_trace(*entry_parts, trace[:cut])
-        replayed = replay_trace(*pef1_parts, trace[cut:])
+        pef1_parts = replay_trace(*entry_parts, trace[:cut], inst.n)
+        replayed = replay_trace(*pef1_parts, trace[cut:], inst.n)
     except ValueError as err:
         return problems + [f"trace replay failed: {err}"]
     if replayed != final_parts:

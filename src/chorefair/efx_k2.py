@@ -25,7 +25,10 @@ from .pef1 import SolverState, StageResult, run_pef1
 from .trace import TraceEvent
 
 
-def _tiers(earn) -> tuple[int, dict[int, int]]:
+def earning_tiers(market: MarketState | MarketView
+                  ) -> tuple[int, dict[int, int]]:
+    """Base earning z and each agent's offset in {0, 1, 2} above it."""
+    earn = market.earn_units
     z = min(earn)
     tiers = {}
     for i, units in enumerate(earn):
@@ -37,13 +40,10 @@ def _tiers(earn) -> tuple[int, dict[int, int]]:
     return z, tiers
 
 
-def earning_tiers(market: MarketState) -> tuple[int, dict[int, int]]:
-    """Base earning z and each agent's offset in {0, 1, 2} above it."""
-    return _tiers(market.earn_units)
-
-
-def _efx_violation(instance: Instance, bundles) -> tuple[int, int] | None:
-    kernel = EnvyKernel(instance, bundles)
+def efx_violation(market: MarketState | MarketView
+                  ) -> tuple[int, int] | None:
+    """Smallest (i, j) lexicographically with i failing exact EFX toward j."""
+    kernel = EnvyKernel(market.instance, market.bundles)
     for i, row in enumerate(kernel.cost):
         residual = kernel.residual(i)
         for j, c in enumerate(row):
@@ -52,25 +52,20 @@ def _efx_violation(instance: Instance, bundles) -> tuple[int, int] | None:
     return None
 
 
-def efx_violation(market: MarketState) -> tuple[int, int] | None:
-    """Smallest (i, j) lexicographically with i failing exact EFX toward j."""
-    return _efx_violation(market.instance, market.bundles)
-
-
 def _mixed_top_count(view: MarketView, earn: list[int], z: int) -> int:
     return sum(1 for b, units in zip(view.bundles, earn)
                if units == z + 2 and b & view.high and b & ~view.high)
 
 
-def k2_round(view: MarketView, earn: list[int], unraised: frozenset[int],
+def k2_round(view: MarketView, unraised: frozenset[int],
              round_no: int) -> TraceEvent | None:
     """One trade on the view; None when the allocation is exactly EFX.
-    earn holds the view's earnings and is updated."""
-    found = _efx_violation(view.instance, view.bundles)
+    The view's earn_units is updated."""
+    found = efx_violation(view)
     if found is None:
         return None
     i, j = found
-    z, tiers = _tiers(earn)
+    z, tiers = earning_tiers(view)
     if tiers[i] != 2 or tiers[j] != 0:
         raise TierViolation(
             f"violating pair must earn (z+2, z), got offsets "
@@ -89,7 +84,7 @@ def k2_round(view: MarketView, earn: list[int], unraised: frozenset[int],
             f"{highs_i.bit_count()} high and {lows_i.bit_count()} low")
     e_i = (highs_i & -highs_i).bit_length() - 1
 
-    mixed_before = _mixed_top_count(view, earn, z)
+    mixed_before = _mixed_top_count(view, view.earn_units, z)
     lows_j = bundle_j & ~view.high
     view.move(e_i, i, j)
     if lows_j:
@@ -98,28 +93,20 @@ def k2_round(view: MarketView, earn: list[int], unraised: frozenset[int],
         kind, items = "swap", (e_i, e_j)
     else:
         kind, items = "move", (e_i,)
-    after = _assert_round(view, earn, z, i, j, kind, mixed_before)
-    q = view.pay_low
+    after = _assert_round(view, z, i, j, kind, mixed_before)
+    before, q = view.earn_units, view.pay_low
     event = TraceEvent(
         stage="efx_k2", round=round_no, kind=kind, agents=(i, j), items=items,
-        earn_before=(Fraction(earn[i], q), Fraction(earn[j], q)),
+        earn_before=(Fraction(before[i], q), Fraction(before[j], q)),
         earn_after=(Fraction(after[i], q), Fraction(after[j], q)))
-    earn[:] = after
+    view.earn_units = after
     return event
 
 
-def _assert_round(view: MarketView, before: list[int], z: int,
-                  i: int, j: int, kind: str, mixed_before: int) -> list[int]:
+def _assert_round(view: MarketView, z: int, i: int, j: int, kind: str,
+                  mixed_before: int) -> list[int]:
     """Check the trade from the view's masks alone; return the earnings."""
-    view.check_partition()
-    for a, bundle in enumerate(view.bundles):
-        if bundle & ~view.mpb(a):
-            raise MPBViolation(f"trade broke the equilibrium at agent {a}")
-    earn = view.earnings()
-    for a in range(view.n):
-        if a not in (i, j) and earn[a] != before[a]:
-            raise LemmaViolation(
-                f"earning of uninvolved agent {a} changed during the trade")
+    earn = view.check_round("trade", (i, j))
     if kind == "swap":
         want_i, want_j = z + 1, z + 1
     else:
@@ -149,11 +136,9 @@ def k2_from_equilibrium(market: MarketState, unraised: frozenset[int],
         raise PreconditionViolated(
             f"exact EFX stage needs k = 2, got {market.instance.k}")
     view = MarketView(market)
-    earn = view.earnings()
     trace: list[TraceEvent] = []
     cap = market.instance.n + 1
-    while (event := k2_round(view, earn, unraised,
-                             len(trace) + 1)) is not None:
+    while (event := k2_round(view, unraised, len(trace) + 1)) is not None:
         trace.append(event)
         if len(trace) > cap:
             raise IterationCapExceeded(f"trade stage exceeded {cap} rounds")

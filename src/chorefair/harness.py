@@ -23,8 +23,8 @@ from fractions import Fraction
 from .approx_efx import approx_from_equilibrium
 from .efx_k2 import k2_from_equilibrium
 from .errors import ChorefairError, ParseError
-from .model import (Allocation, ExactRational, Instance, MarketState,
-                    RawInstance, as_rational, build_market_state,
+from .model import (ExactRational, Instance, MarketState, RawInstance,
+                    as_rational, build_market_state, bundle_masks,
                     normalize_instance)
 from .oracle import is_pareto_optimal
 from .pef1 import run_pef1
@@ -390,13 +390,12 @@ def compute_verdicts(pef1: MarketState, final: MarketState,
     """The recomputable verdicts of a run whose pEF1 stage ended at pef1
     and whose last stage ended at final (the same object when that stage
     moved nothing, which is then checked once); oracle-po is passed in."""
-    inst = pef1.instance
     entry = check_equilibrium(pef1).holds, check_pEF1(pef1).holds
     end = entry if final is pef1 else \
         (check_equilibrium(final).holds, check_pEF1(final).holds)
-    return Verdicts(*entry, check_EF1(inst, pef1.allocation).holds, *end,
-                    min_beta_pEFX(final).value,
-                    min_beta_EFX(inst, final.allocation).value, oracle_po)
+    return Verdicts(*entry, check_EF1(pef1).holds, *end,
+                    min_beta_pEFX(final).value, min_beta_EFX(final).value,
+                    oracle_po)
 
 
 def _flags(mask: int, m: int) -> tuple[bool, ...]:
@@ -664,7 +663,12 @@ def bench(grid: list[GenParams], *, mode: str = "auto") -> str:
 def equilibrium_from_parts(instance: Instance, owner: tuple[int, ...],
                            pay_high: tuple[bool, ...]) -> MarketState:
     """The market of an owner vector and per-chore payment-k flags."""
-    if len(pay_high) != instance.m:
+    n, m = instance.n, instance.m
+    if len(owner) != m:
+        raise ValueError("allocation length does not match m")
+    if min(owner) < 0 or max(owner) >= n:
+        raise ValueError("allocation owner out of range")
+    if len(pay_high) != m:
         raise ValueError("payment flags length does not match m")
     high = int("".join("1" if h else "0" for h in reversed(pay_high)), 2)
-    return build_market_state(instance, Allocation(tuple(owner)), high)
+    return build_market_state(instance, bundle_masks(owner, n), high)

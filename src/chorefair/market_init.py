@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import (GroupPropertyViolation, InternalInvariant,
                      IterationCapExceeded, MPBViolation)
-from .model import (Allocation, Instance, MarketState, MarketView, bits,
+from .model import (Instance, MarketState, MarketView, bits,
                     build_market_state, mask_set)
 
 
@@ -30,21 +30,19 @@ def build_initial_state(instance: Instance) -> MarketState:
     """Entry equilibrium with all ratios exactly 1; see module docstring."""
     n, m = instance.n, instance.m
     q, p = instance.unit, instance.high_units
-    owner = [-1] * m
+    bundles = [0] * n
     earn = [0] * n
     dealt = 0  # the chores some agent costs 1 on, paid 1
     for i, low in enumerate(instance.low_masks):
-        mine = low & ~dealt
-        for e in bits(mine):
-            owner[e] = i
-        earn[i] = q * mine.bit_count()
+        bundles[i] = low & ~dealt
+        earn[i] = q * bundles[i].bit_count()
         dealt |= low
     large = ((1 << m) - 1) & ~dealt  # consistently large chores, paid k
     for e in bits(large):
         i = earn.index(min(earn))
-        owner[e] = i
+        bundles[i] |= 1 << e
         earn[i] += p
-    state = build_market_state(instance, Allocation(tuple(owner)), large)
+    state = build_market_state(instance, bundles, large)
     raised = [i for i in range(n) if state.raised(i)]
     if raised:
         raise InternalInvariant(f"entry ratios not all 1: agents {raised} "
@@ -57,9 +55,9 @@ def build_initial_state(instance: Instance) -> MarketState:
 class _ChainView(MarketView):
     """The market view for the chains and the partition; payments stay fixed.
 
-    earn[i] is re-derived from the masks for the agents of each fired
-    chain.  succ[u] is the bitmask of agents v != u that u can give a chore
-    to (u's bundle meets MPB_v).  MPB sets depend only on payments, so
+    earn_units[i] is re-derived from the masks for the agents of each
+    fired chain.  succ[u] is the bitmask of agents v != u that u can give a
+    chore to (u's bundle meets MPB_v).  MPB sets depend only on payments, so
     succ[u] changes only when u's own bundle does, and is refreshed then.
     """
 
@@ -69,21 +67,20 @@ class _ChainView(MarketView):
         for v in range(self.n):
             for e in bits(self.mpb(v)):
                 self.takers[e] |= 1 << v
-        self.earn = [0] * self.n
         self.succ = [0] * self.n
         for u in range(self.n):
             self.refresh(u)
 
     def refresh(self, u: int) -> None:
-        """Recompute earn[u] and succ[u] from u's current bundle."""
-        self.earn[u] = self.earning(u)
+        """Recompute earn_units[u] and succ[u] from u's current bundle."""
+        self.earn_units[u] = self.earning(u)
         reach = 0
         for e in bits(self.bundles[u]):
             reach |= self.takers[e]
         self.succ[u] = reach & ~(1 << u)
 
     def hat(self, i: int) -> int:
-        return self.earn[i] - self.top_pay(i)
+        return self.earn_units[i] - self.top_pay(i)
 
 
 def _shortest_chain_from(view: _ChainView, i: int,
@@ -103,7 +100,8 @@ def _shortest_chain_from(view: _ChainView, i: int,
         frontier = reached & ~seen
         if not frontier:
             return None
-        hit = next((v for v in bits(frontier) if hat_i > view.earn[v]), None)
+        hit = next((v for v in bits(frontier)
+                    if hat_i > view.earn_units[v]), None)
         if hit is not None:
             path = [hit]
             for layer in reversed(layers):
@@ -121,7 +119,7 @@ def _best_chain(view: _ChainView) -> list[int] | None:
     head can only win with a strictly shorter chain, so its search is cut
     one agent below the best length found so far."""
     best: list[int] | None = None
-    floor = min(view.earn)
+    floor = min(view.earn_units)
     for i in range(view.n):
         if view.hat(i) <= floor:
             continue  # no endpoint anywhere could satisfy the condition
@@ -174,21 +172,22 @@ def resolve_overpaid_paths(state: MarketState) -> MarketState:
     n, m = state.instance.n, state.instance.m
     view = _ChainView(state)
     cap = 4 * n * m * (n + m)
-    seen = {tuple(view.owner)}
+    seen = {tuple(view.bundles)}
     fires = 0
     while True:
         best = _best_chain(view)
         if best is None:
             break
         head, tail = best[0], best[-1]
-        before_head, before_tail = view.earn[head], view.earn[tail]
+        earn = view.earn_units
+        before_head, before_tail = earn[head], earn[tail]
         _fire(view, best)
-        if not (view.earn[head] < before_head):
+        if not (earn[head] < before_head):
             raise InternalInvariant("chain did not reduce the head's earning")
-        gain = view.earn[tail] - before_tail
+        gain = earn[tail] - before_tail
         if gain not in (view.pay_low, view.pay_high):
             raise InternalInvariant("chain tail gained other than one chore's payment")
-        key = tuple(view.owner)
+        key = tuple(view.bundles)
         if key in seen:
             raise IterationCapExceeded("chain resolution revisited an allocation")
         seen.add(key)
@@ -225,7 +224,7 @@ def partition_agent_groups(state: MarketState) -> AgentGroups:
     large chores sit in the last group, and pEF1 holds inside each group.
     """
     view = _ChainView(state)
-    hats = view.hats(view.earn)
+    hats = view.hats(view.earn_units)
     ungrouped = (1 << view.n) - 1
     groups: list[int] = []
     reps: list[int] = []
@@ -264,7 +263,7 @@ def _assert_group_properties(view: _ChainView, hats: list[int],
                              groups: list[int]) -> None:
     """Check the group facts from the masks; each witness is the first in
     ascending index order."""
-    low, earn = view.low_cost, view.earn
+    low, earn = view.low_cost, view.earn_units
     for r, g in enumerate(groups):
         held = _union(view.bundles, g)
         for g2 in groups[r + 1:]:

@@ -15,8 +15,8 @@ from itertools import compress, count, repeat
 from operator import is_, is_not
 from typing import Sequence
 
-from .errors import (AlreadyUniform, InternalInvariant, MPBViolation,
-                     NotBiValued, ZeroCost)
+from .errors import (AlreadyUniform, InternalInvariant, LemmaViolation,
+                     MPBViolation, NotBiValued, ZeroCost)
 
 # Exact rational scalar used throughout.  Fraction already guarantees the
 # canonical form (reduced, positive denominator) and exact field operations.
@@ -56,6 +56,10 @@ def raw_instance(costs: Sequence[Sequence]) -> RawInstance:
     """Build a RawInstance from nested lists of ints/Fractions/'p/q' strings."""
     rows = tuple(tuple(as_rational(c) for c in row) for row in costs)
     return RawInstance(n=len(rows), m=len(rows[0]) if rows else 0, costs=rows)
+
+
+# a high flag (byte 1) is binary digit 0 of the cost-1 mask, a low flag 1
+_LOW_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,9 @@ class Instance:
 
     @cached_property
     def low_masks(self) -> tuple[int, ...]:
-        """Per agent, the bitmask of the chores costing it 1."""
-        return tuple(int("".join(["0" if h else "1" for h in reversed(row)]), 2)
+        """Per agent, the bitmask of the chores costing it 1: the row's
+        flags, last chore first, as the bytes of a binary numeral."""
+        return tuple(int(bytes(row[::-1]).translate(_LOW_DIGITS), 2)
                      for row in self.high)
 
 
@@ -180,15 +185,6 @@ class Allocation:
     """Total assignment of chores to agents: owner[e] is the agent holding e."""
     owner: tuple[int, ...]
 
-    def bundle(self, agent: int) -> tuple[int, ...]:
-        return tuple(e for e, o in enumerate(self.owner) if o == agent)
-
-    def bundles(self, n: int) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(n)]
-        for e, o in enumerate(self.owner):
-            out[o].append(e)
-        return tuple(tuple(b) for b in out)
-
 
 class _MarketMasks:
     """What a market's masks determine, written once for MarketState and
@@ -228,19 +224,27 @@ class _MarketMasks:
 
 @dataclass(frozen=True)
 class MarketState(_MarketMasks):
-    """A frozen market: the allocation, its bundle masks, the payment-k
-    mask high and each agent's earning in 1/q units (derived on
-    construction).  Ratios, MPB sets and hats come from _MarketMasks.
+    """A frozen market: one chore bitmask per agent, the payment-k mask
+    high and each agent's earning in 1/q units (derived on construction).
+    Ratios, MPB sets and hats come from _MarketMasks.
     """
     instance: Instance
-    allocation: Allocation
-    high: int
     bundles: tuple[int, ...]
+    high: int
     earn_units: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "earn_units", tuple(
             self.earning(i) for i in range(self.instance.n)))
+
+    @property
+    def allocation(self) -> Allocation:
+        """The owner vector the bundles spell, for reports and the oracle."""
+        owner = [0] * self.instance.m
+        for i, bundle in enumerate(self.bundles):
+            for e in bits(bundle):
+                owner[e] = i
+        return Allocation(tuple(owner))
 
     @property
     def low_cost(self) -> tuple[int, ...]:
@@ -255,18 +259,35 @@ class MarketState(_MarketMasks):
         return self.instance.high_units
 
 
-def build_market_state(instance: Instance, allocation: Allocation,
+def _partition_fault(bundles: Sequence[int], m: int) -> str | None:
+    """Why the masks fail to partition chores 0..m-1; None when they do."""
+    covered = held = 0
+    for bundle in bundles:
+        if bundle >> m:  # a negative mask shifts to -1
+            return f"a bundle mask has a bit outside chores 0..{m - 1}"
+        covered |= bundle
+        held += bundle.bit_count()
+    if held != covered.bit_count():
+        return "two bundles share a chore"
+    if covered != (1 << m) - 1:
+        return "some chore is in no bundle"
+    return None
+
+
+def build_market_state(instance: Instance, bundles: Sequence[int],
                        high: int) -> MarketState:
-    """Validate the owners and the payment-k mask, then take the bundles."""
+    """Validate that the n bundle masks partition the m chores and that the
+    payment-k mask lies inside them, then build the state."""
     n, m = instance.n, instance.m
-    if len(allocation.owner) != m:
-        raise ValueError("allocation length does not match m")
-    if min(allocation.owner) < 0 or max(allocation.owner) >= n:
-        raise ValueError("allocation owner out of range")
-    if high >> m:  # a negative mask shifts to -1
+    bundles = tuple(bundles)
+    if len(bundles) != n:
+        raise ValueError(f"expected {n} bundle masks, got {len(bundles)}")
+    fault = _partition_fault(bundles, m)
+    if fault:
+        raise ValueError(fault)
+    if high >> m:
         raise ValueError(f"payment mask has a bit at or above m={m}")
-    return MarketState(instance, allocation, high,
-                       tuple(bundle_masks(allocation.owner, n)))
+    return MarketState(instance, bundles, high)
 
 
 def earning(state: MarketState, agent: int) -> Fraction:
@@ -347,32 +368,40 @@ class MarketView(_MarketMasks):
     """Mutable bitmask view of a market, for loops that move chores or
     raise payments many times before anyone needs a MarketState.
 
-    The view maintains owner[e], bundles[i] and high; everything else is
-    derived from these as in _MarketMasks.
+    The view maintains bundles[i] and high, from which everything else
+    derives as in _MarketMasks.  earn_units holds each agent's earning as
+    of the loop's last checked step; the loop refreshes it.
     """
 
     def __init__(self, state: MarketState):
         inst = state.instance
         self.instance = inst
         self.n = inst.n
-        self.owner = list(state.allocation.owner)
         self.bundles = list(state.bundles)
         self.high = state.high
+        self.earn_units = list(state.earn_units)
         self.low_cost = inst.low_masks
         self.pay_low, self.pay_high = inst.unit, inst.high_units
 
-    def earnings(self) -> list[int]:
-        return [self.earning(i) for i in range(self.n)]
-
-    def check_partition(self) -> None:
-        """The bundles must be disjoint and cover every chore."""
-        covered = 0
-        for bundle in self.bundles:
-            if covered & bundle:
-                raise InternalInvariant("two bundles share a chore")
-            covered |= bundle
-        if covered != (1 << self.instance.m) - 1:
-            raise InternalInvariant("some chore is in no bundle")
+    def check_round(self, noun: str, touched) -> list[int]:
+        """The checks each step of a stage makes from the masks alone, in
+        order: the bundles partition the chores, every bundle lies inside
+        its MPB set, and every agent outside touched still earns what
+        earn_units holds.  noun names the step in the messages.  Returns the
+        earnings recomputed by popcount; earn_units is left as it was.
+        """
+        fault = _partition_fault(self.bundles, self.instance.m)
+        if fault:
+            raise InternalInvariant(fault)
+        for i, bundle in enumerate(self.bundles):
+            if bundle & ~self.mpb(i):
+                raise MPBViolation(f"{noun} broke the equilibrium at agent {i}")
+        earn = [self.earning(i) for i in range(self.n)]
+        for i, (now, before) in enumerate(zip(earn, self.earn_units)):
+            if now != before and i not in touched:
+                raise LemmaViolation(
+                    f"earning of uninvolved agent {i} changed during the {noun}")
+        return earn
 
     def move(self, e: int, u: int, v: int) -> None:
         if not self.mpb(v) >> e & 1:
@@ -380,15 +409,6 @@ class MarketView(_MarketMasks):
         bit = 1 << e
         self.bundles[u] ^= bit
         self.bundles[v] |= bit
-        self.owner[e] = v
 
     def market(self) -> MarketState:
-        """Build the MarketState; the owner list must agree with the bundles."""
-        for i, bundle in enumerate(self.bundles):
-            for e in bits(bundle):
-                if self.owner[e] != i:
-                    raise InternalInvariant(
-                        f"chore {e} is in agent {i}'s bundle but owned by "
-                        f"agent {self.owner[e]}")
-        return build_market_state(self.instance, Allocation(tuple(self.owner)),
-                                  self.high)
+        return build_market_state(self.instance, self.bundles, self.high)

@@ -23,7 +23,7 @@ from .errors import (AllEmpty, IterationCapExceeded, LemmaViolation,
                      MissingIntermediary, MPBViolation, RaiseOverflow)
 from .market_init import (AgentGroups, build_initial_state,
                           partition_agent_groups, resolve_overpaid_paths)
-from .model import (Allocation, Instance, MarketState, MarketView, bits,
+from .model import (Instance, MarketState, MarketView, bits,
                     build_market_state, relabel_agents)
 from .trace import TraceEvent
 
@@ -31,16 +31,15 @@ from .trace import TraceEvent
 @dataclass(frozen=True)
 class SolverState:
     """Loop state: current market, which agents are still unraised, the fixed
-    group structure, and the entry bundle masks (consulted by the rotation
-    branch).  entry is the market before the first round.
+    group structure and the entry market, the one before the first round
+    (the rotation branch consults its bundles).
     """
     market: MarketState
     unraised: frozenset[int]
     groups: AgentGroups
-    initial_bundles: tuple[int, ...]
+    entry: MarketState
     round_count: int
     trace: tuple[TraceEvent, ...] = ()
-    entry: MarketState | None = None
 
     @staticmethod
     def from_market(market: MarketState,
@@ -51,8 +50,7 @@ class SolverState:
         groups = AgentGroups((frozenset(ident),), (0,), ident, ident)
         if unraised is None:
             unraised = frozenset(ident)
-        return SolverState(market, unraised, groups, market.bundles, 0,
-                           entry=market)
+        return SolverState(market, unraised, groups, market, 0)
 
 
 @dataclass(frozen=True)
@@ -66,68 +64,57 @@ class StageResult:
     pef1: SolverState | None = None
 
 
-def _big_earner(hats, earn) -> int:
-    """Largest earning after dropping one chore, ties to the smaller index."""
+def select_big_earner(market: MarketState | MarketView,
+                      hats: list[int] | None = None) -> int:
+    """Agent maximizing earning-after-dropping-one-chore, ties to smaller
+    index.  hats defaults to the market's, from its earn_units."""
+    earn = market.earn_units
     if not any(earn):
         raise AllEmpty("all bundles are empty")
+    if hats is None:
+        hats = market.hats(earn)
     return hats.index(max(hats))
 
 
-def _least_earner(earn) -> int:
+def select_least_earner(market: MarketState | MarketView) -> int:
     """Smallest earning, ties to the smaller index."""
+    earn = market.earn_units
     return earn.index(min(earn))
-
-
-def select_big_earner(market: MarketState) -> int:
-    """Agent maximizing earning-after-dropping-one-chore, ties to smaller index."""
-    return _big_earner(market.hats(market.earn_units), market.earn_units)
-
-
-def select_least_earner(market: MarketState) -> int:
-    return _least_earner(market.earn_units)
-
-
-def _group_index(groups: AgentGroups, agent: int) -> int:
-    for r, g in enumerate(groups.groups):
-        if agent in g:
-            return r
-    raise LemmaViolation(f"agent {agent} belongs to no group")
 
 
 class _Rounds:
     """The payment rounds, run on one MarketView.
 
-    The view's owner list, bundle masks and payment-k mask are the state;
-    each round derives earnings, hats, MPB sets and ratios from them.  A
-    MarketState is built only when state() is asked for.
+    The view's bundle masks and payment-k mask are the state; each round
+    derives earnings, hats, MPB sets and ratios from them.  A MarketState
+    is built only when state() is asked for.
     """
 
     def __init__(self, state: SolverState):
         self.start = state
         self.view = MarketView(state.market)
         self.unraised = state.unraised
-        self.initial = state.initial_bundles
         self.round_count = state.round_count
         self.events: list[TraceEvent] = []
         # groups of two or more agents, as ascending member lists
         self.shared = [sorted(g) for g in state.groups.groups if len(g) > 1]
-        self.earn = self.view.earnings()
-        self.hats = self.view.hats(self.earn)
+        self.hats = self.view.hats(self.view.earn_units)
 
     def state(self) -> SolverState:
         if not self.events:
             return self.start
         start = self.start
         return SolverState(self.view.market(), self.unraised, start.groups,
-                           start.initial_bundles, self.round_count,
-                           start.trace + tuple(self.events), start.entry)
+                           start.entry, self.round_count,
+                           start.trace + tuple(self.events))
 
     def step(self) -> bool:
         """Execute one round; False signals the terminal pEF1 condition."""
-        view, earn, hats = self.view, self.earn, self.hats
+        view, hats = self.view, self.hats
+        earn = view.earn_units
         inst = view.instance
-        b = _big_earner(hats, earn)
-        l = _least_earner(earn)
+        b = select_big_earner(view, hats)
+        l = select_least_earner(view)
         if hats[b] <= earn[l]:
             return False
 
@@ -142,8 +129,10 @@ class _Rounds:
 
         if l in unraised:
             if b in unraised:
-                group = self.start.groups.groups[
-                    _group_index(self.start.groups, b)]
+                group = next((g for g in self.start.groups.groups if b in g),
+                             None)
+                if group is None:
+                    raise LemmaViolation(f"agent {b} belongs to no group")
                 if l in group:
                     raise LemmaViolation(
                         "least earner shares the big earner's group; the "
@@ -174,12 +163,11 @@ class _Rounds:
                 stage="pef1", round=rnd, kind="transfer", agents=(b, l),
                 items=(e,), earn_before=(earning(b), earning(l)),
                 least_earning=least_before))
-            moved = {e: l}
         else:
             if b in unraised:
                 raise LemmaViolation(
                     "least earner is raised while the big earner is not")
-            entry_l = self.initial[l]
+            entry_l = self.start.entry.bundles[l]
             i = next((a for a in sorted(unraised)
                       if view.bundles[a] & entry_l), None)
             if i is None:
@@ -201,37 +189,27 @@ class _Rounds:
                 items=(e1, e2),
                 earn_before=(earning(b), earning(i), earning(l)),
                 least_earning=least_before))
-            moved = {e1: i, e2: l}
 
         self.unraised = unraised
-        after, self.hats = self._assert_round(moved, touched)
+        after, self.hats = self._assert_round(touched)
         # fill in post-round earnings on the last event
         last = events[-1]
         events[-1] = replace(last, earn_after=tuple(
             Fraction(after[a], view.pay_low) for a in last.agents))
         self.events += events
         self.round_count = rnd
-        self.earn = after
+        view.earn_units = after
         return True
 
-    def _assert_round(self, moved: dict[int, int], touched: set[int]
-                      ) -> tuple[list[int], list[int]]:
+    def _assert_round(self, touched: set[int]) -> tuple[list[int], list[int]]:
         """Check the round from the view's masks alone; return the
         earnings and hats."""
         view = self.view
         inst = view.instance
-        n = view.n
         unraised = self.unraised
         groups = self.start.groups.groups
-        view.check_partition()
-        mpb = [view.mpb(i) for i in range(n)]
-        for e, dst in moved.items():
-            if not mpb[dst] >> e & 1:
-                raise MPBViolation(
-                    f"moved chore {e} is not ratio-minimal for receiver {dst}")
-        for i in range(n):
-            if view.bundles[i] & ~mpb[i]:
-                raise MPBViolation(f"round broke the equilibrium at agent {i}")
+        earn = view.check_round("round", touched)
+        for i in range(view.n):
             if view.raised(i) == (i in unraised):
                 got, want = (1 / inst.k, 1) if i in unraised else (1, 1 / inst.k)
                 raise LemmaViolation(
@@ -247,7 +225,6 @@ class _Rounds:
             seen_unraised = seen_unraised or g_unraised
         if not (groups[-1] <= unraised):
             raise LemmaViolation("the last group must stay unraised")
-        earn = view.earnings()
         hats = view.hats(earn)
         # hat <= earning for every agent, so pEF1 fails inside a group iff
         # its largest hat exceeds its smallest earning
@@ -259,10 +236,6 @@ class _Rounds:
                 raise LemmaViolation(
                     f"pEF1 broke inside a group: {g[g_hats.index(top)]} vs "
                     f"{g[g_earn.index(floor)]}")
-        for i in range(n):
-            if i not in touched and earn[i] != self.earn[i]:
-                raise LemmaViolation(
-                    f"earning of uninvolved agent {i} changed during the round")
         return earn, hats
 
 
@@ -277,9 +250,9 @@ def _reindex(resolved: MarketState, groups: AgentGroups
     """Relabel agents so groups occupy contiguous ascending index ranges."""
     inv = groups.old_to_new
     new_inst = relabel_agents(resolved.instance, groups.new_to_old)
-    new_owner = tuple(inv[o] for o in resolved.allocation.owner)
-    new_market = build_market_state(new_inst, Allocation(new_owner),
-                                    resolved.high)
+    new_market = build_market_state(
+        new_inst, [resolved.bundles[old] for old in groups.new_to_old],
+        resolved.high)
     start = 0
     new_groups = []
     new_reps = []
@@ -304,11 +277,8 @@ def run_pef1(instance: Instance, *, state_sink: list | None = None) -> SolverSta
     groups = partition_agent_groups(resolved)
     market, groups = _reindex(resolved, groups)
 
-    state = SolverState(
-        market=market,
-        unraised=frozenset(range(instance.n)),
-        groups=groups,
-        initial_bundles=market.bundles, round_count=0, entry=market)
+    state = SolverState(market=market, unraised=frozenset(range(instance.n)),
+                        groups=groups, entry=market, round_count=0)
     if state_sink is not None:
         state_sink.append(market)
     rounds = _Rounds(state)

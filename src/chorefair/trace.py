@@ -37,26 +37,44 @@ class TraceEvent:
         a, it = self.agents, self.items
         if self.kind == "raise":
             return []
-        if self.kind == "transfer":
-            return [(it[0], a[0], a[1])]
         if self.kind == "rotate":
             return [(it[0], a[0], a[1]), (it[1], a[1], a[2])]
-        if self.kind == "bundle_swap":
-            out = [(it[0], a[0], a[1])]
-            out.extend((e, a[1], a[0]) for e in it[1:])
-            return out
-        if self.kind == "swap":
-            return [(it[0], a[0], a[1]), (it[1], a[1], a[0])]
-        if self.kind == "move":
-            return [(it[0], a[0], a[1])]
+        if self.kind in _SHAPES:  # the first chore goes over, the rest back
+            return [(it[0], a[0], a[1])] + [(e, a[1], a[0]) for e in it[1:]]
         raise ValueError(f"unknown trace kind {self.kind!r}")
 
 
-def replay_trace(owner, pay_high, events) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """Apply events to an entry (owner, payment-is-high) pair."""
+# kind -> (agent count, fewest items, most items or None for no limit)
+_SHAPES = {"raise": (1, 1, None), "transfer": (2, 1, 1), "rotate": (3, 2, 2),
+           "bundle_swap": (2, 1, None), "swap": (2, 2, 2), "move": (2, 1, 1)}
+
+
+def _check_shape(ev: TraceEvent, n: int, m: int) -> None:
+    """The event's kind is known, its agent and chore counts fit the kind,
+    and it names only agents 0..n-1 and chores 0..m-1."""
+    if ev.kind not in _SHAPES:
+        raise ValueError(f"replay: unknown trace kind {ev.kind!r}")
+    agents, fewest, most = _SHAPES[ev.kind]
+    if len(ev.agents) != agents or not fewest <= len(ev.items) <= (most or m):
+        raise ValueError(f"replay: a {ev.kind} event names {len(ev.agents)} "
+                         f"agents and {len(ev.items)} chores")
+    if not 0 <= min(ev.agents) <= max(ev.agents) < n:
+        raise ValueError(f"replay: {ev.kind} agents {ev.agents} are not "
+                         f"all in 0..{n - 1}")
+    if not 0 <= min(ev.items) <= max(ev.items) < m:
+        raise ValueError(f"replay: {ev.kind} chores {ev.items} are not "
+                         f"all in 0..{m - 1}")
+
+
+def replay_trace(owner, pay_high, events, n: int
+                 ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """Apply events to an entry (owner, payment-is-high) pair over n agents.
+    An event that does not fit its kind, or names an agent or chore that
+    does not exist, raises ValueError before it is applied."""
     owner = list(owner)
     pay_high = list(pay_high)
     for ev in events:
+        _check_shape(ev, n, len(owner))
         if ev.kind == "raise":
             for e in ev.items:
                 if pay_high[e]:

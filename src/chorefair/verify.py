@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (Allocation, EnvyKernel, Instance, MarketState,
-                    bundle_masks)
+from .model import EnvyKernel, MarketState
 
 
 class Unbounded:
@@ -117,9 +116,9 @@ def min_beta_pEFX(state: MarketState) -> BetaResult:
     return _min_beta(residuals, lambda i: state.earn_units)
 
 
-def check_EF1(instance: Instance, allocation: Allocation) -> FairnessVerdict:
+def check_EF1(state: MarketState) -> FairnessVerdict:
     """Cost envy-freeness up to one chore (drop the costliest own chore)."""
-    bundles = bundle_masks(allocation.owner, instance.n)
+    instance, bundles = state.instance, state.bundles
     kernel = EnvyKernel(instance, bundles)
     for i, row in enumerate(kernel.cost):
         lhs_units = row[i] - kernel.costliest[i]
@@ -134,11 +133,10 @@ def check_EF1(instance: Instance, allocation: Allocation) -> FairnessVerdict:
     return _OK
 
 
-def min_beta_EFX(instance: Instance, allocation: Allocation) -> BetaResult:
+def min_beta_EFX(state: MarketState) -> BetaResult:
     """Smallest beta with c_i(X_i - e) <= beta * c_i(X_j) for all pairs, all e."""
-    kernel = EnvyKernel(instance,
-                        bundle_masks(allocation.owner, instance.n))
-    return _min_beta([kernel.residual(i) for i in range(instance.n)],
+    kernel = EnvyKernel(state.instance, state.bundles)
+    return _min_beta([kernel.residual(i) for i in range(state.instance.n)],
                      kernel.cost.__getitem__)
 
 

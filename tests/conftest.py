@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
 from chorefair import (
-    Allocation,
     AlreadyUniform,
     GenParams,
     Instance,
@@ -16,6 +15,7 @@ from chorefair import (
     gen_instance,
     normalize_instance,
 )
+from chorefair.model import bundle_masks
 
 settings.register_profile(
     "suite",
@@ -66,7 +66,7 @@ def skewed_owned_instance(k, sizes, seed=None, sprinkle=Fraction(0)) -> Instance
 
 def market_from_parts(instance, owners, high_pay) -> MarketState:
     """The market of an owner vector and a set of payment-k chores."""
-    return build_market_state(instance, Allocation(tuple(owners)),
+    return build_market_state(instance, bundle_masks(owners, instance.n),
                               sum(1 << e for e in high_pay))
 
 

@@ -186,8 +186,7 @@ def test_c02_two_valued_swap_script(capsys):
     assert not market.high >> taken & 1  # pays 1
     assert earning_units(result.market, 4) == 5
     assert earning_units(result.market, 0) == 5
-    beta = min_beta_EFX(
-        result.market.instance, result.market.allocation).value
+    beta = min_beta_EFX(result.market).value
     assert beta == Fraction(1)
     emit(capsys, 2, "k=2 swap (4,0) payments (2,1), both land on 5, beta=1")
 
@@ -203,7 +202,7 @@ def test_c03_two_valued_move_script(capsys):
     assert earning_units(result.market, 4) == 4
     final = result.market
     assert not final.bundles[0] & ~final.high  # every chore pays 2
-    beta = min_beta_EFX(final.instance, final.allocation).value
+    beta = min_beta_EFX(final).value
     assert beta == Fraction(1)
     emit(capsys, 3, "k=2 move (4,0), receiver 6 all-high, giver 4, EFX exact")
 
@@ -215,7 +214,7 @@ def test_c04_mixed_ratio_sweep(capsys, mixed_suite):
     for rec in records:
         assert rec.error is None, rec.error
         market = rec.result.market
-        beta = min_beta_EFX(market.instance, market.allocation).value
+        beta = min_beta_EFX(market).value
         bound = 2 - 1 / rec.k
         assert beta_le(beta, bound)
         assert check_equilibrium(market).holds
@@ -233,7 +232,7 @@ def test_c05_two_valued_sweep(capsys, k2_suite):
     for rec in records:
         assert rec.error is None, rec.error
         market = rec.result.market
-        beta = min_beta_EFX(market.instance, market.allocation).value
+        beta = min_beta_EFX(market).value
         assert beta == Fraction(1)
         assert check_equilibrium(market).holds
         assert check_pEF1(market).holds
@@ -265,14 +264,13 @@ def _states_along(result):
     """Every event-boundary state of a run, replayed from the entry."""
     pef1 = result.pef1
     inst = pef1.market.instance
-    owner = [next(i for i, b in enumerate(pef1.initial_bundles) if b >> e & 1)
-             for e in range(inst.m)]
+    owner = pef1.entry.allocation.owner
     pay = [all(inst.high[i][e] for i in range(inst.n))
            for e in range(inst.m)]
     events = list(pef1.trace) + list(result.trace)
-    yield equilibrium_from_parts(inst, tuple(owner), tuple(pay))
+    yield equilibrium_from_parts(inst, owner, tuple(pay))
     for idx in range(1, len(events) + 1):
-        o, p = replay_trace(owner, pay, events[:idx])
+        o, p = replay_trace(owner, pay, events[:idx], inst.n)
         yield equilibrium_from_parts(inst, o, p)
 
 
@@ -281,11 +279,11 @@ def test_c07_relations_between_notions(capsys, mixed_suite, k2_suite):
     for rec in mixed_suite[0] + k2_suite[0]:
         assert rec.error is None
         pef1 = rec.result.pef1
-        assert check_EF1(pef1.market.instance, pef1.market.allocation).holds
+        assert check_EF1(pef1.market).holds
         last = None
         for state in _states_along(rec.result):
             assert check_equilibrium(state).holds
-            efx = min_beta_EFX(state.instance, state.allocation).value
+            efx = min_beta_EFX(state).value
             assert beta_le(efx, min_beta_pEFX(state).value)
             checked += 1
             last = state

@@ -64,3 +64,21 @@ def test_a_traced_pipeline_counts_builds_and_groups(spans, restore_modules):
     assert tracer.counts["market_init.groups"] > 0
     assert tracer.self_s["market_init.partition_ms"] > 0
 
+
+
+# each mode's last stage, by the span that times it
+STAGE_SPANS = {"pef1": "pef1.round_ms", "approx": "approx_efx.stage_ms",
+               "exact2": "efx_k2.stage_ms"}
+
+
+@pytest.mark.parametrize("mode", sorted(STAGE_SPANS))
+def test_a_traced_run_records_every_counter_and_its_stage(spans,
+                                                          restore_modules,
+                                                          mode):
+    tracer = spans.Tracer()
+    tracer.install()
+    report = chorefair.harness.run_pipeline(rotation_instance(), mode)
+    assert report.success and report.mode == mode
+    assert {metric for metric, _ in spans.COUNTERS.values()} <= \
+        set(tracer.counts)
+    assert tracer.self_s[STAGE_SPANS[mode]] > 0

@@ -1,5 +1,7 @@
 """Command-line surface: gen, solve, verify, oracle, bench."""
 
+import os
+
 import pytest
 
 from chorefair import load_report, save_instance
@@ -174,12 +176,50 @@ def test_solve_exit_codes(paths):
     assert main(["solve", str(paths["inst"]) + ".nope"]) == 2
 
 
-def test_solve_rejects_uniform_instances_cleanly(paths):
-    assert main(["gen", "--n", "2", "--m", "2", "--k", "2",
-                 "--high-prob", "0", "--seed", "0",
-                 "--out", paths["inst"]]) == 0
-    # all costs land on 1; the solver cannot infer k from a raw matrix
+def test_solve_rejects_uniform_instances_cleanly(paths, capsys):
+    # gen refuses a draw whose rows are all uniform and writes nothing
+    for prob, seed in (("0", "0"), ("1/4", "1")):
+        assert main(["gen", "--n", "2", "--m", "3", "--k", "2",
+                     "--high-prob", prob, "--seed", seed,
+                     "--out", paths["inst"]]) == 2
+        assert "AlreadyUniform" in capsys.readouterr().err
+        assert not os.path.exists(paths["inst"])
+    # all costs are 1; the solver cannot infer k from a raw matrix
+    open(paths["inst"], "w").write(
+        "format: chorefair-instance/1\nkind: raw\nn: 2\nm: 2\n"
+        "row: 1 1\nrow: 1 1\n")
     assert main(["solve", paths["inst"]]) in (1, 2)
+
+
+# (event text of the report of gen --n 4 --m 10 --k 3 --high-prob 3/4
+# --seed 7, its tampered form); the first match is replaced
+TAMPERED_EVENTS = {
+    "raise of a chore past m": ("kind=raise agents=0 items=1,3,6,9",
+                                "kind=raise agents=0 items=999"),
+    "raise of a negative chore": ("kind=raise agents=0 items=1,3,6,9",
+                                  "kind=raise agents=0 items=-1"),
+    "transfer with one agent": ("kind=transfer agents=0,3 items=1",
+                                "kind=transfer agents=0 items=1"),
+    "transfer with no chore": ("kind=transfer agents=0,3 items=1",
+                               "kind=transfer agents=0,3 items="),
+    "transfer to agent n+5": ("kind=transfer agents=0,3 items=1",
+                              "kind=transfer agents=0,9 items=1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_EVENTS))
+def test_verify_reports_a_malformed_trace_event(paths, capsys, case):
+    assert main(["gen", "--n", "4", "--m", "10", "--k", "3",
+                 "--high-prob", "3/4", "--seed", "7",
+                 "--out", paths["inst"]]) == 0
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    old, new = TAMPERED_EVENTS[case]
+    text = open(paths["report"]).read()
+    assert old in text
+    open(paths["report"], "w").write(text.replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    assert "verify: trace replay failed: replay: " in capsys.readouterr().err
 
 
 MALFORMED_INSTANCES = {

@@ -55,8 +55,7 @@ def test_swap_trades_payment_two_for_payment_one():
 
 def test_swap_reaches_exact_efx():
     result = k2_from_equilibrium(swap_market(), K2_UNRAISED)
-    beta = min_beta_EFX(
-        result.market.instance, result.market.allocation).value
+    beta = min_beta_EFX(result.market).value
     assert beta == Fraction(1)
     assert check_equilibrium(result.market).holds
     assert check_pEF1(result.market).holds
@@ -86,8 +85,7 @@ def test_move_hands_over_one_payment_two_chore():
 
 def test_move_reaches_exact_efx():
     result = k2_from_equilibrium(move_market(), K2_UNRAISED)
-    beta = min_beta_EFX(
-        result.market.instance, result.market.allocation).value
+    beta = min_beta_EFX(result.market).value
     assert beta == Fraction(1)
     assert check_pEF1(result.market).holds
 
@@ -112,8 +110,7 @@ def test_non_two_k_is_rejected():
 @given(generated_instances(ks=(Fraction(2),)))
 def test_full_run_reaches_exact_efx(inst):
     result = run_efx_k2(inst)
-    beta = min_beta_EFX(
-        result.market.instance, result.market.allocation).value
+    beta = min_beta_EFX(result.market).value
     assert beta == Fraction(1)
     assert check_equilibrium(result.market).holds
     assert check_pEF1(result.market).holds
@@ -135,24 +132,23 @@ def test_final_earnings_span_at_most_two_units(inst):
 
 
 def _trade_view():
-    """The swap market's view and earnings before its one trade, (4, 0)."""
-    view = MarketView(swap_market())
-    return view, view.earnings()
+    """The swap market's view before its one trade, (4, 0)."""
+    return MarketView(swap_market())
 
 
-def _chore_off_mpb(view, earn):
+def _chore_off_mpb(view):
     # agent 3's payment-1 chore 11 goes to the raised agent 5, whose MPB
     # set holds only payment-2 chores; the bundles still partition
     view.bundles[3] ^= 1 << 11
     view.bundles[5] |= 1 << 11
 
 
-def _chore_in_no_bundle(view, earn):
+def _chore_in_no_bundle(view):
     view.bundles[3] ^= 1 << 11
 
 
-def _uninvolved_earning(view, earn):
-    earn[3] += 1
+def _uninvolved_earning(view):
+    view.earn_units[3] += 1
 
 
 @pytest.mark.parametrize("corrupt,error,match", [
@@ -161,16 +157,16 @@ def _uninvolved_earning(view, earn):
     (_uninvolved_earning, LemmaViolation, "uninvolved agent 3"),
 ])
 def test_a_corrupted_view_fails_the_trade(corrupt, error, match):
-    view, earn = _trade_view()
-    corrupt(view, earn)
+    view = _trade_view()
+    corrupt(view)
     with pytest.raises(error, match=match):
-        k2_round(view, earn, K2_UNRAISED, 1)
+        k2_round(view, K2_UNRAISED, 1)
 
 
 def test_a_trade_on_the_view_matches_the_stage():
-    view, earn = _trade_view()
-    event = k2_round(view, earn, K2_UNRAISED, 1)
+    view = _trade_view()
+    event = k2_round(view, K2_UNRAISED, 1)
     result = k2_from_equilibrium(swap_market(), K2_UNRAISED)
     assert (event,) == result.trace
     assert view.market() == result.market
-    assert earn == list(result.market.earn_units)
+    assert view.earn_units == list(result.market.earn_units)

@@ -34,7 +34,7 @@ from chorefair import (
 )
 from chorefair.model import relabel_agents
 
-from conftest import rotation_instance
+from conftest import owned_instance, rotation_instance
 
 
 def reference_splitmix64(seed):
@@ -201,9 +201,20 @@ def test_fingerprint_ignores_timings():
 def test_replay_report_reproduces_the_final_state():
     report = run_pipeline(rotation_instance())
     owner, pay_high = replay_trace(report.entry_owner, report.entry_pay_high,
-                                   report.trace)
+                                   report.trace, report.n)
     assert owner == report.owner
     assert pay_high == report.pay_high
+
+
+@pytest.mark.parametrize("owner, message", [
+    ((0, 0), "allocation length"),
+    ((0, 0, 2), "owner out of range"),
+    ((0, 0, -1), "owner out of range"),
+])
+def test_equilibrium_from_parts_rejects_bad_owners(owner, message):
+    inst = owned_instance(2, [0, 0, 1])
+    with pytest.raises(ValueError, match=message):
+        equilibrium_from_parts(inst, owner, (False,) * 3)
 
 
 def test_equilibrium_from_parts_rebuilds_the_market():

@@ -193,7 +193,9 @@ def reference_groups(state):
     and add every ungrouped agent with a directed path to it, where x
     points at y iff MPB_x meets y's bundle."""
     n = state.instance.n
-    bundles = [frozenset(state.allocation.bundle(i)) for i in range(n)]
+    owner = state.allocation.owner
+    bundles = [frozenset(e for e, o in enumerate(owner) if o == i)
+               for i in range(n)]
     hats = [hat_earning_units(state, i) for i in range(n)]
     mpb = [frozenset(e for e in range(state.instance.m)
                      if state.mpb(x) >> e & 1) for x in range(n)]

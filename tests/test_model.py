@@ -22,7 +22,7 @@ from chorefair import (
     normalize_instance,
     raw_instance,
 )
-from chorefair.model import relabel_agents
+from chorefair.model import bundle_masks, relabel_agents
 
 from conftest import instances, owned_instance
 
@@ -150,29 +150,39 @@ def test_instance_rejects_k_at_most_one():
 
 
 def test_allocation_bundles_partition_items():
-    alloc = Allocation((1, 0, 1, 1))
-    assert alloc.bundle(0) == (1,)
-    assert alloc.bundle(1) == (0, 2, 3)
-    assert alloc.bundles(3) == ((1,), (0, 2, 3), ())
+    masks = bundle_masks((1, 0, 1, 1), 3)
+    assert masks == [0b0010, 0b1101, 0]
+    inst = owned_instance(2, [0, 1, 2, 2])
+    assert build_market_state(inst, masks, 0).allocation == \
+        Allocation((1, 0, 1, 1))
+
+
+@given(instances(max_n=5, max_m=8), st.data())
+def test_allocation_is_the_owner_vector_of_the_masks(inst, data):
+    owner = tuple(data.draw(st.lists(st.integers(0, inst.n - 1),
+                                     min_size=inst.m, max_size=inst.m)))
+    state = build_market_state(inst, bundle_masks(owner, inst.n), 0)
+    assert state.allocation.owner == owner
 
 
 def _two_agent_state():
     inst = owned_instance(2, [0, 0, 1])
-    return build_market_state(inst, Allocation((0, 0, 1)), 0b010)
+    return build_market_state(inst, (0b011, 0b100), 0b010)
 
 
-@pytest.mark.parametrize("owner, high, message", [
-    ((0, 0), 0, "allocation length"),
-    ((0, 0, 2), 0, "owner out of range"),
-    ((0, 0, -1), 0, "owner out of range"),
-    ((0, 0, 1), 0b1000, "bit at or above m=3"),
-    ((0, 0, 1), -1, "bit at or above m=3"),
+@pytest.mark.parametrize("bundles, high, message", [
+    ((0b011, 0b110), 0, "two bundles share a chore"),
+    ((0b011, 0b000), 0, "some chore is in no bundle"),
+    ((0b111,), 0, "expected 2 bundle masks, got 1"),
+    ((0b0011, 0b1100), 0, "bit outside chores 0..2"),
+    ((0b111, -8), 0, "bit outside chores 0..2"),
+    ((0b011, 0b100), 0b1000, "bit at or above m=3"),
+    ((0b011, 0b100), -1, "bit at or above m=3"),
 ])
-def test_build_market_state_rejects_bad_owners_and_masks(owner, high,
-                                                          message):
+def test_build_market_state_rejects_bad_masks(bundles, high, message):
     inst = owned_instance(2, [0, 0, 1])
     with pytest.raises(ValueError, match=message):
-        build_market_state(inst, Allocation(owner), high)
+        build_market_state(inst, bundles, high)
 
 
 def test_earning_views_agree_with_manual_sums():
@@ -200,7 +210,7 @@ def test_alpha_and_mpb_reflect_cost_payment_ratios():
 def test_earnings_sum_to_total_payment(inst):
     owner = [e % inst.n for e in range(inst.m)]
     pay = [inst.k if e % 2 == 0 else 1 for e in range(inst.m)]
-    state = build_market_state(inst, Allocation(tuple(owner)),
+    state = build_market_state(inst, bundle_masks(owner, inst.n),
                                sum(1 << e for e in range(0, inst.m, 2)))
     total = sum(earning(state, i) for i in range(inst.n))
     assert total == sum(pay)
@@ -210,7 +220,7 @@ def test_earnings_sum_to_total_payment(inst):
 def test_hat_earning_drops_largest_payment(inst):
     owner = [0] * inst.m
     pay = [inst.k if e % 3 == 0 else 1 for e in range(inst.m)]
-    state = build_market_state(inst, Allocation(tuple(owner)),
+    state = build_market_state(inst, bundle_masks(owner, inst.n),
                                sum(1 << e for e in range(0, inst.m, 3)))
     biggest = max(pay)
     assert earning(state, 0) - hat_earning(state, 0) == biggest
@@ -223,7 +233,7 @@ def test_market_state_matches_the_ratio_definition(inst, data):
     flags = data.draw(st.lists(st.booleans(), min_size=inst.m,
                                max_size=inst.m))
     pay = [inst.k if f else Fraction(1) for f in flags]
-    state = build_market_state(inst, Allocation(owner),
+    state = build_market_state(inst, bundle_masks(owner, inst.n),
                                sum(1 << e for e, f in enumerate(flags) if f))
     for i in range(inst.n):
         ratios = [inst.cost(i, e) / pay[e] for e in range(inst.m)]

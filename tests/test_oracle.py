@@ -20,7 +20,8 @@ from chorefair import (
     run_pipeline,
 )
 
-from conftest import generated_instances, instances, owned_instance
+from conftest import (generated_instances, instances, market_from_parts,
+                      owned_instance)
 
 
 def all_owners(inst):
@@ -104,16 +105,16 @@ def test_exists_efx_po_returns_lex_first_witness():
     assert witness is not None
     assert witness.owner == (0, 1)
     assert is_pareto_optimal(inst, witness)
-    assert min_beta_EFX(inst, witness).value == Fraction(1)
+    assert min_beta_EFX(market_from_parts(inst, witness.owner, ())).value \
+        == Fraction(1)
 
 
 def naive_best_beta(inst):
     best = None
     for owner in all_owners(inst):
-        alloc = Allocation(tuple(owner))
         if not naive_pareto_optimal(inst, owner):
             continue
-        beta = min_beta_EFX(inst, alloc).value
+        beta = min_beta_EFX(market_from_parts(inst, owner, ())).value
         if best is None:
             best = beta
         elif beta is not UNBOUNDED and (
@@ -132,7 +133,8 @@ def test_best_beta_matches_naive(inst):
     else:
         assert value == want
     assert is_pareto_optimal(inst, witness)
-    assert min_beta_EFX(inst, witness).value == value
+    assert min_beta_EFX(market_from_parts(inst, witness.owner, ())).value \
+        == value
 
 
 @given(generated_instances(max_n=3, max_m=6, ks=(Fraction(2), Fraction(3))))

@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 
 from chorefair import (
     UNBOUNDED,
-    Allocation,
     FairnessVerdict,
     beta_le,
     check_EF1,
@@ -128,7 +127,7 @@ def test_ef1_vs_pef1_can_disagree_under_payments():
     inst = owned_instance(2, [0, 0, 1], rows={1: [True, True, False]})
     state = _state(inst, [0, 0, 1], high_pay={0, 1})
     assert not check_pEF1(state).holds
-    assert check_EF1(inst, Allocation((0, 0, 1))).holds
+    assert check_EF1(state).holds
 
 
 @given(instances(max_n=4, max_m=6), st.data())
@@ -136,7 +135,7 @@ def test_ef1_matches_naive(inst, data):
     owner = tuple(
         data.draw(st.integers(0, inst.n - 1), label=f"owner[{e}]")
         for e in range(inst.m))
-    got = check_EF1(inst, Allocation(owner)).holds
+    got = check_EF1(_state(inst, owner)).holds
     assert got == naive_ef1_holds(inst, owner)
 
 
@@ -145,7 +144,7 @@ def test_efx_beta_matches_naive(inst, data):
     owner = tuple(
         data.draw(st.integers(0, inst.n - 1), label=f"owner[{e}]")
         for e in range(inst.m))
-    got = min_beta_EFX(inst, Allocation(owner)).value
+    got = min_beta_EFX(_state(inst, owner)).value
     want = naive_beta_efx(inst, owner)
     if want is UNBOUNDED:
         assert got is UNBOUNDED
@@ -157,7 +156,7 @@ def test_efx_beta_matches_naive(inst, data):
 def test_beta_one_implies_no_strong_envy_anywhere(inst, data):
     owner = tuple(
         data.draw(st.integers(0, inst.n - 1)) for e in range(inst.m))
-    result = min_beta_EFX(inst, Allocation(owner))
+    result = min_beta_EFX(_state(inst, owner))
     if result.value == Fraction(1):
         assert naive_beta_efx(inst, owner) in (Fraction(1), Fraction(0)) or \
             naive_beta_efx(inst, owner) <= Fraction(1)
@@ -209,10 +208,10 @@ def test_envy_kernel_matches_the_oracle_reference(case):
     assert kernel.cost == _cost_matrix(inst, owner)
     units = _beta_units(inst, owner)
     want = UNBOUNDED if units is UNBOUNDED else Fraction(*units)
-    assert min_beta_EFX(inst, Allocation(owner)).value == want
     market = _state(inst, owner)
+    assert min_beta_EFX(market).value == want
     assert (efx_violation(market) is None) == _exact_efx(inst, owner)
-    assert check_EF1(inst, Allocation(owner)) == naive_ef1(inst, owner)
+    assert check_EF1(market) == naive_ef1(inst, owner)
 
 
 def _pay(inst, high_pay, e):
