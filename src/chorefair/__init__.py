@@ -30,8 +30,7 @@ from .model import (Allocation, ExactRational, Instance, MarketState,
                     RawInstance, as_rational, build_market_state, earning,
                     earning_units, hat_earning, hat_earning_units,
                     instance_to_raw, normalize_instance, raw_instance)
-from .oracle import (DEFAULT_BUDGET, best_efx_beta_over_po, cost_profile,
-                     dominates, enumerate_allocations, exists_efx_po,
+from .oracle import (DEFAULT_BUDGET, best_efx_beta_over_po, exists_efx_po,
                      is_pareto_optimal)
 from .pef1 import (SolverState, StageResult, pef1_round, run_pef1,
                    select_big_earner, select_least_earner)

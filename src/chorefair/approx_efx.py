@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import (IterationCapExceeded, LemmaViolation,
                      PreconditionViolated)
-from .model import EnvyKernel, Instance, MarketState, MarketView, bits
+from .model import Instance, MarketState, MarketView, bits
 from .pef1 import SolverState, StageResult, run_pef1
 from .trace import TraceEvent
 
@@ -31,7 +31,7 @@ def strong_envy_target(market: MarketState | MarketView
     """
     p, q = market.pay_high, market.pay_low
     earn = market.earn_units
-    kernel = EnvyKernel(market.instance, market.bundles)
+    kernel = market.kernel
     for i, row in enumerate(kernel.cost):
         lhs = p * kernel.residual(i)
         targets = [j for j, c in enumerate(row)
@@ -75,9 +75,12 @@ def approx_round(view: MarketView, z_units: int,
     """One exchange on the view; None when the allocation is already
     (2 - 1/k)-EFX.  The view's earn_units is updated."""
     found = strong_envy_target(view)
-    if found is None:
-        return None
-    i, j = found
+    return found and _exchange(view, z_units, round_no, *found)
+
+
+def _exchange(view: MarketView, z_units: int, round_no: int,
+              i: int, j: int) -> TraceEvent:
+    """Violator i trades its high-payment chore for target j's bundle."""
     highs_i, bundle_j = view.bundles[i] & view.high, view.bundles[j]
     if not highs_i or bundle_j & view.high:
         raise LemmaViolation(
@@ -119,7 +122,7 @@ def _assert_round(view: MarketView, z_units: int, i: int, j: int,
             raise LemmaViolation(
                 f"agent {a} earns {earn[a]} outside [{lo}, {hi}]")
     lows = [a for a in range(view.n) if not holds_high[a]]
-    kernel = EnvyKernel(view.instance, view.bundles)
+    kernel = view.kernel
     for a in lows:
         lhs = p * kernel.residual(a)
         for b in lows:
@@ -136,17 +139,19 @@ def _assert_round(view: MarketView, z_units: int, i: int, j: int,
 
 def approx_from_equilibrium(market: MarketState,
                             pef1: SolverState | None = None) -> StageResult:
-    if strong_envy_target(market) is None:
+    found = strong_envy_target(market)
+    if found is None:
         return StageResult(market, 0, (), pef1)
     view = MarketView(market)
     z = entry_tier_units(view)
     trace: list[TraceEvent] = []
     cap = market.instance.n + 1
-    while (event := approx_round(view, z, len(trace) + 1)) is not None:
-        trace.append(event)
+    while found is not None:
+        trace.append(_exchange(view, z, len(trace) + 1, *found))
         if len(trace) > cap:
             raise IterationCapExceeded(
                 f"exchange stage exceeded {cap} rounds")
+        found = strong_envy_target(view)
     return StageResult(view.market(), len(trace), tuple(trace), pef1)
 
 

@@ -20,7 +20,7 @@ from .harness import (BENCH_COLUMNS, MODE_STAGES, MODES, VERDICT_KEYS,
                       parse_rational, report_fingerprint, report_text,
                       resolve_mode, run_pipeline, verdicts_succeed)
 from .model import Instance, RawInstance, normalize_instance, relabel_agents
-from .oracle import DEFAULT_BUDGET, best_efx_beta_over_po, exists_efx_po
+from .oracle import DEFAULT_BUDGET, best_efx_beta_over_po
 from .trace import replay_trace
 from .verify import check_equilibrium
 
@@ -178,18 +178,14 @@ def _status(success: bool) -> str:
 
 
 def _cmd_oracle(args) -> int:
+    # one search: the best factor is 1 iff an exact EFX + PO allocation exists
     inst = _load_normalized(args.instance)
-    witness = exists_efx_po(inst, budget=args.oracle_budget,
-                            prune_identical_agents=args.prune)
-    if witness is None:
-        print("efx-po: none")
-    else:
-        print("efx-po: " + " ".join(map(str, witness.owner)))
     value, best = best_efx_beta_over_po(inst, budget=args.oracle_budget,
                                         prune_identical_agents=args.prune)
-    print(f"best-beta-over-po: {value} with "
-          + " ".join(map(str, best.owner)))
-    if args.expect_efx and witness is None:
+    owner = " ".join(map(str, best.owner))
+    print("efx-po: " + (owner if value == 1 else "none"))
+    print(f"best-beta-over-po: {value} with {owner}")
+    if args.expect_efx and value != 1:
         return 1
     return 0
 

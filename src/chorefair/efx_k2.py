@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import (IterationCapExceeded, LemmaViolation, MPBViolation,
                      PreconditionViolated, TierViolation)
-from .model import EnvyKernel, Instance, MarketState, MarketView
+from .model import Instance, MarketState, MarketView
 from .pef1 import SolverState, StageResult, run_pef1
 from .trace import TraceEvent
 
@@ -43,7 +43,7 @@ def earning_tiers(market: MarketState | MarketView
 def efx_violation(market: MarketState | MarketView
                   ) -> tuple[int, int] | None:
     """Smallest (i, j) lexicographically with i failing exact EFX toward j."""
-    kernel = EnvyKernel(market.instance, market.bundles)
+    kernel = market.kernel
     for i, row in enumerate(kernel.cost):
         residual = kernel.residual(i)
         for j, c in enumerate(row):

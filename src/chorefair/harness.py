@@ -389,7 +389,7 @@ def compute_verdicts(pef1: MarketState, final: MarketState,
                      oracle_po: bool | None) -> Verdicts:
     """The recomputable verdicts of a run whose pEF1 stage ended at pef1
     and whose last stage ended at final (the same object when that stage
-    moved nothing, which is then checked once); oracle-po is passed in."""
+    moved nothing: checked once, on one envy kernel); oracle-po is given."""
     entry = check_equilibrium(pef1).holds, check_pEF1(pef1).holds
     end = entry if final is pef1 else \
         (check_equilibrium(final).holds, check_pEF1(final).holds)

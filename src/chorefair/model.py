@@ -221,6 +221,11 @@ class _MarketMasks:
         """Each agent's earning earn[i] minus its largest payment."""
         return [e - self.top_pay(i) for i, e in enumerate(earn)]
 
+    @property
+    def kernel(self) -> EnvyKernel:
+        """The EnvyKernel of the masks; a MarketState builds it only once."""
+        return EnvyKernel(self.instance, self.bundles)
+
 
 @dataclass(frozen=True)
 class MarketState(_MarketMasks):
@@ -236,6 +241,8 @@ class MarketState(_MarketMasks):
     def __post_init__(self):
         object.__setattr__(self, "earn_units", tuple(
             self.earning(i) for i in range(self.instance.n)))
+
+    kernel = cached_property(_MarketMasks.kernel.fget)  # masks never change
 
     @property
     def allocation(self) -> Allocation:

@@ -1,13 +1,16 @@
 """Exhaustive ground truth on small instances.
 
-Everything here is definitional: allocations are enumerated in lexicographic
-owner order, Pareto optimality means no enumerated allocation dominates, and
-the EFX searches scan the full space.  The only liberties taken are ones
-that cannot change answers: the dominator scan walks items depth-first and
-abandons a branch as soon as some agent is already worse off, and an opt-in
-filter keeps one representative per relabeling orbit of agents with
-identical cost rows (relabeling such agents preserves both dominance and
-envy structure).
+Everything here is definitional: Pareto optimality means no allocation
+dominates, and the EFX searches scan the Pareto-optimal owner vectors in
+lexicographic order.  They reach them by a frontier: going forward over the
+chores, only the minimal partial cost profiles are kept, which is exact
+because a dominated partial profile only completes to dominated profiles;
+going backward, only partials with a step into the next kept layer stay, so
+the walk never enters a dead branch.  The single-allocation check walks
+items depth-first and abandons a branch as soon as some agent is already
+worse off.  An opt-in filter keeps one representative per relabeling orbit
+of agents with identical cost rows (relabeling such agents preserves both
+dominance and envy structure).
 
 All entry points raise BudgetExceeded when n^m reaches the allocation
 budget, before any work is done.
@@ -15,7 +18,6 @@ budget, before any work is done.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Iterator
 
 from .errors import BudgetExceeded
@@ -59,41 +61,16 @@ def _canonical(owner: tuple[int, ...],
     return True
 
 
-def cost_profile(instance: Instance,
-                 allocation: Allocation) -> tuple[ExactRational, ...]:
-    totals = [0] * instance.n
-    for e, o in enumerate(allocation.owner):
-        totals[o] += instance.cost_units[o][e]
-    return tuple(Fraction(t, instance.unit) for t in totals)
-
-
-def enumerate_allocations(instance: Instance, *,
-                          budget: int = DEFAULT_BUDGET,
-                          prune_identical_agents: bool = False
-                          ) -> Iterator[Allocation]:
-    _check_budget(instance, budget)
-    classes = _agent_classes(instance) if prune_identical_agents else ()
-    for owner in product(range(instance.n), repeat=instance.m):
-        if classes and not _canonical(owner, classes):
-            continue
-        yield Allocation(owner)
-
-
-def dominates(instance: Instance, a: Allocation, b: Allocation) -> bool:
-    """Whether a leaves every agent at most as badly off as b, one strictly."""
-    pa = cost_profile(instance, a)
-    pb = cost_profile(instance, b)
-    return all(x <= y for x, y in zip(pa, pb)) and pa != pb
-
-
-def _dominated(instance: Instance, owner: tuple[int, ...]) -> bool:
+def is_pareto_optimal(instance: Instance, allocation: Allocation, *,
+                      budget: int = DEFAULT_BUDGET) -> bool:
     """Depth-first dominator search; a branch dies once any agent exceeds
     the target total, since item costs only accumulate.
     """
+    _check_budget(instance, budget)
     cu = instance.cost_units
     n, m = instance.n, instance.m
     target = [0] * n
-    for e, o in enumerate(owner):
+    for e, o in enumerate(allocation.owner):
         target[o] += cu[o][e]
 
     partial = [0] * n
@@ -110,13 +87,7 @@ def _dominated(instance: Instance, owner: tuple[int, ...]) -> bool:
                 partial[o] -= c
         return False
 
-    return walk(0)
-
-
-def is_pareto_optimal(instance: Instance, allocation: Allocation, *,
-                      budget: int = DEFAULT_BUDGET) -> bool:
-    _check_budget(instance, budget)
-    return not _dominated(instance, allocation.owner)
+    return not walk(0)
 
 
 def _cost_matrix(instance: Instance,
@@ -130,40 +101,68 @@ def _cost_matrix(instance: Instance,
     return matrix
 
 
-def _exact_efx(instance: Instance, owner: tuple[int, ...]) -> bool:
-    n = instance.n
-    matrix = _cost_matrix(instance, owner)
-    own_min = [None] * n
-    for e, o in enumerate(owner):
-        c = instance.cost_units[o][e]
-        if own_min[o] is None or c < own_min[o]:
-            own_min[o] = c
-    for i in range(n):
-        if own_min[i] is None:
-            continue
-        residual = matrix[i][i] - own_min[i]
-        if residual <= 0:
-            continue
-        for j in range(n):
-            if j != i and residual > matrix[i][j]:
-                return False
-    return True
+def _po_layers(instance: Instance) -> tuple[list[list[int]], list[set[int]]]:
+    """Per chore, each owner's packed cost step; per depth e, the partial
+    profiles of chores 0..e-1 that complete to a Pareto-minimal profile.
+
+    Agent o's total sits in bits o*w .. o*w + w - 2, under a guard bit.
+    Componentwise q <= p with q != p implies q < p as ints, so once sorted
+    every dominator of p precedes it; q <= p iff (p | guards) - q keeps
+    every guard.
+    """
+    n, m, cu = instance.n, instance.m, instance.cost_units
+    w = (m * instance.high_units).bit_length() + 1
+    guard = sum(1 << (o * w + w - 1) for o in range(n))
+    steps = [[cu[o][e] << (o * w) for o in range(n)] for e in range(m)]
+    layers = [[0]]
+    for step in steps:
+        kept: list[int] = []
+        for p in sorted({q + s for q in layers[-1] for s in step}):
+            top = p | guard
+            if all((top - q) & guard != guard for q in kept):
+                kept.append(p)
+        layers.append(kept)
+    live = [set(layers[m])]
+    for step, layer in zip(steps[::-1], layers[m - 1::-1]):
+        live.insert(0, {p for p in layer
+                        if any(p + s in live[0] for s in step)})
+    return steps, live
+
+
+def _po_owners(instance: Instance,
+               prune: bool = False) -> Iterator[tuple[int, ...]]:
+    """Every Pareto-optimal owner vector, in lexicographic order; with prune,
+    only the canonical one of each orbit of identical agents."""
+    steps, live = _po_layers(instance)
+    classes = _agent_classes(instance) if prune else ()
+    m = instance.m
+    owner = [0] * m
+
+    def walk(e: int, profile: int) -> Iterator[tuple[int, ...]]:
+        if e == m:
+            found = tuple(owner)
+            if not classes or _canonical(found, classes):
+                yield found
+            return
+        ahead = live[e + 1]
+        for o, s in enumerate(steps[e]):
+            if profile + s in ahead:
+                owner[e] = o
+                yield from walk(e + 1, profile + s)
+
+    return walk(0, 0)
 
 
 def exists_efx_po(instance: Instance, *,
                   budget: int = DEFAULT_BUDGET,
                   prune_identical_agents: bool = False) -> Allocation | None:
     """Lexicographically first allocation that is exactly EFX and Pareto
-    optimal, or None when no allocation satisfies both.
+    optimal, or None when no allocation satisfies both: exact EFX is an
+    envy factor of 1, so this is the best-factor witness at factor 1.
     """
-    _check_budget(instance, budget)
-    for allocation in enumerate_allocations(
-            instance, budget=budget,
-            prune_identical_agents=prune_identical_agents):
-        if _exact_efx(instance, allocation.owner) and \
-                not _dominated(instance, allocation.owner):
-            return allocation
-    return None
+    value, witness = best_efx_beta_over_po(
+        instance, budget=budget, prune_identical_agents=prune_identical_agents)
+    return witness if value == 1 else None
 
 
 def _beta_units(instance: Instance,
@@ -171,7 +170,8 @@ def _beta_units(instance: Instance,
     """Smallest envy factor as an integer ratio (num, den), or Unbounded.
 
     Mirrors the public EFX verifier: the factor is clamped below at 1, and
-    a positive residual against a zero-cost bundle makes it unbounded.
+    a positive residual against a zero-cost bundle makes it unbounded.  Only
+    a ratio above 1 replaces (1, 1), so (1, 1) means exactly EFX.
     """
     n = instance.n
     matrix = _cost_matrix(instance, owner)
@@ -207,23 +207,17 @@ def best_efx_beta_over_po(instance: Instance, *,
     """
     _check_budget(instance, budget)
     best: tuple[int, int] | Unbounded | None = None
-    witness: Allocation | None = None
-    for allocation in enumerate_allocations(
-            instance, budget=budget,
-            prune_identical_agents=prune_identical_agents):
-        beta = _beta_units(instance, allocation.owner)
-        if best is not None and not _ratio_lt(beta, best):
-            continue
-        if _dominated(instance, allocation.owner):
-            continue
-        best = beta
-        witness = allocation
-        if best == (1, 1):
-            break
+    witness: tuple[int, ...] | None = None
+    for owner in _po_owners(instance, prune_identical_agents):
+        beta = _beta_units(instance, owner)
+        if best is None or _ratio_lt(beta, best):
+            best, witness = beta, owner
+            if best == (1, 1):
+                break
     assert witness is not None and best is not None
     if isinstance(best, Unbounded):
-        return UNBOUNDED, witness
-    return Fraction(*best), witness
+        return UNBOUNDED, Allocation(witness)
+    return Fraction(*best), Allocation(witness)
 
 
 def _ratio_lt(a: tuple[int, int] | Unbounded,

@@ -3,14 +3,14 @@
 Each check returns either a verdict with a reproducible witness (the first
 violating tuple in lexicographic order) or an exact minimal factor.  Pareto
 optimality is deliberately not decided here; see oracle.py for the
-enumeration-based check.
+exhaustive check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import EnvyKernel, MarketState
+from .model import MarketState
 
 
 class Unbounded:
@@ -118,8 +118,7 @@ def min_beta_pEFX(state: MarketState) -> BetaResult:
 
 def check_EF1(state: MarketState) -> FairnessVerdict:
     """Cost envy-freeness up to one chore (drop the costliest own chore)."""
-    instance, bundles = state.instance, state.bundles
-    kernel = EnvyKernel(instance, bundles)
+    instance, bundles, kernel = state.instance, state.bundles, state.kernel
     for i, row in enumerate(kernel.cost):
         lhs_units = row[i] - kernel.costliest[i]
         for j, rhs_units in enumerate(row):
@@ -135,7 +134,7 @@ def check_EF1(state: MarketState) -> FairnessVerdict:
 
 def min_beta_EFX(state: MarketState) -> BetaResult:
     """Smallest beta with c_i(X_i - e) <= beta * c_i(X_j) for all pairs, all e."""
-    kernel = EnvyKernel(state.instance, state.bundles)
+    kernel = state.kernel
     return _min_beta([kernel.residual(i) for i in range(state.instance.n)],
                      kernel.cost.__getitem__)
 

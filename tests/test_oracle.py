@@ -1,27 +1,88 @@
-"""Exhaustive ground truth against a deliberately naive quadratic scan."""
+"""Exhaustive ground truth against a deliberately naive quadratic scan.
 
+The brute-force definitions the oracle is checked against live here:
+enumerate_allocations walks all n^m owner vectors in lexicographic order,
+cost_profile and dominates define Pareto dominance, and _exact_efx the
+exact EFX test.
+"""
+
+import os
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from chorefair import (
     UNBOUNDED,
     Allocation,
     BudgetExceeded,
+    ExactRational,
+    Instance,
     best_efx_beta_over_po,
-    cost_profile,
-    dominates,
-    enumerate_allocations,
     exists_efx_po,
     is_pareto_optimal,
     min_beta_EFX,
     run_pipeline,
+    save_instance,
 )
+from chorefair.cli import main
+from chorefair.oracle import (DEFAULT_BUDGET, _agent_classes, _canonical,
+                              _check_budget, _cost_matrix, _po_owners)
 
-from conftest import (generated_instances, instances, market_from_parts,
-                      owned_instance)
+from conftest import (generated_instances, high_matrices, instances,
+                      market_from_parts, owned_instance)
+
+INPUTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench", "inputs")
+
+
+def cost_profile(instance: Instance,
+                 allocation: Allocation) -> tuple[ExactRational, ...]:
+    totals = [0] * instance.n
+    for e, o in enumerate(allocation.owner):
+        totals[o] += instance.cost_units[o][e]
+    return tuple(Fraction(t, instance.unit) for t in totals)
+
+
+def enumerate_allocations(instance: Instance, *,
+                          budget: int = DEFAULT_BUDGET,
+                          prune_identical_agents: bool = False
+                          ) -> Iterator[Allocation]:
+    _check_budget(instance, budget)
+    classes = _agent_classes(instance) if prune_identical_agents else ()
+    for owner in product(range(instance.n), repeat=instance.m):
+        if classes and not _canonical(owner, classes):
+            continue
+        yield Allocation(owner)
+
+
+def dominates(instance: Instance, a: Allocation, b: Allocation) -> bool:
+    """Whether a leaves every agent at most as badly off as b, one strictly."""
+    pa = cost_profile(instance, a)
+    pb = cost_profile(instance, b)
+    return all(x <= y for x, y in zip(pa, pb)) and pa != pb
+
+
+def _exact_efx(instance: Instance, owner: tuple[int, ...]) -> bool:
+    n = instance.n
+    matrix = _cost_matrix(instance, owner)
+    own_min = [None] * n
+    for e, o in enumerate(owner):
+        c = instance.cost_units[o][e]
+        if own_min[o] is None or c < own_min[o]:
+            own_min[o] = c
+    for i in range(n):
+        if own_min[i] is None:
+            continue
+        residual = matrix[i][i] - own_min[i]
+        if residual <= 0:
+            continue
+        for j in range(n):
+            if j != i and residual > matrix[i][j]:
+                return False
+    return True
 
 
 def all_owners(inst):
@@ -45,11 +106,26 @@ def test_enumeration_counts_n_to_the_m():
     assert len(set(allocs)) == 2**3
 
 
-def test_budget_is_exclusive():
+def test_budget_is_exclusive(tmp_path, capsys):
     inst = owned_instance(2, [0, 1, 0])  # 8 allocations
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_allocations(inst, budget=8))
-    assert len(list(enumerate_allocations(inst, budget=9))) == 8
+    witness = Allocation((0, 1, 0))
+    searches = (
+        (lambda budget: is_pareto_optimal(inst, witness, budget=budget),
+         True),
+        (lambda budget: exists_efx_po(inst, budget=budget), witness),
+        (lambda budget: best_efx_beta_over_po(inst, budget=budget),
+         (Fraction(1), witness)))
+    for search, answer in searches:
+        with pytest.raises(BudgetExceeded):
+            search(8)
+        assert search(9) == answer
+    path = str(tmp_path / "small.inst")
+    save_instance(path, inst)
+    assert main(["oracle", path, "--oracle-budget", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "BudgetExceeded" in err
+    assert "Traceback" not in err
+    assert main(["oracle", path, "--oracle-budget", "9"]) == 0
 
 
 def test_dominates_requires_strict_improvement_somewhere():
@@ -145,3 +221,90 @@ def test_pipeline_output_is_pareto_optimal(inst):
     # map the reindexed result back into the original agent frame
     owner = tuple(report.new_to_old[o] for o in report.owner)
     assert is_pareto_optimal(inst, Allocation(owner))
+
+
+# n^m <= 4096 for every n this draws: (n, largest m)
+ORACLE_SIZES = {1: 12, 2: 12, 3: 7, 4: 6}
+ORACLE_KS = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(9, 8),
+             Fraction(7))
+
+
+@st.composite
+def oracle_instances(draw):
+    """Instances with n^m <= 4096, half of them with a row repeated so
+    that the identical-agent filter has orbits to cut."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, ORACLE_SIZES[n]))
+    rows = list(draw(high_matrices(n, m)))
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, n - 1))] = rows[0]
+    return Instance(n, m, draw(st.sampled_from(ORACLE_KS)), tuple(rows))
+
+
+def reference_po_owners(inst, prune):
+    """enumerate_allocations filtered by naive_pareto_optimal, in order.
+
+    The same quadratic scan, run once over the distinct cost profiles
+    instead of once per owner vector, so it stays fast up to n^m = 4096.
+    """
+    profiles = {a.owner: cost_profile(inst, a)
+                for a in enumerate_allocations(inst)}
+    distinct = set(profiles.values())
+    minimal = {mine for mine in distinct
+               if not any(prof != mine and all(a <= b for a, b in
+                                                zip(prof, mine))
+                          for prof in distinct)}
+    return [a.owner for a in enumerate_allocations(
+        inst, prune_identical_agents=prune) if profiles[a.owner] in minimal]
+
+
+@given(oracle_instances())
+@settings(max_examples=40)
+def test_the_walk_yields_exactly_the_po_owner_vectors(inst):
+    for prune in (False, True):
+        assert list(_po_owners(inst, prune)) == reference_po_owners(inst,
+                                                                    prune)
+
+
+@given(oracle_instances())
+@settings(max_examples=40)
+def test_both_searches_return_the_lex_first_answer(inst):
+    for prune in (False, True):
+        po = reference_po_owners(inst, prune)
+        betas = [min_beta_EFX(market_from_parts(inst, owner, ())).value
+                 for owner in po]
+        finite = [b for b in betas if b is not UNBOUNDED]
+        best = min(finite) if finite else UNBOUNDED
+        want = po[betas.index(best)]
+        efx = next((owner for owner in po if _exact_efx(inst, owner)), None)
+        value, witness = best_efx_beta_over_po(
+            inst, prune_identical_agents=prune)
+        assert (value, witness.owner) == (best, want)
+        found = exists_efx_po(inst, prune_identical_agents=prune)
+        assert (found and found.owner) == efx
+
+
+# `chorefair oracle` on the committed stage instances, as printed before the
+# search walked the Pareto frontier; bundle_swap-4979 has two agents with
+# identical rows, so --prune has an orbit to cut there.
+GOLDEN_ORACLE = {
+    ("bundle_swap-3266", False): "1 2 0 2 0 1 0 3",
+    ("bundle_swap-4979", False): "0 1 0 2 0 1 3 3",
+    ("bundle_swap-4979", True): "0 1 0 2 0 1 3 3",
+    ("bundle_swap-838", False): "0 0 1 0 3 2 2 3",
+    ("move-105", False): "0 1 0 0 2 1 0 2 1 2",
+    ("move-88", False): "1 1 0 2 3 0 2 3",
+    ("move-99", False): "0 0 1 1 2 2 2 3",
+    ("swap-2382", False): "0 0 0 0 0 1 1 2 1 2",
+    ("swap-2920", False): "0 0 1 1 2 2 2 0 0 1",
+    ("swap-3912", False): "1 0 0 0 0 1 2 1 2 1",
+}
+
+
+@pytest.mark.parametrize("name,prune", sorted(GOLDEN_ORACLE))
+def test_oracle_output_is_golden(name, prune, capsys):
+    argv = ["oracle", os.path.join(INPUTS, name + ".inst"), "--expect-efx"]
+    assert main(argv + ["--prune"] * prune) == 0
+    owner = GOLDEN_ORACLE[name, prune]
+    assert capsys.readouterr().out == (
+        f"efx-po: {owner}\nbest-beta-over-po: 1 with {owner}\n")

@@ -18,9 +18,10 @@ from chorefair import (
     Witness,
 )
 from chorefair.model import EnvyKernel, bundle_masks
-from chorefair.oracle import _beta_units, _cost_matrix, _exact_efx
+from chorefair.oracle import _beta_units, _cost_matrix
 
 from conftest import instances, market_from_parts, owned_instance
+from test_oracle import _exact_efx
 
 
 def naive_beta_efx(inst, owner):
