@@ -10,19 +10,16 @@ from fractions import Fraction
 
 from chorefair import (
     Instance,
-    approx_from_equilibrium,
-    build_market_state,
     check_equilibrium,
     check_pEF1,
-    earning_units,
-    k2_from_equilibrium,
     min_beta_EFX,
+    report_fingerprint,
     run_pef1,
     run_pipeline,
-    report_fingerprint,
-    strong_envy_target,
 )
-from chorefair.model import bits, bundle_masks
+from chorefair.approx_efx import approx_from_equilibrium, strong_envy_target
+from chorefair.efx_k2 import k2_from_equilibrium
+from chorefair.model import bits, build_market_state, bundle_masks
 
 
 def owned(k, owners, rows=None) -> Instance:
@@ -46,7 +43,7 @@ def show(state, label):
         bundle = list(bits(state.bundles[i]))
         pays = " ".join(str(state.pay_high if state.high >> e & 1
                             else state.pay_low) for e in bundle)
-        print(f"    agent {i}: earns {earning_units(state, i):>3} units"
+        print(f"    agent {i}: earns {state.earn_units[i]:>3} units"
               f"  items {bundle} (pay units: {pays})")
 
 

@@ -70,14 +70,6 @@ def entry_tier_units(view: MarketView) -> int:
     return z
 
 
-def approx_round(view: MarketView, z_units: int,
-                 round_no: int) -> TraceEvent | None:
-    """One exchange on the view; None when the allocation is already
-    (2 - 1/k)-EFX.  The view's earn_units is updated."""
-    found = strong_envy_target(view)
-    return found and _exchange(view, z_units, round_no, *found)
-
-
 def _exchange(view: MarketView, z_units: int, round_no: int,
               i: int, j: int) -> TraceEvent:
     """Violator i trades its high-payment chore for target j's bundle."""
@@ -141,7 +133,7 @@ def approx_from_equilibrium(market: MarketState,
                             pef1: SolverState | None = None) -> StageResult:
     found = strong_envy_target(market)
     if found is None:
-        return StageResult(market, 0, (), pef1)
+        return StageResult(market, (), pef1)
     view = MarketView(market)
     z = entry_tier_units(view)
     trace: list[TraceEvent] = []
@@ -152,7 +144,7 @@ def approx_from_equilibrium(market: MarketState,
             raise IterationCapExceeded(
                 f"exchange stage exceeded {cap} rounds")
         found = strong_envy_target(view)
-    return StageResult(view.market(), len(trace), tuple(trace), pef1)
+    return StageResult(view.market(), tuple(trace), pef1)
 
 
 def run_approx_efx(instance: Instance) -> StageResult:

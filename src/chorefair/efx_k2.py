@@ -142,8 +142,8 @@ def k2_from_equilibrium(market: MarketState, unraised: frozenset[int],
         trace.append(event)
         if len(trace) > cap:
             raise IterationCapExceeded(f"trade stage exceeded {cap} rounds")
-    return StageResult(view.market() if trace else market, len(trace),
-                       tuple(trace), pef1)
+    return StageResult(view.market() if trace else market, tuple(trace),
+                       pef1)
 
 
 def run_efx_k2(instance: Instance) -> StageResult:

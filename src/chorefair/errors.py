@@ -24,12 +24,6 @@ class AlreadyUniform(ChorefairError):
     """All costs are equal, so the value ratio would be 1; rejected, not processed."""
 
 
-# ---- market state ----------------------------------------------------------
-
-class AllEmpty(ChorefairError):
-    """Big-earner selection requires at least one nonempty bundle."""
-
-
 # ---- invariant violations (should never fire if the theory holds) ---------
 
 class InvariantViolation(ChorefairError):

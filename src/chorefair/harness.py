@@ -23,9 +23,8 @@ from fractions import Fraction
 from .approx_efx import approx_from_equilibrium
 from .efx_k2 import k2_from_equilibrium
 from .errors import ChorefairError, ParseError
-from .model import (ExactRational, Instance, MarketState, RawInstance,
-                    as_rational, build_market_state, bundle_masks,
-                    normalize_instance)
+from .model import (Instance, MarketState, RawInstance, as_rational,
+                    build_market_state, bundle_masks, normalize_instance)
 from .oracle import is_pareto_optimal
 from .pef1 import run_pef1
 from .trace import TraceEvent
@@ -57,8 +56,8 @@ class SplitMix64:
 class GenParams:
     n: int
     m: int
-    k: ExactRational
-    high_prob: ExactRational
+    k: Fraction
+    high_prob: Fraction
     seed: int
 
     def __post_init__(self):
@@ -98,7 +97,7 @@ def gen_instance(params: GenParams) -> RawInstance:
 
 # ---------------------------------------------------------------- formats
 
-def _fmt_rational(x: ExactRational | Unbounded) -> str:
+def _fmt_rational(x: Fraction | Unbounded) -> str:
     if isinstance(x, Unbounded):
         return "unbounded"
     if not isinstance(x, Fraction):
@@ -131,8 +130,12 @@ def _parse_rationals(tokens: list[str], where: str,
     return tuple(map(known.__getitem__, tokens))
 
 
-def _fields(text: str) -> list[tuple[int, str, str]]:
-    """(line number, key, value) triples; '#' starts a comment line."""
+def _fields(text: str, fmt: str,
+            repeatable: tuple[str, ...]) -> list[tuple[int, str, str]]:
+    """(line number, key, value) triples of the lines after the leading
+    'format: fmt' line; '#' starts a comment line.  A key outside
+    repeatable may occur once, like the format line itself.
+    """
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -142,7 +145,15 @@ def _fields(text: str) -> list[tuple[int, str, str]]:
             raise ParseError(f"line {lineno}: expected 'key: value'")
         key, value = stripped.split(":", 1)
         out.append((lineno, key.strip(), value.strip()))
-    return out
+    if not out or out[0][1:] != ("format", fmt):
+        raise ParseError(f"line 1: expected 'format: {fmt}'")
+    seen = {"format"}
+    for lineno, key, _ in out[1:]:
+        if key in seen:
+            raise ParseError(f"line {lineno}: duplicate field {key!r}")
+        if key not in repeatable:
+            seen.add(key)
+    return out[1:]
 
 
 def save_instance(path: str, instance: RawInstance | Instance) -> None:
@@ -181,18 +192,12 @@ def parse_instance(text: str) -> RawInstance | Instance:
     m entries over a few values builds a few Fractions; a ParseError names
     the first bad token in row order.
     """
-    fields = _fields(text)
-    if not fields or fields[0][1] != "format" or \
-            fields[0][2] != INSTANCE_FORMAT:
-        raise ParseError(f"line 1: expected 'format: {INSTANCE_FORMAT}'")
     head: dict[str, str] = {}
     head_line: dict[str, int] = {}
     rows: list[tuple[int, str]] = []
-    for lineno, key, value in fields[1:]:
+    for lineno, key, value in _fields(text, INSTANCE_FORMAT, ("row",)):
         if key == "row":
             rows.append((lineno, value))
-        elif key in head:
-            raise ParseError(f"line {lineno}: duplicate field {key!r}")
         else:
             head[key] = value
             head_line[key] = lineno
@@ -257,8 +262,8 @@ class Verdicts:
     entry_ef1: bool
     final_equilibrium: bool
     final_pef1: bool
-    beta_pefx: ExactRational | Unbounded
-    beta_efx: ExactRational | Unbounded
+    beta_pefx: Fraction | Unbounded
+    beta_efx: Fraction | Unbounded
     oracle_po: bool | None = None
 
 
@@ -274,7 +279,7 @@ class RunReport:
     requested_mode: str
     n: int
     m: int
-    k: ExactRational
+    k: Fraction
     new_to_old: tuple[int, ...]
     entry_owner: tuple[int, ...]
     entry_pay_high: tuple[bool, ...]
@@ -297,13 +302,13 @@ MODE_STAGES = {"pef1": ("pef1",), "approx": ("pef1", "approx_efx"),
 MODES = ("auto", *MODE_STAGES)
 
 
-def resolve_mode(mode: str, k: ExactRational) -> str:
+def resolve_mode(mode: str, k: Fraction) -> str:
     if mode == "auto":
         return "exact2" if k == 2 else "approx"
     return mode
 
 
-def verdicts_succeed(v: Verdicts, mode: str, k: ExactRational) -> bool:
+def verdicts_succeed(v: Verdicts, mode: str, k: Fraction) -> bool:
     """A run's status: every verdict holds and the mode's bound is met
     (pEF1 for pef1, beta-efx <= 2 - 1/k for approx, exact EFX plus pEF1
     for exact2); an oracle-po verdict, when present, must hold."""
@@ -351,7 +356,8 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
             else:
                 result = k2_from_equilibrium(pef1_market, state.unraised,
                                              state)
-            stages.append(StageSummary(names[1], result.rounds, result.trace))
+            stages.append(StageSummary(names[1], len(result.trace),
+                                       result.trace))
             final = result.market
         timings["stage"] = time.perf_counter() - t1
     except ChorefairError as err:
@@ -526,9 +532,6 @@ def load_report(path: str) -> RunReport:
 
 
 def parse_report(text: str) -> RunReport:
-    fields = _fields(text)
-    if not fields or fields[0][1] != "format" or fields[0][2] != REPORT_FORMAT:
-        raise ParseError(f"line 1: expected 'format: {REPORT_FORMAT}'")
     head: dict[str, str] = {}
     stages: list[StageSummary] = []
     events: list[TraceEvent] = []
@@ -544,7 +547,8 @@ def parse_report(text: str) -> RunReport:
                                        tuple(events)))
             stage_open, events = None, []
 
-    for lineno, key, value in fields[1:]:
+    for lineno, key, value in _fields(text, REPORT_FORMAT,
+                                      ("stage", "event")):
         if key == "stage":
             close_stage()
             try:
@@ -629,7 +633,7 @@ def bench(grid: list[GenParams], *, mode: str = "auto") -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(BENCH_COLUMNS)
-    worst: dict[str, ExactRational | Unbounded] = {}
+    worst: dict[str, Fraction | Unbounded] = {}
     for params in grid:
         cell = [params.n, params.m, _fmt_rational(params.k),
                 _fmt_rational(params.high_prob), params.seed]

@@ -18,10 +18,6 @@ from typing import Sequence
 from .errors import (AlreadyUniform, InternalInvariant, LemmaViolation,
                      MPBViolation, NotBiValued, ZeroCost)
 
-# Exact rational scalar used throughout.  Fraction already guarantees the
-# canonical form (reduced, positive denominator) and exact field operations.
-ExactRational = Fraction
-
 ONE = Fraction(1)
 
 
@@ -172,14 +168,6 @@ def relabel_agents(instance: Instance, new_to_old: Sequence[int]) -> Instance:
     return out
 
 
-def instance_to_raw(instance: Instance) -> RawInstance:
-    """Expand a normalized instance back into an explicit cost matrix."""
-    costs = tuple(
-        tuple(instance.k if h else ONE for h in row) for row in instance.high
-    )
-    return RawInstance(n=instance.n, m=instance.m, costs=costs)
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Total assignment of chores to agents: owner[e] is the agent holding e."""
@@ -295,28 +283,6 @@ def build_market_state(instance: Instance, bundles: Sequence[int],
     if high >> m:
         raise ValueError(f"payment mask has a bit at or above m={m}")
     return MarketState(instance, bundles, high)
-
-
-def earning(state: MarketState, agent: int) -> Fraction:
-    """Total payment of the agent's bundle."""
-    return Fraction(state.earn_units[agent], state.pay_low)
-
-
-def earning_units(state: MarketState, agent: int) -> int:
-    return state.earn_units[agent]
-
-
-def hat_earning_units(state: MarketState, agent: int) -> int:
-    return state.earn_units[agent] - state.top_pay(agent)
-
-
-def hat_earning(state: MarketState, agent: int) -> Fraction:
-    """Earning minus the single largest payment in the bundle; 0 if empty.
-
-    Equivalently the best earning achievable after dropping one chore, which
-    is what the payment-based fairness conditions compare against.
-    """
-    return Fraction(hat_earning_units(state, agent), state.pay_low)
 
 
 def bits(mask: int):

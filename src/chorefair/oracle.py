@@ -2,11 +2,12 @@
 
 Everything here is definitional: Pareto optimality means no allocation
 dominates, and the EFX searches scan the Pareto-optimal owner vectors in
-lexicographic order.  They reach them by a frontier: going forward over the
-chores, only the minimal partial cost profiles are kept, which is exact
-because a dominated partial profile only completes to dominated profiles;
-going backward, only partials with a step into the next kept layer stay, so
-the walk never enters a dead branch.  The single-allocation check walks
+lexicographic order and score each with the verifier's envy-factor scan
+(verify.kernel_beta_EFX) on its envy kernel.  They reach them by a
+frontier: going forward over the chores, only the minimal partial cost
+profiles are kept, which is exact because a dominated partial profile only
+completes to dominated profiles; going backward, only partials with a step
+into the next kept layer stay, so the walk never enters a dead branch.  The single-allocation check walks
 items depth-first and abandons a branch as soon as some agent is already
 worse off.  An opt-in filter keeps one representative per relabeling orbit
 of agents with identical cost rows (relabeling such agents preserves both
@@ -21,8 +22,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetExceeded
-from .model import Allocation, ExactRational, Instance
-from .verify import UNBOUNDED, Unbounded
+from .model import Allocation, EnvyKernel, Instance, bundle_masks
+from .verify import Unbounded, beta_le, kernel_beta_EFX
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -90,17 +91,6 @@ def is_pareto_optimal(instance: Instance, allocation: Allocation, *,
     return not walk(0)
 
 
-def _cost_matrix(instance: Instance,
-                 owner: tuple[int, ...]) -> list[list[int]]:
-    """matrix[i][j] = cost, in base units, that agent i sees in j's bundle."""
-    n = instance.n
-    matrix = [[0] * n for _ in range(n)]
-    for e, o in enumerate(owner):
-        for i in range(n):
-            matrix[i][o] += instance.cost_units[i][e]
-    return matrix
-
-
 def _po_layers(instance: Instance) -> tuple[list[list[int]], list[set[int]]]:
     """Per chore, each owner's packed cost step; per depth e, the partial
     profiles of chores 0..e-1 that complete to a Pareto-minimal profile.
@@ -165,65 +155,24 @@ def exists_efx_po(instance: Instance, *,
     return witness if value == 1 else None
 
 
-def _beta_units(instance: Instance,
-                owner: tuple[int, ...]) -> tuple[int, int] | Unbounded:
-    """Smallest envy factor as an integer ratio (num, den), or Unbounded.
-
-    Mirrors the public EFX verifier: the factor is clamped below at 1, and
-    a positive residual against a zero-cost bundle makes it unbounded.  Only
-    a ratio above 1 replaces (1, 1), so (1, 1) means exactly EFX.
-    """
-    n = instance.n
-    matrix = _cost_matrix(instance, owner)
-    own_min = [None] * n
-    for e, o in enumerate(owner):
-        c = instance.cost_units[o][e]
-        if own_min[o] is None or c < own_min[o]:
-            own_min[o] = c
-    num, den = 1, 1
-    for i in range(n):
-        if own_min[i] is None:
-            continue
-        residual = matrix[i][i] - own_min[i]
-        if residual <= 0:
-            continue
-        for j in range(n):
-            if j == i:
-                continue
-            against = matrix[i][j]
-            if against == 0:
-                return UNBOUNDED
-            if residual * den > num * against:
-                num, den = residual, against
-    return num, den
-
-
 def best_efx_beta_over_po(instance: Instance, *,
                           budget: int = DEFAULT_BUDGET,
                           prune_identical_agents: bool = False
-                          ) -> tuple[ExactRational | Unbounded, Allocation]:
+                          ) -> tuple[Fraction | Unbounded, Allocation]:
     """Minimum envy factor achievable by any Pareto-optimal allocation,
-    with the lexicographically first witness attaining it.
+    with the lexicographically first witness attaining it.  Each owner
+    vector is scored by the verifier's own scan on its envy kernel.
     """
     _check_budget(instance, budget)
-    best: tuple[int, int] | Unbounded | None = None
+    n = instance.n
+    best: Fraction | Unbounded | None = None
     witness: tuple[int, ...] | None = None
     for owner in _po_owners(instance, prune_identical_agents):
-        beta = _beta_units(instance, owner)
-        if best is None or _ratio_lt(beta, best):
+        kernel = EnvyKernel(instance, bundle_masks(owner, n))
+        beta = kernel_beta_EFX(kernel).value
+        if best is None or not beta_le(best, beta):
             best, witness = beta, owner
-            if best == (1, 1):
+            if best == 1:
                 break
     assert witness is not None and best is not None
-    if isinstance(best, Unbounded):
-        return UNBOUNDED, Allocation(witness)
-    return Fraction(*best), Allocation(witness)
-
-
-def _ratio_lt(a: tuple[int, int] | Unbounded,
-              b: tuple[int, int] | Unbounded) -> bool:
-    if isinstance(a, Unbounded):
-        return False
-    if isinstance(b, Unbounded):
-        return True
-    return a[0] * b[1] < b[0] * a[1]
+    return best, Allocation(witness)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import (AllEmpty, IterationCapExceeded, LemmaViolation,
+from .errors import (IterationCapExceeded, LemmaViolation,
                      MissingIntermediary, MPBViolation, RaiseOverflow)
 from .market_init import (AgentGroups, build_initial_state,
                           partition_agent_groups, resolve_overpaid_paths)
@@ -41,25 +41,13 @@ class SolverState:
     round_count: int
     trace: tuple[TraceEvent, ...] = ()
 
-    @staticmethod
-    def from_market(market: MarketState,
-                    unraised: frozenset[int] | None = None) -> "SolverState":
-        """Wrap an existing equilibrium, e.g. for driving later stages directly."""
-        n = market.instance.n
-        ident = tuple(range(n))
-        groups = AgentGroups((frozenset(ident),), (0,), ident, ident)
-        if unraised is None:
-            unraised = frozenset(ident)
-        return SolverState(market, unraised, groups, market, 0)
-
 
 @dataclass(frozen=True)
 class StageResult:
     """The market after a reallocation stage run on a pEF1 equilibrium,
-    with the stage's round count and trace; pef1 is the state it started
-    from, when the stage was run on one."""
+    with the stage's trace, one event per round; pef1 is the state it
+    started from, when the stage was run on one."""
     market: MarketState
-    rounds: int
     trace: tuple[TraceEvent, ...]
     pef1: SolverState | None = None
 
@@ -68,11 +56,8 @@ def select_big_earner(market: MarketState | MarketView,
                       hats: list[int] | None = None) -> int:
     """Agent maximizing earning-after-dropping-one-chore, ties to smaller
     index.  hats defaults to the market's, from its earn_units."""
-    earn = market.earn_units
-    if not any(earn):
-        raise AllEmpty("all bundles are empty")
     if hats is None:
-        hats = market.hats(earn)
+        hats = market.hats(market.earn_units)
     return hats.index(max(hats))
 
 
@@ -237,12 +222,6 @@ class _Rounds:
                     f"pEF1 broke inside a group: {g[g_hats.index(top)]} vs "
                     f"{g[g_earn.index(floor)]}")
         return earn, hats
-
-
-def pef1_round(state: SolverState) -> SolverState | None:
-    """Execute one round; None signals the terminal pEF1 condition."""
-    rounds = _Rounds(state)
-    return rounds.state() if rounds.step() else None
 
 
 def _reindex(resolved: MarketState, groups: AgentGroups

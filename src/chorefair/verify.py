@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import MarketState
+from .model import EnvyKernel, MarketState
 
 
 class Unbounded:
@@ -134,8 +134,13 @@ def check_EF1(state: MarketState) -> FairnessVerdict:
 
 def min_beta_EFX(state: MarketState) -> BetaResult:
     """Smallest beta with c_i(X_i - e) <= beta * c_i(X_j) for all pairs, all e."""
-    kernel = state.kernel
-    return _min_beta([kernel.residual(i) for i in range(state.instance.n)],
+    return kernel_beta_EFX(state.kernel)
+
+
+def kernel_beta_EFX(kernel: EnvyKernel) -> BetaResult:
+    """min_beta_EFX read off an envy kernel alone, for callers (the oracle)
+    that score bundles without building a market."""
+    return _min_beta([kernel.residual(i) for i in range(len(kernel.cost))],
                      kernel.cost.__getitem__)
 
 

@@ -6,16 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
-from chorefair import (
-    AlreadyUniform,
-    GenParams,
-    Instance,
-    MarketState,
-    build_market_state,
-    gen_instance,
-    normalize_instance,
-)
-from chorefair.model import bundle_masks
+from chorefair import AlreadyUniform, Instance, normalize_instance
+from chorefair.harness import GenParams, gen_instance
+from chorefair.model import (MarketState, RawInstance, build_market_state,
+                             bundle_masks)
 
 settings.register_profile(
     "suite",
@@ -68,6 +62,13 @@ def market_from_parts(instance, owners, high_pay) -> MarketState:
     """The market of an owner vector and a set of payment-k chores."""
     return build_market_state(instance, bundle_masks(owners, instance.n),
                               sum(1 << e for e in high_pay))
+
+
+def instance_to_raw(instance: Instance) -> RawInstance:
+    """Expand a normalized instance back into an explicit cost matrix."""
+    costs = tuple(tuple(instance.k if h else Fraction(1) for h in row)
+                  for row in instance.high)
+    return RawInstance(n=instance.n, m=instance.m, costs=costs)
 
 
 # Forces the three-agent rotation: raise a0, feed the two small agents,

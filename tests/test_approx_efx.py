@@ -6,20 +6,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from chorefair import (
-    InternalInvariant,
-    LemmaViolation,
-    MPBViolation,
+from chorefair import check_equilibrium, min_beta_EFX, run_approx_efx, run_pef1
+from chorefair.approx_efx import (
+    _exchange,
     approx_from_equilibrium,
-    approx_round,
-    check_equilibrium,
-    earning_units,
-    min_beta_EFX,
-    run_approx_efx,
-    run_pef1,
+    entry_tier_units,
     strong_envy_target,
 )
-from chorefair.approx_efx import entry_tier_units
+from chorefair.errors import InternalInvariant, LemmaViolation, MPBViolation
 from chorefair.model import MarketView
 
 from conftest import generated_instances, golden6_market
@@ -50,7 +44,7 @@ def naive_strong_envy_pairs(market):
 
 def test_golden_market_has_exactly_one_strong_envier():
     market = golden6_market()
-    assert [earning_units(market, i) for i in range(7)] == \
+    assert [market.earn_units[i] for i in range(7)] == \
         [2, 2, 3, 6, 7, 8, 8]
     pairs = naive_strong_envy_pairs(market)
     assert {i for i, _ in pairs} == {6}
@@ -62,17 +56,16 @@ def test_golden_market_has_exactly_one_strong_envier():
 def test_golden_swap_resolves_in_one_round():
     market = golden6_market()
     result = approx_from_equilibrium(market)
-    assert result.rounds == 1
+    assert len(result.trace) == 1
     ev = result.trace[0]
     assert ev.kind == "bundle_swap"
     assert ev.agents == (6, 0)
     assert ev.items[0] == 15  # the violator's single high-payment chore
-    assert earning_units(result.market, 6) == 4
-    assert earning_units(result.market, 0) == 6
+    assert result.market.earn_units[6] == 4
+    assert result.market.earn_units[0] == 6
     # everyone else keeps their earning
     for i in (1, 2, 3, 4, 5):
-        assert earning_units(result.market, i) == \
-            earning_units(market, i)
+        assert result.market.earn_units[i] == market.earn_units[i]
     assert strong_envy_target(result.market) is None
     assert check_equilibrium(result.market).holds
 
@@ -108,7 +101,7 @@ def test_no_violation_means_zero_rounds():
     market = golden6_market()
     once = approx_from_equilibrium(market).market
     again = approx_from_equilibrium(once)
-    assert again.rounds == 0
+    assert len(again.trace) == 0
     assert again.market.allocation == once.allocation
 
 
@@ -135,7 +128,7 @@ def test_full_run_meets_the_beta_bound(inst):
 @settings(max_examples=60)
 def test_round_count_is_at_most_n(inst):
     result = run_approx_efx(inst)
-    assert result.rounds <= inst.n
+    assert len(result.trace) <= inst.n
 
 
 @given(generated_instances(ks=K_NOT_TWO))
@@ -153,7 +146,7 @@ def test_selector_agrees_with_naive_scan(inst):
         assert j in range(inst.n)
         # chosen target earns no more than any strongly envied one
         assert all(
-            (earning_units(market, j), j) <= (earning_units(market, t), t)
+            (market.earn_units[j], j) <= (market.earn_units[t], t)
             for t in targets)
 
 
@@ -188,12 +181,12 @@ def test_a_corrupted_view_fails_the_exchange(corrupt, error, match):
     view, z = _exchange_view()
     corrupt(view)
     with pytest.raises(error, match=match):
-        approx_round(view, z, 1)
+        _exchange(view, z, 1, *strong_envy_target(view))
 
 
 def test_an_exchange_on_the_view_matches_the_stage():
     view, z = _exchange_view()
-    event = approx_round(view, z, 1)
+    event = _exchange(view, z, 1, *strong_envy_target(view))
     result = approx_from_equilibrium(golden6_market())
     assert (event,) == result.trace
     assert view.market() == result.market

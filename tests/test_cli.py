@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from chorefair import load_report, save_instance
+from chorefair.harness import load_report, save_instance
 from chorefair.cli import main
 
 from conftest import rotation_instance
@@ -371,6 +371,32 @@ def test_malformed_reports_exit_2_without_a_traceback(paths, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("ParseError: ")
     assert "Traceback" not in err
+
+
+# a second copy of one field of each kind, inserted after the format line:
+# the report then says two things, and the parser names the later line
+REPEATED_FIELDS = {
+    "header": ("digest: 0000", "digest"),
+    "verdict": ("verdict beta-efx: 9/2", "verdict beta-efx"),
+    "timing": ("timing total: 0.5", "timing total"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED_FIELDS))
+def test_a_repeated_report_field_exits_2_naming_its_line(paths, capsys,
+                                                         kind):
+    extra, key = REPEATED_FIELDS[kind]
+    lines = solved_report_lines(paths)
+    assert lines[0].startswith("format:")
+    lines.insert(1, extra)
+    later = next(no for no, line in enumerate(lines[2:], start=3)
+                 if line.startswith(f"{key}:"))
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"ParseError: line {later}: duplicate field {key!r}")
 
 
 BAD_OPTIONS = {

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from chorefair import (GenParams, gen_instance, load_instance,
-                       report_fingerprint, run_pipeline)
+from chorefair import report_fingerprint, run_pipeline
+from chorefair.harness import GenParams, gen_instance, load_instance
 
 from conftest import rotation_instance, skewed_owned_instance
 

@@ -8,31 +8,31 @@ from hypothesis import given, settings, strategies as st
 from chorefair import (
     AlreadyUniform,
     ChorefairError,
-    GenParams,
     Instance,
-    NotBiValued,
-    ParseError,
+    check_equilibrium,
+    normalize_instance,
+    report_fingerprint,
+    run_pipeline,
+)
+from chorefair.errors import NotBiValued, ParseError, ZeroCost
+from chorefair.harness import (
+    GenParams,
     SplitMix64,
     bench,
-    check_equilibrium,
     equilibrium_from_parts,
     gen_instance,
     instance_digest,
     instance_text,
     load_instance,
-    normalize_instance,
     parse_instance,
     parse_rational,
     parse_report,
-    replay_trace,
-    report_fingerprint,
     report_text,
-    run_pipeline,
     save_instance,
     save_report,
-    ZeroCost,
 )
 from chorefair.model import relabel_agents
+from chorefair.trace import replay_trace
 
 from conftest import owned_instance, rotation_instance
 
@@ -183,7 +183,7 @@ def test_report_text_round_trips_through_parse():
 
 
 def test_report_file_round_trip(tmp_path):
-    from chorefair import load_report
+    from chorefair.harness import load_report
     report = run_pipeline(rotation_instance())
     path = tmp_path / "report.txt"
     save_report(str(path), report)

@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from chorefair import (
-    GroupPropertyViolation,
-    Instance,
+from chorefair import Instance
+from chorefair.errors import GroupPropertyViolation
+from chorefair.market_init import (
     build_initial_state,
-    earning_units,
     find_violating_chain,
-    hat_earning_units,
     partition_agent_groups,
     resolve_overpaid_paths,
 )
@@ -46,12 +44,12 @@ def test_single_hop_chain_moves_shared_low_chore():
     # a0 starts with everything; item 3 is the only chore a1 costs 1 on
     inst = low_sets({0}, {0}, {0}, {0, 1})
     entry = build_initial_state(inst)
-    assert earning_units(entry, 0) == 4
+    assert entry.earn_units[0] == 4
     assert find_violating_chain(entry) == [0, 1]
     resolved = resolve_overpaid_paths(entry)
     assert resolved.allocation.owner[3] == 1
-    assert earning_units(resolved, 0) == 3
-    assert earning_units(resolved, 1) == 1
+    assert resolved.earn_units[0] == 3
+    assert resolved.earn_units[1] == 1
     assert find_violating_chain(resolved) is None
 
 
@@ -60,12 +58,12 @@ def test_two_hop_chain_fires_when_no_single_hop_violates():
     # hops are tight, the composite hat(0) > earning(2) is not
     inst = low_sets({0}, {0}, {0}, {0, 1}, {1, 2}, {1}, {1}, {2}, {2})
     entry = build_initial_state(inst)
-    assert [earning_units(entry, i) for i in range(3)] == [4, 3, 2]
+    assert [entry.earn_units[i] for i in range(3)] == [4, 3, 2]
     assert find_violating_chain(entry) == [0, 1, 2]
     resolved = resolve_overpaid_paths(entry)
     assert resolved.allocation.owner[3] == 1
     assert resolved.allocation.owner[4] == 2
-    assert [earning_units(resolved, i) for i in range(3)] == [3, 3, 3]
+    assert [resolved.earn_units[i] for i in range(3)] == [3, 3, 3]
     assert find_violating_chain(resolved) is None
 
 
@@ -75,7 +73,7 @@ def test_chain_ties_follow_the_smallest_parent_not_the_least_chain():
     edges = [{0, 1}, {0, 2}, {1, 4}, {2, 3}, {3, 5}, {4, 5}]
     padding = [{a} for a in range(6) for _ in range(2)]
     entry = build_initial_state(low_sets(*edges, *padding))
-    assert [earning_units(entry, i) for i in range(6)] == [4, 3, 3, 3, 3, 2]
+    assert [entry.earn_units[i] for i in range(6)] == [4, 3, 3, 3, 3, 2]
     # both [0, 1, 4, 5] and [0, 2, 3, 5] are shortest; agent 5 is first
     # reached from 3, the smaller agent of the second layer {3, 4}, and 3
     # from 2, so the lexicographically larger chain wins
@@ -135,8 +133,8 @@ def test_resolution_conserves_total_payment(inst):
     entry = build_initial_state(inst)
     resolved = resolve_overpaid_paths(entry)
     n = inst.n
-    assert sum(earning_units(entry, i) for i in range(n)) == \
-        sum(earning_units(resolved, i) for i in range(n))
+    assert sum(entry.earn_units[i] for i in range(n)) == \
+        sum(resolved.earn_units[i] for i in range(n))
 
 
 @given(generated_instances(max_n=5, max_m=9))
@@ -196,7 +194,7 @@ def reference_groups(state):
     owner = state.allocation.owner
     bundles = [frozenset(e for e, o in enumerate(owner) if o == i)
                for i in range(n)]
-    hats = [hat_earning_units(state, i) for i in range(n)]
+    hats = [state.hats(state.earn_units)[i] for i in range(n)]
     mpb = [frozenset(e for e in range(state.instance.m)
                      if state.mpb(x) >> e & 1) for x in range(n)]
     ungrouped = set(range(n))

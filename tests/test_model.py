@@ -6,25 +6,22 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from chorefair import (
-    Allocation,
     AlreadyUniform,
     Instance,
-    NotBiValued,
-    RawInstance,
-    ZeroCost,
-    as_rational,
-    build_market_state,
-    earning,
-    earning_units,
-    hat_earning,
-    hat_earning_units,
-    instance_to_raw,
     normalize_instance,
     raw_instance,
 )
-from chorefair.model import bundle_masks, relabel_agents
+from chorefair.errors import NotBiValued, ZeroCost
+from chorefair.model import (
+    Allocation,
+    RawInstance,
+    as_rational,
+    build_market_state,
+    bundle_masks,
+    relabel_agents,
+)
 
-from conftest import instances, owned_instance
+from conftest import instance_to_raw, instances, owned_instance
 
 
 def test_as_rational_accepts_common_forms():
@@ -188,12 +185,13 @@ def test_build_market_state_rejects_bad_masks(bundles, high, message):
 def test_earning_views_agree_with_manual_sums():
     state = _two_agent_state()
     # agent 0 holds payments 1 and 2, agent 1 holds payment 1
-    assert earning(state, 0) == Fraction(3)
-    assert earning_units(state, 0) == 3
-    assert hat_earning(state, 0) == Fraction(1)
-    assert hat_earning_units(state, 0) == 1
-    assert earning(state, 1) == Fraction(1)
-    assert hat_earning_units(state, 1) == 0
+    hats = state.hats(state.earn_units)
+    assert Fraction(state.earn_units[0], state.pay_low) == Fraction(3)
+    assert state.earn_units[0] == 3
+    assert Fraction(hats[0], state.pay_low) == Fraction(1)
+    assert hats[0] == 1
+    assert Fraction(state.earn_units[1], state.pay_low) == Fraction(1)
+    assert hats[1] == 0
 
 
 def test_alpha_and_mpb_reflect_cost_payment_ratios():
@@ -212,7 +210,7 @@ def test_earnings_sum_to_total_payment(inst):
     pay = [inst.k if e % 2 == 0 else 1 for e in range(inst.m)]
     state = build_market_state(inst, bundle_masks(owner, inst.n),
                                sum(1 << e for e in range(0, inst.m, 2)))
-    total = sum(earning(state, i) for i in range(inst.n))
+    total = Fraction(sum(state.earn_units), state.pay_low)
     assert total == sum(pay)
 
 
@@ -223,7 +221,8 @@ def test_hat_earning_drops_largest_payment(inst):
     state = build_market_state(inst, bundle_masks(owner, inst.n),
                                sum(1 << e for e in range(0, inst.m, 3)))
     biggest = max(pay)
-    assert earning(state, 0) - hat_earning(state, 0) == biggest
+    hat = state.hats(state.earn_units)[0]
+    assert Fraction(state.earn_units[0] - hat, state.pay_low) == biggest
 
 
 @given(instances(max_n=5, max_m=8), st.data())
@@ -241,8 +240,10 @@ def test_market_state_matches_the_ratio_definition(inst, data):
         assert state.mpb(i) == sum(
             1 << e for e, r in enumerate(ratios) if r == min(ratios))
         mine = [pay[e] for e in range(inst.m) if owner[e] == i]
-        assert earning(state, i) == sum(mine, Fraction(0))
-        assert hat_earning(state, i) == \
+        hat = state.hats(state.earn_units)[i]
+        assert Fraction(state.earn_units[i], state.pay_low) == \
+            sum(mine, Fraction(0))
+        assert Fraction(hat, state.pay_low) == \
             sum(mine, Fraction(0)) - max(mine, default=Fraction(0))
 
 

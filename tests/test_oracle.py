@@ -14,22 +14,22 @@ from typing import Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chorefair import (
-    UNBOUNDED,
-    Allocation,
-    BudgetExceeded,
-    ExactRational,
-    Instance,
+from chorefair import Instance, min_beta_EFX, run_pipeline
+from chorefair.errors import BudgetExceeded
+from chorefair.harness import save_instance
+from chorefair.model import Allocation
+from chorefair.oracle import (
+    DEFAULT_BUDGET,
+    _agent_classes,
+    _canonical,
+    _check_budget,
+    _po_owners,
     best_efx_beta_over_po,
     exists_efx_po,
     is_pareto_optimal,
-    min_beta_EFX,
-    run_pipeline,
-    save_instance,
 )
+from chorefair.verify import UNBOUNDED
 from chorefair.cli import main
-from chorefair.oracle import (DEFAULT_BUDGET, _agent_classes, _canonical,
-                              _check_budget, _cost_matrix, _po_owners)
 
 from conftest import (generated_instances, high_matrices, instances,
                       market_from_parts, owned_instance)
@@ -39,7 +39,7 @@ INPUTS = os.path.join(os.path.dirname(os.path.dirname(
 
 
 def cost_profile(instance: Instance,
-                 allocation: Allocation) -> tuple[ExactRational, ...]:
+                 allocation: Allocation) -> tuple[Fraction, ...]:
     totals = [0] * instance.n
     for e, o in enumerate(allocation.owner):
         totals[o] += instance.cost_units[o][e]
@@ -63,6 +63,18 @@ def dominates(instance: Instance, a: Allocation, b: Allocation) -> bool:
     pa = cost_profile(instance, a)
     pb = cost_profile(instance, b)
     return all(x <= y for x, y in zip(pa, pb)) and pa != pb
+
+
+def _cost_matrix(instance: Instance,
+                 owner: tuple[int, ...]) -> list[list[int]]:
+    """matrix[i][j] = cost, in base units, that agent i sees in j's bundle,
+    summed chore by chore."""
+    n = instance.n
+    matrix = [[0] * n for _ in range(n)]
+    for e, o in enumerate(owner):
+        for i in range(n):
+            matrix[i][o] += instance.cost_units[i][e]
+    return matrix
 
 
 def _exact_efx(instance: Instance, owner: tuple[int, ...]) -> bool:

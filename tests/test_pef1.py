@@ -8,22 +8,21 @@ from hypothesis import given, settings
 
 from chorefair import (
     ChorefairError,
-    InternalInvariant,
     Instance,
-    MPBViolation,
-    SolverState,
-    build_market_state,
     check_equilibrium,
     check_pEF1,
-    earning_units,
-    pef1_round,
-    replay_trace,
     run_pef1,
+)
+from chorefair.errors import InternalInvariant, MPBViolation
+from chorefair.market_init import AgentGroups
+from chorefair.model import build_market_state
+from chorefair.pef1 import (
+    SolverState,
+    _Rounds,
     select_big_earner,
     select_least_earner,
 )
-
-from chorefair.pef1 import _Rounds
+from chorefair.trace import replay_trace
 
 from conftest import (generated_instances, owned_instance, rotation_instance,
                       skewed_owned_instance)
@@ -37,13 +36,14 @@ def test_selectors_break_ties_toward_smaller_index():
     assert select_least_earner(state) == 0
 
 
-def test_select_big_earner_rejects_all_empty():
+def test_a_lone_earner_is_big_and_ends_the_rounds():
     inst = Instance(2, 1, Fraction(2), ((False,), (False,)))
     state = build_market_state(inst, (1, 0), 0)
-    # someone earns, so fine
     assert select_big_earner(state) == 0
-    empty = SolverState.from_market(state)
-    assert pef1_round(empty) is None  # hat(0) = 0 <= earning of anyone
+    agents = (0, 1)
+    groups = AgentGroups((frozenset(agents),), (0,), agents, agents)
+    rounds = _Rounds(SolverState(state, frozenset(agents), groups, state, 0))
+    assert not rounds.step()  # hat(0) = 0 <= earning of anyone
 
 
 def test_single_agent_terminates_immediately():
@@ -65,7 +65,7 @@ def test_rotation_instance_runs_the_designed_script(rotation):
     assert kinds == ["raise", "transfer", "transfer", "transfer", "transfer",
                      "transfer", "raise", "transfer", "rotate", "transfer"]
     assert state.round_count == 8
-    assert [earning_units(state.market, i) for i in range(4)] == [8, 8, 9, 7]
+    assert [state.market.earn_units[i] for i in range(4)] == [8, 8, 9, 7]
     assert state.unraised == frozenset({2, 3})
     assert check_pEF1(state.market).holds
     assert check_equilibrium(state.market).holds
@@ -192,8 +192,8 @@ def test_stepping_pef1_round_reproduces_run_pef1(seed):
     final = run_pef1(inst, state_sink=sink)
     assert {ev.kind for ev in final.trace} == {"raise", "transfer", "rotate"}
     state, markets = _entry_state(final), [final.entry]
-    while (nxt := pef1_round(state)) is not None:
-        state = nxt
+    while (rounds := _Rounds(state)).step():
+        state = rounds.state()
         markets.append(state.market)
     assert markets == sink
     assert state == final
