@@ -64,12 +64,8 @@ def _cmd_solve(args) -> int:
     inst = _load_normalized(args.instance)
     report = run_pipeline(inst, args.mode, oracle_budget=args.oracle_budget)
     text = report_text(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if args.trace:
-            sys.stdout.write(text)
-    else:
+    _write(args.out, text)
+    if args.trace and args.out not in (None, "-"):
         sys.stdout.write(text)
     if not report.success:
         print(f"solve failed: {report.error or 'verdict failed'}",
@@ -142,8 +138,8 @@ def _verify_verdicts(inst: Instance, report) -> list[str]:
     entry_parts = (report.entry_owner, report.entry_pay_high)
     final_parts = (report.owner, report.pay_high)
     try:
-        pef1_parts = replay_trace(*entry_parts, trace[:cut], inst.n)
-        replayed = replay_trace(*pef1_parts, trace[cut:], inst.n)
+        pef1_parts = replay_trace(*entry_parts, trace[:cut], inst.n, inst.k)
+        replayed = replay_trace(*pef1_parts, trace[cut:], inst.n, inst.k)
     except ValueError as err:
         return problems + [f"trace replay failed: {err}"]
     if replayed != final_parts:

@@ -156,11 +156,6 @@ def _fields(text: str, fmt: str,
     return out[1:]
 
 
-def save_instance(path: str, instance: RawInstance | Instance) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_text(instance))
-
-
 def instance_text(instance: RawInstance | Instance) -> str:
     lines = [f"format: {INSTANCE_FORMAT}"]
     if isinstance(instance, Instance):
@@ -459,11 +454,6 @@ def report_text(report: RunReport, *, timings: bool = True) -> str:
         for name in sorted(report.timings):
             lines.append(f"timing {name}: {report.timings[name]:.6f}")
     return "\n".join(lines) + "\n"
-
-
-def save_report(path: str, report: RunReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_text(report))
 
 
 def report_fingerprint(report: RunReport) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import (GroupPropertyViolation, InternalInvariant,
                      IterationCapExceeded, MPBViolation)
 from .model import (Instance, MarketState, MarketView, bits,
-                    build_market_state, mask_set)
+                    build_market_state)
 
 
 def build_initial_state(instance: Instance) -> MarketState:
@@ -115,9 +115,18 @@ def _shortest_chain_from(view: _ChainView, i: int,
 
 
 def _best_chain(view: _ChainView) -> list[int] | None:
-    """Shortest chain over all heads, ties to the smallest head.  A later
-    head can only win with a strictly shorter chain, so its search is cut
-    one agent below the best length found so far."""
+    """Shortest chain i = u_0, ..., u_t = j (each u_s holds a chore that is
+    ratio-minimal for u_{s+1}) with hat(i) > earning(j); None at the fixed
+    point.
+
+    Ties: the smallest-index head with a shortest chain wins; from it the
+    endpoint is the smallest-index qualifying agent of the nearest layer of
+    the breadth-first search, and the chain follows BFS parents back, where
+    an agent's parent is the smallest-index agent of the previous layer
+    that can give to it.  This is not always the lexicographically least
+    shortest chain.  A later head can only win with a strictly shorter
+    chain, so its search is cut one agent below the best length so far.
+    """
     best: list[int] | None = None
     floor = min(view.earn_units)
     for i in range(view.n):
@@ -130,21 +139,6 @@ def _best_chain(view: _ChainView) -> list[int] | None:
             if len(best) == 2:
                 break
     return best
-
-
-def find_violating_chain(state: MarketState) -> list[int] | None:
-    """Shortest chain i = u_0, ..., u_t = j (each u_s holds a chore that is
-    ratio-minimal for u_{s+1}) with hat_earning(i) > earning(j).  None at
-    the fixed point.
-
-    Ties: the smallest-index head with a shortest chain wins; from it the
-    endpoint is the smallest-index qualifying agent of the nearest layer of
-    the breadth-first search, and the chain follows BFS parents back, where
-    an agent's parent is the smallest-index agent of the previous layer
-    that can give to it.  This is not always the lexicographically least
-    shortest chain.
-    """
-    return _best_chain(_ChainView(state))
 
 
 def _fire(view: _ChainView, chain: list[int]) -> None:
@@ -204,14 +198,11 @@ class AgentGroups:
     """Ordered groups headed by successive big earners.
 
     new_to_old[r] lists agents in reindexed order (group by group, ascending
-    original index inside a group); old_to_new is its inverse.  Group
-    membership is decided once, on the resolved entry state, and never
-    changes afterwards.
+    original index inside a group).  Group membership is decided once, on
+    the resolved entry state, and never changes afterwards.
     """
     groups: tuple[frozenset[int], ...]
-    representatives: tuple[int, ...]
     new_to_old: tuple[int, ...]
-    old_to_new: tuple[int, ...]
 
 
 def partition_agent_groups(state: MarketState) -> AgentGroups:
@@ -227,7 +218,6 @@ def partition_agent_groups(state: MarketState) -> AgentGroups:
     hats = view.hats(view.earn_units)
     ungrouped = (1 << view.n) - 1
     groups: list[int] = []
-    reps: list[int] = []
     while ungrouped:
         b = min(bits(ungrouped), key=lambda a: (-hats[a], a))
         # reverse reachability to b: the predecessors of y are the agents
@@ -240,16 +230,11 @@ def partition_agent_groups(state: MarketState) -> AgentGroups:
             frontier = reach & ungrouped & ~members
             members |= frontier
         groups.append(members)
-        reps.append(b)
         ungrouped &= ~members
 
     _assert_group_properties(view, hats, groups)
-    new_to_old = tuple(a for g in groups for a in bits(g))
-    old_to_new = [0] * view.n
-    for new, old in enumerate(new_to_old):
-        old_to_new[old] = new
-    return AgentGroups(tuple(mask_set(g) for g in groups), tuple(reps),
-                       new_to_old, tuple(old_to_new))
+    return AgentGroups(tuple(frozenset(bits(g)) for g in groups),
+                       tuple(a for g in groups for a in bits(g)))
 
 
 def _union(masks: list[int], group: int) -> int:

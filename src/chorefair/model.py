@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from operator import is_, is_not
 from typing import Sequence
 
@@ -293,16 +293,6 @@ def bits(mask: int):
         mask ^= low
 
 
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def mask_set(mask: int) -> frozenset[int]:
-    """The set bits of mask as a frozenset: its binary digits, least
-    significant first, select from 0, 1, 2, ... without a Python loop."""
-    return frozenset(compress(count(), bin(mask)[:1:-1].encode()
-                              .translate(_BINARY_DIGITS)))
-
-
 def bundle_masks(owner: Sequence[int], n: int) -> list[int]:
     """Per agent, the bitmask of the chores it owns."""
     masks = [0] * n
@@ -316,9 +306,8 @@ class EnvyKernel:
 
     With L_i agent i's cost-1 mask and X_j a bundle mask, in 1/q units
     cost[i][j] = c_i(X_j) = p*|X_j| - (p - q)*|X_j & L_i|.  Agent i's
-    cheapest own chore costs q when X_i meets L_i and p otherwise; its
-    costliest costs p when X_i leaves L_i and q otherwise; both are 0 for
-    an empty bundle.
+    cheapest own chore costs q when X_i meets L_i, p otherwise and 0 for an
+    empty bundle.
     """
 
     def __init__(self, instance: Instance, bundles: Sequence[int]):
@@ -329,8 +318,6 @@ class EnvyKernel:
                       for b, s in zip(bundles, sizes)] for low in low_masks]
         self.cheapest = [(q if b & low else p) if b else 0
                          for b, low in zip(bundles, low_masks)]
-        self.costliest = [(p if b & ~low else q) if b else 0
-                          for b, low in zip(bundles, low_masks)]
 
     def residual(self, i: int) -> int:
         """c_i(X_i) less i's cheapest own chore, the EFX comparison's left side."""

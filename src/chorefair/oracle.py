@@ -3,15 +3,15 @@
 Everything here is definitional: Pareto optimality means no allocation
 dominates, and the EFX searches scan the Pareto-optimal owner vectors in
 lexicographic order and score each with the verifier's envy-factor scan
-(verify.kernel_beta_EFX) on its envy kernel.  They reach them by a
+(verify.kernel_beta_EFX) on its envy kernel.  Both questions read one
 frontier: going forward over the chores, only the minimal partial cost
 profiles are kept, which is exact because a dominated partial profile only
-completes to dominated profiles; going backward, only partials with a step
-into the next kept layer stay, so the walk never enters a dead branch.  The single-allocation check walks
-items depth-first and abandons a branch as soon as some agent is already
-worse off.  An opt-in filter keeps one representative per relabeling orbit
-of agents with identical cost rows (relabeling such agents preserves both
-dominance and envy structure).
+completes to dominated profiles.  Bounded by an allocation's profile, the
+pass ends at that profile alone iff the allocation is Pareto optimal.  The
+searches also go backward, keeping partials with a step into the next kept
+layer, so their walk never enters a dead branch.  An opt-in filter keeps
+one representative per relabeling orbit of agents with identical cost rows
+(relabeling such agents preserves both dominance and envy structure).
 
 All entry points raise BudgetExceeded when n^m reaches the allocation
 budget, before any work is done.
@@ -19,7 +19,7 @@ budget, before any work is done.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded
 from .model import Allocation, EnvyKernel, Instance, bundle_masks
@@ -62,38 +62,11 @@ def _canonical(owner: tuple[int, ...],
     return True
 
 
-def is_pareto_optimal(instance: Instance, allocation: Allocation, *,
-                      budget: int = DEFAULT_BUDGET) -> bool:
-    """Depth-first dominator search; a branch dies once any agent exceeds
-    the target total, since item costs only accumulate.
-    """
-    _check_budget(instance, budget)
-    cu = instance.cost_units
-    n, m = instance.n, instance.m
-    target = [0] * n
-    for e, o in enumerate(allocation.owner):
-        target[o] += cu[o][e]
-
-    partial = [0] * n
-
-    def walk(e: int) -> bool:
-        if e == m:
-            return partial != target
-        for o in range(n):
-            c = cu[o][e]
-            if partial[o] + c <= target[o]:
-                partial[o] += c
-                if walk(e + 1):
-                    return True
-                partial[o] -= c
-        return False
-
-    return not walk(0)
-
-
-def _po_layers(instance: Instance) -> tuple[list[list[int]], list[set[int]]]:
-    """Per chore, each owner's packed cost step; per depth e, the partial
-    profiles of chores 0..e-1 that complete to a Pareto-minimal profile.
+def _frontier(instance: Instance, owner: Sequence[int] | None = None
+              ) -> tuple[list[list[int]], list[list[int]]]:
+    """Per chore, each owner's packed cost step; per depth e, the minimal
+    partial profiles of chores 0..e-1, sorted.  Given an owner vector, only
+    profiles at most its own in every agent's total are kept.
 
     Agent o's total sits in bits o*w .. o*w + w - 2, under a guard bit.
     Componentwise q <= p with q != p implies q < p as ints, so once sorted
@@ -104,26 +77,41 @@ def _po_layers(instance: Instance) -> tuple[list[list[int]], list[set[int]]]:
     w = (m * instance.high_units).bit_length() + 1
     guard = sum(1 << (o * w + w - 1) for o in range(n))
     steps = [[cu[o][e] << (o * w) for o in range(n)] for e in range(m)]
+    # p is kept only if (cap - p) keeps every guard; all ones bound nothing
+    cap = (1 << n * w) - 1 if owner is None else \
+        guard | sum(steps[e][o] for e, o in enumerate(owner))
     layers = [[0]]
     for step in steps:
         kept: list[int] = []
-        for p in sorted({q + s for q in layers[-1] for s in step}):
+        for p in sorted({q + s for q in layers[-1] for s in step
+                         if (cap - q - s) & guard == guard}):
             top = p | guard
             if all((top - q) & guard != guard for q in kept):
                 kept.append(p)
         layers.append(kept)
-    live = [set(layers[m])]
-    for step, layer in zip(steps[::-1], layers[m - 1::-1]):
-        live.insert(0, {p for p in layer
-                        if any(p + s in live[0] for s in step)})
-    return steps, live
+    return steps, layers
+
+
+def is_pareto_optimal(instance: Instance, allocation: Allocation, *,
+                      budget: int = DEFAULT_BUDGET) -> bool:
+    """No allocation dominates: the frontier bounded by the allocation's
+    own profile ends at that profile alone."""
+    _check_budget(instance, budget)
+    owner = allocation.owner
+    steps, layers = _frontier(instance, owner)
+    return layers[-1] == [sum(steps[e][o] for e, o in enumerate(owner))]
 
 
 def _po_owners(instance: Instance,
                prune: bool = False) -> Iterator[tuple[int, ...]]:
     """Every Pareto-optimal owner vector, in lexicographic order; with prune,
-    only the canonical one of each orbit of identical agents."""
-    steps, live = _po_layers(instance)
+    only the canonical one of each orbit of identical agents.  A partial
+    profile is live when it completes to a Pareto-minimal profile."""
+    steps, layers = _frontier(instance)
+    live = [set(layers[-1])]
+    for step, layer in zip(steps[::-1], layers[-2::-1]):
+        live.insert(0, {p for p in layer
+                        if any(p + s in live[0] for s in step)})
     classes = _agent_classes(instance) if prune else ()
     m = instance.m
     owner = [0] * m

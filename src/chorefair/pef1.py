@@ -12,7 +12,7 @@ by the partition coincides with index order; all tie-breaks favor smaller
 indices, which makes raised agents win ties against unraised ones.
 
 The rounds run on one bitmask MarketView; a MarketState is built once, for
-the result (and per round only for a caller's state_sink).
+the result.
 """
 from __future__ import annotations
 
@@ -227,24 +227,17 @@ class _Rounds:
 def _reindex(resolved: MarketState, groups: AgentGroups
              ) -> tuple[MarketState, AgentGroups]:
     """Relabel agents so groups occupy contiguous ascending index ranges."""
-    inv = groups.old_to_new
     new_inst = relabel_agents(resolved.instance, groups.new_to_old)
     new_market = build_market_state(
         new_inst, [resolved.bundles[old] for old in groups.new_to_old],
         resolved.high)
-    start = 0
-    new_groups = []
-    new_reps = []
-    for r, g in enumerate(groups.groups):
-        new_groups.append(frozenset(range(start, start + len(g))))
-        new_reps.append(inv[groups.representatives[r]])
-        start += len(g)
-    relabeled = AgentGroups(tuple(new_groups), tuple(new_reps),
-                            groups.new_to_old, groups.old_to_new)
-    return new_market, relabeled
+    label = {old: new for new, old in enumerate(groups.new_to_old)}
+    return new_market, AgentGroups(
+        tuple(frozenset(label[a] for a in g) for g in groups.groups),
+        groups.new_to_old)
 
 
-def run_pef1(instance: Instance, *, state_sink: list | None = None) -> SolverState:
+def run_pef1(instance: Instance) -> SolverState:
     """Entry equilibrium, chain resolution, partition, then rounds until pEF1.
 
     The result lives in the reindexed agent frame; groups.new_to_old maps
@@ -258,8 +251,6 @@ def run_pef1(instance: Instance, *, state_sink: list | None = None) -> SolverSta
 
     state = SolverState(market=market, unraised=frozenset(range(instance.n)),
                         groups=groups, entry=market, round_count=0)
-    if state_sink is not None:
-        state_sink.append(market)
     rounds = _Rounds(state)
     cap = 4 * instance.n ** 2 * instance.m ** 2
     prev_least = None
@@ -269,8 +260,6 @@ def run_pef1(instance: Instance, *, state_sink: list | None = None) -> SolverSta
             raise LemmaViolation(
                 f"least earner earning dropped from {prev_least} to {least}")
         prev_least = least
-        if state_sink is not None:
-            state_sink.append(rounds.view.market())
         if rounds.round_count > cap:
             raise IterationCapExceeded(
                 f"solver exceeded {cap} rounds on n={instance.n} m={instance.m}")

@@ -2,11 +2,12 @@
 
 Every solver round emits one event.  Replaying the events of a run against
 its entry allocation must reproduce the final allocation and payments
-exactly; the harness checks this for every traced report.
+exactly, and every earning the events state; `chorefair verify` checks
+this for every report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -66,24 +67,57 @@ def _check_shape(ev: TraceEvent, n: int, m: int) -> None:
                          f"all in 0..{m - 1}")
 
 
-def replay_trace(owner, pay_high, events, n: int
+def _check_earnings(ev: TraceEvent, key: str, claimed, units: list[int],
+                    agents, q: int) -> None:
+    """The earnings the event states under key are units[a] / q for its
+    agents a, in order."""
+    if len(claimed) == len(agents):
+        for x, a in zip(claimed, agents):
+            if x.numerator * q != units[a] * x.denominator:
+                break
+        else:
+            return
+    raise ValueError(
+        f"replay: round {ev.round} {ev.kind} says {key} "
+        f"{', '.join(map(str, claimed))}, not "
+        f"{', '.join(str(Fraction(units[a], q)) for a in agents)}")
+
+
+def replay_trace(owner, pay_high, events, n: int, k: Fraction
                  ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """Apply events to an entry (owner, payment-is-high) pair over n agents.
-    An event that does not fit its kind, or names an agent or chore that
-    does not exist, raises ValueError before it is applied."""
+    """Apply events to an entry (owner, payment-is-high) pair over n agents
+    at cost ratio k.  ValueError when an event does not fit its kind, names
+    an agent or chore that does not exist, or states an earning the replay
+    does not reach: earn_before and least at the start of its round,
+    earn_after right after it."""
     owner = list(owner)
     pay_high = list(pay_high)
+    p, q = k.numerator, k.denominator
+    units = [0] * n  # each agent's earning in 1/q units
+    for o, high in zip(owner, pay_high):
+        units[o] += p if high else q
+    at = None  # (stage, round) whose start earnings are start
     for ev in events:
         _check_shape(ev, n, len(owner))
+        if (ev.stage, ev.round) != at:
+            at, start = (ev.stage, ev.round), units[:]
+            least = (start.index(min(start)),)  # a least earner
+        _check_earnings(ev, "earn_before", ev.earn_before, start, ev.agents, q)
+        if ev.least_earning is not None:
+            _check_earnings(ev, "least", (ev.least_earning,), start, least, q)
         if ev.kind == "raise":
             for e in ev.items:
                 if pay_high[e]:
                     raise ValueError(f"replay: chore {e} raised twice")
                 pay_high[e] = True
-            continue
+                units[owner[e]] += p - q
         for e, src, dst in ev.moves():
             if owner[e] != src:
                 raise ValueError(
                     f"replay: chore {e} owned by {owner[e]}, event says {src}")
             owner[e] = dst
+            pay = p if pay_high[e] else q
+            units[src] -= pay
+            units[dst] += pay
+        _check_earnings(ev, "earn_after", ev.earn_after, units, ev.agents, q)
     return tuple(owner), tuple(pay_high)

@@ -119,16 +119,17 @@ def min_beta_pEFX(state: MarketState) -> BetaResult:
 def check_EF1(state: MarketState) -> FairnessVerdict:
     """Cost envy-freeness up to one chore (drop the costliest own chore)."""
     instance, bundles, kernel = state.instance, state.bundles, state.kernel
+    p, q = instance.high_units, instance.unit
     for i, row in enumerate(kernel.cost):
-        lhs_units = row[i] - kernel.costliest[i]
+        costly = bundles[i] & ~instance.low_masks[i]  # i's cost-k chores
+        lhs_units = row[i] - (p if costly else q if bundles[i] else 0)
         for j, rhs_units in enumerate(row):
             if j != i and lhs_units > rhs_units:
                 # the first chore of largest cost in i's bundle
-                costly = bundles[i] & ~instance.low_masks[i] or bundles[i]
-                drop = (costly & -costly).bit_length() - 1
+                top = costly or bundles[i]
+                drop = (top & -top).bit_length() - 1
                 return FairnessVerdict(False, Witness(
-                    i, j, drop,
-                    Fraction(lhs_units, instance.unit), Fraction(rhs_units, instance.unit)))
+                    i, j, drop, Fraction(lhs_units, q), Fraction(rhs_units, q)))
     return _OK
 
 

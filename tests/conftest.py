@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
 from chorefair import AlreadyUniform, Instance, normalize_instance
-from chorefair.harness import GenParams, gen_instance
+from chorefair.harness import GenParams, gen_instance, instance_text
 from chorefair.model import (MarketState, RawInstance, build_market_state,
                              bundle_masks)
 
@@ -62,6 +62,12 @@ def market_from_parts(instance, owners, high_pay) -> MarketState:
     """The market of an owner vector and a set of payment-k chores."""
     return build_market_state(instance, bundle_masks(owners, instance.n),
                               sum(1 << e for e in high_pay))
+
+
+def save_instance(path, instance) -> None:
+    """Write an instance file, as `chorefair gen --out` does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(instance_text(instance))
 
 
 def instance_to_raw(instance: Instance) -> RawInstance:

@@ -265,7 +265,7 @@ def _states_along(result):
     events = list(pef1.trace) + list(result.trace)
     yield equilibrium_from_parts(inst, owner, tuple(pay))
     for idx in range(1, len(events) + 1):
-        o, p = replay_trace(owner, pay, events[:idx], inst.n)
+        o, p = replay_trace(owner, pay, events[:idx], inst.n, inst.k)
         yield equilibrium_from_parts(inst, o, p)
 
 

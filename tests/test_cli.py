@@ -1,13 +1,17 @@
 """Command-line surface: gen, solve, verify, oracle, bench."""
 
 import os
+from fractions import Fraction
 
 import pytest
 
-from chorefair.harness import load_report, save_instance
+from chorefair.harness import load_report
 from chorefair.cli import main
 
-from conftest import rotation_instance
+from conftest import rotation_instance, save_instance
+
+INPUTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench", "inputs")
 
 
 @pytest.fixture
@@ -42,6 +46,15 @@ def test_solve_prints_trace_when_asked(paths, capsys):
     assert main(["solve", paths["inst"], "--trace"]) == 0
     out = capsys.readouterr().out
     assert "status: ok" in out
+
+
+def test_solve_out_dash_prints_the_report(paths, capsys, tmp_path,
+                                         monkeypatch):
+    gen_ok(paths)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", paths["inst"], "--out", "-"]) == 0
+    assert "status: ok" in capsys.readouterr().out
+    assert not os.path.exists("-")
 
 
 def test_verify_rejects_a_tampered_report(paths, capsys):
@@ -220,6 +233,41 @@ def test_verify_reports_a_malformed_trace_event(paths, capsys, case):
     capsys.readouterr()
     assert main(["verify", paths["inst"], paths["report"]]) == 1
     assert "verify: trace replay failed: replay: " in capsys.readouterr().err
+
+
+# event kind -> the instance whose report has one: a bench input for the
+# reallocation stages, the rotation fixture for the payment rounds
+EARNING_SOURCES = {"swap": "swap-2382.inst", "move": "move-88.inst",
+                   "bundle_swap": "bundle_swap-838.inst", "raise": None,
+                   "transfer": None, "rotate": None}
+EARNING_CLAIMS = [(kind, key) for kind, source in EARNING_SOURCES.items()
+                  for key in ("earn_before", "earn_after")
+                  + (() if source else ("least",))]
+
+
+@pytest.mark.parametrize("kind, key", EARNING_CLAIMS)
+def test_verify_rejects_a_false_event_earning(paths, capsys, kind, key):
+    source = EARNING_SOURCES[kind]
+    if source:
+        paths["inst"] = os.path.join(INPUTS, source)
+    else:
+        save_instance(paths["inst"], rotation_instance())
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    lines = open(paths["report"]).read().splitlines()
+    idx = next(i for i, line in enumerate(lines) if f" kind={kind} " in line)
+    # the first earning the event states, one more than it is
+    tokens = lines[idx].split()
+    t = next(t for t, token in enumerate(tokens)
+             if token.startswith(f"{key}="))
+    first, *rest = tokens[t].split("=", 1)[1].split(",")
+    tokens[t] = f"{key}=" + ",".join([str(Fraction(first) + 1), *rest])
+    lines[idx] = " ".join(tokens)
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    err = capsys.readouterr().err
+    assert "verify: trace replay failed: replay: " in err
+    assert f" {kind} says {key} " in err
 
 
 MALFORMED_INSTANCES = {

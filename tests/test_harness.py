@@ -28,13 +28,11 @@ from chorefair.harness import (
     parse_rational,
     parse_report,
     report_text,
-    save_instance,
-    save_report,
 )
 from chorefair.model import relabel_agents
 from chorefair.trace import replay_trace
 
-from conftest import owned_instance, rotation_instance
+from conftest import owned_instance, rotation_instance, save_instance
 
 
 def reference_splitmix64(seed):
@@ -186,7 +184,7 @@ def test_report_file_round_trip(tmp_path):
     from chorefair.harness import load_report
     report = run_pipeline(rotation_instance())
     path = tmp_path / "report.txt"
-    save_report(str(path), report)
+    path.write_text(report_text(report), encoding="utf-8")
     assert load_report(str(path)).digest == report.digest
 
 
@@ -201,7 +199,7 @@ def test_fingerprint_ignores_timings():
 def test_replay_report_reproduces_the_final_state():
     report = run_pipeline(rotation_instance())
     owner, pay_high = replay_trace(report.entry_owner, report.entry_pay_high,
-                                   report.trace, report.n)
+                                   report.trace, report.n, report.k)
     assert owner == report.owner
     assert pay_high == report.pay_high
 

@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 from chorefair import Instance
 from chorefair.errors import GroupPropertyViolation
 from chorefair.market_init import (
+    _best_chain,
+    _ChainView,
     build_initial_state,
-    find_violating_chain,
     partition_agent_groups,
     resolve_overpaid_paths,
 )
@@ -18,6 +19,12 @@ from chorefair.market_init import (
 from conftest import (K_VALUES, generated_instances, market_from_parts,
                       owned_instance, rotation_instance,
                       skewed_owned_instance)
+
+
+def violating_chain(state):
+    """The chain resolution would fire next on state; None at the fixed
+    point."""
+    return _best_chain(_ChainView(state))
 
 
 def low_sets(*lows_per_item):
@@ -45,12 +52,12 @@ def test_single_hop_chain_moves_shared_low_chore():
     inst = low_sets({0}, {0}, {0}, {0, 1})
     entry = build_initial_state(inst)
     assert entry.earn_units[0] == 4
-    assert find_violating_chain(entry) == [0, 1]
+    assert violating_chain(entry) == [0, 1]
     resolved = resolve_overpaid_paths(entry)
     assert resolved.allocation.owner[3] == 1
     assert resolved.earn_units[0] == 3
     assert resolved.earn_units[1] == 1
-    assert find_violating_chain(resolved) is None
+    assert violating_chain(resolved) is None
 
 
 def test_two_hop_chain_fires_when_no_single_hop_violates():
@@ -59,12 +66,12 @@ def test_two_hop_chain_fires_when_no_single_hop_violates():
     inst = low_sets({0}, {0}, {0}, {0, 1}, {1, 2}, {1}, {1}, {2}, {2})
     entry = build_initial_state(inst)
     assert [entry.earn_units[i] for i in range(3)] == [4, 3, 2]
-    assert find_violating_chain(entry) == [0, 1, 2]
+    assert violating_chain(entry) == [0, 1, 2]
     resolved = resolve_overpaid_paths(entry)
     assert resolved.allocation.owner[3] == 1
     assert resolved.allocation.owner[4] == 2
     assert [resolved.earn_units[i] for i in range(3)] == [3, 3, 3]
-    assert find_violating_chain(resolved) is None
+    assert violating_chain(resolved) is None
 
 
 def test_chain_ties_follow_the_smallest_parent_not_the_least_chain():
@@ -77,7 +84,7 @@ def test_chain_ties_follow_the_smallest_parent_not_the_least_chain():
     # both [0, 1, 4, 5] and [0, 2, 3, 5] are shortest; agent 5 is first
     # reached from 3, the smaller agent of the second layer {3, 4}, and 3
     # from 2, so the lexicographically larger chain wins
-    assert find_violating_chain(entry) == [0, 2, 3, 5]
+    assert violating_chain(entry) == [0, 2, 3, 5]
 
 
 def test_groups_merge_when_a_tight_give_edge_survives():
@@ -88,7 +95,6 @@ def test_groups_merge_when_a_tight_give_edge_survives():
     assert resolved.allocation.owner == (0, 0, 0, 1, 1)
     groups = partition_agent_groups(resolved)
     assert groups.groups == (frozenset({0, 1}),)
-    assert groups.representatives == (0,)
     assert groups.new_to_old == (0, 1)
 
 
@@ -104,9 +110,7 @@ def test_groups_stay_singletons_without_cross_edges():
         build_initial_state(rotation_instance()))
     groups = partition_agent_groups(resolved)
     assert groups.groups == tuple(frozenset({i}) for i in range(4))
-    assert groups.representatives == (0, 1, 2, 3)
     assert groups.new_to_old == (0, 1, 2, 3)
-    assert groups.old_to_new == (0, 1, 2, 3)
 
 
 def test_group_representatives_ordered_by_entry_hat():
@@ -114,16 +118,15 @@ def test_group_representatives_ordered_by_entry_hat():
     inst = low_sets({0}, {1}, {1}, {1})
     resolved = resolve_overpaid_paths(build_initial_state(inst))
     groups = partition_agent_groups(resolved)
-    assert groups.representatives == (1, 0)
+    assert groups.groups == (frozenset({1}), frozenset({0}))
     assert groups.new_to_old == (1, 0)
-    assert groups.old_to_new == (1, 0)
 
 
 @given(generated_instances(max_n=5, max_m=9))
 def test_resolution_reaches_a_fixed_point(inst):
     entry = build_initial_state(inst)
     resolved = resolve_overpaid_paths(entry)
-    assert find_violating_chain(resolved) is None
+    assert violating_chain(resolved) is None
     again = resolve_overpaid_paths(resolved)
     assert again.allocation == resolved.allocation
 
@@ -138,16 +141,13 @@ def test_resolution_conserves_total_payment(inst):
 
 
 @given(generated_instances(max_n=5, max_m=9))
-def test_group_index_maps_are_inverse_permutations(inst):
+def test_group_index_map_is_a_permutation_tiling_the_groups(inst):
     resolved = resolve_overpaid_paths(build_initial_state(inst))
     groups = partition_agent_groups(resolved)
-    n = inst.n
-    assert sorted(groups.new_to_old) == list(range(n))
-    for new, old in enumerate(groups.new_to_old):
-        assert groups.old_to_new[old] == new
-    # groups tile the agent set in representative order
-    tiled = [a for g in groups.groups for a in sorted(g)]
-    assert sorted(tiled) == list(range(n))
+    assert sorted(groups.new_to_old) == list(range(inst.n))
+    # groups tile the agent set in group order
+    assert groups.new_to_old == tuple(a for g in groups.groups
+                                      for a in sorted(g))
 
 
 def low_rows(k, m, *rows):
@@ -189,7 +189,7 @@ def reference_groups(state):
     """The partition by its definition, on frozensets: repeatedly take the
     largest hat earning among ungrouped agents (ties to the smaller index)
     and add every ungrouped agent with a directed path to it, where x
-    points at y iff MPB_x meets y's bundle."""
+    points at y iff MPB_x meets y's bundle.  The groups, in order."""
     n = state.instance.n
     owner = state.allocation.owner
     bundles = [frozenset(e for e, o in enumerate(owner) if o == i)
@@ -198,7 +198,7 @@ def reference_groups(state):
     mpb = [frozenset(e for e in range(state.instance.m)
                      if state.mpb(x) >> e & 1) for x in range(n)]
     ungrouped = set(range(n))
-    groups, reps = [], []
+    groups = []
     while ungrouped:
         b = min(ungrouped, key=lambda a: (-hats[a], a))
         members, queue = {b}, deque([b])
@@ -209,16 +209,14 @@ def reference_groups(state):
                     members.add(x)
                     queue.append(x)
         groups.append(frozenset(members))
-        reps.append(b)
         ungrouped -= members
-    return tuple(groups), tuple(reps)
+    return tuple(groups)
 
 
 def assert_matches_reference(inst):
     resolved = resolve_overpaid_paths(build_initial_state(inst))
     groups = partition_agent_groups(resolved)
-    assert (groups.groups, groups.representatives) == \
-        reference_groups(resolved)
+    assert groups.groups == reference_groups(resolved)
     assert groups.new_to_old == tuple(a for g in groups.groups
                                       for a in sorted(g))
 

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from chorefair import Instance, min_beta_EFX, run_pipeline
 from chorefair.errors import BudgetExceeded
-from chorefair.harness import save_instance
 from chorefair.model import Allocation
 from chorefair.oracle import (
     DEFAULT_BUDGET,
@@ -32,7 +31,7 @@ from chorefair.verify import UNBOUNDED
 from chorefair.cli import main
 
 from conftest import (generated_instances, high_matrices, instances,
-                      market_from_parts, owned_instance)
+                      market_from_parts, owned_instance, save_instance)
 
 INPUTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "inputs")

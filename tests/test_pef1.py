@@ -14,6 +14,7 @@ from chorefair import (
     run_pef1,
 )
 from chorefair.errors import InternalInvariant, MPBViolation
+from chorefair.harness import equilibrium_from_parts
 from chorefair.market_init import AgentGroups
 from chorefair.model import build_market_state
 from chorefair.pef1 import (
@@ -41,7 +42,7 @@ def test_a_lone_earner_is_big_and_ends_the_rounds():
     state = build_market_state(inst, (1, 0), 0)
     assert select_big_earner(state) == 0
     agents = (0, 1)
-    groups = AgentGroups((frozenset(agents),), (0,), agents, agents)
+    groups = AgentGroups((frozenset(agents),), agents)
     rounds = _Rounds(SolverState(state, frozenset(agents), groups, state, 0))
     assert not rounds.step()  # hat(0) = 0 <= earning of anyone
 
@@ -86,11 +87,28 @@ def test_rotation_routes_through_the_entry_bundle_holder(rotation):
     assert ev.earn_before is not None and ev.earn_after is not None
 
 
+def _pay_flags(market):
+    return tuple(bool(market.high >> e & 1)
+                 for e in range(market.instance.m))
+
+
+def _replayed_markets(state):
+    """The entry market of a finished run and its market after each round,
+    rebuilt round by round from the trace."""
+    inst = state.entry.instance
+    parts = (state.entry.allocation.owner, _pay_flags(state.entry))
+    markets = [state.entry]
+    for rnd in range(1, state.round_count + 1):
+        events = [ev for ev in state.trace if ev.round == rnd]
+        parts = replay_trace(*parts, events, inst.n, inst.k)
+        markets.append(equilibrium_from_parts(inst, *parts))
+    return markets
+
+
 def test_raise_multiplies_group_payments(rotation):
-    sink = []
-    run_pef1(rotation, state_sink=sink)
-    entry = sink[0]
-    raised_round = sink[1]  # first round raises a0's group
+    markets = _replayed_markets(run_pef1(rotation))
+    entry = markets[0]
+    raised_round = markets[1]  # first round raises a0's group
     assert rotation.k == 2
     # one chore moved away the same round; the rest doubled
     assert not raised_round.bundles[0] & ~raised_round.high  # all pay 2
@@ -98,16 +116,12 @@ def test_raise_multiplies_group_payments(rotation):
 
 
 def test_trace_replays_to_the_final_state(rotation):
-    sink = []
-    state = run_pef1(rotation, state_sink=sink)
-    entry = sink[0]
+    state = run_pef1(rotation)
     owner, pay_high = replay_trace(
-        entry.allocation.owner,
-        tuple(bool(entry.high >> e & 1) for e in range(rotation.m)),
-        state.trace, rotation.n)
+        state.entry.allocation.owner, _pay_flags(state.entry),
+        state.trace, rotation.n, rotation.k)
     assert owner == state.market.allocation.owner
-    assert pay_high == tuple(
-        bool(state.market.high >> e & 1) for e in range(rotation.m))
+    assert pay_high == _pay_flags(state.market)
 
 
 def test_least_earning_never_drops_along_the_trace(rotation):
@@ -132,11 +146,9 @@ def test_round_count_stays_under_the_stated_cap(inst):
 
 @given(generated_instances(max_n=5, max_m=9))
 @settings(max_examples=60)
-def test_sink_states_are_all_equilibria(inst):
-    sink = []
-    run_pef1(inst, state_sink=sink)
-    for st in sink:
-        assert check_equilibrium(st).holds
+def test_replayed_round_states_are_all_equilibria(inst):
+    for market in _replayed_markets(run_pef1(inst)):
+        assert check_equilibrium(market).holds
 
 
 @given(generated_instances(max_n=5, max_m=9))
@@ -174,12 +186,11 @@ def _entry_state(final):
 
 @given(generated_instances(max_n=5, max_m=9))
 @settings(max_examples=60)
-def test_sink_markets_match_a_fresh_build(inst):
-    sink = []
-    state = run_pef1(inst, state_sink=sink)
-    assert sink[0] == state.entry
-    assert sink[-1] == state.market
-    for market in sink:
+def test_replayed_markets_end_at_the_run_result(inst):
+    state = run_pef1(inst)
+    markets = _replayed_markets(state)
+    assert markets[-1] == state.market
+    for market in (state.entry, state.market):
         assert market == build_market_state(
             market.instance, market.bundles, market.high)
 
@@ -188,14 +199,13 @@ def test_sink_markets_match_a_fresh_build(inst):
 def test_stepping_pef1_round_reproduces_run_pef1(seed):
     inst = skewed_owned_instance(3, (20, 18, 16, 2, 1, 1, 1), seed,
                                  Fraction(1, 20))
-    sink = []
-    final = run_pef1(inst, state_sink=sink)
+    final = run_pef1(inst)
     assert {ev.kind for ev in final.trace} == {"raise", "transfer", "rotate"}
     state, markets = _entry_state(final), [final.entry]
     while (rounds := _Rounds(state)).step():
         state = rounds.state()
         markets.append(state.market)
-    assert markets == sink
+    assert markets == _replayed_markets(final)
     assert state == final
 
 

@@ -2,7 +2,8 @@
 
 Everything else is imported from its module, so a name added to the root
 has to be documented in README.md (or be one the benchmark imports from the
-root) before this file lets it in.
+root) before this file lets it in.  A public name that only the tests use
+does not belong in the package at all.
 """
 
 import ast
@@ -52,3 +53,53 @@ def test_every_export_is_in_the_readme_or_imported_by_the_benchmark():
                if name not in from_bench
                and not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", readme)]
     assert missing == []
+
+
+def _identifiers(tree, skip=None) -> set[str]:
+    """Names, attributes, imported names and whole-string constants used in
+    tree, outside the node skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    """A public top-level def or class in the package is referenced, outside
+    its own definition, by the package, the README or the benchmark."""
+    package = os.path.join(ROOT, "src", "chorefair")
+    trees = {}
+    for folder in (package, os.path.join(ROOT, "bench")):
+        for fname in sorted(os.listdir(folder)):
+            if fname.endswith(".py"):
+                path = os.path.join(folder, fname)
+                with open(path, encoding="utf-8") as fh:
+                    trees[path] = ast.parse(fh.read())
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    unused = []
+    for path, tree in trees.items():
+        if os.path.dirname(path) != package:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            used = any(node.name in _identifiers(other, skip=node)
+                       for other in trees.values())
+            if not used and not re.search(
+                    rf"(?<!\w){re.escape(node.name)}(?!\w)", readme):
+                unused.append(f"{os.path.basename(path)}:{node.name}")
+    assert unused == []
