@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (IterationCapExceeded, LemmaViolation,
-                     PreconditionViolated)
+from .errors import IterationCapExceeded, LemmaViolation
 from .model import Instance, MarketState, MarketView, bits
 from .pef1 import SolverState, StageResult, run_pef1
 from .trace import TraceEvent
@@ -153,7 +152,5 @@ def run_approx_efx(instance: Instance) -> StageResult:
     The result is stated in the reindexed agent frame of the pEF1 stage;
     result.pef1.groups.new_to_old maps back to the caller's labels.
     """
-    if instance.k <= 1:
-        raise PreconditionViolated(f"need k > 1, got {instance.k}")
     state = run_pef1(instance)
     return approx_from_equilibrium(state.market, state)

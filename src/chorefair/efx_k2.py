@@ -152,8 +152,5 @@ def run_efx_k2(instance: Instance) -> StageResult:
     The result is stated in the reindexed agent frame of the pEF1 stage;
     result.pef1.groups.new_to_old maps back to the caller's labels.
     """
-    if instance.k != 2:
-        raise PreconditionViolated(
-            f"exact EFX stage needs k = 2, got {instance.k}")
     state = run_pef1(instance)
     return k2_from_equilibrium(state.market, state.unraised, state)

@@ -71,22 +71,34 @@ def _frontier(instance: Instance, owner: Sequence[int] | None = None
     Agent o's total sits in bits o*w .. o*w + w - 2, under a guard bit.
     Componentwise q <= p with q != p implies q < p as ints, so once sorted
     every dominator of p precedes it; q <= p iff (p | guards) - q keeps
-    every guard.
+    every guard.  A layer's kept profiles are packed side by side, one
+    n*w-bit slot each, so one multiply and subtract tests p against all
+    of them: no borrow crosses a field, since each field of p | guards is
+    at least 2^(w-1) and every kept field is below it.
     """
     n, m, cu = instance.n, instance.m, instance.cost_units
     w = (m * instance.high_units).bit_length() + 1
+    slot = n * w
     guard = sum(1 << (o * w + w - 1) for o in range(n))
     steps = [[cu[o][e] << (o * w) for o in range(n)] for e in range(m)]
     # p is kept only if (cap - p) keeps every guard; all ones bound nothing
-    cap = (1 << n * w) - 1 if owner is None else \
+    cap = (1 << slot) - 1 if owner is None else \
         guard | sum(steps[e][o] for e, o in enumerate(owner))
     layers = [[0]]
     for step in steps:
         kept: list[int] = []
+        packed = ones = 0  # kept profiles, and a 1 at the base of each slot
         for p in sorted({q + s for q in layers[-1] for s in step
                          if (cap - q - s) & guard == guard}):
-            top = p | guard
-            if all((top - q) & guard != guard for q in kept):
+            d = (p | guard) * ones - packed
+            # bit w - 1 of each slot of survived ANDs that slot's n guards
+            survived = d
+            for o in range(1, n):
+                survived &= d >> (o * w)
+            if not survived & ones << (w - 1):
+                shift = len(kept) * slot
+                packed |= p << shift
+                ones |= 1 << shift
                 kept.append(p)
         layers.append(kept)
     return steps, layers

@@ -52,12 +52,9 @@ class StageResult:
     pef1: SolverState | None = None
 
 
-def select_big_earner(market: MarketState | MarketView,
-                      hats: list[int] | None = None) -> int:
-    """Agent maximizing earning-after-dropping-one-chore, ties to smaller
-    index.  hats defaults to the market's, from its earn_units."""
-    if hats is None:
-        hats = market.hats(market.earn_units)
+def select_big_earner(hats: list[int]) -> int:
+    """Agent maximizing earning-after-dropping-one-chore (its hat), ties to
+    smaller index."""
     return hats.index(max(hats))
 
 
@@ -98,7 +95,7 @@ class _Rounds:
         view, hats = self.view, self.hats
         earn = view.earn_units
         inst = view.instance
-        b = select_big_earner(view, hats)
+        b = select_big_earner(hats)
         l = select_least_earner(view)
         if hats[b] <= earn[l]:
             return False

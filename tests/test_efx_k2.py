@@ -100,7 +100,8 @@ def test_earning_tiers_reject_a_wide_span():
 def test_non_two_k_is_rejected():
     from conftest import owned_instance
     inst = owned_instance(3, [0, 1, 2])
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated,
+                       match="exact EFX stage needs k = 2, got 3"):
         run_efx_k2(inst)
 
 

@@ -2,8 +2,9 @@
 
 The brute-force definitions the oracle is checked against live here:
 enumerate_allocations walks all n^m owner vectors in lexicographic order,
-cost_profile and dominates define Pareto dominance, and _exact_efx the
-exact EFX test.
+cost_profile and dominates define Pareto dominance, pairwise_frontier
+keeps each layer's minimal profiles by testing a candidate against every
+kept one, and _exact_efx is the exact EFX test.
 """
 
 import os
@@ -22,6 +23,7 @@ from chorefair.oracle import (
     _agent_classes,
     _canonical,
     _check_budget,
+    _frontier,
     _po_owners,
     best_efx_beta_over_po,
     exists_efx_po,
@@ -62,6 +64,28 @@ def dominates(instance: Instance, a: Allocation, b: Allocation) -> bool:
     pa = cost_profile(instance, a)
     pb = cost_profile(instance, b)
     return all(x <= y for x, y in zip(pa, pb)) and pa != pb
+
+
+def pairwise_frontier(instance: Instance, owner=None):
+    """oracle._frontier with its dominance filter spelled out: a sorted
+    candidate p is kept unless some kept q has q <= p in every field,
+    that is unless (p | guards) - q keeps every guard bit."""
+    n, m, cu = instance.n, instance.m, instance.cost_units
+    w = (m * instance.high_units).bit_length() + 1
+    guard = sum(1 << (o * w + w - 1) for o in range(n))
+    steps = [[cu[o][e] << (o * w) for o in range(n)] for e in range(m)]
+    cap = (1 << n * w) - 1 if owner is None else \
+        guard | sum(steps[e][o] for e, o in enumerate(owner))
+    layers = [[0]]
+    for step in steps:
+        kept = []
+        for p in sorted({q + s for q in layers[-1] for s in step
+                         if (cap - q - s) & guard == guard}):
+            top = p | guard
+            if all((top - q) & guard != guard for q in kept):
+                kept.append(p)
+        layers.append(kept)
+    return steps, layers
 
 
 def _cost_matrix(instance: Instance,
@@ -275,6 +299,41 @@ def test_the_walk_yields_exactly_the_po_owner_vectors(inst):
     for prune in (False, True):
         assert list(_po_owners(inst, prune)) == reference_po_owners(inst,
                                                                     prune)
+
+
+@st.composite
+def bounded_frontier_cases(draw):
+    """An instance with n <= 6, m <= 9 and an owner vector to bound by."""
+    inst = draw(instances(max_n=6, max_m=9, ks=(
+        Fraction(2), Fraction(5, 2), Fraction(3), Fraction(5))))
+    owner = draw(st.lists(st.integers(0, inst.n - 1), min_size=inst.m,
+                          max_size=inst.m))
+    return inst, tuple(owner)
+
+
+@given(bounded_frontier_cases())
+@settings(max_examples=30, deadline=None)
+def test_packed_filter_matches_the_pairwise_one(case):
+    inst, owner = case
+    for bound in (None, owner):
+        assert _frontier(inst, bound) == pairwise_frontier(inst, bound)
+
+
+def test_no_slack_field_under_the_guard():
+    # k = 3, m = 5: fields are w - 1 = 4 bits wide, and agent 0 holding
+    # every chore (four at cost 3, one at 1) sets the top one: 13 = 0b1101.
+    # A full field, m * k, would need a row without a cost-1 chore.
+    inst = Instance(3, 5, Fraction(3), (
+        (True, True, True, True, False),
+        (False, True, False, True, True),
+        (True, False, True, False, True)))
+    full = int(cost_profile(inst, Allocation((0,) * 5))[0] * inst.unit)
+    assert full.bit_length() == (inst.m * inst.high_units).bit_length()
+    po = set(reference_po_owners(inst, False))
+    assert (0,) * 5 in po
+    for owner in all_owners(inst):
+        assert _frontier(inst, owner) == pairwise_frontier(inst, owner)
+        assert is_pareto_optimal(inst, Allocation(owner)) == (owner in po)
 
 
 @given(oracle_instances())

@@ -33,14 +33,14 @@ def test_selectors_break_ties_toward_smaller_index():
     # two agents with equal earnings and equal hats
     inst = owned_instance(2, [0, 0, 1, 1])
     state = build_market_state(inst, (0b0011, 0b1100), 0)
-    assert select_big_earner(state) == 0
+    assert select_big_earner(state.hats(state.earn_units)) == 0
     assert select_least_earner(state) == 0
 
 
 def test_a_lone_earner_is_big_and_ends_the_rounds():
     inst = Instance(2, 1, Fraction(2), ((False,), (False,)))
     state = build_market_state(inst, (1, 0), 0)
-    assert select_big_earner(state) == 0
+    assert select_big_earner(state.hats(state.earn_units)) == 0
     agents = (0, 1)
     groups = AgentGroups((frozenset(agents),), agents)
     rounds = _Rounds(SolverState(state, frozenset(agents), groups, state, 0))
