@@ -1,0 +1,151 @@
+"""Benchmark a parent revision against the working tree in alternating pairs.
+
+    python3 scripts/bench_pairs.py --parent REV --seconds 40 \\
+        --out BENCH_PR<n>.json GROUP [GROUP ...]
+
+Each GROUP is WORKLOAD:SEED:PAIRS or WORKLOAD:SEED:PAIRS:TRACE (TRACE is 0
+or 1, 0 when left out), for example `random-dense:111:10` for ten untraced
+pairs of random-dense seed 111.  The parent is extracted with `git archive`
+into a temporary directory, so the repository's .git is only read.  Each
+pair runs `bench/run.py` once in that copy and once in the working tree,
+uncommitted edits included, with identical arguments; pairs alternate which
+side runs first, counting across all groups.
+
+The output file is rewritten after every run, so an interrupted campaign
+keeps the runs it made.  It holds `parent` (the full commit id), `command`,
+`host`, `note` and `runs`; each run gives its order, workload, seed,
+seconds, trace, side ("parent" or "change") and `result`, the JSON object
+on the last line `bench/run.py` printed.  A run that exits non-zero stops
+the campaign with its error output.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMAND = ("python3 bench/run.py --workload WORKLOAD --seed SEED "
+           "--seconds {seconds} --trace TRACE")
+NOTE = ("every run made, in the order it ran; parent and change alternate "
+        "which goes first")
+
+
+def workload_names() -> list[str]:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return [w["name"] for w in json.load(fh)["workloads"]]
+
+
+def parse_group(text: str) -> tuple[str, int, int, int]:
+    parts = text.split(":")
+    if len(parts) not in (3, 4):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not WORKLOAD:SEED:PAIRS[:TRACE]")
+    workload, numbers = parts[0], parts[1:] + ["0"] * (4 - len(parts))
+    try:
+        seed, pairs, trace = map(int, numbers)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: SEED, PAIRS and TRACE must be integers") from None
+    if workload not in workload_names():
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: unknown workload {workload!r}")
+    if pairs < 1 or trace not in (0, 1):
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: PAIRS must be at least 1 and TRACE 0 or 1")
+    return workload, seed, pairs, trace
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True,
+                   help="the revision to compare against, e.g. HEAD~1")
+    p.add_argument("--seconds", type=int, required=True,
+                   help="bench/run.py --seconds for every run")
+    p.add_argument("--out", required=True, help="the JSON file to write")
+    p.add_argument("--note", default="",
+                   help="appended to the file's note")
+    p.add_argument("groups", nargs="+", type=parse_group, metavar="GROUP")
+    args = p.parse_args(argv)
+    if args.seconds < 1:
+        p.error("--seconds must be at least 1")
+    return args
+
+
+def git(*args: str) -> bytes:
+    proc = subprocess.run(["git", "-C", ROOT, *args], capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pairs: git {' '.join(args)}: "
+                         f"{proc.stderr.decode().strip()}")
+    return proc.stdout
+
+
+def extract(commit: str, into: str) -> None:
+    """The commit's files, as `git archive` gives them, under into."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar",
+                                             commit))) as tar:
+        tar.extractall(into, filter="data")
+
+
+def bench(root: str, workload: str, seed: int, seconds: int,
+          trace: int) -> dict:
+    """One bench/run.py run in the checkout at root; its result line."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pairs: bench/run.py in {root} exited "
+                         f"{proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    parent = git("rev-parse", "--verify",
+                 f"{args.parent}^{{commit}}").decode().strip()
+    doc = {
+        "parent": parent,
+        "command": COMMAND.format(seconds=args.seconds),
+        "host": (f"{os.cpu_count()}-core {platform.system()} "
+                 f"{platform.machine()}, Python "
+                 f"{platform.python_version()}; end-to-end times are at "
+                 "reference speed (bench/README.md), per-layer times "
+                 "(trace 1) are measured"),
+        "note": NOTE + (f"; {args.note}" if args.note else ""),
+        "runs": [],
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as copy:
+        extract(parent, copy)
+        roots = {"parent": copy, "change": ROOT}
+        pair = 0
+        for workload, seed, pairs, trace in args.groups:
+            for _ in range(pairs):
+                sides = ("parent", "change") if pair % 2 == 0 \
+                    else ("change", "parent")
+                pair += 1
+                for side in sides:
+                    result = bench(roots[side], workload, seed,
+                                   args.seconds, trace)
+                    doc["runs"].append({
+                        "order": len(doc["runs"]) + 1, "workload": workload,
+                        "seed": seed, "seconds": args.seconds,
+                        "trace": trace, "side": side, "result": result})
+                    with open(args.out, "w", encoding="utf-8") as fh:
+                        json.dump(doc, fh, indent=1)
+                        fh.write("\n")
+                    print(f"run {len(doc['runs'])}: {workload} seed {seed} "
+                          f"trace {trace} {side}: "
+                          + json.dumps(result["metrics"]), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

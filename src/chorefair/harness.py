@@ -330,6 +330,7 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
         raise ValueError(f"unknown mode {mode!r}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    inst, resolved = None, mode
     try:
         inst = normalize_instance(instance) \
             if isinstance(instance, RawInstance) else instance
@@ -357,9 +358,12 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
         timings["stage"] = time.perf_counter() - t1
     except ChorefairError as err:
         timings["total"] = time.perf_counter() - t0
+        # an instance that normalized keeps its identity in the report
+        digest, n, m, k = ("", 0, 0, Fraction(0)) if inst is None else \
+            (instance_digest(inst), inst.n, inst.m, inst.k)
         return RunReport(
-            digest="", mode=mode, requested_mode=mode, n=0, m=0,
-            k=Fraction(0), new_to_old=(), entry_owner=(), entry_pay_high=(),
+            digest=digest, mode=resolved, requested_mode=mode, n=n, m=m,
+            k=k, new_to_old=(), entry_owner=(), entry_pay_high=(),
             owner=(), pay_high=(), stages=(), verdicts=None, success=False,
             error=f"{type(err).__name__}: {err}", timings=timings)
 

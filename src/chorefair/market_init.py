@@ -56,17 +56,23 @@ class _ChainView(MarketView):
     """The market view for the chains and the partition; payments stay fixed.
 
     earn_units[i] is re-derived from the masks for the agents of each
-    fired chain.  succ[u] is the bitmask of agents v != u that u can give a
-    chore to (u's bundle meets MPB_v).  MPB sets depend only on payments, so
-    succ[u] changes only when u's own bundle does, and is refreshed then.
+    fired chain.  takers[e] is the bitmask of agents for which chore e is
+    ratio-minimal, and succ[u] the bitmask of agents v != u that u can
+    give a chore to (u's bundle meets MPB_v), the union of takers over u's
+    bundle.  MPB sets depend only on payments, so takers never changes and
+    succ[u] changes only when u's own bundle does.  A giver's succ is
+    recomputed from its bundle; a chain's tail only receives, so its succ
+    grows by the takers of the chore it gained.
     """
 
     def __init__(self, state: MarketState):
         super().__init__(state)
-        self.takers = [0] * state.instance.m  # agents for which e is ratio-minimal
-        for v in range(self.n):
-            for e in bits(self.mpb(v)):
-                self.takers[e] |= 1 << v
+        # takers transposes the MPB masks: in their binary numerals, agent
+        # n-1's first, chore m-1-j's digits sit at j, j + m, j + 2m, ...
+        m = state.instance.m
+        digits = "".join([format(self.mpb(v), f"0{m}b")
+                          for v in reversed(range(self.n))])
+        self.takers = [int(digits[j::m], 2) for j in range(m)][::-1]
         self.succ = [0] * self.n
         for u in range(self.n):
             self.refresh(u)
@@ -74,9 +80,10 @@ class _ChainView(MarketView):
     def refresh(self, u: int) -> None:
         """Recompute earn_units[u] and succ[u] from u's current bundle."""
         self.earn_units[u] = self.earning(u)
-        reach = 0
-        for e in bits(self.bundles[u]):
-            reach |= self.takers[e]
+        takers, bundle, reach = self.takers, self.bundles[u], 0
+        while bundle:
+            reach |= takers[(bundle & -bundle).bit_length() - 1]
+            bundle &= bundle - 1
         self.succ[u] = reach & ~(1 << u)
 
     def hat(self, i: int) -> int:
@@ -90,24 +97,27 @@ def _shortest_chain_from(view: _ChainView, i: int,
     with hat(i) > earning(j) in the nearest layer holding one; each agent's
     parent is the smallest-index agent of the previous layer that can give
     to it."""
-    hat_i = view.hat(i)
+    hat_i, earn, succ = view.hat(i), view.earn_units, view.succ
     seen = frontier = 1 << i
     layers = [frontier]
     while len(layers) < max_len:
-        reached = 0
-        for u in bits(frontier):
-            reached |= view.succ[u]
+        reached, rest = 0, frontier
+        while rest:
+            reached |= succ[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
         frontier = reached & ~seen
         if not frontier:
             return None
-        hit = next((v for v in bits(frontier)
-                    if hat_i > view.earn_units[v]), None)
-        if hit is not None:
-            path = [hit]
+        rest = frontier  # endpoint: the first agent hat(i) exceeds
+        while rest and hat_i <= earn[(rest & -rest).bit_length() - 1]:
+            rest &= rest - 1
+        if rest:
+            path = [(rest & -rest).bit_length() - 1]
             for layer in reversed(layers):
                 v = path[-1]
-                path.append(next(u for u in bits(layer)
-                                 if view.succ[u] >> v & 1))
+                while not succ[(layer & -layer).bit_length() - 1] >> v & 1:
+                    layer &= layer - 1
+                path.append((layer & -layer).bit_length() - 1)
             return path[::-1]
         seen |= frontier
         layers.append(frontier)
@@ -144,6 +154,8 @@ def _best_chain(view: _ChainView) -> list[int] | None:
 def _fire(view: _ChainView, chain: list[int]) -> None:
     """Execute moves from the receiving end backward so every giver still
     holds its original bundle at giving time."""
+    tail = chain[-1]
+    held = view.bundles[tail]
     for s in range(len(chain) - 2, -1, -1):
         u, v = chain[s], chain[s + 1]
         options = view.bundles[u] & view.mpb(v)
@@ -152,8 +164,11 @@ def _fire(view: _ChainView, chain: list[int]) -> None:
         low = options & ~view.high  # prefer payment-1
         pick = low or options
         view.move((pick & -pick).bit_length() - 1, u, v)
-    for u in chain:
+    for u in chain[:-1]:
         view.refresh(u)
+    gained = view.bundles[tail] & ~held
+    view.earn_units[tail] = view.earning(tail)
+    view.succ[tail] |= view.takers[gained.bit_length() - 1] & ~(1 << tail)
 
 
 def resolve_overpaid_paths(state: MarketState) -> MarketState:
@@ -225,8 +240,9 @@ def partition_agent_groups(state: MarketState) -> AgentGroups:
         members = frontier = 1 << b
         while frontier:
             reach = 0
-            for y in bits(frontier):
-                reach |= view.succ[y]
+            while frontier:
+                reach |= view.succ[(frontier & -frontier).bit_length() - 1]
+                frontier &= frontier - 1
             frontier = reach & ungrouped & ~members
             members |= frontier
         groups.append(members)

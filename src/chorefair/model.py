@@ -211,7 +211,8 @@ class _MarketMasks:
 
     @property
     def kernel(self) -> EnvyKernel:
-        """The EnvyKernel of the masks; a MarketState builds it only once."""
+        """The EnvyKernel of the masks; a MarketState builds it only once,
+        a MarketView once between moves."""
         return EnvyKernel(self.instance, self.bundles)
 
 
@@ -330,7 +331,8 @@ class MarketView(_MarketMasks):
 
     The view maintains bundles[i] and high, from which everything else
     derives as in _MarketMasks.  earn_units holds each agent's earning as
-    of the loop's last checked step; the loop refreshes it.
+    of the loop's last checked step; the loop refreshes it.  The bundles
+    change only through move, which drops the kernel built on them.
     """
 
     def __init__(self, state: MarketState):
@@ -342,6 +344,7 @@ class MarketView(_MarketMasks):
         self.earn_units = list(state.earn_units)
         self.low_cost = inst.low_masks
         self.pay_low, self.pay_high = inst.unit, inst.high_units
+        self._kernel: EnvyKernel | None = None
 
     def check_round(self, noun: str, touched) -> list[int]:
         """The checks each step of a stage makes from the masks alone, in
@@ -363,12 +366,21 @@ class MarketView(_MarketMasks):
                     f"earning of uninvolved agent {i} changed during the {noun}")
         return earn
 
+    @property
+    def kernel(self) -> EnvyKernel:
+        # a plain attribute, not a cached_property: that would write to the
+        # instance __dict__, which slows every attribute read of the view
+        if self._kernel is None:
+            self._kernel = EnvyKernel(self.instance, self.bundles)
+        return self._kernel
+
     def move(self, e: int, u: int, v: int) -> None:
         if not self.mpb(v) >> e & 1:
             raise MPBViolation(f"chore {e} is not ratio-minimal for agent {v}")
         bit = 1 << e
         self.bundles[u] ^= bit
         self.bundles[v] |= bit
+        self._kernel = None
 
     def market(self) -> MarketState:
         return build_market_state(self.instance, self.bundles, self.high)

@@ -14,7 +14,8 @@ from chorefair.approx_efx import (
     strong_envy_target,
 )
 from chorefair.errors import InternalInvariant, LemmaViolation, MPBViolation
-from chorefair.model import MarketView
+from chorefair import model
+from chorefair.model import EnvyKernel, MarketView
 
 from conftest import generated_instances, golden6_market
 
@@ -191,3 +192,29 @@ def test_an_exchange_on_the_view_matches_the_stage():
     assert (event,) == result.trace
     assert view.market() == result.market
     assert view.earn_units == list(result.market.earn_units)
+
+
+def test_the_stage_builds_one_envy_kernel_per_exchange(monkeypatch):
+    builds = []
+
+    class CountedKernel(EnvyKernel):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(model, "EnvyKernel", CountedKernel)
+    result = approx_from_equilibrium(golden6_market())
+    # the entry market's kernel, then one per exchange: the exchange's
+    # checks and the next target search read the same one
+    assert len(result.trace) == 1
+    assert len(builds) == 2
+
+
+def test_a_move_drops_the_view_kernel():
+    view, _ = _exchange_view()
+    kernel = view.kernel
+    assert view.kernel is kernel
+    i, j = strong_envy_target(view)
+    view.move((view.bundles[i] & view.high).bit_length() - 1, i, j)
+    assert view.kernel is not kernel
+    assert view.kernel.cost == EnvyKernel(view.instance, view.bundles).cost

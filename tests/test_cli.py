@@ -89,6 +89,20 @@ def test_verify_rejects_a_report_for_another_instance(paths, capsys, tmp_path):
     assert "digest mismatch" in capsys.readouterr().err
 
 
+def test_verify_fails_a_failed_report_on_its_missing_verdicts(paths,
+                                                              capsys):
+    # exact2 needs k = 2: the solve fails after normalizing the instance
+    assert main(["gen", "--n", "3", "--m", "6", "--k", "3",
+                 "--high-prob", "1/2", "--seed", "5",
+                 "--out", paths["inst"]]) == 0
+    assert main(["solve", paths["inst"], "--mode", "exact2",
+                 "--out", paths["report"]]) == 1
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    err = capsys.readouterr().err
+    assert err == "verify: report carries no verdicts\n"
+
+
 def test_verify_rejects_a_forged_verdict(paths, capsys):
     gen_ok(paths)
     assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0

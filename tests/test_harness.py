@@ -14,7 +14,9 @@ from chorefair import (
     report_fingerprint,
     run_pipeline,
 )
-from chorefair.errors import NotBiValued, ParseError, ZeroCost
+from chorefair import harness
+from chorefair.errors import (InternalInvariant, NotBiValued, ParseError,
+                              ZeroCost)
 from chorefair.harness import (
     GenParams,
     SplitMix64,
@@ -164,6 +166,29 @@ def test_pipeline_turns_engine_errors_into_failed_reports():
     assert not report.success
     assert report.error is not None
     assert "AlreadyUniform" in report.error
+
+
+def test_a_failed_report_keeps_the_instance_and_the_resolved_mode(
+        monkeypatch):
+    raw = gen_instance(GenParams(3, 6, Fraction(3), Fraction(1, 2), 5))
+    identity = (instance_digest(normalize_instance(raw)), 3, 6, Fraction(3))
+    report = run_pipeline(raw, "exact2")
+    assert not report.success
+    assert "needs k = 2" in report.error
+    assert (report.digest, report.n, report.m, report.k) == identity
+    assert (report.mode, report.requested_mode) == ("exact2", "exact2")
+
+    def stage_fault(*args):
+        raise InternalInvariant("stage fault")
+
+    monkeypatch.setattr(harness, "approx_from_equilibrium", stage_fault)
+    report = run_pipeline(raw)
+    assert report.error == "InternalInvariant: stage fault"
+    assert (report.digest, report.n, report.m, report.k) == identity
+    assert (report.mode, report.requested_mode) == ("approx", "auto")
+    parsed = parse_report(report_text(report))
+    assert (parsed.digest, parsed.n, parsed.m, parsed.k) == identity
+    assert parsed.mode == "approx"
 
 
 def test_report_text_round_trips_through_parse():

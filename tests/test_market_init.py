@@ -6,15 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from chorefair import Instance
+from chorefair import Instance, normalize_instance
 from chorefair.errors import GroupPropertyViolation
+from chorefair.harness import GenParams, gen_instance
 from chorefair.market_init import (
     _best_chain,
     _ChainView,
+    _fire,
     build_initial_state,
     partition_agent_groups,
     resolve_overpaid_paths,
 )
+from chorefair.model import MarketView, bits
 
 from conftest import (K_VALUES, generated_instances, market_from_parts,
                       owned_instance, rotation_instance,
@@ -25,6 +28,119 @@ def violating_chain(state):
     """The chain resolution would fire next on state; None at the fixed
     point."""
     return _best_chain(_ChainView(state))
+
+
+class ReferenceChainView(MarketView):
+    """The chain view on model.bits generators, with every chain agent's
+    succ rebuilt from its bundle after a fire: the reference for the
+    bitmask loops and the tail's grow-only update in _ChainView."""
+
+    def __init__(self, state):
+        super().__init__(state)
+        self.takers = [0] * state.instance.m
+        for v in range(self.n):
+            for e in bits(self.mpb(v)):
+                self.takers[e] |= 1 << v
+        self.succ = [0] * self.n
+        for u in range(self.n):
+            self.refresh(u)
+
+    def refresh(self, u):
+        self.earn_units[u] = self.earning(u)
+        reach = 0
+        for e in bits(self.bundles[u]):
+            reach |= self.takers[e]
+        self.succ[u] = reach & ~(1 << u)
+
+    def hat(self, i):
+        return self.earn_units[i] - self.top_pay(i)
+
+
+def reference_shortest_chain_from(view, i, max_len):
+    hat_i = view.hat(i)
+    seen = frontier = 1 << i
+    layers = [frontier]
+    while len(layers) < max_len:
+        reached = 0
+        for u in bits(frontier):
+            reached |= view.succ[u]
+        frontier = reached & ~seen
+        if not frontier:
+            return None
+        hit = next((v for v in bits(frontier)
+                    if hat_i > view.earn_units[v]), None)
+        if hit is not None:
+            path = [hit]
+            for layer in reversed(layers):
+                v = path[-1]
+                path.append(next(u for u in bits(layer)
+                                 if view.succ[u] >> v & 1))
+            return path[::-1]
+        seen |= frontier
+        layers.append(frontier)
+    return None
+
+
+def reference_best_chain(view):
+    best = None
+    floor = min(view.earn_units)
+    for i in range(view.n):
+        if view.hat(i) <= floor:
+            continue
+        chain = reference_shortest_chain_from(
+            view, i, view.n if best is None else len(best) - 1)
+        if chain is not None:
+            best = chain
+            if len(best) == 2:
+                break
+    return best
+
+
+def reference_fire(view, chain):
+    for s in range(len(chain) - 2, -1, -1):
+        u, v = chain[s], chain[s + 1]
+        options = view.bundles[u] & view.mpb(v)
+        low = options & ~view.high
+        pick = low or options
+        view.move((pick & -pick).bit_length() - 1, u, v)
+    for u in chain:
+        view.refresh(u)
+
+
+def reference_chains(state):
+    """The chains the reference fires from state to its fixed point, in
+    order, and the bundles it ends at."""
+    view = ReferenceChainView(state)
+    fired = []
+    while (chain := reference_best_chain(view)) is not None:
+        fired.append(chain)
+        reference_fire(view, chain)
+    return fired, tuple(view.bundles)
+
+
+def fired_chains(state):
+    """The same for the solver's view.  After every fire, its earnings and
+    succ masks equal those of a view built afresh on its bundles."""
+    view = _ChainView(state)
+    reference = ReferenceChainView(state)
+    assert (view.takers, view.succ) == (reference.takers, reference.succ)
+    fired = []
+    while (chain := _best_chain(view)) is not None:
+        fired.append(chain)
+        _fire(view, chain)
+        fresh = _ChainView(view.market())
+        assert view.earn_units == fresh.earn_units
+        assert view.succ == fresh.succ
+    return fired, tuple(view.bundles)
+
+
+def assert_fires_like_the_reference(state):
+    """The solver fires the reference's chains in the reference's order;
+    returns them."""
+    fired, end = fired_chains(state)
+    assert (fired, end) == reference_chains(state)
+    assert resolve_overpaid_paths(state).bundles == end
+    return fired
 
 
 def low_sets(*lows_per_item):
@@ -67,6 +183,7 @@ def test_two_hop_chain_fires_when_no_single_hop_violates():
     entry = build_initial_state(inst)
     assert [entry.earn_units[i] for i in range(3)] == [4, 3, 2]
     assert violating_chain(entry) == [0, 1, 2]
+    assert assert_fires_like_the_reference(entry) == [[0, 1, 2]]
     resolved = resolve_overpaid_paths(entry)
     assert resolved.allocation.owner[3] == 1
     assert resolved.allocation.owner[4] == 2
@@ -85,6 +202,23 @@ def test_chain_ties_follow_the_smallest_parent_not_the_least_chain():
     # reached from 3, the smaller agent of the second layer {3, 4}, and 3
     # from 2, so the lexicographically larger chain wins
     assert violating_chain(entry) == [0, 2, 3, 5]
+    assert assert_fires_like_the_reference(entry)[0] == [0, 2, 3, 5]
+
+
+CHAIN_KS = (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(5))
+
+
+@given(generated_instances(max_n=8, max_m=24, ks=CHAIN_KS))
+def test_chains_fire_like_the_reference(inst):
+    assert_fires_like_the_reference(build_initial_state(inst))
+
+
+def test_chains_fire_like_the_reference_at_random_dense_size():
+    # n = 64, m = 256, each cost k with probability 3/4
+    inst = normalize_instance(gen_instance(
+        GenParams(64, 256, Fraction(3), Fraction(3, 4), 111)))
+    fired = assert_fires_like_the_reference(build_initial_state(inst))
+    assert len(fired) > 100
 
 
 def test_groups_merge_when_a_tight_give_edge_survives():
