@@ -13,10 +13,15 @@ side runs first, counting across all groups.
 
 The output file is rewritten after every run, so an interrupted campaign
 keeps the runs it made.  It holds `parent` (the full commit id), `command`,
-`host`, `note` and `runs`; each run gives its order, workload, seed,
-seconds, trace, side ("parent" or "change") and `result`, the JSON object
-on the last line `bench/run.py` printed.  A run that exits non-zero stops
-the campaign with its error output.
+`host`, `note`, `runs` and `summary`.  Each run gives its order, workload,
+seed, seconds, trace, side ("parent" or "change") and `result`, the JSON
+object on the last line `bench/run.py` printed.  The summary covers the
+untraced runs of each WORKLOAD:SEED and each end-to-end metric of
+BENCHMARK.json: each side's median and quartiles, and over the complete
+pairs the change's wins and ties, so that a claim (wins in nine tenths of
+the pairs, and a median gap above the parent's interquartile range) can be
+read off the file.  A run that exits non-zero stops the campaign with its
+error output.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -37,9 +43,53 @@ NOTE = ("every run made, in the order it ran; parent and change alternate "
         "which goes first")
 
 
-def workload_names() -> list[str]:
+def benchmark() -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return [w["name"] for w in json.load(fh)["workloads"]]
+        return json.load(fh)
+
+
+def workload_names() -> list[str]:
+    return [w["name"] for w in benchmark()["workloads"]]
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (statistics.quantiles, its default method)."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per WORKLOAD:SEED, over its untraced runs, and per metric in better
+    (name to "lower" or "higher"): each side's spread, and the change's
+    wins and ties over the pairs.  A campaign appends a pair's two runs
+    one after the other, so a group's runs pair off in order; a pair cut
+    short by an interrupted campaign is left out of the pair count."""
+    groups: dict[str, list[dict]] = {}
+    for run in runs:
+        if run["trace"] == 0:
+            groups.setdefault(f"{run['workload']}:{run['seed']}",
+                              []).append(run)
+    summary = {}
+    for group, members in groups.items():
+        pairs = [{r["side"]: r["result"]["metrics"] for r in two}
+                 for two in zip(members[::2], members[1::2])]
+        out: dict = {"pairs": len(pairs)}
+        for metric, direction in better.items():
+            sign = 1 if direction == "lower" else -1
+            values = {side: [r["result"]["metrics"][metric]["value"]
+                             for r in members if r["side"] == side]
+                      for side in ("parent", "change")}
+            row = {side: spread(v) for side, v in values.items() if v}
+            gaps = [sign * (pair["parent"][metric]["value"]
+                            - pair["change"][metric]["value"])
+                    for pair in pairs]
+            row["wins"] = sum(gap > 0 for gap in gaps)
+            row["ties"] = sum(gap == 0 for gap in gaps)
+            out[metric] = row
+        summary[group] = out
+    return summary
 
 
 def parse_group(text: str) -> tuple[str, int, int, int]:
@@ -109,6 +159,7 @@ def bench(root: str, workload: str, seed: int, seconds: int,
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    better = {m["name"]: m["better"] for m in benchmark()["end_to_end"]}
     parent = git("rev-parse", "--verify",
                  f"{args.parent}^{{commit}}").decode().strip()
     doc = {
@@ -121,6 +172,7 @@ def main(argv=None) -> int:
                  "(trace 1) are measured"),
         "note": NOTE + (f"; {args.note}" if args.note else ""),
         "runs": [],
+        "summary": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as copy:
         extract(parent, copy)
@@ -138,6 +190,7 @@ def main(argv=None) -> int:
                         "order": len(doc["runs"]) + 1, "workload": workload,
                         "seed": seed, "seconds": args.seconds,
                         "trace": trace, "side": side, "result": result})
+                    doc["summary"] = summarize(doc["runs"], better)
                     with open(args.out, "w", encoding="utf-8") as fh:
                         json.dump(doc, fh, indent=1)
                         fh.write("\n")

@@ -19,7 +19,7 @@ from .harness import (BENCH_COLUMNS, MODE_STAGES, MODES, VERDICT_KEYS,
                       instance_text, load_instance, load_report, parse_int,
                       parse_rational, report_fingerprint, report_text,
                       resolve_mode, run_pipeline, verdicts_succeed)
-from .model import Instance, RawInstance, normalize_instance, relabel_agents
+from .model import Instance, normalize_instance, relabel_agents
 from .oracle import DEFAULT_BUDGET, best_efx_beta_over_po
 from .trace import replay_trace
 from .verify import check_equilibrium
@@ -55,13 +55,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_normalized(path: str) -> Instance:
-    inst = load_instance(path)
-    return normalize_instance(inst) if isinstance(inst, RawInstance) else inst
-
-
 def _cmd_solve(args) -> int:
-    inst = _load_normalized(args.instance)
+    inst = load_instance(args.instance)
     report = run_pipeline(inst, args.mode, oracle_budget=args.oracle_budget)
     text = report_text(report)
     _write(args.out, text)
@@ -82,7 +77,7 @@ def _cmd_verify(args) -> int:
     replaying the report's pef1 events on the stored entry state, which
     must itself be an equilibrium.  oracle-po is taken from the report.
     """
-    inst = _load_normalized(args.instance)
+    inst = load_instance(args.instance)
     report = load_report(args.report)
     problems: list[str] = []
     if report.digest != instance_digest(inst):
@@ -175,7 +170,7 @@ def _status(success: bool) -> str:
 
 def _cmd_oracle(args) -> int:
     # one search: the best factor is 1 iff an exact EFX + PO allocation exists
-    inst = _load_normalized(args.instance)
+    inst = load_instance(args.instance)
     value, best = best_efx_beta_over_po(inst, budget=args.oracle_budget,
                                         prune_identical_agents=args.prune)
     owner = " ".join(map(str, best.owner))

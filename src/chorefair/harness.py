@@ -24,7 +24,8 @@ from .approx_efx import approx_from_equilibrium
 from .efx_k2 import k2_from_equilibrium
 from .errors import ChorefairError, ParseError
 from .model import (Instance, MarketState, RawInstance, as_rational,
-                    build_market_state, bundle_masks, normalize_instance)
+                    build_market_state, bundle_masks, normalize_instance,
+                    normalize_rows)
 from .oracle import is_pareto_optimal
 from .pef1 import run_pef1
 from .trace import TraceEvent
@@ -36,6 +37,8 @@ REPORT_FORMAT = "chorefair-report/1"
 
 _MASK = (1 << 64) - 1
 _BITS = {"0": False, "1": True}  # a checked 0/1 string's flags, by map
+# a normalized row's 1 (cost k) is binary digit 0 of the cost-1 mask
+_LOW_DIGITS = str.maketrans("01", "10")
 
 
 class SplitMix64:
@@ -119,15 +122,18 @@ def parse_rational(token: str, where: str = "value") -> Fraction:
     return Fraction(num, den)
 
 
-def _parse_rationals(tokens: list[str], where: str,
-                     known: dict[str, Fraction]) -> tuple[Fraction, ...]:
-    """parse_rational of every token.  Spellings not yet in known are
-    parsed once each, in first-seen order, so an error names the first bad
-    token; known keeps them for the later lines of the same file."""
-    for t in dict.fromkeys(tokens):
+def _parse_spellings(tokens: list[str], where: str,
+                     known: dict[str, Fraction]) -> dict[str, Fraction]:
+    """Each distinct token, in first-seen order, to its parse_rational.
+    Spellings not yet in known are parsed once each, so an error names the
+    first bad token; known keeps them for the later lines of the same
+    file."""
+    spellings = dict.fromkeys(tokens)
+    for t in spellings:
         if t not in known:
             known[t] = parse_rational(t, where)
-    return tuple(map(known.__getitem__, tokens))
+        spellings[t] = known[t]
+    return spellings
 
 
 def _fields(text: str, fmt: str,
@@ -175,17 +181,19 @@ def instance_text(instance: RawInstance | Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_instance(path: str) -> RawInstance | Instance:
+def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance(fh.read())
 
 
-def parse_instance(text: str) -> RawInstance | Instance:
-    """The raw or normalized instance of an instance file's text.
+def parse_instance(text: str) -> Instance:
+    """The normalized instance of an instance file's text, raw or normalized.
 
-    A raw file's tokens are parsed once per distinct spelling, so a row of
-    m entries over a few values builds a few Fractions; a ParseError names
-    the first bad token in row order.
+    A normalized row is its cost-1 mask, read by one translate.  A raw row
+    is read in one pass: its distinct spellings are parsed once each and
+    classified by value, and its mask is emitted directly.  A ParseError
+    names the first bad token in row order, and beats a normalize error in
+    an earlier row (see normalize_rows).
     """
     head: dict[str, str] = {}
     head_line: dict[str, int] = {}
@@ -216,25 +224,31 @@ def parse_instance(text: str) -> RawInstance | Instance:
         k = parse_rational(head["k"], "field k")
         if k <= 1:
             raise ParseError(f"line {head_line['k']}: k must exceed 1")
-        high = []
+        masks = []
         for lineno, value in rows:
             if len(value) != m or value.strip("01"):
                 raise ParseError(f"line {lineno}: row must be {m} of 0/1")
             if "0" not in value:
                 raise ParseError(
                     f"line {lineno}: row has no cost-1 chore (a 0 entry)")
-            high.append(tuple(map(_BITS.__getitem__, value)))
-        return Instance(n, m, k, tuple(high))
+            masks.append(int(value[::-1].translate(_LOW_DIGITS), 2))
+        return Instance(n, m, k, low_masks=tuple(masks))
     if head["kind"] == "raw":
-        costs, known = [], {}
-        for lineno, value in rows:
-            tokens = value.split()
-            if len(tokens) != m:
-                raise ParseError(
-                    f"line {lineno}: expected {m} entries, found {len(tokens)}")
-            costs.append(_parse_rationals(tokens, f"line {lineno}", known))
-        return RawInstance(n, m, tuple(costs))
+        return normalize_rows(n, m, _raw_rows(rows, m))
     raise ParseError(f"unknown kind {head['kind']!r}")
+
+
+def _raw_rows(rows: list[tuple[int, str]], m: int):
+    """Per raw row line, its tokens last first and each distinct spelling's
+    value, as normalize_rows takes them; one row's tokens at a time."""
+    known: dict[str, Fraction] = {}
+    for lineno, value in rows:
+        tokens = value.split()
+        if len(tokens) != m:
+            raise ParseError(
+                f"line {lineno}: expected {m} entries, found {len(tokens)}")
+        yield reversed(tokens), _parse_spellings(tokens, f"line {lineno}",
+                                                 known)
 
 
 def instance_digest(instance: Instance) -> str:
@@ -504,7 +518,8 @@ def _parse_event(lineno: int, body: str,
         return list(filter(None, kv.get(key, "").split(",")))
 
     def rationals(spellings):
-        return _parse_rationals(spellings, where, known)
+        return tuple(map(_parse_spellings(spellings, where, known).__getitem__,
+                         spellings))
 
     try:
         least = kv.get("least")

@@ -2,18 +2,17 @@
 
 All arithmetic is exact.  Public values are `fractions.Fraction`; internally
 every quantity is an integer count of 1/q units, where k = p/q in lowest
-terms.  Costs and payments only ever take the values 1 and k, so a payment
-vector is one bit per chore (the payment-k mask) and every comparison is an
-integer comparison.
+terms.  Costs and payments only ever take the values 1 and k, so an
+instance is stored as one cost-1 mask per agent, a payment vector is one
+bit per chore (the payment-k mask) and every comparison is an integer
+comparison.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
-from operator import is_, is_not
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (AlreadyUniform, InternalInvariant, LemmaViolation,
                      MPBViolation, NotBiValued, ZeroCost)
@@ -58,31 +57,45 @@ def raw_instance(costs: Sequence[Sequence]) -> RawInstance:
 _LOW_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
     """Normalized bi-valued instance: every cost is 1 or k, with k > 1.
 
-    high[i][e] is True iff agent i's cost for chore e is k.  Every row
-    contains at least one False entry (each agent has some cost-1 chore).
+    The instance is its cost-1 masks: bit e of low_masks[i] is set iff
+    agent i's cost for chore e is 1, and clear iff it is k.  Every mask is
+    nonzero (each agent has some cost-1 chore) and below 2^m.  Build it
+    from the masks with Instance(n, m, k, low_masks=...), or from an n x m
+    matrix of high flags (True where the cost is k) with
+    Instance(n, m, k, high).
     """
     n: int
     m: int
     k: Fraction
-    high: tuple[tuple[bool, ...], ...]
+    low_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got n={self.n} m={self.m}")
-        if self.k <= 1:
-            raise ValueError(f"k must exceed 1, got {self.k}")
-        if len(self.high) != self.n or any(len(r) != self.m for r in self.high):
-            raise ValueError("high matrix shape does not match (n, m)")
-        for i, row in enumerate(self.high):
-            if all(row):
+    def __init__(self, n: int, m: int, k: Fraction,
+                 high: Sequence[Sequence[bool]] | None = None, *,
+                 low_masks: Sequence[int] = ()):
+        if n < 1 or m < 1:
+            raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
+        if k <= 1:
+            raise ValueError(f"k must exceed 1, got {k}")
+        if high is not None:
+            if len(high) != n or any(len(r) != m for r in high):
+                raise ValueError("high matrix shape does not match (n, m)")
+            low_masks = [int(bytes(row[::-1]).translate(_LOW_DIGITS), 2)
+                         for row in high]
+        if len(low_masks) != n or any(low >> m for low in low_masks):
+            raise ValueError("cost-1 masks do not match (n, m)")
+        for i, low in enumerate(low_masks):
+            if not low:
                 raise ValueError(f"agent {i} has no cost-1 chore; instances require one per row")
+        for name, value in (("n", n), ("m", m), ("k", k),
+                            ("low_masks", tuple(low_masks))):
+            object.__setattr__(self, name, value)
 
     def cost(self, agent: int, item: int) -> Fraction:
-        return self.k if self.high[agent][item] else ONE
+        return ONE if self.low_masks[agent] >> item & 1 else self.k
 
     # unit view: one unit is 1/q where k = p/q, so cost 1 <-> q units, k <-> p units
     @property
@@ -93,29 +106,46 @@ class Instance:
     def high_units(self) -> int:
         return self.k.numerator
 
-    @cached_property
-    def cost_units(self) -> tuple[tuple[int, ...], ...]:
-        p, q = self.k.numerator, self.k.denominator
-        return tuple(tuple(p if h else q for h in row) for row in self.high)
 
-    @cached_property
-    def low_masks(self) -> tuple[int, ...]:
-        """Per agent, the bitmask of the chores costing it 1: the row's
-        flags, last chore first, as the bytes of a binary numeral."""
-        return tuple(int(bytes(row[::-1]).translate(_LOW_DIGITS), 2)
-                     for row in self.high)
+def normalize_rows(n: int, m: int, rows: Iterable) -> Instance:
+    """The normalized instance of n raw rows of m entries, one mask each.
 
-
-def _distinct_objects(row: tuple) -> list:
-    """The distinct objects of row, in first-seen order.  Parsed and
-    generated rows share one object per value, so this is one C-speed
-    identity pass per value.  Three objects already show a row that is not
-    bi-valued; any further objects are found by one dict on their ids."""
-    out = []
-    while row and len(out) < 3:
-        out.append(row[0])
-        row = tuple(compress(row, map(is_not, row, repeat(row[0]))))
-    return out + list(dict(zip(map(id, row), row)).values())
+    Each row comes as (cells, value_of): value_of maps each distinct key
+    of the row (a spelling, or an object's id), in first-seen order, to its
+    value, and cells are the row's keys, last chore first.  The values are
+    classified once each and the row's cost-1 mask is one map over the
+    cells.  The first ZeroCost or NotBiValued is raised only after the last
+    row is drawn, so an error that drawing a row raises comes first.
+    """
+    ratio, masks, fault = None, [], None
+    for i, (cells, value_of) in enumerate(rows):
+        if fault is not None:
+            continue
+        values = list(dict.fromkeys(value_of.values()))
+        low = min(values)
+        bad = next((c for c in values if c <= 0), None)
+        if bad is not None:
+            fault = ZeroCost(f"cost {bad} is not strictly positive")
+            continue
+        if len(values) > 2:
+            scaled = sorted({c / low for c in values})
+            fault = NotBiValued(
+                f"agent {i} has {len(scaled)} distinct scaled costs: {scaled}")
+            continue
+        if len(values) == 2:  # a uniform row is all cost 1
+            row_ratio = Fraction(max(values)) / low
+            if ratio is not None and row_ratio != ratio:
+                fault = NotBiValued(
+                    f"rows disagree on the cost ratio: {ratio} vs {row_ratio}")
+                continue
+            ratio = row_ratio
+        digit = {key: "1" if c == low else "0" for key, c in value_of.items()}
+        masks.append(int("".join(map(digit.__getitem__, cells)), 2))
+    if fault is not None:
+        raise fault
+    if ratio is None:
+        raise AlreadyUniform("every row is uniform; ratio k would be 1")
+    return Instance(n, m, ratio, low_masks=tuple(masks))
 
 
 def normalize_instance(raw: RawInstance) -> Instance:
@@ -125,47 +155,19 @@ def normalize_instance(raw: RawInstance) -> Instance:
     distinct values occur, AlreadyUniform if only one does (k would be 1).
     Row scaling keeps the result invariant under per-agent rescaling of the
     input, and normalizing an already normalized matrix is the identity.
+    Entries are keyed by object: parsed and generated rows share one
+    object per value, so a row classifies a few objects.
     """
-    ratio = None
-    high = []
-    for i, row in enumerate(raw.costs):
-        objects = _distinct_objects(row)
-        values = list(dict.fromkeys(objects))  # first object of each value
-        bad = next((c for c in values if c <= 0), None)
-        if bad is not None:
-            raise ZeroCost(f"cost {bad} is not strictly positive")
-        if len(values) > 2:
-            low = min(values)
-            scaled = sorted({c / low for c in values})
-            raise NotBiValued(
-                f"agent {i} has {len(scaled)} distinct scaled costs: {scaled}")
-        if len(values) == 1:
-            high.append((False,) * len(row))
-            continue
-        low, top = sorted(values)
-        row_ratio = Fraction(top) / low
-        if ratio is None:
-            ratio = row_ratio
-        elif row_ratio != ratio:
-            raise NotBiValued(
-                f"rows disagree on the cost ratio: {ratio} vs {row_ratio}")
-        if sum(c == top for c in objects) == 1:  # top is its only object
-            high.append(tuple(map(is_, row, repeat(top))))
-        else:
-            high.append(tuple(c == top for c in row))
-    if ratio is None:
-        raise AlreadyUniform("every row is uniform; ratio k would be 1")
-    return Instance(n=raw.n, m=raw.m, k=ratio, high=tuple(high))
+    return normalize_rows(raw.n, raw.m, (
+        (map(id, row[::-1]), dict(zip(map(id, row), row)))
+        for row in raw.costs))
 
 
 def relabel_agents(instance: Instance, new_to_old: Sequence[int]) -> Instance:
-    """The instance whose agent r is agent new_to_old[r] of the given one.
-    Its cost-1 masks are the given instance's, permuted, not rebuilt."""
-    out = Instance(instance.n, instance.m, instance.k,
-                   tuple(instance.high[old] for old in new_to_old))
-    object.__setattr__(out, "low_masks",
-                       tuple(instance.low_masks[old] for old in new_to_old))
-    return out
+    """The instance whose agent r is agent new_to_old[r] of the given one:
+    its cost-1 masks, permuted."""
+    return Instance(instance.n, instance.m, instance.k, low_masks=tuple(
+        instance.low_masks[old] for old in new_to_old))
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,9 @@ def _check_budget(instance: Instance, budget: int) -> None:
 
 def _agent_classes(instance: Instance) -> tuple[tuple[int, ...], ...]:
     """Agents grouped by identical cost rows, each group in index order."""
-    by_row: dict[tuple, list[int]] = {}
-    for i in range(instance.n):
-        by_row.setdefault(instance.high[i], []).append(i)
+    by_row: dict[int, list[int]] = {}
+    for i, low in enumerate(instance.low_masks):
+        by_row.setdefault(low, []).append(i)
     return tuple(tuple(g) for g in by_row.values() if len(g) > 1)
 
 
@@ -64,9 +64,10 @@ def _canonical(owner: tuple[int, ...],
 
 def _frontier(instance: Instance, owner: Sequence[int] | None = None
               ) -> tuple[list[list[int]], list[list[int]]]:
-    """Per chore, each owner's packed cost step; per depth e, the minimal
-    partial profiles of chores 0..e-1, sorted.  Given an owner vector, only
-    profiles at most its own in every agent's total are kept.
+    """Per chore, each owner's packed cost step, read from its cost-1 mask;
+    per depth e, the minimal partial profiles of chores 0..e-1, sorted.
+    Given an owner vector, only profiles at most its own in every agent's
+    total are kept.
 
     Agent o's total sits in bits o*w .. o*w + w - 2, under a guard bit.
     Componentwise q <= p with q != p implies q < p as ints, so once sorted
@@ -76,11 +77,13 @@ def _frontier(instance: Instance, owner: Sequence[int] | None = None
     of them: no borrow crosses a field, since each field of p | guards is
     at least 2^(w-1) and every kept field is below it.
     """
-    n, m, cu = instance.n, instance.m, instance.cost_units
-    w = (m * instance.high_units).bit_length() + 1
+    n, m, lows = instance.n, instance.m, instance.low_masks
+    one, k = instance.unit, instance.high_units  # the two costs, in units
+    w = (m * k).bit_length() + 1
     slot = n * w
     guard = sum(1 << (o * w + w - 1) for o in range(n))
-    steps = [[cu[o][e] << (o * w) for o in range(n)] for e in range(m)]
+    steps = [[(one if lows[o] >> e & 1 else k) << (o * w) for o in range(n)]
+             for e in range(m)]
     # p is kept only if (cap - p) keeps every guard; all ones bound nothing
     cap = (1 << slot) - 1 if owner is None else \
         guard | sum(steps[e][o] for e, o in enumerate(owner))

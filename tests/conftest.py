@@ -72,9 +72,22 @@ def save_instance(path, instance) -> None:
 
 def instance_to_raw(instance: Instance) -> RawInstance:
     """Expand a normalized instance back into an explicit cost matrix."""
-    costs = tuple(tuple(instance.k if h else Fraction(1) for h in row)
-                  for row in instance.high)
+    costs = tuple(tuple(instance.cost(i, e) for e in range(instance.m))
+                  for i in range(instance.n))
     return RawInstance(n=instance.n, m=instance.m, costs=costs)
+
+
+def high_rows(instance: Instance) -> tuple[tuple[bool, ...], ...]:
+    """The n x m high flags (True where the cost is k), cell by cell from
+    the cost-1 masks."""
+    return tuple(tuple(not low >> e & 1 for e in range(instance.m))
+                 for low in instance.low_masks)
+
+
+def unit_cost(instance: Instance, i: int, e: int) -> int:
+    """Agent i's cost for chore e in 1/q units, read from its cost-1 mask."""
+    return instance.unit if instance.low_masks[i] >> e & 1 \
+        else instance.high_units
 
 
 # Forces the three-agent rotation: raise a0, feed the two small agents,

@@ -260,7 +260,7 @@ def _states_along(result):
     pef1 = result.pef1
     inst = pef1.market.instance
     owner = pef1.entry.allocation.owner
-    pay = [all(inst.high[i][e] for i in range(inst.n))
+    pay = [not any(low >> e & 1 for low in inst.low_masks)
            for e in range(inst.m)]
     events = list(pef1.trace) + list(result.trace)
     yield equilibrium_from_parts(inst, owner, tuple(pay))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chorefair import (
     AlreadyUniform,
@@ -31,10 +31,11 @@ from chorefair.harness import (
     parse_report,
     report_text,
 )
-from chorefair.model import relabel_agents
+from chorefair.model import RawInstance, relabel_agents
 from chorefair.trace import replay_trace
 
-from conftest import owned_instance, rotation_instance, save_instance
+from conftest import (high_rows, owned_instance, rotation_instance,
+                      save_instance)
 
 
 def reference_splitmix64(seed):
@@ -105,8 +106,12 @@ def test_instance_text_round_trip_normalized():
 
 
 def test_instance_text_round_trip_raw():
-    raw = gen_instance(GenParams(3, 5, Fraction(5, 2), Fraction(1, 2), 7))
-    assert parse_instance(instance_text(raw)) == raw
+    for seed in range(6):
+        for n, m, k in ((3, 5, Fraction(5, 2)), (4, 9, Fraction(3)),
+                        (2, 70, Fraction(7, 2))):
+            raw = gen_instance(GenParams(n, m, k, Fraction(1, 2), seed))
+            assert parse_instance(instance_text(raw)) == \
+                normalize_instance(raw)
 
 
 def test_instance_file_round_trip(tmp_path):
@@ -317,14 +322,22 @@ def outcome(fn, *args):
         return type(err), str(err)
 
 
-# equal values under several spellings, then nonpositive, malformed and
-# zero-denominator tokens; a row draws a few of these and repeats them
-GOOD_TOKENS = ("1", "1/1", "2/2", "2", "4/2", "2/1", "3", "3/1", "6/2",
-               "1/2", "2/4", "3/2", "6/4")
+# each value under its spellings
+VALUES = (("1", "1/1", "2/2"), ("2", "4/2", "2/1"), ("3", "3/1", "6/2"),
+          ("1/2", "2/4"), ("3/2", "6/4"))
+GOOD_TOKENS = tuple(t for spellings in VALUES for t in spellings)
+# nonpositive, then malformed and zero-denominator tokens
 BAD_TOKENS = ("0", "0/5", "-1", "1/-2", "abc", "1/", "/2", "1//2", "3/0",
               "0/0")
 # weighted four to one toward the good tokens, so that most rows parse
 TOKENS = st.sampled_from(GOOD_TOKENS * 4 + BAD_TOKENS)
+# a row's tokens come from a palette: any few tokens; one value (a uniform
+# row); or two values, whose ratio the other rows may not share
+PALETTES = st.one_of(
+    st.lists(TOKENS, min_size=1, max_size=4),
+    st.sampled_from(VALUES),
+    st.tuples(st.sampled_from(VALUES), st.sampled_from(VALUES)).map(
+        lambda pair: pair[0] + pair[1]))
 
 
 @st.composite
@@ -332,13 +345,22 @@ def raw_texts(draw):
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     rows = []
     for _ in range(n):
-        palette = draw(st.lists(TOKENS, min_size=1, max_size=4))
+        palette = draw(PALETTES)
         rows.append(draw(st.lists(st.sampled_from(palette), min_size=m,
                                   max_size=m)))
+    if draw(st.booleans()):  # a bad token in the last row
+        rows[-1][draw(st.integers(0, m - 1))] = draw(st.sampled_from(
+            BAD_TOKENS))
     return rows
 
 
 @given(raw_texts())
+@example([["1", "2", "3"], ["2", "abc", "1"]])  # not bi-valued, then bad
+@example([["0", "1"], ["1", "3/0"]])  # nonpositive, then bad
+@example([["1", "2", "3"], ["1", "2", "2"], ["1", "1/", "1"]])  # two later
+@example([["1", "2"], ["3/2", "1/2"], ["1", "1"]])  # ratios 2 and 3
+@example([["2", "4/2"], ["1/1", "1"]])  # all uniform
+@example([["2", "1", "4/2", "2/2", "2/1"]])  # equal values, three spellings
 @settings(max_examples=300)
 def test_parse_then_normalize_matches_the_per_token_reference(rows):
     text = "\n".join(["format: chorefair-instance/1", "kind: raw",
@@ -350,13 +372,15 @@ def test_parse_then_normalize_matches_the_per_token_reference(rows):
         return tuple(tuple(reference_rational(t, f"line {5 + i}")
                            for t in row) for i, row in enumerate(rows))
 
-    parsed, expected = outcome(parse_instance, text), outcome(reference)
-    if isinstance(expected, tuple) and isinstance(expected[0], type):
-        assert parsed == expected
-        return
-    assert parsed.costs == expected
-    assert outcome(normalize_instance, parsed) == \
-        outcome(reference_normalize, expected)
+    def reference_instance():
+        return reference_normalize(reference())
+
+    assert outcome(parse_instance, text) == outcome(reference_instance)
+    costs = outcome(reference)
+    if not isinstance(costs[0], type):  # the object-keyed path agrees too
+        raw = RawInstance(len(rows), len(rows[0]), costs)
+        assert outcome(normalize_instance, raw) == \
+            outcome(reference_normalize, costs)
 
 
 EARNINGS = ("3", "3/1", "6/2", "5/2", "10/4", "0", "-1/2", "x", "2/0", "1/")
@@ -399,14 +423,12 @@ def test_event_earnings_match_the_per_token_reference(events):
             for ev in got] == expected
 
 
-def test_repeated_spellings_share_one_fraction_per_row():
+def test_equal_values_under_other_spellings_share_a_mask_bit():
     text = ("format: chorefair-instance/1\nkind: raw\nn: 1\nm: 4\n"
             "row: 3/6 2 1/2 2\n")
-    row = parse_instance(text).costs[0]
-    assert row == (Fraction(1, 2), 2, Fraction(1, 2), 2)
-    assert row[1] is row[3] and row[0] is not row[2]
-    assert normalize_instance(parse_instance(text)).high == \
-        ((False, True, False, True),)
+    inst = parse_instance(text)
+    assert inst.k == 4
+    assert inst.low_masks == (0b0101,)  # chores 0 and 2 cost 1/2
 
 
 @given(st.integers(1, 4), st.integers(1, 70), st.data())
@@ -423,5 +445,5 @@ def test_instance_text_matches_the_per_cell_rendering(n, m, data):
             ["format: chorefair-instance/1", "kind: normalized", f"n: {n}",
              f"m: {m}", "k: 5/2"]
             + ["row: " + "".join("1" if h else "0" for h in row)
-               for row in case.high]) + "\n"
+               for row in high_rows(case)]) + "\n"
         assert instance_text(case) == expected

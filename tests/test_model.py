@@ -21,7 +21,8 @@ from chorefair.model import (
     relabel_agents,
 )
 
-from conftest import instance_to_raw, instances, owned_instance
+from conftest import (high_rows, instance_to_raw, instances, owned_instance,
+                      unit_cost)
 
 
 def test_as_rational_accepts_common_forms():
@@ -44,7 +45,7 @@ def test_normalize_divides_each_row_by_its_low_value():
     raw = raw_instance([["3", "6"], ["1/2", "1/4"]])
     inst = normalize_instance(raw)
     assert inst.k == Fraction(2)
-    assert inst.high == ((False, True), (True, False))
+    assert high_rows(inst) == ((False, True), (True, False))
 
 
 def test_normalize_rejects_nonpositive_costs():
@@ -105,22 +106,22 @@ def test_normalize_accepts_int_rows_built_without_raw_instance():
     direct = normalize_instance(RawInstance(3, 3, rows))
     assert direct == normalize_instance(raw_instance(rows))
     assert type(direct.k) is Fraction and direct.k == Fraction(7, 3)
-    assert direct.high == ((False, True, False), (False, True, True),
-                           (False, False, False))
+    assert high_rows(direct) == ((False, True, False), (False, True, True),
+                                 (False, False, False))
 
 
 def test_normalize_treats_uniform_row_as_all_low():
     # row 1 is uniformly 2: scaled by its own min it is all ones
     inst = normalize_instance(raw_instance([[1, 2], [2, 2]]))
     assert inst.k == Fraction(2)
-    assert inst.high == ((False, True), (False, False))
+    assert high_rows(inst) == ((False, True), (False, False))
 
 
 @given(instances(), st.integers(2, 7), st.fractions(
     min_value=Fraction(1, 100), max_value=Fraction(100)))
 def test_normalize_is_scale_free(inst, row, scale):
     """Multiplying one row by a positive rational changes nothing."""
-    assume(any(any(r) for r in inst.high))
+    assume(any(any(r) for r in high_rows(inst)))
     raw = instance_to_raw(inst)
     i = row % inst.n
     costs = [list(r) for r in raw.costs]
@@ -132,7 +133,8 @@ def test_instance_unit_view_for_fractional_k():
     inst = owned_instance(Fraction(5, 2), [0, 1])
     assert inst.unit == 2
     assert inst.high_units == 5
-    assert inst.cost_units == ((2, 5), (5, 2))
+    assert [[unit_cost(inst, i, e) for e in range(2)] for i in range(2)] \
+        == [[2, 5], [5, 2]]
     assert inst.cost(0, 1) == Fraction(5, 2)
 
 
@@ -252,7 +254,7 @@ def test_relabel_agents_permutes_rows_and_cost_1_masks(inst, rng):
     new_to_old = list(range(inst.n))
     rng.shuffle(new_to_old)
     fresh = Instance(inst.n, inst.m, inst.k,
-                     tuple(inst.high[old] for old in new_to_old))
+                     tuple(high_rows(inst)[old] for old in new_to_old))
     relabeled = relabel_agents(inst, new_to_old)
     assert relabeled == fresh
     assert relabeled.low_masks == fresh.low_masks

@@ -33,7 +33,8 @@ from chorefair.verify import UNBOUNDED
 from chorefair.cli import main
 
 from conftest import (generated_instances, high_matrices, instances,
-                      market_from_parts, owned_instance, save_instance)
+                      market_from_parts, owned_instance, save_instance,
+                      unit_cost)
 
 INPUTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "inputs")
@@ -43,7 +44,7 @@ def cost_profile(instance: Instance,
                  allocation: Allocation) -> tuple[Fraction, ...]:
     totals = [0] * instance.n
     for e, o in enumerate(allocation.owner):
-        totals[o] += instance.cost_units[o][e]
+        totals[o] += unit_cost(instance, o, e)
     return tuple(Fraction(t, instance.unit) for t in totals)
 
 
@@ -70,10 +71,11 @@ def pairwise_frontier(instance: Instance, owner=None):
     """oracle._frontier with its dominance filter spelled out: a sorted
     candidate p is kept unless some kept q has q <= p in every field,
     that is unless (p | guards) - q keeps every guard bit."""
-    n, m, cu = instance.n, instance.m, instance.cost_units
+    n, m = instance.n, instance.m
     w = (m * instance.high_units).bit_length() + 1
     guard = sum(1 << (o * w + w - 1) for o in range(n))
-    steps = [[cu[o][e] << (o * w) for o in range(n)] for e in range(m)]
+    steps = [[unit_cost(instance, o, e) << (o * w) for o in range(n)]
+             for e in range(m)]
     cap = (1 << n * w) - 1 if owner is None else \
         guard | sum(steps[e][o] for e, o in enumerate(owner))
     layers = [[0]]
@@ -96,7 +98,7 @@ def _cost_matrix(instance: Instance,
     matrix = [[0] * n for _ in range(n)]
     for e, o in enumerate(owner):
         for i in range(n):
-            matrix[i][o] += instance.cost_units[i][e]
+            matrix[i][o] += unit_cost(instance, i, e)
     return matrix
 
 
@@ -105,7 +107,7 @@ def _exact_efx(instance: Instance, owner: tuple[int, ...]) -> bool:
     matrix = _cost_matrix(instance, owner)
     own_min = [None] * n
     for e, o in enumerate(owner):
-        c = instance.cost_units[o][e]
+        c = unit_cost(instance, o, e)
         if own_min[o] is None or c < own_min[o]:
             own_min[o] = c
     for i in range(n):

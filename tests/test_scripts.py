@@ -1,5 +1,6 @@
 """The scripts under scripts/ run to completion against the current API."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -36,7 +37,8 @@ def test_bench_pairs_writes_one_alternating_pair(tmp_path):
                       "--out", str(out), "ground-truth:111:1")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
-    assert list(doc) == ["parent", "command", "host", "note", "runs"]
+    assert list(doc) == ["parent", "command", "host", "note", "runs",
+                         "summary"]
     assert doc["parent"] == head.stdout.strip()
     assert doc["command"] == ("python3 bench/run.py --workload WORKLOAD "
                               "--seed SEED --seconds 1 --trace TRACE")
@@ -49,3 +51,46 @@ def test_bench_pairs_writes_one_alternating_pair(tmp_path):
                        "seed": 111, "seconds": 1, "trace": 0}
         assert result["correct"] and result["failed"] == 0
         assert set(result["metrics"]) == metrics
+    summary = doc["summary"]["ground-truth:111"]
+    assert summary.pop("pairs") == 1 and set(summary) == metrics
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_reads_off_the_claim_rule():
+    def run(workload, side, trace, time_ms, rate):
+        return {"workload": workload, "seed": 111, "trace": trace,
+                "side": side, "result": {"metrics": {
+                    "time": {"value": time_ms}, "rate": {"value": rate}}}}
+
+    # five pairs, each side alternately first: the change is faster in
+    # four and ties one, and has the higher rate in three and ties one
+    sides = [("parent", "change"), ("change", "parent")] * 3
+    times = [(10, 8), (11, 9), (12, 9), (9, 9), (11, 7)]
+    rates = [(5, 6), (6, 7), (5, 4), (7, 7), (4, 5)]
+    runs = []
+    for order, (t, r) in zip(sides, zip(times, rates)):
+        values = {"parent": (t[0], r[0]), "change": (t[1], r[1])}
+        runs += [run("dense", side, 0, *values[side]) for side in order]
+    runs.append(run("dense", "parent", 1, 100, 0))  # traced: left out
+    runs.append(run("dense", "change", 0, 1, 100))  # no partner yet
+    runs.insert(3, run("other", "parent", 0, 50, 1))  # another group
+    summary = load_bench_pairs().summarize(
+        runs, {"time": "lower", "rate": "higher"})
+    assert summary["other:111"]["pairs"] == 0
+    assert summary["other:111"]["time"] == {
+        "parent": {"median": 50, "q1": 50, "q3": 50}, "wins": 0, "ties": 0}
+    dense = summary["dense:111"]
+    assert dense["pairs"] == 5
+    # parent times 9, 10, 11, 11, 12; change 1, 7, 8, 9, 9, 9
+    assert dense["time"] == {
+        "parent": {"median": 11, "q1": 9.5, "q3": 11.5},
+        "change": {"median": 8.5, "q1": 5.5, "q3": 9},
+        "wins": 4, "ties": 1}
+    assert (dense["rate"]["wins"], dense["rate"]["ties"]) == (3, 1)

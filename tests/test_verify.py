@@ -17,7 +17,7 @@ from chorefair.verify import (
     min_beta_pEFX,
 )
 
-from conftest import instances, market_from_parts, owned_instance
+from conftest import instances, market_from_parts, owned_instance, unit_cost
 from test_oracle import _cost_matrix, _exact_efx
 
 
@@ -171,17 +171,16 @@ def test_witness_reproduces_violated_inequality():
 def naive_ef1(inst, owner):
     """check_EF1 by a per-chore scan: the first (i, j) in order failing EF1,
     dropping the first chore of largest cost in i's bundle."""
-    cu = inst.cost_units
     bundles = [[e for e in range(inst.m) if owner[e] == i]
                for i in range(inst.n)]
     for i, j in product(range(inst.n), repeat=2):
         if i == j or not bundles[i]:
             continue
-        top = max(cu[i][e] for e in bundles[i])
-        lhs = sum(cu[i][e] for e in bundles[i]) - top
-        rhs = sum(cu[i][e] for e in bundles[j])
+        top = max(unit_cost(inst, i, e) for e in bundles[i])
+        lhs = sum(unit_cost(inst, i, e) for e in bundles[i]) - top
+        rhs = sum(unit_cost(inst, i, e) for e in bundles[j])
         if lhs > rhs:
-            drop = next(e for e in bundles[i] if cu[i][e] == top)
+            drop = next(e for e in bundles[i] if unit_cost(inst, i, e) == top)
             return FairnessVerdict(False, Witness(
                 i, j, drop, Fraction(lhs, inst.unit), Fraction(rhs, inst.unit)))
     return FairnessVerdict(True, None)
