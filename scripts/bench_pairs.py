@@ -21,7 +21,9 @@ BENCHMARK.json: each side's median and quartiles, and over the complete
 pairs the change's wins and ties, so that a claim (wins in nine tenths of
 the pairs, and a median gap above the parent's interquartile range) can be
 read off the file.  A run that exits non-zero stops the campaign with its
-error output.
+error output.  A run whose result says `"correct": false` or counts failed
+operations is written to the file and then stops the campaign, with a
+nonzero exit naming the run.
 """
 from __future__ import annotations
 
@@ -145,12 +147,20 @@ def extract(commit: str, into: str) -> None:
 
 def bench(root: str, workload: str, seed: int, seconds: int,
           trace: int) -> dict:
-    """One bench/run.py run in the checkout at root; its result line."""
-    proc = subprocess.run(
-        [sys.executable, os.path.join("bench", "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True)
+    """One bench/run.py run in the checkout at root; its result line.
+
+    The run reads and writes no bytecode cache: a __pycache__ left in one
+    tree but not the other would pit a cached import against a compile
+    in set-up time and peak memory.  Both sides compile from source, as
+    in a fresh checkout."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run(
+            [sys.executable, os.path.join("bench", "run.py"),
+             "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=root, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                     PYTHONPYCACHEPREFIX=cache))
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: bench/run.py in {root} exited "
                          f"{proc.returncode}:\n{proc.stderr}")
@@ -194,9 +204,15 @@ def main(argv=None) -> int:
                     with open(args.out, "w", encoding="utf-8") as fh:
                         json.dump(doc, fh, indent=1)
                         fh.write("\n")
-                    print(f"run {len(doc['runs'])}: {workload} seed {seed} "
-                          f"trace {trace} {side}: "
-                          + json.dumps(result["metrics"]), flush=True)
+                    run = (f"run {len(doc['runs'])}: {workload} seed {seed} "
+                           f"trace {trace} {side}")
+                    print(f"{run}: " + json.dumps(result["metrics"]),
+                          flush=True)
+                    if not result["correct"] or result["failed"]:
+                        raise SystemExit(
+                            f"bench_pairs: {run} is wrong (correct "
+                            f"{result['correct']}, {result['failed']} "
+                            f"failed); kept in {args.out}")
     return 0
 
 

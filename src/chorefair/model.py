@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Sequence
 
 from .errors import (AlreadyUniform, InternalInvariant, LemmaViolation,
@@ -208,8 +210,10 @@ class _MarketMasks:
         return self.pay_high if bundle & self.high else self.pay_low
 
     def hats(self, earn: Sequence[int]) -> list[int]:
-        """Each agent's earning earn[i] minus its largest payment."""
-        return [e - self.top_pay(i) for i, e in enumerate(earn)]
+        """Each agent's earning earn[i] minus its largest payment (top_pay)."""
+        high, low, top = self.high, self.pay_low, self.pay_high
+        return [e - (top if b & high else low) if b else e
+                for e, b in zip(earn, self.bundles)]
 
     @property
     def kernel(self) -> EnvyKernel:
@@ -335,6 +339,14 @@ class MarketView(_MarketMasks):
     derives as in _MarketMasks.  earn_units holds each agent's earning as
     of the loop's last checked step; the loop refreshes it.  The bundles
     change only through move, which drops the kernel built on them.
+
+    check_round keeps the masks its last passing check saw: a copy of the
+    bundles, high, and the earnings it derived from them.  That makes it
+    as strong as a recheck of every agent.  Agent i's MPB test and earning
+    are pure functions of bundles[i], high and the instance's fixed L_i
+    and payments, and the masks are compared with the copy by value, so
+    wherever they are equal the copy holds what a recheck would derive
+    again.  Which agents a caller says it touched plays no part in this.
     """
 
     def __init__(self, state: MarketState):
@@ -347,6 +359,8 @@ class MarketView(_MarketMasks):
         self.low_cost = inst.low_masks
         self.pay_low, self.pay_high = inst.unit, inst.high_units
         self._kernel: EnvyKernel | None = None
+        # (bundles, high, earnings) of the last passing check_round
+        self._checked: tuple[list[int], int, list[int]] | None = None
 
     def check_round(self, noun: str, touched) -> list[int]:
         """The checks each step of a stage makes from the masks alone, in
@@ -354,18 +368,36 @@ class MarketView(_MarketMasks):
         its MPB set, and every agent outside touched still earns what
         earn_units holds.  noun names the step in the messages.  Returns the
         earnings recomputed by popcount; earn_units is left as it was.
+
+        The partition is checked over the whole market.  The MPB test and
+        the earning are rederived for each agent whose bundle mask differs
+        from the last passing check's, and for every agent when high
+        differs or on the view's first check; the other agents keep the
+        verdict and earning of the same masks (see the class docstring).
+        The whole earnings list is then compared with earn_units, so the
+        errors and their order are those of a recheck of every agent.
         """
-        fault = _partition_fault(self.bundles, self.instance.m)
+        bundles, high = self.bundles, self.high
+        fault = _partition_fault(bundles, self.instance.m)
         if fault:
             raise InternalInvariant(fault)
-        for i, bundle in enumerate(self.bundles):
-            if bundle & ~self.mpb(i):
+        checked = self._checked
+        if checked is not None and checked[1] == high:
+            earn = checked[2][:]
+            changed = compress(count(), map(ne, bundles, checked[0]))
+        else:
+            earn = [0] * self.n
+            changed = range(self.n)
+        for i in changed:
+            if bundles[i] & ~self.mpb(i):
                 raise MPBViolation(f"{noun} broke the equilibrium at agent {i}")
-        earn = [self.earning(i) for i in range(self.n)]
-        for i, (now, before) in enumerate(zip(earn, self.earn_units)):
-            if now != before and i not in touched:
-                raise LemmaViolation(
-                    f"earning of uninvolved agent {i} changed during the {noun}")
+            earn[i] = self.earning(i)
+        if earn != self.earn_units:
+            for i, (now, before) in enumerate(zip(earn, self.earn_units)):
+                if now != before and i not in touched:
+                    raise LemmaViolation(f"earning of uninvolved agent {i} "
+                                         f"changed during the {noun}")
+        self._checked = (bundles[:], high, earn[:])
         return earn
 
     @property

@@ -12,11 +12,18 @@ by the partition coincides with index order; all tie-breaks favor smaller
 indices, which makes raised agents win ties against unraised ones.
 
 The rounds run on one bitmask MarketView; a MarketState is built once, for
-the result.
+the result.  Every round is checked from the masks alone: the partition,
+each bundle inside its MPB set, the earnings of uninvolved agents, each
+agent's ratio against the unraised set, the raised groups as a prefix of
+the group order, and pEF1 inside each group.  A check rederives only what
+its inputs changed since the last passing check, found by comparing the
+masks (and the unraised set) by value, so it is as strong as a recheck
+of the whole market; a transfer round rederives two agents, and the
+ratios and group order are rechecked only after a raise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (IterationCapExceeded, LemmaViolation,
@@ -69,7 +76,8 @@ class _Rounds:
 
     The view's bundle masks and payment-k mask are the state; each round
     derives earnings, hats, MPB sets and ratios from them.  A MarketState
-    is built only when state() is asked for.
+    is built only when state() is asked for.  Trace earnings are
+    Fractions of 1/q units, made once per distinct count (fraction).
     """
 
     def __init__(self, state: SolverState):
@@ -81,6 +89,10 @@ class _Rounds:
         # groups of two or more agents, as ascending member lists
         self.shared = [sorted(g) for g in state.groups.groups if len(g) > 1]
         self.hats = self.view.hats(self.view.earn_units)
+        self.least: int | None = None  # the last round's least earning
+        self._fractions: dict[int, Fraction] = {}  # units -> units / q
+        # the (high, unraised) whose ratios and group order last passed
+        self._ratios_checked: tuple[int, frozenset[int]] | None = None
 
     def state(self) -> SolverState:
         if not self.events:
@@ -99,9 +111,10 @@ class _Rounds:
         l = select_least_earner(view)
         if hats[b] <= earn[l]:
             return False
+        fraction = self.fraction
 
         def earning(i: int) -> Fraction:
-            return Fraction(earn[i], view.pay_low)
+            return fraction(earn[i])
 
         unraised = self.unraised
         events: list[TraceEvent] = []
@@ -141,10 +154,7 @@ class _Rounds:
             bundle_b = view.bundles[b]
             e = (bundle_b & -bundle_b).bit_length() - 1
             view.move(e, b, l)
-            events.append(TraceEvent(
-                stage="pef1", round=rnd, kind="transfer", agents=(b, l),
-                items=(e,), earn_before=(earning(b), earning(l)),
-                least_earning=least_before))
+            kind, agents, items = "transfer", (b, l), (e,)
         else:
             if b in unraised:
                 raise LemmaViolation(
@@ -166,34 +176,62 @@ class _Rounds:
             view.move(e1, b, i)
             view.move(e2, i, l)
             touched.add(i)
-            events.append(TraceEvent(
-                stage="pef1", round=rnd, kind="rotate", agents=(b, i, l),
-                items=(e1, e2),
-                earn_before=(earning(b), earning(i), earning(l)),
-                least_earning=least_before))
+            kind, agents, items = "rotate", (b, i, l), (e1, e2)
+        earn_before = tuple(map(earning, agents))
 
         self.unraised = unraised
         after, self.hats = self._assert_round(touched)
-        # fill in post-round earnings on the last event
-        last = events[-1]
-        events[-1] = replace(last, earn_after=tuple(
-            Fraction(after[a], view.pay_low) for a in last.agents))
+        events.append(TraceEvent(
+            stage="pef1", round=rnd, kind=kind, agents=agents, items=items,
+            earn_before=earn_before,
+            earn_after=tuple(fraction(after[a]) for a in agents),
+            least_earning=least_before))
         self.events += events
         self.round_count = rnd
+        self.least = earn[l]
         view.earn_units = after
         return True
 
+    def fraction(self, units: int) -> Fraction:
+        """units / q, one Fraction per distinct count in a run."""
+        got = self._fractions.get(units)
+        if got is None:
+            got = self._fractions[units] = Fraction(units, self.view.pay_low)
+        return got
+
     def _assert_round(self, touched: set[int]) -> tuple[list[int], list[int]]:
         """Check the round from the view's masks alone; return the
-        earnings and hats."""
+        earnings and hats.  The ratio and group-order checks read only
+        high and unraised, so they rerun only when that pair differs by
+        value from the last pair that passed them."""
         view = self.view
-        inst = view.instance
         unraised = self.unraised
-        groups = self.start.groups.groups
         earn = view.check_round("round", touched)
+        if self._ratios_checked != (view.high, unraised):
+            self._assert_ratios(unraised)
+            self._ratios_checked = (view.high, unraised)
+        hats = view.hats(earn)
+        # hat <= earning for every agent, so pEF1 fails inside a group iff
+        # its largest hat exceeds its smallest earning
+        for g in self.shared:
+            g_hats = [hats[a] for a in g]
+            g_earn = [earn[a] for a in g]
+            top, floor = max(g_hats), min(g_earn)
+            if top > floor:
+                raise LemmaViolation(
+                    f"pEF1 broke inside a group: {g[g_hats.index(top)]} vs "
+                    f"{g[g_earn.index(floor)]}")
+        return earn, hats
+
+    def _assert_ratios(self, unraised: frozenset[int]) -> None:
+        """Agents are raised exactly outside unraised, and the raised
+        groups form a proper prefix of the group order."""
+        view = self.view
+        k = view.instance.k
+        groups = self.start.groups.groups
         for i in range(view.n):
             if view.raised(i) == (i in unraised):
-                got, want = (1 / inst.k, 1) if i in unraised else (1, 1 / inst.k)
+                got, want = (1 / k, 1) if i in unraised else (1, 1 / k)
                 raise LemmaViolation(
                     f"agent {i} has ratio {got}, expected {want}")
         # raised groups must form a prefix of the group order, never all of them
@@ -207,18 +245,6 @@ class _Rounds:
             seen_unraised = seen_unraised or g_unraised
         if not (groups[-1] <= unraised):
             raise LemmaViolation("the last group must stay unraised")
-        hats = view.hats(earn)
-        # hat <= earning for every agent, so pEF1 fails inside a group iff
-        # its largest hat exceeds its smallest earning
-        for g in self.shared:
-            g_hats = [hats[a] for a in g]
-            g_earn = [earn[a] for a in g]
-            top, floor = max(g_hats), min(g_earn)
-            if top > floor:
-                raise LemmaViolation(
-                    f"pEF1 broke inside a group: {g[g_hats.index(top)]} vs "
-                    f"{g[g_earn.index(floor)]}")
-        return earn, hats
 
 
 def _reindex(resolved: MarketState, groups: AgentGroups
@@ -252,10 +278,11 @@ def run_pef1(instance: Instance) -> SolverState:
     cap = 4 * instance.n ** 2 * instance.m ** 2
     prev_least = None
     while rounds.step():
-        least = rounds.events[-1].least_earning
+        least = rounds.least
         if prev_least is not None and least < prev_least:
             raise LemmaViolation(
-                f"least earner earning dropped from {prev_least} to {least}")
+                f"least earner earning dropped from "
+                f"{rounds.fraction(prev_least)} to {rounds.fraction(least)}")
         prev_least = least
         if rounds.round_count > cap:
             raise IterationCapExceeded(

@@ -173,16 +173,30 @@ def _uninvolved_earning(view):
     view.earn_units[3] += 1
 
 
-@pytest.mark.parametrize("corrupt,error,match", [
+CORRUPTIONS = pytest.mark.parametrize("corrupt,error,match", [
     (_chore_off_mpb, MPBViolation, "equilibrium at agent 5"),
     (_chore_in_two_bundles, InternalInvariant, "share a chore"),
     (_uninvolved_earning, LemmaViolation, "uninvolved agent 3"),
 ])
+
+
+@CORRUPTIONS
 def test_a_corrupted_view_fails_the_exchange(corrupt, error, match):
     view, z = _exchange_view()
     corrupt(view)
     with pytest.raises(error, match=match):
         _exchange(view, z, 1, *strong_envy_target(view))
+
+
+@CORRUPTIONS
+def test_a_view_corrupted_after_an_exchange_fails_the_next_check(
+        corrupt, error, match):
+    # the exchange (6, 0) leaves agents 1, 2, 3 and 5 untouched
+    view, z = _exchange_view()
+    _exchange(view, z, 1, *strong_envy_target(view))
+    corrupt(view)
+    with pytest.raises(error, match=match):
+        view.check_round("exchange", (6, 0))
 
 
 def test_an_exchange_on_the_view_matches_the_stage():

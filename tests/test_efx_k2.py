@@ -149,16 +149,30 @@ def _uninvolved_earning(view):
     view.earn_units[3] += 1
 
 
-@pytest.mark.parametrize("corrupt,error,match", [
+CORRUPTIONS = pytest.mark.parametrize("corrupt,error,match", [
     (_chore_off_mpb, MPBViolation, "equilibrium at agent 5"),
     (_chore_in_no_bundle, InternalInvariant, "in no bundle"),
     (_uninvolved_earning, LemmaViolation, "uninvolved agent 3"),
 ])
+
+
+@CORRUPTIONS
 def test_a_corrupted_view_fails_the_trade(corrupt, error, match):
     view = _trade_view()
     corrupt(view)
     with pytest.raises(error, match=match):
         k2_round(view, K2_UNRAISED, 1)
+
+
+@CORRUPTIONS
+def test_a_view_corrupted_after_a_trade_fails_the_next_check(
+        corrupt, error, match):
+    # the swap (4, 0) leaves agents 1, 2, 3 and 5 untouched
+    view = _trade_view()
+    assert k2_round(view, K2_UNRAISED, 1).agents == (4, 0)
+    corrupt(view)
+    with pytest.raises(error, match=match):
+        view.check_round("trade", (4, 0))
 
 
 def test_a_trade_on_the_view_matches_the_stage():

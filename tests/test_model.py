@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chorefair import (
     AlreadyUniform,
@@ -11,18 +11,22 @@ from chorefair import (
     normalize_instance,
     raw_instance,
 )
-from chorefair.errors import NotBiValued, ZeroCost
+from chorefair.errors import (ChorefairError, InternalInvariant,
+                              LemmaViolation, MPBViolation, NotBiValued,
+                              ZeroCost)
 from chorefair.model import (
     Allocation,
+    MarketView,
     RawInstance,
     as_rational,
     build_market_state,
     bundle_masks,
     relabel_agents,
 )
+from chorefair.pef1 import SolverState, _Rounds, run_pef1
 
-from conftest import (high_rows, instance_to_raw, instances, owned_instance,
-                      unit_cost)
+from conftest import (generated_instances, high_rows, instance_to_raw,
+                      instances, owned_instance, unit_cost)
 
 
 def test_as_rational_accepts_common_forms():
@@ -258,3 +262,155 @@ def test_relabel_agents_permutes_rows_and_cost_1_masks(inst, rng):
     relabeled = relabel_agents(inst, new_to_old)
     assert relabeled == fresh
     assert relabeled.low_masks == fresh.low_masks
+
+
+def full_check_round(view, noun, touched):
+    """MarketView.check_round as a recheck of the whole market, every agent
+    rederived from the masks: the reference the view's check, which
+    rederives only what changed since its last check, must agree with."""
+    m = view.instance.m
+    covered = held = 0
+    for bundle in view.bundles:
+        if bundle >> m:
+            raise InternalInvariant(
+                f"a bundle mask has a bit outside chores 0..{m - 1}")
+        covered |= bundle
+        held += bundle.bit_count()
+    if held != covered.bit_count():
+        raise InternalInvariant("two bundles share a chore")
+    if covered != (1 << m) - 1:
+        raise InternalInvariant("some chore is in no bundle")
+    for i, bundle in enumerate(view.bundles):
+        if bundle & ~view.mpb(i):
+            raise MPBViolation(f"{noun} broke the equilibrium at agent {i}")
+    earn = [view.earning(i) for i in range(view.n)]
+    for i, (now, before) in enumerate(zip(earn, view.earn_units)):
+        if now != before and i not in touched:
+            raise LemmaViolation(
+                f"earning of uninvolved agent {i} changed during the {noun}")
+    return earn
+
+
+def _outcome(check, *args):
+    """What a check gives: its earnings, or its error's class and message."""
+    try:
+        return check(*args)
+    except ChorefairError as exc:
+        return type(exc), str(exc)
+
+
+def _edit_move(view):
+    # chore 1 goes to agent 1, which costs k for it at payment 1
+    view.bundles[0] ^= 0b0010
+    view.bundles[1] |= 0b0010
+
+
+def _edit_high(view):
+    # agent 1's cost-1 chore 2 pays k: agent 1 is raised, and chore 3, which
+    # it still holds, leaves its MPB set
+    view.high |= 0b0100
+
+
+def _edit_earning(view):
+    view.earn_units[1] += 1
+
+
+@pytest.mark.parametrize("edit,error,message", [
+    (_edit_move, MPBViolation, "round broke the equilibrium at agent 1"),
+    (_edit_high, MPBViolation, "round broke the equilibrium at agent 1"),
+    (_edit_earning, LemmaViolation,
+     "earning of uninvolved agent 1 changed during the round"),
+])
+def test_check_round_catches_an_edit_between_two_checks(edit, error,
+                                                        message):
+    inst = owned_instance(2, [0, 0, 1, 1])
+    view = MarketView(build_market_state(inst, (0b0011, 0b1100), 0))
+    assert view.check_round("round", ()) == [2, 2]
+    edit(view)
+    for _ in range(2):  # a failed check leaves nothing behind
+        with pytest.raises(error) as caught:
+            view.check_round("round", {0})
+        assert str(caught.value) == message
+
+
+def _solver_states(inst):
+    """The entry market of the instance's pEF1 run, and the (bundles, high)
+    of each market along the run from the entry on."""
+    final = run_pef1(inst)
+    entry = final.entry
+    rounds = _Rounds(SolverState(entry, frozenset(range(inst.n)),
+                                 final.groups, entry, 0))
+    states = [(list(entry.bundles), entry.high)]
+    while rounds.step():
+        states.append((rounds.view.bundles[:], rounds.view.high))
+    return entry, states
+
+
+@st.composite
+def _view_edits(draw):
+    """A step on a view: a solver round, a legal move, a raise, or an edit
+    that may break the partition, an MPB set or an earning; then the
+    touched agents and whether to adopt the earnings a passing check
+    returns."""
+    kind = draw(st.sampled_from((
+        "solver", "move", "raise", "flip", "share", "drop", "stray", "force",
+        "earn", "sync", "undo")))
+    touched = draw(st.one_of(st.just(set(range(6))),
+                             st.sets(st.integers(0, 5))))
+    return kind, draw(st.integers(0, 63)), draw(st.integers(0, 63)), \
+        touched, draw(st.booleans())
+
+
+def _apply(view, kind, x, y, good, solver):
+    n, m = view.n, view.instance.m
+    e, u, v = x % m, y % n, (x + y) % n
+    bit = 1 << e
+    owner = next((a for a in range(n) if view.bundles[a] & bit), None)
+    if kind == "solver":  # the masks after some round of the pEF1 run
+        bundles, view.high = solver[x % len(solver)]
+        view.bundles[:] = bundles
+    elif kind == "move":  # a chore goes to an agent it is ratio-minimal for
+        legal = [(c, a) for c in range(m) for a in range(n)
+                 if a != v and view.bundles[a] >> c & 1
+                 and view.mpb(v) >> c & 1]
+        if legal:
+            c, a = legal[x % len(legal)]
+            view.move(c, a, v)
+    elif kind == "raise":  # u's bundle starts paying k
+        view.high |= view.bundles[u]
+    elif kind == "flip":
+        view.high ^= bit
+    elif kind == "share":
+        view.bundles[u] |= bit
+    elif kind == "drop":
+        view.bundles[u] &= ~bit
+    elif kind == "stray":
+        view.bundles[u] |= 1 << (m + x % 3)
+    elif kind == "force" and owner is not None:  # a move without its check
+        view.bundles[owner] ^= bit
+        view.bundles[u] |= bit
+    elif kind == "earn":
+        view.earn_units[u] += 1 + x % 2
+    elif kind == "sync":  # earn_units as the masks give them
+        view.earn_units = [view.earning(a) for a in range(n)]
+    elif kind == "undo":  # back to the masks of the last passing check
+        bundles, view.high = good
+        view.bundles[:] = bundles
+
+
+@given(generated_instances(max_n=6, max_m=9),
+       st.lists(_view_edits(), min_size=1, max_size=12),
+       st.sampled_from(("round", "exchange", "trade")))
+@settings(max_examples=150)
+def test_check_round_matches_the_full_recheck(inst, steps, noun):
+    entry, solver = _solver_states(inst)
+    view = MarketView(entry)
+    good = solver[0]
+    for kind, x, y, touched, adopt in steps:
+        _apply(view, kind, x, y, good, solver)
+        want = _outcome(full_check_round, view, noun, touched)
+        assert _outcome(view.check_round, noun, touched) == want
+        if isinstance(want, list):
+            good = (view.bundles[:], view.high)
+            if adopt:  # as the stages do after a checked step
+                view.earn_units = want

@@ -13,10 +13,10 @@ from chorefair import (
     check_pEF1,
     run_pef1,
 )
-from chorefair.errors import InternalInvariant, MPBViolation
+from chorefair.errors import InternalInvariant, LemmaViolation, MPBViolation
 from chorefair.harness import equilibrium_from_parts
 from chorefair.market_init import AgentGroups
-from chorefair.model import build_market_state
+from chorefair.model import build_market_state, bundle_masks
 from chorefair.pef1 import (
     SolverState,
     _Rounds,
@@ -262,3 +262,97 @@ def test_round_checks_every_bundle_against_its_mpb_set(rotation):
     _corrupt_bundle_moved(rounds.view)
     with pytest.raises(MPBViolation, match="equilibrium at agent 3"):
         rounds.step()
+
+
+# Corruptions made after a checked round, with the error and message each
+# gives in round 2 of the rotation instance.  Round 1 raised agent 0's
+# group and moved chore 0 to agent 2; round 2 moves chore 1 from agent 0 to
+# agent 3, so agent 1 is untouched there.
+
+def _between_bundle_off_mpb(rounds):
+    # agent 2's chore 15 costs k to agent 1 and pays 1; the bundles still
+    # partition the chores
+    view = rounds.view
+    view.bundles[2] ^= 1 << 15
+    view.bundles[1] |= 1 << 15
+
+
+def _between_chore_in_two_bundles(rounds):
+    rounds.view.bundles[1] |= 1 << 15
+
+
+def _between_payments(rounds):
+    # agent 1 is unraised; its cost-1 chore 8 starts paying k
+    rounds.view.high |= 1 << 8
+
+
+def _between_earning(rounds):
+    rounds.view.earn_units[1] += 1
+
+
+def _between_unraised(rounds):
+    rounds.unraised = frozenset({1, 3})  # agent 2 is unraised too
+
+
+@pytest.mark.parametrize("corrupt,error,message", [
+    (_between_bundle_off_mpb, MPBViolation,
+     "round broke the equilibrium at agent 1"),
+    (_between_chore_in_two_bundles, InternalInvariant,
+     "two bundles share a chore"),
+    (_between_payments, MPBViolation,
+     "round broke the equilibrium at agent 1"),
+    (_between_earning, LemmaViolation,
+     "earning of uninvolved agent 1 changed during the round"),
+    (_between_unraised, LemmaViolation, "agent 2 has ratio 1, expected 1/2"),
+])
+def test_a_view_corrupted_between_rounds_fails_the_next(rotation, corrupt,
+                                                        error, message):
+    rounds = _Rounds(_entry_state(run_pef1(rotation)))
+    assert rounds.step()  # a checked round first
+    corrupt(rounds)
+    with pytest.raises(error) as caught:
+        rounds.step()
+    assert str(caught.value) == message
+    assert rounds.round_count == 1
+
+
+# The group checks of a round, each reached on a three-agent market where
+# chore e costs 1 only to owners[e], which holds it.  The checks run on
+# the state as given, every agent counted as touched.
+
+def _checked_rounds(groups, high, unraised, owners=(0, 0, 1, 1, 2, 2)):
+    inst = owned_instance(2, owners)
+    market = build_market_state(inst, bundle_masks(owners, 3), high)
+    agent_groups = AgentGroups(tuple(map(frozenset, groups)), (0, 1, 2))
+    rounds = _Rounds(SolverState(market, frozenset(unraised), agent_groups,
+                                 market, 0))
+    return rounds, rounds._assert_round({0, 1, 2})
+
+
+@pytest.mark.parametrize("groups,high,unraised,message", [
+    # agent 0's chores pay k, so it is raised but listed unraised
+    ([{0}, {1}, {2}], 0b000011, {0, 1, 2},
+     "agent 0 has ratio 1/2, expected 1"),
+    # nothing pays k, so agent 0 is unraised but listed raised
+    ([{0}, {1}, {2}], 0, {1, 2}, "agent 0 has ratio 1, expected 1/2"),
+    ([{0, 1}, {2}], 0b000011, {1, 2}, "a group is only partially raised"),
+    ([{0}, {1}, {2}], 0b001100, {0, 2}, "raised groups do not form a prefix"),
+    ([{0}, {1}, {2}], 0b111111, set(), "the last group must stay unraised"),
+])
+def test_round_checks_ratios_and_the_group_order(groups, high, unraised,
+                                                 message):
+    with pytest.raises(LemmaViolation) as caught:
+        _checked_rounds(groups, high, unraised)
+    assert str(caught.value) == message
+
+
+def test_round_checks_pef1_inside_each_group():
+    # agent 0 holds chores 0, 1 and 2: its hat 2 exceeds agent 1's earning 1
+    with pytest.raises(LemmaViolation) as caught:
+        _checked_rounds([{0, 1}, {2}], 0, {0, 1, 2}, (0, 0, 0, 1, 2, 2))
+    assert str(caught.value) == "pEF1 broke inside a group: 0 vs 1"
+
+
+def test_round_checks_pass_on_a_legal_state():
+    rounds, (earn, hats) = _checked_rounds([{0}, {1}, {2}], 0b000011, {1, 2})
+    assert earn == [4, 2, 2] and hats == [2, 1, 1]

@@ -94,3 +94,51 @@ def test_bench_pairs_summary_reads_off_the_claim_rule():
         "change": {"median": 8.5, "q1": 5.5, "q3": 9},
         "wins": 4, "ties": 1}
     assert (dense["rate"]["wins"], dense["rate"]["ties"]) == (3, 1)
+
+
+@pytest.mark.parametrize("wrong", [{"correct": False, "failed": 0},
+                                   {"correct": True, "failed": 2}])
+def test_bench_pairs_stops_on_a_wrong_run_after_writing_it(
+        tmp_path, monkeypatch, wrong):
+    module = load_bench_pairs()
+    results = [{"correct": True, "attempted": 3, "failed": 0},
+               dict(wrong, attempted=3)]
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]}
+               for m in module.benchmark()["end_to_end"]}
+    for result in results:
+        result["metrics"] = metrics
+    calls = []
+
+    def bench(root, workload, seed, seconds, trace):
+        calls.append(root)
+        return results[len(calls) - 1]
+
+    monkeypatch.setattr(module, "git", lambda *args: b"f" * 40 + b"\n")
+    monkeypatch.setattr(module, "extract", lambda commit, into: None)
+    monkeypatch.setattr(module, "bench", bench)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as stop:
+        module.main(["--parent", "HEAD", "--seconds", "1", "--out", str(out),
+                     "owned-rounds:444:2"])
+    # the first pair runs the parent first, so the wrong run is the change's
+    assert str(stop.value) == (
+        f"bench_pairs: run 2: owned-rounds seed 444 trace 0 change is wrong "
+        f"(correct {wrong['correct']}, {wrong['failed']} failed); "
+        f"kept in {out}")
+    assert len(calls) == 2
+    runs = json.loads(out.read_text())["runs"]
+    assert [(r["side"], r["result"]) for r in runs] == [
+        ("parent", results[0]), ("change", results[1])]
+
+
+def test_bench_pairs_runs_read_no_bytecode_cache(tmp_path):
+    # a stand-in bench/run.py that reports its interpreter's cache settings
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, sys\n"
+        "print(json.dumps({'prefix': sys.pycache_prefix,\n"
+        "                  'no_write': sys.dont_write_bytecode}))\n")
+    result = load_bench_pairs().bench(str(tmp_path), "owned-rounds", 1, 1, 0)
+    assert result["no_write"] is True
+    # the cache is looked for in an empty directory outside the tree
+    assert result["prefix"] and not result["prefix"].startswith(str(tmp_path))
