@@ -171,8 +171,7 @@ def _status(success: bool) -> str:
 def _cmd_oracle(args) -> int:
     # one search: the best factor is 1 iff an exact EFX + PO allocation exists
     inst = load_instance(args.instance)
-    value, best = best_efx_beta_over_po(inst, budget=args.oracle_budget,
-                                        prune_identical_agents=args.prune)
+    value, best = best_efx_beta_over_po(inst, budget=args.oracle_budget)
     owner = " ".join(map(str, best.owner))
     print("efx-po: " + (owner if value == 1 else "none"))
     print(f"best-beta-over-po: {value} with {owner}")
@@ -244,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive search on a small instance")
     p.add_argument("instance")
     p.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--prune", action="store_true",
-                   help="skip relabelings of agents with identical cost rows")
     p.add_argument("--expect-efx", action="store_true",
                    help="exit nonzero when no exact EFX + PO allocation exists")
     p.set_defaults(func=_cmd_oracle)

@@ -504,15 +504,24 @@ def _parse_choice(token: str, choices: tuple[str, str], where: str) -> bool:
     return token == choices[0]
 
 
+_EVENT_KEYS = frozenset(("stage", "round", "kind", "agents", "items",
+                         "earn_before", "earn_after", "least"))
+
+
 def _parse_event(lineno: int, body: str,
                  known: dict[str, Fraction]) -> TraceEvent:
     kv = {}
+    where = f"line {lineno}"
     for token in body.split():
         if "=" not in token:
-            raise ParseError(f"line {lineno}: bad event token {token!r}")
+            raise ParseError(f"{where}: bad event token {token!r}")
         key, value = token.split("=", 1)
+        if key in kv:
+            raise ParseError(f"{where}: duplicate event key {key!r}")
         kv[key] = value
-    where = f"line {lineno}"
+    if not kv.keys() <= _EVENT_KEYS:
+        unknown = next(key for key in kv if key not in _EVENT_KEYS)
+        raise ParseError(f"{where}: unknown event key {unknown!r}")
 
     def tokens(key):
         return list(filter(None, kv.get(key, "").split(",")))
@@ -565,6 +574,9 @@ def parse_report(text: str) -> RunReport:
                 stage_open = (name.strip(), int(rounds_part))
             except ValueError:
                 raise ParseError(f"line {lineno}: bad stage line") from None
+            if stage_open[1] < 0:
+                raise ParseError(f"line {lineno}: negative stage rounds "
+                                 f"{stage_open[1]}")
         elif key == "event":
             if stage_open is None:
                 raise ParseError(f"line {lineno}: event outside a stage")
@@ -646,15 +658,11 @@ def bench(grid: list[GenParams], *, mode: str = "auto") -> str:
     for params in grid:
         cell = [params.n, params.m, _fmt_rational(params.k),
                 _fmt_rational(params.high_prob), params.seed]
-        try:
-            report = run_pipeline(gen_instance(params), mode)
-            error = report.error
-        except ChorefairError as err:
-            report, error = None, type(err).__name__
-        if report is None or report.verdicts is None:
-            writer.writerow(cell + [mode, f"error:{error}"] + [""] * 8)
-            continue
+        report = run_pipeline(gen_instance(params), mode)
         v = report.verdicts
+        if v is None:
+            writer.writerow(cell + [mode, f"error:{report.error}"] + [""] * 8)
+            continue
         key = _fmt_rational(params.k)
         if key not in worst or beta_le(worst[key], v.beta_efx):
             worst[key] = v.beta_efx

@@ -215,12 +215,6 @@ class _MarketMasks:
         return [e - (top if b & high else low) if b else e
                 for e, b in zip(earn, self.bundles)]
 
-    @property
-    def kernel(self) -> EnvyKernel:
-        """The EnvyKernel of the masks; a MarketState builds it only once,
-        a MarketView once between moves."""
-        return EnvyKernel(self.instance, self.bundles)
-
 
 @dataclass(frozen=True)
 class MarketState(_MarketMasks):
@@ -237,7 +231,10 @@ class MarketState(_MarketMasks):
         object.__setattr__(self, "earn_units", tuple(
             self.earning(i) for i in range(self.instance.n)))
 
-    kernel = cached_property(_MarketMasks.kernel.fget)  # masks never change
+    @cached_property
+    def kernel(self) -> EnvyKernel:
+        """The EnvyKernel of the masks, built once: they never change."""
+        return EnvyKernel(self.instance, self.bundles)
 
     @property
     def allocation(self) -> Allocation:

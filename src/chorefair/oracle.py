@@ -9,9 +9,11 @@ profiles are kept, which is exact because a dominated partial profile only
 completes to dominated profiles.  Bounded by an allocation's profile, the
 pass ends at that profile alone iff the allocation is Pareto optimal.  The
 searches also go backward, keeping partials with a step into the next kept
-layer, so their walk never enters a dead branch.  An opt-in filter keeps
-one representative per relabeling orbit of agents with identical cost rows
-(relabeling such agents preserves both dominance and envy structure).
+layer, so their walk never enters a dead branch.  The walk also never
+enters a relabeling of agents with identical cost rows: such an agent
+takes a chore only once the agent before it in index order has one, so
+each orbit yields its lexicographically first member alone (relabeling
+such agents preserves both dominance and envy structure).
 
 All entry points raise BudgetExceeded when n^m reaches the allocation
 budget, before any work is done.
@@ -34,32 +36,6 @@ def _check_budget(instance: Instance, budget: int) -> None:
         raise BudgetExceeded(
             f"{instance.n}^{instance.m} = {total} allocations reach the "
             f"budget of {budget}")
-
-
-def _agent_classes(instance: Instance) -> tuple[tuple[int, ...], ...]:
-    """Agents grouped by identical cost rows, each group in index order."""
-    by_row: dict[int, list[int]] = {}
-    for i, low in enumerate(instance.low_masks):
-        by_row.setdefault(low, []).append(i)
-    return tuple(tuple(g) for g in by_row.values() if len(g) > 1)
-
-
-def _canonical(owner: tuple[int, ...],
-               classes: tuple[tuple[int, ...], ...]) -> bool:
-    """True when, inside every class of identical agents, agents appear in
-    the owner vector in index order (unused ones trailing).
-    """
-    for group in classes:
-        rank = {a: r for r, a in enumerate(group)}
-        seen = -1
-        for o in owner:
-            r = rank.get(o)
-            if r is None:
-                continue
-            if r > seen + 1:
-                return False
-            seen = max(seen, r)
-    return True
 
 
 def _frontier(instance: Instance, owner: Sequence[int] | None = None
@@ -117,60 +93,63 @@ def is_pareto_optimal(instance: Instance, allocation: Allocation, *,
     return layers[-1] == [sum(steps[e][o] for e, o in enumerate(owner))]
 
 
-def _po_owners(instance: Instance,
-               prune: bool = False) -> Iterator[tuple[int, ...]]:
-    """Every Pareto-optimal owner vector, in lexicographic order; with prune,
-    only the canonical one of each orbit of identical agents.  A partial
-    profile is live when it completes to a Pareto-minimal profile."""
+def _po_owners(instance: Instance) -> Iterator[tuple[int, ...]]:
+    """Every Pareto-optimal owner vector in lexicographic order, one per
+    orbit of relabelings of agents with identical cost rows: the first,
+    in which such agents first appear in index order.  A partial profile
+    is live when it completes to a Pareto-minimal profile."""
     steps, layers = _frontier(instance)
     live = [set(layers[-1])]
     for step, layer in zip(steps[::-1], layers[-2::-1]):
         live.insert(0, {p for p in layer
                         if any(p + s in live[0] for s in step)})
-    classes = _agent_classes(instance) if prune else ()
+    # agent o may first appear only after the last agent before it with
+    # the same cost row: need[o] is that agent's bit, or 0
+    need, last = [], {}
+    for o, low in enumerate(instance.low_masks):
+        need.append(1 << last[low] if low in last else 0)
+        last[low] = o
     m = instance.m
     owner = [0] * m
 
-    def walk(e: int, profile: int) -> Iterator[tuple[int, ...]]:
+    def walk(e: int, profile: int, used: int) -> Iterator[tuple[int, ...]]:
         if e == m:
-            found = tuple(owner)
-            if not classes or _canonical(found, classes):
-                yield found
+            yield tuple(owner)
             return
         ahead = live[e + 1]
         for o, s in enumerate(steps[e]):
-            if profile + s in ahead:
+            if profile + s in ahead and used & need[o] == need[o]:
                 owner[e] = o
-                yield from walk(e + 1, profile + s)
+                yield from walk(e + 1, profile + s, used | 1 << o)
 
-    return walk(0, 0)
+    return walk(0, 0, 0)
 
 
 def exists_efx_po(instance: Instance, *,
-                  budget: int = DEFAULT_BUDGET,
-                  prune_identical_agents: bool = False) -> Allocation | None:
+                  budget: int = DEFAULT_BUDGET) -> Allocation | None:
     """Lexicographically first allocation that is exactly EFX and Pareto
     optimal, or None when no allocation satisfies both: exact EFX is an
     envy factor of 1, so this is the best-factor witness at factor 1.
     """
-    value, witness = best_efx_beta_over_po(
-        instance, budget=budget, prune_identical_agents=prune_identical_agents)
+    value, witness = best_efx_beta_over_po(instance, budget=budget)
     return witness if value == 1 else None
 
 
 def best_efx_beta_over_po(instance: Instance, *,
-                          budget: int = DEFAULT_BUDGET,
-                          prune_identical_agents: bool = False
+                          budget: int = DEFAULT_BUDGET
                           ) -> tuple[Fraction | Unbounded, Allocation]:
     """Minimum envy factor achievable by any Pareto-optimal allocation,
     with the lexicographically first witness attaining it.  Each owner
     vector is scored by the verifier's own scan on its envy kernel.
+    Relabelings of identical agents, which the walk skips, keep both
+    Pareto optimality and the factor, and each orbit's lexicographically
+    first member is the one walked, so skipping them changes no answer.
     """
     _check_budget(instance, budget)
     n = instance.n
     best: Fraction | Unbounded | None = None
     witness: tuple[int, ...] | None = None
-    for owner in _po_owners(instance, prune_identical_agents):
+    for owner in _po_owners(instance):
         kernel = EnvyKernel(instance, bundle_masks(owner, n))
         beta = kernel_beta_EFX(kernel).value
         if best is None or not beta_le(best, beta):

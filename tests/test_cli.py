@@ -461,6 +461,48 @@ def test_a_repeated_report_field_exits_2_naming_its_line(paths, capsys,
         f"ParseError: line {later}: duplicate field {key!r}")
 
 
+def test_a_negative_stage_round_count_exits_2_naming_its_line(paths,
+                                                              capsys):
+    # set(range(1, -3)) is empty, so an event-free stage would pass verify
+    assert main(["gen", "--n", "3", "--m", "5", "--k", "3", "--seed", "4",
+                 "--out", paths["inst"]]) == 0
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    lines = open(paths["report"]).read().splitlines()
+    no = lines.index("stage: approx_efx rounds=0")
+    lines[no] = "stage: approx_efx rounds=-4"
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"ParseError: line {no + 1}: negative stage rounds -4")
+
+
+# an event line's edit, and the error it must raise
+BAD_EVENT_KEYS = {
+    "unknown": (lambda line: line + " foo=1", "unknown event key 'foo'"),
+    "repeated": (lambda line: line.replace(" kind=", " kind=rotate kind=", 1),
+                 "duplicate event key 'kind'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EVENT_KEYS))
+def test_an_unknown_or_repeated_event_key_exits_2_naming_it(paths, capsys,
+                                                           case):
+    edit, problem = BAD_EVENT_KEYS[case]
+    assert main(["gen", "--n", "4", "--m", "8", "--k", "2", "--seed", "13",
+                 "--out", paths["inst"]]) == 0
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    lines = open(paths["report"]).read().splitlines()
+    no = next(no for no, line in enumerate(lines)
+              if line.startswith("event: "))
+    lines[no] = edit(lines[no])
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"ParseError: line {no + 1}: {problem}")
+
+
 BAD_OPTIONS = {
     "bench --n x": (["bench", "--n", "x"], "--n"),
     "bench --high-prob 3/2": (["bench", "--high-prob", "3/2"], "--high-prob"),

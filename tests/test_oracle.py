@@ -4,7 +4,8 @@ The brute-force definitions the oracle is checked against live here:
 enumerate_allocations walks all n^m owner vectors in lexicographic order,
 cost_profile and dominates define Pareto dominance, pairwise_frontier
 keeps each layer's minimal profiles by testing a candidate against every
-kept one, and _exact_efx is the exact EFX test.
+kept one, _canonical filters relabelings of identical agents, and
+_exact_efx is the exact EFX test.
 """
 
 import os
@@ -17,11 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from chorefair import Instance, min_beta_EFX, run_pipeline
 from chorefair.errors import BudgetExceeded
-from chorefair.model import Allocation
+from chorefair.harness import load_instance
+from chorefair.model import Allocation, RawInstance
 from chorefair.oracle import (
     DEFAULT_BUDGET,
-    _agent_classes,
-    _canonical,
     _check_budget,
     _frontier,
     _po_owners,
@@ -32,9 +32,9 @@ from chorefair.oracle import (
 from chorefair.verify import UNBOUNDED
 from chorefair.cli import main
 
-from conftest import (generated_instances, high_matrices, instances,
-                      market_from_parts, owned_instance, save_instance,
-                      unit_cost)
+from conftest import (generated_instances, high_matrices, instance_to_raw,
+                      instances, market_from_parts, owned_instance,
+                      save_instance, unit_cost)
 
 INPUTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "inputs")
@@ -48,12 +48,40 @@ def cost_profile(instance: Instance,
     return tuple(Fraction(t, instance.unit) for t in totals)
 
 
+def _agent_classes(instance: Instance) -> tuple[tuple[int, ...], ...]:
+    """Agents grouped by identical cost rows, each group in index order."""
+    by_row: dict[int, list[int]] = {}
+    for i, low in enumerate(instance.low_masks):
+        by_row.setdefault(low, []).append(i)
+    return tuple(tuple(g) for g in by_row.values() if len(g) > 1)
+
+
+def _canonical(owner: tuple[int, ...],
+               classes: tuple[tuple[int, ...], ...]) -> bool:
+    """True when, inside every class of identical agents, agents appear in
+    the owner vector in index order (unused ones trailing).
+    """
+    for group in classes:
+        rank = {a: r for r, a in enumerate(group)}
+        seen = -1
+        for o in owner:
+            r = rank.get(o)
+            if r is None:
+                continue
+            if r > seen + 1:
+                return False
+            seen = max(seen, r)
+    return True
+
+
 def enumerate_allocations(instance: Instance, *,
                           budget: int = DEFAULT_BUDGET,
-                          prune_identical_agents: bool = False
+                          canonical_only: bool = False
                           ) -> Iterator[Allocation]:
+    """All n^m owner vectors in lexicographic order; with canonical_only,
+    the _canonical one of each orbit of identical agents."""
     _check_budget(instance, budget)
-    classes = _agent_classes(instance) if prune_identical_agents else ()
+    classes = _agent_classes(instance) if canonical_only else ()
     for owner in product(range(instance.n), repeat=instance.m):
         if classes and not _canonical(owner, classes):
             continue
@@ -199,13 +227,12 @@ def test_pareto_matches_naive_everywhere(inst):
 @given(instances(max_n=3, max_m=4))
 @settings(max_examples=40)
 def test_orbit_pruning_preserves_po_verdicts(inst):
-    # pruned enumeration must report the same PO set up to renaming
+    # the canonical enumeration must report the same PO set up to renaming
     # agents with identical cost rows
     full = {a for a in enumerate_allocations(inst)
             if is_pareto_optimal(inst, a)}
-    pruned = {a for a in enumerate_allocations(
-        inst, prune_identical_agents=True)
-        if is_pareto_optimal(inst, a)}
+    pruned = {a for a in enumerate_allocations(inst, canonical_only=True)
+              if is_pareto_optimal(inst, a)}
     assert pruned <= full
     profiles = {tuple(sorted(cost_profile(inst, a))) for a in full}
     pruned_profiles = {tuple(sorted(cost_profile(inst, a))) for a in pruned}
@@ -269,7 +296,7 @@ ORACLE_KS = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(9, 8),
 @st.composite
 def oracle_instances(draw):
     """Instances with n^m <= 4096, half of them with a row repeated so
-    that the identical-agent filter has orbits to cut."""
+    that the walk has orbits of identical agents to cut."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, ORACLE_SIZES[n]))
     rows = list(draw(high_matrices(n, m)))
@@ -278,7 +305,7 @@ def oracle_instances(draw):
     return Instance(n, m, draw(st.sampled_from(ORACLE_KS)), tuple(rows))
 
 
-def reference_po_owners(inst, prune):
+def reference_po_owners(inst, canonical_only):
     """enumerate_allocations filtered by naive_pareto_optimal, in order.
 
     The same quadratic scan, run once over the distinct cost profiles
@@ -292,15 +319,27 @@ def reference_po_owners(inst, prune):
                                                 zip(prof, mine))
                           for prof in distinct)}
     return [a.owner for a in enumerate_allocations(
-        inst, prune_identical_agents=prune) if profiles[a.owner] in minimal]
+        inst, canonical_only=canonical_only) if profiles[a.owner] in minimal]
 
 
 @given(oracle_instances())
 @settings(max_examples=40)
 def test_the_walk_yields_exactly_the_po_owner_vectors(inst):
-    for prune in (False, True):
-        assert list(_po_owners(inst, prune)) == reference_po_owners(inst,
-                                                                    prune)
+    assert list(_po_owners(inst)) == reference_po_owners(inst, True)
+
+
+def test_the_walk_cuts_relabelings_of_three_identical_agents():
+    # agents 0, 2 and 3 share a row: 3! relabelings of each PO vector in
+    # which all three hold chores, and the walk keeps one of them
+    same = (True, False, True, False, True, False)
+    inst = Instance(4, 6, Fraction(3), (
+        same, (False, True, True, True, False, True), same, same))
+    assert _agent_classes(inst) == ((0, 2, 3),)
+    walked = list(_po_owners(inst))
+    po = reference_po_owners(inst, False)
+    assert walked == [owner for owner in po
+                      if _canonical(owner, _agent_classes(inst))]
+    assert len(walked) < len(po)
 
 
 @st.composite
@@ -341,42 +380,51 @@ def test_no_slack_field_under_the_guard():
 @given(oracle_instances())
 @settings(max_examples=40)
 def test_both_searches_return_the_lex_first_answer(inst):
-    for prune in (False, True):
-        po = reference_po_owners(inst, prune)
-        betas = [min_beta_EFX(market_from_parts(inst, owner, ())).value
-                 for owner in po]
-        finite = [b for b in betas if b is not UNBOUNDED]
-        best = min(finite) if finite else UNBOUNDED
-        want = po[betas.index(best)]
-        efx = next((owner for owner in po if _exact_efx(inst, owner)), None)
-        value, witness = best_efx_beta_over_po(
-            inst, prune_identical_agents=prune)
-        assert (value, witness.owner) == (best, want)
-        found = exists_efx_po(inst, prune_identical_agents=prune)
-        assert (found and found.owner) == efx
+    # over every PO owner vector, relabelings of identical agents included
+    po = reference_po_owners(inst, False)
+    betas = [min_beta_EFX(market_from_parts(inst, owner, ())).value
+             for owner in po]
+    finite = [b for b in betas if b is not UNBOUNDED]
+    best = min(finite) if finite else UNBOUNDED
+    want = po[betas.index(best)]
+    efx = next((owner for owner in po if _exact_efx(inst, owner)), None)
+    value, witness = best_efx_beta_over_po(inst)
+    assert (value, witness.owner) == (best, want)
+    found = exists_efx_po(inst)
+    assert (found and found.owner) == efx
 
 
 # `chorefair oracle` on the committed stage instances, as printed before the
-# search walked the Pareto frontier; bundle_swap-4979 has two agents with
-# identical rows, so --prune has an orbit to cut there.
+# search walked the Pareto frontier.
 GOLDEN_ORACLE = {
-    ("bundle_swap-3266", False): "1 2 0 2 0 1 0 3",
-    ("bundle_swap-4979", False): "0 1 0 2 0 1 3 3",
-    ("bundle_swap-4979", True): "0 1 0 2 0 1 3 3",
-    ("bundle_swap-838", False): "0 0 1 0 3 2 2 3",
-    ("move-105", False): "0 1 0 0 2 1 0 2 1 2",
-    ("move-88", False): "1 1 0 2 3 0 2 3",
-    ("move-99", False): "0 0 1 1 2 2 2 3",
-    ("swap-2382", False): "0 0 0 0 0 1 1 2 1 2",
-    ("swap-2920", False): "0 0 1 1 2 2 2 0 0 1",
-    ("swap-3912", False): "1 0 0 0 0 1 2 1 2 1",
+    "bundle_swap-3266": "1 2 0 2 0 1 0 3",
+    "bundle_swap-4979": "0 1 0 2 0 1 3 3",
+    "bundle_swap-838": "0 0 1 0 3 2 2 3",
+    "move-105": "0 1 0 0 2 1 0 2 1 2",
+    "move-88": "1 1 0 2 3 0 2 3",
+    "move-99": "0 0 1 1 2 2 2 3",
+    "swap-2382": "0 0 0 0 0 1 1 2 1 2",
+    "swap-2920": "0 0 1 1 2 2 2 0 0 1",
+    "swap-3912": "1 0 0 0 0 1 2 1 2 1",
 }
+# (name, raw): each file as committed, and bundle_swap-4979, whose agents
+# 1 and 2 have identical rows, also as a raw file scaling row i by i + 1,
+# so those two rows are identical only once normalized.
+GOLDEN_CASES = sorted([(name, False) for name in GOLDEN_ORACLE]
+                      + [("bundle_swap-4979", True)])
 
 
-@pytest.mark.parametrize("name,prune", sorted(GOLDEN_ORACLE))
-def test_oracle_output_is_golden(name, prune, capsys):
-    argv = ["oracle", os.path.join(INPUTS, name + ".inst"), "--expect-efx"]
-    assert main(argv + ["--prune"] * prune) == 0
-    owner = GOLDEN_ORACLE[name, prune]
+@pytest.mark.parametrize("name,raw", GOLDEN_CASES)
+def test_oracle_output_is_golden(name, raw, capsys, tmp_path):
+    path = os.path.join(INPUTS, name + ".inst")
+    if raw:
+        inst = load_instance(path)
+        costs = instance_to_raw(inst).costs
+        path = str(tmp_path / "raw.inst")
+        save_instance(path, RawInstance(inst.n, inst.m, tuple(
+            tuple(c * (i + 1) for c in row) for i, row in enumerate(costs))))
+        assert load_instance(path) == inst
+    assert main(["oracle", path, "--expect-efx"]) == 0
+    owner = GOLDEN_ORACLE[name]
     assert capsys.readouterr().out == (
         f"efx-po: {owner}\nbest-beta-over-po: 1 with {owner}\n")

@@ -1,4 +1,5 @@
-"""The package root exports what the README documents, and nothing more.
+"""The package root exports what the README documents, and nothing more;
+the README's command line section names exactly the CLI's options.
 
 Everything else is imported from its module, so a name added to the root
 has to be documented in README.md (or be one the benchmark imports from the
@@ -6,11 +7,13 @@ root) before this file lets it in.  A public name that only the tests use
 does not belong in the package at all.
 """
 
+import argparse
 import ast
 import os
 import re
 
 import chorefair
+from chorefair.cli import build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -103,3 +106,16 @@ def test_every_public_definition_is_used_outside_the_tests():
                     rf"(?<!\w){re.escape(node.name)}(?!\w)", readme):
                 unused.append(f"{os.path.basename(path)}:{node.name}")
     assert unused == []
+
+
+def test_the_readme_names_exactly_the_cli_options():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {opt for sub in commands.choices.values()
+               for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+    assert named == options
