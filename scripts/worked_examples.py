@@ -110,7 +110,7 @@ def demo_swap():
     high_pay = frozenset({0, 3, 4, 6, 7, 9, 10, 12, 13, 16, 17, 18})
     before = _natural(2, owners, high_pay, raised=5)
     show(before, "before")
-    result = k2_from_equilibrium(before, frozenset(range(5)))
+    result = k2_from_equilibrium(before)
     narrate(result.trace)
     show(result.market, "after")
     beta = min_beta_EFX(result.market)
@@ -125,7 +125,7 @@ def demo_move():
     high_pay = frozenset({0, 1, 2, 5, 8, 9, 11, 12, 15, 16, 17})
     before = _natural(2, owners, high_pay, raised=5)
     show(before, "before")
-    result = k2_from_equilibrium(before, frozenset(range(5)))
+    result = k2_from_equilibrium(before)
     narrate(result.trace)
     show(result.market, "after")
     beta = min_beta_EFX(result.market)

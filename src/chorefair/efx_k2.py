@@ -9,7 +9,7 @@ chore ratio-minimal for its receiver, so the equilibrium and Pareto
 optimality survive; the count of top-tier agents holding both payment
 values drops by one per round.
 
-Payments stay fixed, so the unraised set passed in stays valid throughout.
+Payments stay fixed, so the masks say who is raised throughout.
 The stage runs on one bitmask MarketView: chores move through its
 MPB-checked move, envy is read off the popcount EnvyKernel, and a
 MarketState is built once, at the end.
@@ -57,8 +57,7 @@ def _mixed_top_count(view: MarketView, earn: list[int], z: int) -> int:
                if units == z + 2 and b & view.high and b & ~view.high)
 
 
-def k2_round(view: MarketView, unraised: frozenset[int],
-             round_no: int) -> TraceEvent | None:
+def k2_round(view: MarketView, round_no: int) -> TraceEvent | None:
     """One trade on the view; None when the allocation is exactly EFX.
     The view's earn_units is updated."""
     found = efx_violation(view)
@@ -70,7 +69,7 @@ def k2_round(view: MarketView, unraised: frozenset[int],
         raise TierViolation(
             f"violating pair must earn (z+2, z), got offsets "
             f"({tiers[i]}, {tiers[j]})")
-    if i not in unraised or j not in unraised:
+    if view.raised(i) or view.raised(j):
         raise LemmaViolation(
             f"violating pair ({i}, {j}) must both be unraised")
     bundle_i, bundle_j = view.bundles[i], view.bundles[j]
@@ -130,7 +129,7 @@ def _assert_round(view: MarketView, z: int, i: int, j: int, kind: str,
     return earn
 
 
-def k2_from_equilibrium(market: MarketState, unraised: frozenset[int],
+def k2_from_equilibrium(market: MarketState,
                         pef1: SolverState | None = None) -> StageResult:
     if market.instance.k != 2:
         raise PreconditionViolated(
@@ -138,7 +137,7 @@ def k2_from_equilibrium(market: MarketState, unraised: frozenset[int],
     view = MarketView(market)
     trace: list[TraceEvent] = []
     cap = market.instance.n + 1
-    while (event := k2_round(view, unraised, len(trace) + 1)) is not None:
+    while (event := k2_round(view, len(trace) + 1)) is not None:
         trace.append(event)
         if len(trace) > cap:
             raise IterationCapExceeded(f"trade stage exceeded {cap} rounds")
@@ -153,4 +152,4 @@ def run_efx_k2(instance: Instance) -> StageResult:
     result.pef1.groups.new_to_old maps back to the caller's labels.
     """
     state = run_pef1(instance)
-    return k2_from_equilibrium(state.market, state.unraised, state)
+    return k2_from_equilibrium(state.market, state)

@@ -1,4 +1,5 @@
-"""Instance generation, text formats, pipeline orchestration, benchmarking.
+"""Instance generation, text formats, pipeline orchestration, report
+verification, benchmarking.
 
 File formats are line-oriented text with a leading format/version field.
 Rationals serialize as "num/den", booleans as "true"/"false", matrices as
@@ -25,10 +26,10 @@ from .efx_k2 import k2_from_equilibrium
 from .errors import ChorefairError, ParseError
 from .model import (Instance, MarketState, RawInstance, as_rational,
                     build_market_state, bundle_masks, normalize_instance,
-                    normalize_rows)
+                    normalize_rows, relabel_agents)
 from .oracle import is_pareto_optimal
 from .pef1 import run_pef1
-from .trace import TraceEvent
+from .trace import TraceEvent, replay_trace
 from .verify import UNBOUNDED, Unbounded, beta_le, check_EF1, check_pEF1, \
     check_equilibrium, min_beta_EFX, min_beta_pEFX
 
@@ -364,8 +365,7 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
             if resolved == "approx":
                 result = approx_from_equilibrium(pef1_market, state)
             else:
-                result = k2_from_equilibrium(pef1_market, state.unraised,
-                                             state)
+                result = k2_from_equilibrium(pef1_market, state)
             stages.append(StageSummary(names[1], len(result.trace),
                                        result.trace))
             final = result.market
@@ -428,6 +428,10 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _fmt_status(success: bool) -> str:
+    return "ok" if success else "failed"
+
+
 def _event_line(ev: TraceEvent) -> str:
     parts = [
         f"stage={ev.stage}", f"round={ev.round}", f"kind={ev.kind}",
@@ -446,7 +450,7 @@ def report_text(report: RunReport, *, timings: bool = True) -> str:
              f"digest: {report.digest}",
              f"mode: {report.mode}",
              f"requested-mode: {report.requested_mode}",
-             f"status: {'ok' if report.success else 'failed'}"]
+             f"status: {_fmt_status(report.success)}"]
     if report.error is not None:
         lines.append(f"error: {report.error}")
     lines += [f"n: {report.n}", f"m: {report.m}",
@@ -640,45 +644,89 @@ def parse_report(text: str) -> RunReport:
         error=head.get("error"), timings=timings)
 
 
-# -------------------------------------------------------------------- bench
+# ------------------------------------------------------------ verification
 
-BENCH_COLUMNS = ("n", "m", "k", "high_prob", "seed", "mode", "status",
-                 "pef1_rounds", "stage_rounds", "beta_efx", "beta_pefx",
-                 "equilibrium", "pef1", "ef1", "elapsed_ms")
+def verify_report(inst: Instance, report: RunReport) -> list[str]:
+    """Every inconsistency of a stored report with the instance, in a fixed
+    order; empty when the report verifies.
 
-
-def bench(grid: list[GenParams], *, mode: str = "auto") -> str:
-    """One CSV row per grid cell in order, then one aggregate row per k
-    with the largest envy factor observed for that k.
+    The final verdicts are recomputed on the stored final state.  The
+    entry-* verdicts describe the pEF1 output, so that state is rebuilt by
+    replaying the report's pef1 events on the stored entry state, which
+    must itself be an equilibrium.  oracle-po is taken from the report.
     """
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(BENCH_COLUMNS)
-    worst: dict[str, Fraction | Unbounded] = {}
-    for params in grid:
-        cell = [params.n, params.m, _fmt_rational(params.k),
-                _fmt_rational(params.high_prob), params.seed]
-        report = run_pipeline(gen_instance(params), mode)
-        v = report.verdicts
-        if v is None:
-            writer.writerow(cell + [mode, f"error:{report.error}"] + [""] * 8)
-            continue
-        key = _fmt_rational(params.k)
-        if key not in worst or beta_le(worst[key], v.beta_efx):
-            worst[key] = v.beta_efx
-        stage_rounds = sum(s.rounds for s in report.stages[1:])
-        writer.writerow(cell + [
-            report.mode, "ok" if report.success else "failed",
-            report.stages[0].rounds, stage_rounds,
-            _fmt_rational(v.beta_efx), _fmt_rational(v.beta_pefx),
-            _fmt_bool(v.final_equilibrium), _fmt_bool(v.entry_pef1),
-            _fmt_bool(v.entry_ef1),
-            f"{report.timings.get('total', 0.0) * 1000:.3f}"])
-    for key in sorted(worst):
-        writer.writerow(["aggregate", "", key, "", "", mode, "",
-                         "", "", _fmt_rational(worst[key]), "",
-                         "", "", "", ""])
-    return out.getvalue()
+    problems: list[str] = []
+    if report.digest != instance_digest(inst):
+        problems.append("digest mismatch: report was made for a different instance")
+    if report.verdicts is None:
+        return problems + ["report carries no verdicts"]
+    if sorted(report.new_to_old) != list(range(inst.n)):
+        return problems + ["new-to-old is not a permutation"]
+    # the stored states cannot be built for an instance of another shape
+    shape = [f"{name}: report says {got}, instance has {want}"
+             for name, got, want in (("n", report.n, inst.n),
+                                     ("m", report.m, inst.m),
+                                     ("k", report.k, inst.k),
+                                     ("chores in owner", len(report.owner),
+                                      inst.m))
+             if got != want]
+    if shape:
+        return problems + shape
+    problems += _verify_stages(report)
+    reindexed = relabel_agents(inst, report.new_to_old)
+    # replay the pef1 events, then the later stages' from where they end
+    trace = report.trace
+    cut = next((t for t, ev in enumerate(trace) if ev.stage != "pef1"),
+               len(trace))
+    entry_parts = (report.entry_owner, report.entry_pay_high)
+    final_parts = (report.owner, report.pay_high)
+    try:
+        pef1_parts = replay_trace(*entry_parts, trace[:cut], inst.n, inst.k)
+        replayed = replay_trace(*pef1_parts, trace[cut:], inst.n, inst.k)
+    except ValueError as err:
+        return problems + [f"trace replay failed: {err}"]
+    if replayed != final_parts:
+        problems.append("trace replay does not reach the final state")
+    entry = equilibrium_from_parts(reindexed, *entry_parts)
+    final = equilibrium_from_parts(reindexed, *final_parts)
+    # the pEF1 output is the final state when no later stage moved a
+    # chore, and the entry state when no payment round ran
+    pef1_out = {entry_parts: entry, final_parts: final}.get(pef1_parts) \
+        or equilibrium_from_parts(reindexed, *pef1_parts)
+    if not check_equilibrium(entry).holds:
+        problems.append("the stored entry state is not an equilibrium")
+    v = report.verdicts
+    fresh = compute_verdicts(pef1_out, final, v.oracle_po)
+    for key, name in VERDICT_KEYS:
+        if getattr(fresh, name) != getattr(v, name):
+            problems.append(f"{key}: recomputed {getattr(fresh, name)}, "
+                            f"report says {getattr(v, name)}")
+    if report.mode not in MODE_STAGES or \
+            report.mode != resolve_mode(report.requested_mode, inst.k):
+        problems.append(f"mode: {report.mode!r} is not what requested mode "
+                        f"{report.requested_mode!r} resolves to")
+    status = verdicts_succeed(fresh, report.mode, inst.k)
+    if status != report.success:
+        problems.append(f"status: recomputed {_fmt_status(status)}, "
+                        f"report says {_fmt_status(report.success)}")
+    return problems
+
+
+def _verify_stages(report: RunReport) -> list[str]:
+    """Stage names against the mode; each stage's rounds against its
+    events, which number the rounds 1..R."""
+    problems = []
+    names = [stage.name for stage in report.stages]
+    want = list(MODE_STAGES.get(report.mode, names))
+    if names != want:
+        problems.append(f"stages: {names} are not {want} "
+                        f"for mode {report.mode}")
+    for stage in report.stages:
+        numbers = {ev.round for ev in stage.events}
+        if numbers != set(range(1, stage.rounds + 1)):
+            problems.append(f"stage {stage.name}: rounds={stage.rounds} but "
+                            f"its events number rounds {sorted(numbers)}")
+    return problems
 
 
 def equilibrium_from_parts(instance: Instance, owner: tuple[int, ...],
@@ -693,3 +741,50 @@ def equilibrium_from_parts(instance: Instance, owner: tuple[int, ...],
         raise ValueError("payment flags length does not match m")
     high = int("".join("1" if h else "0" for h in reversed(pay_high)), 2)
     return build_market_state(instance, bundle_masks(owner, n), high)
+
+
+# -------------------------------------------------------------------- bench
+
+BENCH_COLUMNS = ("n", "m", "k", "high_prob", "seed", "mode", "status",
+                 "pef1_rounds", "stage_rounds", "beta_efx", "beta_pefx",
+                 "equilibrium", "pef1", "ef1", "elapsed_ms")
+
+
+def bench(grid: list[GenParams], *, mode: str = "auto") -> tuple[str, int]:
+    """One CSV row per grid cell in order, then one aggregate row per k
+    with the largest envy factor observed for that k; and the count of
+    failed rows: a failed status, or an error other than AlreadyUniform,
+    which is a property of the seed's draw.
+    """
+    failed = 0
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(BENCH_COLUMNS)
+    worst: dict[str, Fraction | Unbounded] = {}
+    for params in grid:
+        cell = [params.n, params.m, _fmt_rational(params.k),
+                _fmt_rational(params.high_prob), params.seed]
+        report = run_pipeline(gen_instance(params), mode)
+        v = report.verdicts
+        if v is None:
+            writer.writerow(cell + [mode, f"error:{report.error}"] + [""] * 8)
+            failed += not report.error.startswith("AlreadyUniform")
+            continue
+        key = _fmt_rational(params.k)
+        if key not in worst or beta_le(worst[key], v.beta_efx):
+            worst[key] = v.beta_efx
+        stage_rounds = sum(s.rounds for s in report.stages[1:])
+        writer.writerow(cell + [
+            report.mode, _fmt_status(report.success),
+            report.stages[0].rounds, stage_rounds,
+            _fmt_rational(v.beta_efx), _fmt_rational(v.beta_pefx),
+            _fmt_bool(v.final_equilibrium), _fmt_bool(v.entry_pef1),
+            _fmt_bool(v.entry_ef1),
+            f"{report.timings.get('total', 0.0) * 1000:.3f}"])
+        failed += not report.success
+    for key in sorted(worst):
+        writer.writerow(["aggregate", "", key, "", "", mode, "",
+                         "", "", _fmt_rational(worst[key]), "",
+                         "", "", "", ""])
+    return out.getvalue(), failed
+

@@ -157,8 +157,9 @@ def normalize_instance(raw: RawInstance) -> Instance:
     distinct values occur, AlreadyUniform if only one does (k would be 1).
     Row scaling keeps the result invariant under per-agent rescaling of the
     input, and normalizing an already normalized matrix is the identity.
-    Entries are keyed by object: parsed and generated rows share one
-    object per value, so a row classifies a few objects.
+    Entries are keyed by object: a generated row shares one object per
+    value, so it classifies a few objects.  Rows read from a file are
+    normalized as they are parsed, by normalize_rows, not here.
     """
     return normalize_rows(raw.n, raw.m, (
         (map(id, row[::-1]), dict(zip(map(id, row), row)))

@@ -89,7 +89,7 @@ def replay_trace(owner, pay_high, events, n: int, k: Fraction
     at cost ratio k.  ValueError when an event does not fit its kind, names
     an agent or chore that does not exist, or states an earning the replay
     does not reach: earn_before and least at the start of its round,
-    earn_after right after it."""
+    earn_after right after it.  Every pef1 event must state least."""
     owner = list(owner)
     pay_high = list(pay_high)
     p, q = k.numerator, k.denominator
@@ -105,6 +105,9 @@ def replay_trace(owner, pay_high, events, n: int, k: Fraction
         _check_earnings(ev, "earn_before", ev.earn_before, start, ev.agents, q)
         if ev.least_earning is not None:
             _check_earnings(ev, "least", (ev.least_earning,), start, least, q)
+        elif ev.stage == "pef1":  # the payment rounds state it every time
+            raise ValueError(
+                f"replay: round {ev.round} {ev.kind} states no least")
         if ev.kind == "raise":
             for e in ev.items:
                 if pay_high[e]:

@@ -147,9 +147,6 @@ def move_market() -> MarketState:
     return _natural_market(2, MOVE_OWNERS, MOVE_HIGH_PAY, raised_agent=5)
 
 
-K2_UNRAISED = frozenset(range(5))
-
-
 # -- hypothesis strategies ---------------------------------------------------
 
 K_VALUES = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(6))

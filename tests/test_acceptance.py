@@ -42,7 +42,7 @@ from chorefair.oracle import is_pareto_optimal
 from chorefair.trace import replay_trace
 from chorefair.verify import beta_le, check_EF1, min_beta_pEFX
 
-from conftest import K2_UNRAISED, golden6_market, move_market, swap_market
+from conftest import golden6_market, move_market, swap_market
 
 ENGINE_FAULTS = (LemmaViolation, PreconditionViolated, MPBViolation,
                  RaiseOverflow, IterationCapExceeded,
@@ -170,7 +170,7 @@ def _timed(fn):
 
 def test_c02_two_valued_swap_script(capsys):
     market = swap_market()
-    result = k2_from_equilibrium(market, K2_UNRAISED)
+    result = k2_from_equilibrium(market)
     assert len(result.trace) == 1
     ev = result.trace[0]
     assert ev.kind == "swap"
@@ -188,7 +188,7 @@ def test_c02_two_valued_swap_script(capsys):
 
 def test_c03_two_valued_move_script(capsys):
     market = move_market()
-    result = k2_from_equilibrium(market, K2_UNRAISED)
+    result = k2_from_equilibrium(market)
     assert len(result.trace) == 1
     ev = result.trace[0]
     assert ev.kind == "move"

@@ -1,6 +1,8 @@
 """Command-line surface: gen, solve, verify, oracle, bench."""
 
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,8 @@ from chorefair.cli import main
 
 from conftest import rotation_instance, save_instance
 
-INPUTS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench", "inputs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+INPUTS = os.path.join(ROOT, "bench", "inputs")
 
 
 @pytest.fixture
@@ -41,11 +43,40 @@ def test_gen_solve_verify_round_trip(paths, capsys):
     assert "ok" in out
 
 
-def test_solve_prints_trace_when_asked(paths, capsys):
+def test_solve_prints_the_report_without_out(paths, capsys):
     gen_ok(paths)
-    assert main(["solve", paths["inst"], "--trace"]) == 0
+    assert main(["solve", paths["inst"]]) == 0
     out = capsys.readouterr().out
     assert "status: ok" in out
+
+
+def run_module(*argv, cwd):
+    """`python -m chorefair ARGV` in a new interpreter, with the package
+    taken from this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"),
+                      os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "chorefair", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_the_module_entry_point_round_trips_and_fails_cleanly(tmp_path):
+    for argv in (["gen", "--n", "4", "--m", "8", "--k", "2", "--seed", "11",
+                  "--out", "demo.inst"],
+                 ["solve", "demo.inst", "--out", "demo.report"],
+                 ["verify", "demo.inst", "demo.report"]):
+        proc = run_module(*argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("verify: ok (fingerprint ")
+    (tmp_path / "bad.inst").write_text(
+        "format: chorefair-instance/1\nkind: raw\nn: 0\nm: 2\n")
+    proc = run_module("solve", "bad.inst", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ParseError: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_solve_out_dash_prints_the_report(paths, capsys, tmp_path,
@@ -282,6 +313,23 @@ def test_verify_rejects_a_false_event_earning(paths, capsys, kind, key):
     err = capsys.readouterr().err
     assert "verify: trace replay failed: replay: " in err
     assert f" {kind} says {key} " in err
+
+
+def test_verify_rejects_a_pef1_event_without_least(paths, capsys):
+    # the payment rounds state the least earning on every event they write
+    assert main(["gen", "--n", "4", "--m", "8", "--k", "2", "--seed", "13",
+                 "--out", paths["inst"]]) == 0
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    text = open(paths["report"]).read()
+    raise_line = next(line for line in text.splitlines()
+                      if " round=1 kind=raise " in line)
+    assert raise_line.endswith(" least=1/1")
+    open(paths["report"], "w").write(
+        text.replace(raise_line, raise_line[:-len(" least=1/1")]))
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    assert capsys.readouterr().err == ("verify: trace replay failed: replay: "
+                                       "round 1 raise states no least\n")
 
 
 MALFORMED_INSTANCES = {

@@ -21,7 +21,6 @@ from chorefair.errors import (
 from chorefair.model import MarketView
 
 from conftest import (
-    K2_UNRAISED,
     generated_instances,
     move_market,
     swap_market,
@@ -36,10 +35,11 @@ def test_swap_market_layout():
     assert z == 4
     assert offsets == {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2}
     assert efx_violation(market) == (4, 0)
+    assert [i for i in range(6) if market.raised(i)] == [5]
 
 
 def test_swap_trades_payment_two_for_payment_one():
-    result = k2_from_equilibrium(swap_market(), K2_UNRAISED)
+    result = k2_from_equilibrium(swap_market())
     assert len(result.trace) == 1
     ev = result.trace[0]
     assert ev.kind == "swap"
@@ -51,7 +51,7 @@ def test_swap_trades_payment_two_for_payment_one():
 
 
 def test_swap_reaches_exact_efx():
-    result = k2_from_equilibrium(swap_market(), K2_UNRAISED)
+    result = k2_from_equilibrium(swap_market())
     beta = min_beta_EFX(result.market).value
     assert beta == Fraction(1)
     assert check_equilibrium(result.market).holds
@@ -65,10 +65,11 @@ def test_move_market_layout():
     assert efx_violation(market) == (4, 0)
     # the target holds only payment-2 chores, so no trade is possible
     assert not market.bundles[0] & ~market.high
+    assert [i for i in range(6) if market.raised(i)] == [5]
 
 
 def test_move_hands_over_one_payment_two_chore():
-    result = k2_from_equilibrium(move_market(), K2_UNRAISED)
+    result = k2_from_equilibrium(move_market())
     assert len(result.trace) == 1
     ev = result.trace[0]
     assert ev.kind == "move"
@@ -81,7 +82,7 @@ def test_move_hands_over_one_payment_two_chore():
 
 
 def test_move_reaches_exact_efx():
-    result = k2_from_equilibrium(move_market(), K2_UNRAISED)
+    result = k2_from_equilibrium(move_market())
     beta = min_beta_EFX(result.market).value
     assert beta == Fraction(1)
     assert check_pEF1(result.market).holds
@@ -161,7 +162,17 @@ def test_a_corrupted_view_fails_the_trade(corrupt, error, match):
     view = _trade_view()
     corrupt(view)
     with pytest.raises(error, match=match):
-        k2_round(view, K2_UNRAISED, 1)
+        k2_round(view, 1)
+
+
+def test_a_raised_agent_in_the_violating_pair_fails_the_trade():
+    # chore 1 costs agents 0..4 one; paying k for it raises them, which the
+    # masks show while the earnings still put (4, 0) at (z + 2, z)
+    view = _trade_view()
+    view.high |= 1 << 1
+    with pytest.raises(LemmaViolation,
+                       match=r"violating pair \(4, 0\) must both be unraised"):
+        k2_round(view, 1)
 
 
 @CORRUPTIONS
@@ -169,7 +180,7 @@ def test_a_view_corrupted_after_a_trade_fails_the_next_check(
         corrupt, error, match):
     # the swap (4, 0) leaves agents 1, 2, 3 and 5 untouched
     view = _trade_view()
-    assert k2_round(view, K2_UNRAISED, 1).agents == (4, 0)
+    assert k2_round(view, 1).agents == (4, 0)
     corrupt(view)
     with pytest.raises(error, match=match):
         view.check_round("trade", (4, 0))
@@ -177,8 +188,8 @@ def test_a_view_corrupted_after_a_trade_fails_the_next_check(
 
 def test_a_trade_on_the_view_matches_the_stage():
     view = _trade_view()
-    event = k2_round(view, K2_UNRAISED, 1)
-    result = k2_from_equilibrium(swap_market(), K2_UNRAISED)
+    event = k2_round(view, 1)
+    result = k2_from_equilibrium(swap_market())
     assert (event,) == result.trace
     assert view.market() == result.market
     assert view.earn_units == list(result.market.earn_units)

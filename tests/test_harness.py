@@ -1,5 +1,7 @@
-"""Generator determinism, text formats, pipeline reports, bench grid."""
+"""Generator determinism, text formats, pipeline reports, report
+verification, bench grid."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from chorefair.harness import (
     parse_rational,
     parse_report,
     report_text,
+    verify_report,
 )
 from chorefair.model import RawInstance, relabel_agents
 from chorefair.trace import replay_trace
@@ -234,6 +237,76 @@ def test_replay_report_reproduces_the_final_state():
     assert pay_high == report.pay_high
 
 
+# ---------------------------------------------------- verify_report directly
+
+def stored(report):
+    """The report as `chorefair verify` reads it back from its file."""
+    return parse_report(report_text(report))
+
+
+def with_pef1_events(report, events):
+    pef1, *later = report.stages
+    return replace(report, stages=(replace(pef1, events=tuple(events)),
+                                   *later))
+
+
+def test_verify_report_names_a_chore_raised_twice():
+    inst = rotation_instance()
+    report = stored(run_pipeline(inst))
+    first, *rest = report.stages[0].events
+    assert first.kind == "raise"
+    # the same raise again, in the same round: its earnings still match
+    tampered = with_pef1_events(report, [first, first, *rest])
+    assert verify_report(inst, tampered) == [
+        f"trace replay failed: replay: chore {first.items[0]} raised twice"]
+
+
+def test_verify_report_names_a_chore_moved_by_a_non_owner():
+    inst = rotation_instance()
+    report = stored(run_pipeline(inst))
+    events = list(report.stages[0].events)
+    t = next(t for t, ev in enumerate(events) if ev.kind == "transfer")
+    giver = events[t].agents[0]
+    owner, _ = replay_trace(report.entry_owner, report.entry_pay_high,
+                            events[:t], inst.n, inst.k)
+    e = next(e for e, o in enumerate(owner) if o != giver)
+    events[t] = replace(events[t], items=(e,))
+    assert verify_report(inst, with_pef1_events(report, events)) == [
+        f"trace replay failed: replay: chore {e} owned by {owner[e]}, "
+        f"event says {giver}"]
+
+
+def test_verify_report_rejects_a_new_to_old_that_is_no_permutation():
+    inst = rotation_instance()
+    report = stored(run_pipeline(inst))
+    assert verify_report(inst, report) == []
+    tampered = replace(report, new_to_old=(0,) * inst.n)
+    assert verify_report(inst, tampered) == [
+        "new-to-old is not a permutation"]
+
+
+# (n, m, k, high_prob, seed) of drawn instances whose payment rounds and
+# later stage both move chores: a move at k = 2, a bundle_swap at k = 3
+ROUNDS_THEN_STAGE = [(4, 8, 2, Fraction(3, 4), 52),
+                     (5, 8, 3, Fraction(1, 2), 47)]
+
+
+@pytest.mark.parametrize("params", ROUNDS_THEN_STAGE)
+def test_verify_report_rebuilds_the_pef1_output_between_the_stages(params):
+    inst = normalize_instance(gen_instance(GenParams(*params)))
+    report = stored(run_pipeline(inst))
+    pef1, stage = report.stages
+    assert pef1.rounds > 0 and stage.rounds > 0
+    pef1_parts = replay_trace(report.entry_owner, report.entry_pay_high,
+                              pef1.events, inst.n, inst.k)
+    assert pef1_parts[0] not in (report.entry_owner, report.owner)
+    assert verify_report(inst, report) == []
+    # the entry-* verdicts are judged on that rebuilt state
+    forged = replace(report.verdicts, entry_ef1=False)
+    assert verify_report(inst, replace(report, verdicts=forged)) == [
+        "entry-ef1: recomputed True, report says False"]
+
+
 @pytest.mark.parametrize("owner, message", [
     ((0, 0), "allocation length"),
     ((0, 0, 2), "owner out of range"),
@@ -257,7 +330,8 @@ def test_bench_emits_one_row_per_cell_plus_aggregates():
             for n in (2, 3)
             for k in (Fraction(2), Fraction(3))
             for seed in (0, 1)]
-    csv = bench(grid)
+    csv, failed = bench(grid)
+    assert failed == 0
     lines = csv.strip().splitlines()
     header, rows = lines[0], lines[1:]
     assert header.split(",")[:5] == ["n", "m", "k", "high_prob", "seed"]

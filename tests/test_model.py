@@ -333,6 +333,16 @@ def test_check_round_catches_an_edit_between_two_checks(edit, error,
         assert str(caught.value) == message
 
 
+def test_move_rejects_a_chore_outside_the_receivers_mpb_set():
+    # chore 1 costs agent 1 k at payment 1; the bundles stay as they were
+    inst = owned_instance(2, [0, 0, 1, 1])
+    view = MarketView(build_market_state(inst, (0b0011, 0b1100), 0))
+    with pytest.raises(MPBViolation) as caught:
+        view.move(1, 0, 1)
+    assert str(caught.value) == "chore 1 is not ratio-minimal for agent 1"
+    assert view.bundles == [0b0011, 0b1100]
+
+
 def _solver_states(inst):
     """The entry market of the instance's pEF1 run, and the (bundles, high)
     of each market along the run from the entry on."""

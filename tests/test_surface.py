@@ -119,3 +119,20 @@ def test_the_readme_names_exactly_the_cli_options():
                for action in sub._actions for opt in action.option_strings
                if opt.startswith("--") and opt != "--help"}
     assert named == options
+
+
+def test_the_cli_leaves_the_report_contract_to_the_harness():
+    """cli.py imports nothing from the trace or verify modules: the rules
+    of a valid report live in harness.verify_report."""
+    with open(os.path.join(ROOT, "src", "chorefair", "cli.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert not modules & {".trace", ".verify", "chorefair.trace",
+                          "chorefair.verify"}
+    assert ".harness" in modules
