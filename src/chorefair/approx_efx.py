@@ -31,11 +31,14 @@ def strong_envy_target(market: MarketState | MarketView
     p, q = market.pay_high, market.pay_low
     earn = market.earn_units
     kernel = market.kernel
+    scale = 2 * p - q
     for i, row in enumerate(kernel.cost):
         lhs = p * kernel.residual(i)
-        targets = [j for j, c in enumerate(row)
-                   if j != i and lhs > (2 * p - q) * c]
-        if targets:
+        # lhs <= p * row[i] <= scale * row[i], so i never fails against its
+        # own bundle: read the row minimum, and list the targets only when
+        # some j fails
+        if lhs > scale * min(row):
+            targets = [j for j, c in enumerate(row) if lhs > scale * c]
             return i, min(targets, key=lambda j: (earn[j], j))
     return None
 

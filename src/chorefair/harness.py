@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import time
+from math import gcd
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -110,6 +111,12 @@ def _fmt_rational(x: Fraction | Unbounded) -> str:
 
 
 def parse_rational(token: str, where: str = "value") -> Fraction:
+    return Fraction(*_parse_pair(token, where))
+
+
+def _parse_pair(token: str, where: str) -> tuple[int, int]:
+    """A 'p/q' or 'p' token's value as (numerator, denominator) in lowest
+    terms with a positive denominator, as a Fraction holds it."""
     try:
         if "/" in token:
             num_s, den_s = token.split("/", 1)
@@ -120,7 +127,8 @@ def parse_rational(token: str, where: str = "value") -> Fraction:
         raise ParseError(f"{where}: not a rational: {token!r}") from None
     if den == 0:
         raise ParseError(f"{where}: zero denominator in {token!r}")
-    return Fraction(num, den)
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def _parse_spellings(tokens: list[str], where: str,
@@ -187,14 +195,21 @@ def load_instance(path: str) -> Instance:
         return parse_instance(fh.read())
 
 
+# the fields of each kind of instance file, besides its row lines
+_INSTANCE_FIELDS = {"normalized": ("kind", "n", "m", "k"),
+                    "raw": ("kind", "n", "m")}
+
+
 def parse_instance(text: str) -> Instance:
     """The normalized instance of an instance file's text, raw or normalized.
 
     A normalized row is its cost-1 mask, read by one translate.  A raw row
-    is read in one pass: its distinct spellings are parsed once each and
-    classified by value, and its mask is emitted directly.  A ParseError
-    names the first bad token in row order, and beats a normalize error in
-    an earlier row (see normalize_rows).
+    is read in one pass: each spelling new to the file is parsed once into
+    an integer (numerator, denominator) pair, the row's pairs are
+    classified by cross-multiplication, and its mask is emitted directly.
+    A ParseError names the first bad token in row order, and beats a
+    normalize error in an earlier row (see normalize_rows).  A field the
+    file's kind does not define is a ParseError naming its line.
     """
     head: dict[str, str] = {}
     head_line: dict[str, int] = {}
@@ -218,8 +233,16 @@ def parse_instance(text: str) -> Instance:
                 f"line {head_line[key]}: field {key} must be at least 1")
     if len(rows) != n:
         raise ParseError(f"expected {n} row lines, found {len(rows)}")
+    kind = head["kind"]
+    if kind not in _INSTANCE_FIELDS:
+        raise ParseError(f"unknown kind {kind!r}")
+    stray = next((key for key in head if key not in _INSTANCE_FIELDS[kind]),
+                 None)
+    if stray is not None:
+        raise ParseError(f"line {head_line[stray]}: kind {kind} has no "
+                         f"field {stray!r}")
 
-    if head["kind"] == "normalized":
+    if kind == "normalized":
         if "k" not in head:
             raise ParseError("missing field 'k'")
         k = parse_rational(head["k"], "field k")
@@ -234,22 +257,29 @@ def parse_instance(text: str) -> Instance:
                     f"line {lineno}: row has no cost-1 chore (a 0 entry)")
             masks.append(int(value[::-1].translate(_LOW_DIGITS), 2))
         return Instance(n, m, k, low_masks=tuple(masks))
-    if head["kind"] == "raw":
-        return normalize_rows(n, m, _raw_rows(rows, m))
-    raise ParseError(f"unknown kind {head['kind']!r}")
+    return normalize_rows(n, m, _raw_rows(rows, m))
 
 
 def _raw_rows(rows: list[tuple[int, str]], m: int):
-    """Per raw row line, its tokens last first and each distinct spelling's
-    value, as normalize_rows takes them; one row's tokens at a time."""
-    known: dict[str, Fraction] = {}
+    """Per raw row line, its tokens and each distinct spelling's value pair,
+    as normalize_rows takes them; one row's tokens at a time.  A spelling
+    new to the file is parsed once; on a bad one, a pass over the row's
+    spellings in first-seen order names the first bad token."""
+    known: dict[str, tuple[int, int]] = {}
     for lineno, value in rows:
         tokens = value.split()
         if len(tokens) != m:
             raise ParseError(
                 f"line {lineno}: expected {m} entries, found {len(tokens)}")
-        yield reversed(tokens), _parse_spellings(tokens, f"line {lineno}",
-                                                 known)
+        spellings, where = set(tokens), f"line {lineno}"
+        try:
+            for t in spellings.difference(known):
+                known[t] = _parse_pair(t, where)
+        except ParseError:
+            for t in dict.fromkeys(tokens):
+                _parse_pair(t, where)
+            raise
+        yield tokens, {t: known[t] for t in spellings}
 
 
 def instance_digest(instance: Instance) -> str:
@@ -548,6 +578,14 @@ def _parse_event(lineno: int, body: str,
         raise ParseError(f"line {lineno}: event missing {missing}") from None
 
 
+# the header fields report_text writes; verdict, stage, event and timing
+# lines are told apart by their keys
+_REPORT_FIELDS = frozenset((
+    "digest", "mode", "requested-mode", "status", "error", "n", "m", "k",
+    "new-to-old", "entry-owner", "entry-pay-high", "owner", "pay-high"))
+_VERDICT_NAMES = frozenset(key for key, _ in VERDICT_KEYS)
+
+
 def load_report(path: str) -> RunReport:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_report(fh.read())
@@ -586,15 +624,20 @@ def parse_report(text: str) -> RunReport:
                 raise ParseError(f"line {lineno}: event outside a stage")
             events.append(_parse_event(lineno, value, known))
         elif key.startswith("verdict "):
-            verdict_raw[key[len("verdict "):]] = value
+            name = key[len("verdict "):]
+            if name not in _VERDICT_NAMES:
+                raise ParseError(f"line {lineno}: unknown verdict {name!r}")
+            verdict_raw[name] = value
         elif key.startswith("timing "):
             try:
                 timings[key[len("timing "):]] = float(value)
             except ValueError:
                 raise ParseError(f"line {lineno}: timing is not a number: "
                                  f"{value!r}") from None
-        else:
+        elif key in _REPORT_FIELDS:
             head[key] = value
+        else:
+            raise ParseError(f"line {lineno}: unknown field {key!r}")
     close_stage()
 
     def want(key):
@@ -664,12 +707,20 @@ def verify_report(inst: Instance, report: RunReport) -> list[str]:
         return problems + ["new-to-old is not a permutation"]
     # the stored states cannot be built for an instance of another shape
     shape = [f"{name}: report says {got}, instance has {want}"
-             for name, got, want in (("n", report.n, inst.n),
-                                     ("m", report.m, inst.m),
-                                     ("k", report.k, inst.k),
-                                     ("chores in owner", len(report.owner),
-                                      inst.m))
+             for name, got, want in (
+                 ("n", report.n, inst.n), ("m", report.m, inst.m),
+                 ("k", report.k, inst.k),
+                 ("chores in owner", len(report.owner), inst.m),
+                 ("chores in pay-high", len(report.pay_high), inst.m),
+                 ("chores in entry-owner", len(report.entry_owner), inst.m),
+                 ("chores in entry-pay-high", len(report.entry_pay_high),
+                  inst.m))
              if got != want]
+    for key, owner in (("owner", report.owner),
+                       ("entry-owner", report.entry_owner)):
+        stray = next((o for o in owner if not 0 <= o < inst.n), None)
+        if stray is not None:
+            shape.append(f"{key}: agent {stray} is not in 0..{inst.n - 1}")
     if shape:
         return problems + shape
     problems += _verify_stages(report)

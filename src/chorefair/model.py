@@ -16,8 +16,8 @@ from itertools import compress, count
 from operator import ne
 from typing import Iterable, Sequence
 
-from .errors import (AlreadyUniform, InternalInvariant, LemmaViolation,
-                     MPBViolation, NotBiValued, ZeroCost)
+from .errors import (AlreadyUniform, ChorefairError, InternalInvariant,
+                     LemmaViolation, MPBViolation, NotBiValued, ZeroCost)
 
 ONE = Fraction(1)
 
@@ -112,42 +112,61 @@ class Instance:
 def normalize_rows(n: int, m: int, rows: Iterable) -> Instance:
     """The normalized instance of n raw rows of m entries, one mask each.
 
-    Each row comes as (cells, value_of): value_of maps each distinct key
-    of the row (a spelling, or an object's id), in first-seen order, to its
-    value, and cells are the row's keys, last chore first.  The values are
-    classified once each and the row's cost-1 mask is one map over the
-    cells.  The first ZeroCost or NotBiValued is raised only after the last
-    row is drawn, so an error that drawing a row raises comes first.
+    Each row comes as (cells, value_of): cells are the row's keys (a
+    spelling, or an object's id) in chore order, and value_of maps each
+    distinct key to its value as an integer pair (numerator, denominator)
+    in lowest terms with a positive denominator, so equal values are equal
+    pairs.  A row's two values are ordered, and the row ratios compared, by
+    cross-multiplication; k is the one Fraction built, and the row's cost-1
+    mask is one map over the cells.  Only a faulty row builds Fractions, in
+    first-seen order, for its message.  The first ZeroCost or NotBiValued
+    is raised only after the last row is drawn, so an error that drawing a
+    row raises comes first.
     """
     ratio, masks, fault = None, [], None
     for i, (cells, value_of) in enumerate(rows):
         if fault is not None:
             continue
-        values = list(dict.fromkeys(value_of.values()))
-        low = min(values)
-        bad = next((c for c in values if c <= 0), None)
-        if bad is not None:
-            fault = ZeroCost(f"cost {bad} is not strictly positive")
+        values = set(value_of.values())
+        # the least pair has the least numerator, nonpositive if any is
+        if len(values) > 2 or min(values)[0] <= 0:
+            fault = _row_fault(i, [Fraction(*value_of[key])
+                                   for key in dict.fromkeys(cells)])
             continue
-        if len(values) > 2:
-            scaled = sorted({c / low for c in values})
-            fault = NotBiValued(
-                f"agent {i} has {len(scaled)} distinct scaled costs: {scaled}")
-            continue
-        if len(values) == 2:  # a uniform row is all cost 1
-            row_ratio = Fraction(max(values)) / low
-            if ratio is not None and row_ratio != ratio:
+        low = values.pop()
+        if values:  # a uniform row is all cost 1
+            high = values.pop()
+            if high[0] * low[1] < low[0] * high[1]:
+                low, high = high, low
+            row_ratio = high[0] * low[1], high[1] * low[0]
+            if ratio is not None and \
+                    row_ratio[0] * ratio[1] != ratio[0] * row_ratio[1]:
                 fault = NotBiValued(
-                    f"rows disagree on the cost ratio: {ratio} vs {row_ratio}")
+                    f"rows disagree on the cost ratio: {Fraction(*ratio)} "
+                    f"vs {Fraction(*row_ratio)}")
                 continue
             ratio = row_ratio
-        digit = {key: "1" if c == low else "0" for key, c in value_of.items()}
-        masks.append(int("".join(map(digit.__getitem__, cells)), 2))
+        digit = {key: "1" if value == low else "0"
+                 for key, value in value_of.items()}
+        masks.append(int("".join(map(digit.__getitem__, reversed(cells))), 2))
     if fault is not None:
         raise fault
     if ratio is None:
         raise AlreadyUniform("every row is uniform; ratio k would be 1")
-    return Instance(n, m, ratio, low_masks=tuple(masks))
+    return Instance(n, m, Fraction(*ratio), low_masks=tuple(masks))
+
+
+def _row_fault(i: int, values: list[Fraction]) -> ChorefairError:
+    """The ZeroCost or NotBiValued of agent i's row, from its values in
+    first-seen order: a nonpositive value, else a third one."""
+    values = list(dict.fromkeys(values))
+    bad = next((c for c in values if c <= 0), None)
+    if bad is not None:
+        return ZeroCost(f"cost {bad} is not strictly positive")
+    low = min(values)
+    scaled = sorted({c / low for c in values})
+    return NotBiValued(
+        f"agent {i} has {len(scaled)} distinct scaled costs: {scaled}")
 
 
 def normalize_instance(raw: RawInstance) -> Instance:
@@ -161,9 +180,12 @@ def normalize_instance(raw: RawInstance) -> Instance:
     value, so it classifies a few objects.  Rows read from a file are
     normalized as they are parsed, by normalize_rows, not here.
     """
-    return normalize_rows(raw.n, raw.m, (
-        (map(id, row[::-1]), dict(zip(map(id, row), row)))
-        for row in raw.costs))
+    def keyed(row):
+        cells = list(map(id, row))
+        distinct = dict(zip(cells, row))  # one entry per object
+        return cells, {key: (c.numerator, c.denominator) for key, c in
+                       zip(distinct, map(as_rational, distinct.values()))}
+    return normalize_rows(raw.n, raw.m, map(keyed, raw.costs))
 
 
 def relabel_agents(instance: Instance, new_to_old: Sequence[int]) -> Instance:

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import getitem, sub
+from typing import Iterable
 
-from .model import EnvyKernel, MarketState
+from .model import ONE, EnvyKernel, MarketState
 
 
 class Unbounded:
@@ -110,10 +113,12 @@ def min_beta_pEFX(state: MarketState) -> BetaResult:
     bundle pays nothing.
     """
     q, p = state.pay_low, state.pay_high
+    earn = state.earn_units
     # less the cheapest payment: q when some chore of b pays 1
-    residuals = [earn - ((q if b & ~state.high else p) if b else 0)
-                 for b, earn in zip(state.bundles, state.earn_units)]
-    return _min_beta(residuals, lambda i: state.earn_units)
+    residuals = [e - ((q if b & ~state.high else p) if b else 0)
+                 for b, e in zip(state.bundles, earn)]
+    # every pair compares against the same earnings, whose minimum is read once
+    return _min_beta(residuals, repeat(earn), min(earn))
 
 
 def check_EF1(state: MarketState) -> FairnessVerdict:
@@ -123,13 +128,16 @@ def check_EF1(state: MarketState) -> FairnessVerdict:
     for i, row in enumerate(kernel.cost):
         costly = bundles[i] & ~instance.low_masks[i]  # i's cost-k chores
         lhs_units = row[i] - (p if costly else q if bundles[i] else 0)
-        for j, rhs_units in enumerate(row):
-            if j != i and lhs_units > rhs_units:
-                # the first chore of largest cost in i's bundle
-                top = costly or bundles[i]
-                drop = (top & -top).bit_length() - 1
-                return FairnessVerdict(False, Witness(
-                    i, j, drop, Fraction(lhs_units, q), Fraction(rhs_units, q)))
+        # lhs_units <= row[i], so i's own column never fails: read the row
+        # minimum, and find the first failing j only when some j fails
+        if lhs_units > min(row):
+            j = next(j for j, rhs_units in enumerate(row)
+                     if lhs_units > rhs_units)
+            # the first chore of largest cost in i's bundle
+            top = costly or bundles[i]
+            drop = (top & -top).bit_length() - 1
+            return FairnessVerdict(False, Witness(
+                i, j, drop, Fraction(lhs_units, q), Fraction(row[j], q)))
     return _OK
 
 
@@ -141,31 +149,38 @@ def min_beta_EFX(state: MarketState) -> BetaResult:
 def kernel_beta_EFX(kernel: EnvyKernel) -> BetaResult:
     """min_beta_EFX read off an envy kernel alone, for callers (the oracle)
     that score bundles without building a market."""
-    return _min_beta([kernel.residual(i) for i in range(len(kernel.cost))],
-                     kernel.cost.__getitem__)
+    cost = kernel.cost
+    # each kernel.residual(i), read at C speed off the diagonal
+    residuals = map(sub, map(getitem, cost, range(len(cost))), kernel.cheapest)
+    return _min_beta(residuals, cost)
 
 
-def _min_beta(residuals: list[int], against) -> BetaResult:
-    """Shared scan: maximize residuals[i]/against(i)[j] over ordered pairs.
+def _min_beta(residuals: Iterable[int], rows: Iterable[list[int]],
+              low: int | None = None) -> BetaResult:
+    """Shared scan: maximize residuals[i]/rows[i][j] over ordered pairs
+    i != j.  low, when given, is the minimum of every row.
 
-    Ratios are compared by cross-multiplying their integer parts; the first
-    maximal pair wins and one Fraction is built at the end.
+    A positive residuals[i] is below rows[i][i] (the cheapest chore or
+    payment is dropped from it), so i's own column only yields ratios below
+    1, where beta is clamped, and never a zero.  Row i's best ratio is
+    therefore residuals[i]/min(rows[i]) wherever it matters, taken at the
+    first j holding that minimum, which is not i.  Ratios are compared by
+    cross-multiplying their integer parts; the first maximal pair wins and
+    one Fraction is built at the end.
     """
-    best_num, best_den = 0, 1
-    best_pair: tuple[int, int] | None = None
-    for i, num in enumerate(residuals):
+    best_num, best_den, best_i, best_row = 0, 1, None, None
+    for i, (num, row) in enumerate(zip(residuals, rows)):
         if num == 0:
             continue  # removing the cheapest chore clears the bundle's excess
-        for j, den in enumerate(against(i)):
-            if i == j:
-                continue
-            if den == 0:
-                return BetaResult(UNBOUNDED, (i, j))
-            if best_pair is None or num * best_den > best_num * den:
-                best_num, best_den, best_pair = num, den, (i, j)
-    if best_pair is None or best_num < best_den:
+        den = min(row) if low is None else low
+        if den == 0:
+            return BetaResult(UNBOUNDED, (i, row.index(0)))
+        if best_row is None or num * best_den > best_num * den:
+            best_num, best_den, best_i, best_row = num, den, i, row
+    if best_row is None or best_num < best_den:
         # beta is defined for beta >= 1; with no pair forcing more the notion
         # holds vacuously at 1 (single agent, no envy, or all singletons)
-        return BetaResult(Fraction(1), None)
-    return BetaResult(Fraction(best_num, best_den), best_pair)
+        return BetaResult(ONE, None)
+    return BetaResult(Fraction(best_num, best_den),
+                      (best_i, best_row.index(best_den)))
 

@@ -570,3 +570,53 @@ def test_bad_gen_and_bench_options_exit_2_naming_the_option(paths, capsys,
     err = capsys.readouterr().err
     assert err.startswith("ParseError: ")
     assert option in err
+
+
+# a field its file kind does not define, and the line it sits on
+UNDEFINED_INSTANCE_FIELDS = {
+    "raw k": (("kind: raw", "n: 2", "m: 2", "k: 7/1", "row: 1 2",
+               "row: 3 6"), 5, "kind raw has no field 'k'"),
+    "normalized seed": (("kind: normalized", "n: 1", "m: 2", "k: 2",
+                         "seed: 4", "row: 01"), 6,
+                        "kind normalized has no field 'seed'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDEFINED_INSTANCE_FIELDS))
+def test_an_undefined_instance_field_exits_2_naming_its_line(paths, capsys,
+                                                            case):
+    body, lineno, problem = UNDEFINED_INSTANCE_FIELDS[case]
+    lines = ("format: chorefair-instance/1",) + body
+    open(paths["inst"], "w").write("\n".join(lines) + "\n")
+    assert main(["solve", paths["inst"]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ParseError: line {lineno}: {problem}\n"
+
+
+# a line no report defines, inserted after the format line
+UNDEFINED_REPORT_FIELDS = {
+    "header": ("bogus: 1", "unknown field 'bogus'"),
+    "verdict": ("verdict made-up: true", "unknown verdict 'made-up'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDEFINED_REPORT_FIELDS))
+def test_an_undefined_report_field_exits_2_naming_its_line(paths, capsys,
+                                                          kind):
+    extra, problem = UNDEFINED_REPORT_FIELDS[kind]
+    lines = solved_report_lines(paths)
+    lines.insert(1, extra)
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ParseError: line 2: {problem}\n"
+
+
+def test_a_timing_line_of_any_name_still_verifies(paths, capsys):
+    lines = solved_report_lines(paths)
+    lines.append("timing anything-at-all: 0.25")
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 0
+    assert capsys.readouterr().out.startswith("verify: ok")

@@ -285,6 +285,31 @@ def test_verify_report_rejects_a_new_to_old_that_is_no_permutation():
         "new-to-old is not a permutation"]
 
 
+# a report built in code whose stored vectors do not fit the instance: each
+# is a problem that verify_report returns, not a ValueError it raises
+MIS_SHAPED = {
+    "pay-high short": (lambda r: {"pay_high": r.pay_high[:-1]},
+                       "chores in pay-high: report says 16, instance has 17"),
+    "entry-pay-high long": (
+        lambda r: {"entry_pay_high": r.entry_pay_high + (False,)},
+        "chores in entry-pay-high: report says 18, instance has 17"),
+    "entry-owner short": (lambda r: {"entry_owner": r.entry_owner[1:]},
+                          "chores in entry-owner: report says 16, "
+                          "instance has 17"),
+    "owner index n": (lambda r: {"owner": (4,) + r.owner[1:]},
+                      "owner: agent 4 is not in 0..3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIS_SHAPED))
+def test_verify_report_returns_a_mis_shaped_vector_as_a_problem(case):
+    change, problem = MIS_SHAPED[case]
+    inst = rotation_instance()
+    report = run_pipeline(inst)
+    assert (inst.n, inst.m) == (4, 17)
+    assert verify_report(inst, replace(report, **change(report))) == [problem]
+
+
 # (n, m, k, high_prob, seed) of drawn instances whose payment rounds and
 # later stage both move chores: a move at k = 2, a bundle_swap at k = 3
 ROUNDS_THEN_STAGE = [(4, 8, 2, Fraction(3, 4), 52),
@@ -455,6 +480,129 @@ def test_parse_then_normalize_matches_the_per_token_reference(rows):
         raw = RawInstance(len(rows), len(rows[0]), costs)
         assert outcome(normalize_instance, raw) == \
             outcome(reference_normalize, costs)
+
+
+# -- the Fraction path that integer pairs replaced, kept as the reference:
+# each spelling parsed to a Fraction, the values of a row classified by
+# Fraction comparison and division, in first-seen order
+
+def fraction_rational(token, where):
+    try:
+        if "/" in token:
+            num_s, den_s = token.split("/", 1)
+            num, den = int(num_s), int(den_s)
+        else:
+            num, den = int(token), 1
+    except ValueError:
+        raise ParseError(f"{where}: not a rational: {token!r}") from None
+    if den == 0:
+        raise ParseError(f"{where}: zero denominator in {token!r}")
+    return Fraction(num, den)
+
+
+def fraction_raw_rows(rows, m):
+    known = {}
+    for lineno, value in rows:
+        tokens = value.split()
+        if len(tokens) != m:
+            raise ParseError(
+                f"line {lineno}: expected {m} entries, found {len(tokens)}")
+        spellings = dict.fromkeys(tokens)
+        for t in spellings:
+            if t not in known:
+                known[t] = fraction_rational(t, f"line {lineno}")
+            spellings[t] = known[t]
+        yield reversed(tokens), spellings
+
+
+def fraction_normalize_rows(n, m, rows):
+    ratio, masks, fault = None, [], None
+    for i, (cells, value_of) in enumerate(rows):
+        if fault is not None:
+            continue
+        values = list(dict.fromkeys(value_of.values()))
+        low = min(values)
+        bad = next((c for c in values if c <= 0), None)
+        if bad is not None:
+            fault = ZeroCost(f"cost {bad} is not strictly positive")
+            continue
+        if len(values) > 2:
+            scaled = sorted({c / low for c in values})
+            fault = NotBiValued(
+                f"agent {i} has {len(scaled)} distinct scaled costs: {scaled}")
+            continue
+        if len(values) == 2:
+            row_ratio = Fraction(max(values)) / low
+            if ratio is not None and row_ratio != ratio:
+                fault = NotBiValued(
+                    f"rows disagree on the cost ratio: {ratio} vs {row_ratio}")
+                continue
+            ratio = row_ratio
+        digit = {key: "1" if c == low else "0" for key, c in value_of.items()}
+        masks.append(int("".join(map(digit.__getitem__, cells)), 2))
+    if fault is not None:
+        raise fault
+    if ratio is None:
+        raise AlreadyUniform("every row is uniform; ratio k would be 1")
+    return Instance(n, m, ratio, low_masks=tuple(masks))
+
+
+# each positive value under its spellings, signs and unreduced forms
+# included; rows drawn from two of them share ratio 2, 3, 3/2, ...
+SPELLED_VALUES = (("1", "1/1", "2/2", "-1/-1"), ("2", "4/2", "-2/-1"),
+                  ("3", "6/2", "-6/-2"), ("1/2", "2/4", "-1/-2", "3/6"),
+                  ("3/2", "6/4", "-3/-2"), ("4", "8/2"))
+NONPOSITIVE = ("0", "0/7", "-1", "1/-2", "-3/2")
+MALFORMED = ("x", "1/", "/2", "1//2", "3/0", "0/0", "1.5", "+-1")
+
+
+@st.composite
+def spelled_rows(draw):
+    """Raw row lines: each row spells one to three values, maybe with a
+    nonpositive one; then maybe malformed tokens in one row or a wrong
+    count."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        values = draw(st.lists(st.sampled_from(SPELLED_VALUES), min_size=1,
+                               max_size=3, unique=True))
+        palette = [t for spellings in values for t in spellings]
+        if draw(st.integers(0, 5)) == 0:
+            palette.append(draw(st.sampled_from(NONPOSITIVE)))
+        rows.append(draw(st.lists(st.sampled_from(palette), min_size=m,
+                                  max_size=m)))
+    fault = draw(st.sampled_from(("none", "none", "token", "count")))
+    r = draw(st.integers(0, n - 1))
+    if fault == "token":  # one or more, so that the first one must be named
+        for e in draw(st.sets(st.integers(0, m - 1), min_size=1)):
+            rows[r][e] = draw(st.sampled_from(MALFORMED))
+    elif fault == "count":
+        if draw(st.booleans()):
+            rows[r].append("1")
+        else:
+            rows[r].pop()
+    return m, rows
+
+
+@given(spelled_rows())
+@example((2, [["1", "2"], ["-1/-2", "1"]]))  # ratio 2, signs cancelled
+@example((2, [["1", "3"], ["1/2", "2/4"], ["2", "4/2"]]))  # uniform rows
+@example((3, [["1", "2", "3"], ["2", "x", "1"]]))  # third value, then bad
+@example((2, [["0", "1"], ["1", "1", "1"]]))  # zero cost, then a count
+@example((2, [["1", "2"], ["3/2", "1/2"]]))  # ratios 2 and 3
+@example((2, [["1", "2"], ["2", "4"], ["1/2", "1"]]))  # ratio 2, unreduced
+@example((4, [["1", "x", "1/", "3/0"]]))  # three bad tokens, first named
+@settings(max_examples=300)
+def test_parse_instance_matches_the_fraction_path(case):
+    m, rows = case
+    lines = [" ".join(row) for row in rows]
+    text = "\n".join(["format: chorefair-instance/1", "kind: raw",
+                      f"n: {len(rows)}", f"m: {m}"]
+                     + ["row: " + line for line in lines]) + "\n"
+    numbered = [(5 + i, line) for i, line in enumerate(lines)]
+    assert outcome(parse_instance, text) == outcome(
+        lambda: fraction_normalize_rows(len(rows), m,
+                                        fraction_raw_rows(numbered, m)))
 
 
 EARNINGS = ("3", "3/1", "6/2", "5/2", "10/4", "0", "-1/2", "x", "2/0", "1/")

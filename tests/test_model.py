@@ -114,6 +114,12 @@ def test_normalize_accepts_int_rows_built_without_raw_instance():
                                  (False, False, False))
 
 
+def test_normalize_rejects_float_rows_built_without_raw_instance():
+    # floats are not exact: the same TypeError that raw_instance raises
+    with pytest.raises(TypeError, match="floats are not exact"):
+        normalize_instance(RawInstance(1, 2, ((1.0, 2.0),)))
+
+
 def test_normalize_treats_uniform_row_as_all_low():
     # row 1 is uniformly 2: scaled by its own min it is all ones
     inst = normalize_instance(raw_instance([[1, 2], [2, 2]]))

@@ -136,3 +136,18 @@ def test_the_cli_leaves_the_report_contract_to_the_harness():
     assert not modules & {".trace", ".verify", "chorefair.trace",
                           "chorefair.verify"}
     assert ".harness" in modules
+
+
+def test_every_module_parses_at_the_oldest_declared_python():
+    """pyproject.toml's requires-python floor, checked with the grammar of
+    that version, since the suite itself runs on a newer interpreter."""
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        floor = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"',
+                          fh.read())
+    version = (int(floor[1]), int(floor[2]))
+    package = os.path.join(ROOT, "src", "chorefair")
+    modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
+    assert "model.py" in modules
+    for fname in modules:
+        with open(os.path.join(package, fname), encoding="utf-8") as fh:
+            ast.parse(fh.read(), fname, feature_version=version)

@@ -3,9 +3,10 @@
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from chorefair import check_equilibrium, check_pEF1, min_beta_EFX
+from chorefair import Instance, check_equilibrium, check_pEF1, min_beta_EFX
+from chorefair.approx_efx import strong_envy_target
 from chorefair.efx_k2 import efx_violation
 from chorefair.model import EnvyKernel, bundle_masks
 from chorefair.verify import (
@@ -13,11 +14,14 @@ from chorefair.verify import (
     UNBOUNDED,
     Witness,
     beta_le,
+    BetaResult,
     check_EF1,
+    kernel_beta_EFX,
     min_beta_pEFX,
 )
 
-from conftest import instances, market_from_parts, owned_instance, unit_cost
+from conftest import (K_VALUES, high_matrices, instances, market_from_parts,
+                      owned_instance, unit_cost)
 from test_oracle import _cost_matrix, _exact_efx
 
 
@@ -288,3 +292,122 @@ def test_payment_verifiers_match_a_per_chore_reference(case):
     result = min_beta_pEFX(market)
     assert (result.value, result.binding_pair) == \
         naive_beta_pefx(inst, owner, high_pay)
+
+
+# -- the O(n^2) pair loops that the row-minimum scans replaced, kept as the
+# reference: each visits every ordered pair (i, j) in order
+
+def pairwise_min_beta(residuals, against):
+    best_num, best_den = 0, 1
+    best_pair = None
+    for i, num in enumerate(residuals):
+        if num == 0:
+            continue
+        for j, den in enumerate(against(i)):
+            if i == j:
+                continue
+            if den == 0:
+                return BetaResult(UNBOUNDED, (i, j))
+            if best_pair is None or num * best_den > best_num * den:
+                best_num, best_den, best_pair = num, den, (i, j)
+    if best_pair is None or best_num < best_den:
+        return BetaResult(Fraction(1), None)
+    return BetaResult(Fraction(best_num, best_den), best_pair)
+
+
+def pairwise_kernel_beta(kernel):
+    return pairwise_min_beta([kernel.residual(i)
+                              for i in range(len(kernel.cost))],
+                             kernel.cost.__getitem__)
+
+
+def pairwise_beta_pefx(state):
+    q, p = state.pay_low, state.pay_high
+    residuals = [earn - ((q if b & ~state.high else p) if b else 0)
+                 for b, earn in zip(state.bundles, state.earn_units)]
+    return pairwise_min_beta(residuals, lambda i: state.earn_units)
+
+
+def pairwise_ef1(state):
+    instance, bundles, kernel = state.instance, state.bundles, state.kernel
+    p, q = instance.high_units, instance.unit
+    for i, row in enumerate(kernel.cost):
+        costly = bundles[i] & ~instance.low_masks[i]
+        lhs_units = row[i] - (p if costly else q if bundles[i] else 0)
+        for j, rhs_units in enumerate(row):
+            if j != i and lhs_units > rhs_units:
+                top = costly or bundles[i]
+                drop = (top & -top).bit_length() - 1
+                return FairnessVerdict(False, Witness(
+                    i, j, drop, Fraction(lhs_units, q),
+                    Fraction(rhs_units, q)))
+    return FairnessVerdict(True, None)
+
+
+def pairwise_strong_envy_target(market):
+    p, q = market.pay_high, market.pay_low
+    earn = market.earn_units
+    kernel = market.kernel
+    for i, row in enumerate(kernel.cost):
+        lhs = p * kernel.residual(i)
+        targets = [j for j, c in enumerate(row)
+                   if j != i and lhs > (2 * p - q) * c]
+        if targets:
+            return i, min(targets, key=lambda j: (earn[j], j))
+    return None
+
+
+@st.composite
+def paid_states(draw):
+    """A market of a drawn owner vector and payment-k set; agent counts of 1
+    and 2 are drawn often, and few chores leave bundles empty."""
+    n = draw(st.sampled_from((1, 2, 2, 3, 4, 5)))
+    m = draw(st.integers(1, 7))
+    inst = Instance(n, m, draw(st.sampled_from(K_VALUES)),
+                    draw(high_matrices(n, m)))
+    owner = draw(st.lists(st.integers(0, n - 1), min_size=inst.m,
+                          max_size=inst.m))
+    high_pay = draw(st.sets(st.integers(0, inst.m - 1)))
+    return _state(inst, owner, high_pay)
+
+
+@given(paid_states())
+@example(_state(owned_instance(2, [0, 0, 0]), [0, 0, 0]))  # one agent
+@example(_state(owned_instance(2, [0, 0, 1]), [0, 0, 0]))  # an empty bundle
+@example(_state(owned_instance(2, [0, 1, 2, 0, 1, 2]),
+                [0, 1, 2, 0, 1, 2]))  # every pair ties
+@settings(max_examples=300)
+def test_row_minimum_scans_match_the_pairwise_loops(market):
+    assert min_beta_EFX(market) == pairwise_kernel_beta(market.kernel)
+    assert min_beta_pEFX(market) == pairwise_beta_pefx(market)
+    assert check_EF1(market) == pairwise_ef1(market)
+    assert strong_envy_target(market) == pairwise_strong_envy_target(market)
+
+
+def bare_kernel(cost, cheapest):
+    """An EnvyKernel of an integer matrix, with heavy ties and zero columns
+    that no instance of a few chores produces.  As in every kernel, an
+    agent's cheapest own chore is positive iff its own bundle costs it
+    something, and costs at most that."""
+    kernel = EnvyKernel.__new__(EnvyKernel)
+    kernel.cost, kernel.cheapest = cost, cheapest
+    return kernel
+
+
+@st.composite
+def integer_kernels(draw):
+    n = draw(st.integers(1, 6))
+    entries = st.integers(0, 3)
+    cost = [draw(st.lists(entries, min_size=n, max_size=n))
+            for _ in range(n)]
+    cheapest = [draw(st.integers(min(1, row[i]), row[i]))
+                for i, row in enumerate(cost)]
+    return bare_kernel(cost, cheapest)
+
+
+@given(integer_kernels())
+@example(bare_kernel([[2, 0, 0], [0, 1, 0], [1, 1, 1]], [1, 1, 1]))
+@example(bare_kernel([[3, 1, 1], [1, 3, 1], [1, 1, 3]], [1, 1, 1]))
+@settings(max_examples=300)
+def test_kernel_beta_matches_the_pairwise_loop_on_any_matrix(kernel):
+    assert kernel_beta_EFX(kernel) == pairwise_kernel_beta(kernel)
