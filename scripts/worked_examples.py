@@ -47,7 +47,8 @@ def show(state, label):
               f"  items {bundle} (pay units: {pays})")
 
 
-def narrate(trace):
+def narrate(trace, k):
+    """One line per event; earnings are 1/q units, q the denominator of k."""
     for ev in trace:
         bits = [f"round {ev.round}", ev.kind]
         if ev.agents:
@@ -55,7 +56,8 @@ def narrate(trace):
         if ev.items:
             bits.append(f"items {ev.items}")
         if ev.least_earning is not None:
-            bits.append(f"least earning {ev.least_earning}")
+            least = Fraction(ev.least_earning, k.denominator)
+            bits.append(f"least earning {least}")
         print("    " + ", ".join(bits))
 
 
@@ -65,7 +67,7 @@ def demo_rotation():
     print(f"  n={inst.n} m={inst.m} k={inst.k}; agent 0 owns 8 cheap items,"
           " agent 1 owns 7, agents 2 and 3 own one each")
     state = run_pef1(inst)
-    narrate(state.trace)
+    narrate(state.trace, inst.k)
     show(state.market, "final state")
     kinds = [ev.kind for ev in state.trace]
     print(f"  rounds: {state.round_count}, one rotation:"
@@ -89,7 +91,7 @@ def demo_exchange():
     show(before, "before")
     print(f"  strong envy pair: {strong_envy_target(before)}")
     result = approx_from_equilibrium(before)
-    narrate(result.trace)
+    narrate(result.trace, before.instance.k)
     show(result.market, "after")
     beta = min_beta_EFX(result.market)
     print(f"  envy factor after: {beta.value} (bound 2 - 1/k = 11/6)")
@@ -111,7 +113,7 @@ def demo_swap():
     before = _natural(2, owners, high_pay, raised=5)
     show(before, "before")
     result = k2_from_equilibrium(before)
-    narrate(result.trace)
+    narrate(result.trace, before.instance.k)
     show(result.market, "after")
     beta = min_beta_EFX(result.market)
     print(f"  envy factor after: {beta.value} (exactly envy-free up to"
@@ -126,7 +128,7 @@ def demo_move():
     before = _natural(2, owners, high_pay, raised=5)
     show(before, "before")
     result = k2_from_equilibrium(before)
-    narrate(result.trace)
+    narrate(result.trace, before.instance.k)
     show(result.market, "after")
     beta = min_beta_EFX(result.market)
     print(f"  envy factor after: {beta.value}")

@@ -15,8 +15,6 @@ MarketState is built once, at the end.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import IterationCapExceeded, LemmaViolation
 from .model import Instance, MarketState, MarketView, bits
 from .pef1 import SolverState, StageResult, run_pef1
@@ -94,12 +92,11 @@ def _exchange(view: MarketView, z_units: int, round_no: int,
     for x in bits(bundle_j):
         view.move(x, j, i)
     after = _assert_round(view, z_units, i, j, mixed_before)
-    before, q = view.earn_units, view.pay_low
+    before = view.earn_units
     event = TraceEvent(
         stage="approx_efx", round=round_no, kind="bundle_swap",
         agents=(i, j), items=(e, *bits(bundle_j)),
-        earn_before=(Fraction(before[i], q), Fraction(before[j], q)),
-        earn_after=(Fraction(after[i], q), Fraction(after[j], q)))
+        earn_before=(before[i], before[j]), earn_after=(after[i], after[j]))
     view.earn_units = after
     return event
 

@@ -16,8 +16,6 @@ MarketState is built once, at the end.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (IterationCapExceeded, LemmaViolation, MPBViolation,
                      PreconditionViolated, TierViolation)
 from .model import Instance, MarketState, MarketView
@@ -93,11 +91,10 @@ def k2_round(view: MarketView, round_no: int) -> TraceEvent | None:
     else:
         kind, items = "move", (e_i,)
     after = _assert_round(view, z, i, j, kind, mixed_before)
-    before, q = view.earn_units, view.pay_low
+    before = view.earn_units
     event = TraceEvent(
         stage="efx_k2", round=round_no, kind=kind, agents=(i, j), items=items,
-        earn_before=(Fraction(before[i], q), Fraction(before[j], q)),
-        earn_after=(Fraction(after[i], q), Fraction(after[j], q)))
+        earn_before=(before[i], before[j]), earn_after=(after[i], after[j]))
     view.earn_units = after
     return event
 

@@ -18,8 +18,10 @@ import csv
 import hashlib
 import io
 import time
+from collections.abc import Callable
+from functools import cache
 from math import gcd
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .approx_efx import approx_from_equilibrium
@@ -105,8 +107,6 @@ def gen_instance(params: GenParams) -> RawInstance:
 def _fmt_rational(x: Fraction | Unbounded) -> str:
     if isinstance(x, Unbounded):
         return "unbounded"
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -129,20 +129,6 @@ def _parse_pair(token: str, where: str) -> tuple[int, int]:
         raise ParseError(f"{where}: zero denominator in {token!r}")
     g = gcd(num, den) if den > 0 else -gcd(num, den)
     return num // g, den // g
-
-
-def _parse_spellings(tokens: list[str], where: str,
-                     known: dict[str, Fraction]) -> dict[str, Fraction]:
-    """Each distinct token, in first-seen order, to its parse_rational.
-    Spellings not yet in known are parsed once each, so an error names the
-    first bad token; known keeps them for the later lines of the same
-    file."""
-    spellings = dict.fromkeys(tokens)
-    for t in spellings:
-        if t not in known:
-            known[t] = parse_rational(t, where)
-        spellings[t] = known[t]
-    return spellings
 
 
 def _fields(text: str, fmt: str,
@@ -462,16 +448,17 @@ def _fmt_status(success: bool) -> str:
     return "ok" if success else "failed"
 
 
-def _event_line(ev: TraceEvent) -> str:
+def _event_line(ev: TraceEvent, text: Callable[[int], str]) -> str:
+    """The event's line; text renders an earning's 1/q units."""
     parts = [
         f"stage={ev.stage}", f"round={ev.round}", f"kind={ev.kind}",
         "agents=" + ",".join(map(str, ev.agents)),
         "items=" + ",".join(map(str, ev.items)),
-        "earn_before=" + ",".join(_fmt_rational(x) for x in ev.earn_before),
-        "earn_after=" + ",".join(_fmt_rational(x) for x in ev.earn_after),
+        "earn_before=" + ",".join(map(text, ev.earn_before)),
+        "earn_after=" + ",".join(map(text, ev.earn_after)),
     ]
     if ev.least_earning is not None:
-        parts.append(f"least={_fmt_rational(ev.least_earning)}")
+        parts.append(f"least={text(ev.least_earning)}")
     return "event: " + " ".join(parts)
 
 
@@ -492,9 +479,11 @@ def report_text(report: RunReport, *, timings: bool = True) -> str:
               "owner: " + " ".join(map(str, report.owner)),
               "pay-high: " + "".join(
                   "1" if h else "0" for h in report.pay_high)]
+    q = report.k.denominator  # each distinct earning is rendered once
+    text = cache(lambda units: _fmt_rational(Fraction(units, q)))
     for stage in report.stages:
         lines.append(f"stage: {stage.name} rounds={stage.rounds}")
-        lines.extend(_event_line(ev) for ev in stage.events)
+        lines.extend(_event_line(ev, text) for ev in stage.events)
     v = report.verdicts
     for key, name in VERDICT_KEYS:
         value = None if v is None else getattr(v, name)
@@ -542,8 +531,10 @@ _EVENT_KEYS = frozenset(("stage", "round", "kind", "agents", "items",
                          "earn_before", "earn_after", "least"))
 
 
-def _parse_event(lineno: int, body: str,
-                 known: dict[str, Fraction]) -> TraceEvent:
+def _parse_event(lineno: int, body: str, known: dict[str, tuple[int, int]]):
+    """(lineno, (stage, round, kind, agents, items), earn_before,
+    earn_after, least) of an event line, earnings as spellings; a spelling
+    new to the report is parsed once, into known."""
     kv = {}
     where = f"line {lineno}"
     for token in body.split():
@@ -560,20 +551,20 @@ def _parse_event(lineno: int, body: str,
     def tokens(key):
         return list(filter(None, kv.get(key, "").split(",")))
 
-    def rationals(spellings):
-        return tuple(map(_parse_spellings(spellings, where, known).__getitem__,
-                         spellings))
+    def earnings(spellings):
+        for t in spellings:
+            if t not in known:
+                known[t] = _parse_pair(t, where)
+        return spellings
 
     try:
-        least = kv.get("least")
-        return TraceEvent(
-            stage=kv["stage"], kind=kv["kind"],
-            round=parse_int(kv["round"], where),
-            agents=_parse_ints(tokens("agents"), where),
-            items=_parse_ints(tokens("items"), where),
-            earn_before=rationals(tokens("earn_before")),
-            earn_after=rationals(tokens("earn_after")),
-            least_earning=None if least is None else rationals([least])[0])
+        stage, kind, least = kv["stage"], kv["kind"], kv.get("least")
+        return (lineno, (stage, parse_int(kv["round"], where), kind,
+                         _parse_ints(tokens("agents"), where),
+                         _parse_ints(tokens("items"), where)),
+                earnings(tokens("earn_before")),
+                earnings(tokens("earn_after")),
+                None if least is None else earnings([least])[0])
     except KeyError as missing:
         raise ParseError(f"line {lineno}: event missing {missing}") from None
 
@@ -592,19 +583,21 @@ def load_report(path: str) -> RunReport:
 
 
 def parse_report(text: str) -> RunReport:
+    """The report of a report file's text.  Event earnings become 1/q
+    units in a last pass, once k is known; one that is not a whole number
+    of units is a ParseError naming its line, after every other error."""
     head: dict[str, str] = {}
-    stages: list[StageSummary] = []
-    events: list[TraceEvent] = []
+    stages: list[tuple[str, int, list]] = []  # name, rounds, parsed events
+    events: list = []
     verdict_raw: dict[str, str] = {}
     timings: dict[str, float] = {}
     stage_open: tuple[str, int] | None = None
-    known: dict[str, Fraction] = {}  # the events' rationals, by spelling
+    known: dict[str, tuple[int, int]] = {}  # event earnings, by spelling
 
     def close_stage():
         nonlocal stage_open, events
         if stage_open is not None:
-            stages.append(StageSummary(stage_open[0], stage_open[1],
-                                       tuple(events)))
+            stages.append((*stage_open, events))
             stage_open, events = None, []
 
     for lineno, key, value in _fields(text, REPORT_FORMAT,
@@ -673,7 +666,7 @@ def parse_report(text: str) -> RunReport:
     if len({len(v) for v in vectors.values()}) > 1:
         raise ParseError("fields entry-owner, entry-pay-high, owner and "
                          "pay-high differ in length")
-    return RunReport(
+    report = RunReport(
         digest=want("digest"), mode=want("mode"),
         requested_mode=want("requested-mode"),
         n=n, m=parse_int(want("m"), "field m"),
@@ -682,9 +675,35 @@ def parse_report(text: str) -> RunReport:
                                "field new-to-old"),
         entry_owner=vectors["entry-owner"],
         entry_pay_high=vectors["entry-pay-high"], owner=vectors["owner"],
-        pay_high=vectors["pay-high"], stages=tuple(stages), verdicts=verdicts,
+        pay_high=vectors["pay-high"], stages=(), verdicts=verdicts,
         success=_parse_choice(want("status"), ("ok", "failed"), "status"),
         error=head.get("error"), timings=timings)
+    return replace(report, stages=_stages_in_units(stages, known, report.k))
+
+
+def _stages_in_units(stages, known: dict[str, tuple[int, int]],
+                     k: Fraction) -> tuple[StageSummary, ...]:
+    """parse_report's stages with their events built, each earning in 1/q
+    units (q the denominator of k)."""
+    q = k.denominator
+    # (num, den) in lowest terms is a whole number of units iff den | q
+    units = {t: num * (q // den) for t, (num, den) in known.items()
+             if q % den == 0}
+    out = []
+    for name, rounds, parsed in stages:
+        events = []
+        for lineno, head, before, after, least in parsed:
+            try:
+                events.append(TraceEvent(
+                    *head, tuple(map(units.__getitem__, before)),
+                    tuple(map(units.__getitem__, after)),
+                    None if least is None else units[least]))
+            except KeyError as bad:
+                raise ParseError(
+                    f"line {lineno}: event earning {bad.args[0]!r} is not a "
+                    f"whole number of 1/{q} units at k = {k}") from None
+        out.append(StageSummary(name, rounds, tuple(events)))
+    return tuple(out)
 
 
 # ------------------------------------------------------------ verification

@@ -76,8 +76,8 @@ class _Rounds:
 
     The view's bundle masks and payment-k mask are the state; each round
     derives earnings, hats, MPB sets and ratios from them.  A MarketState
-    is built only when state() is asked for.  Trace earnings are
-    Fractions of 1/q units, made once per distinct count (fraction).
+    is built only when state() is asked for.  Trace earnings are the
+    view's 1/q units.
     """
 
     def __init__(self, state: SolverState):
@@ -90,7 +90,6 @@ class _Rounds:
         self.shared = [sorted(g) for g in state.groups.groups if len(g) > 1]
         self.hats = self.view.hats(self.view.earn_units)
         self.least: int | None = None  # the last round's least earning
-        self._fractions: dict[int, Fraction] = {}  # units -> units / q
         # the (high, unraised) whose ratios and group order last passed
         self._ratios_checked: tuple[int, frozenset[int]] | None = None
 
@@ -111,15 +110,9 @@ class _Rounds:
         l = select_least_earner(view)
         if hats[b] <= earn[l]:
             return False
-        fraction = self.fraction
-
-        def earning(i: int) -> Fraction:
-            return fraction(earn[i])
-
         unraised = self.unraised
         events: list[TraceEvent] = []
         rnd = self.round_count + 1
-        least_before = earning(l)
         touched = {b, l}
 
         if l in unraised:
@@ -148,9 +141,10 @@ class _Rounds:
                 events.append(TraceEvent(
                     stage="pef1", round=rnd, kind="raise", agents=(b,),
                     items=tuple(bits(raised)),
-                    earn_before=(earning(b),),
-                    earn_after=(earning(b) * inst.k,),
-                    least_earning=least_before))
+                    earn_before=(earn[b],),
+                    # each of b's chores paid 1 (q units) and now pays k (p)
+                    earn_after=(earn[b] // view.pay_low * view.pay_high,),
+                    least_earning=earn[l]))
             bundle_b = view.bundles[b]
             e = (bundle_b & -bundle_b).bit_length() - 1
             view.move(e, b, l)
@@ -177,27 +171,18 @@ class _Rounds:
             view.move(e2, i, l)
             touched.add(i)
             kind, agents, items = "rotate", (b, i, l), (e1, e2)
-        earn_before = tuple(map(earning, agents))
-
         self.unraised = unraised
         after, self.hats = self._assert_round(touched)
         events.append(TraceEvent(
             stage="pef1", round=rnd, kind=kind, agents=agents, items=items,
-            earn_before=earn_before,
-            earn_after=tuple(fraction(after[a]) for a in agents),
-            least_earning=least_before))
+            earn_before=tuple(earn[a] for a in agents),
+            earn_after=tuple(after[a] for a in agents),
+            least_earning=earn[l]))
         self.events += events
         self.round_count = rnd
         self.least = earn[l]
         view.earn_units = after
         return True
-
-    def fraction(self, units: int) -> Fraction:
-        """units / q, one Fraction per distinct count in a run."""
-        got = self._fractions.get(units)
-        if got is None:
-            got = self._fractions[units] = Fraction(units, self.view.pay_low)
-        return got
 
     def _assert_round(self, touched: set[int]) -> tuple[list[int], list[int]]:
         """Check the round from the view's masks alone; return the
@@ -276,13 +261,14 @@ def run_pef1(instance: Instance) -> SolverState:
                         groups=groups, entry=market, round_count=0)
     rounds = _Rounds(state)
     cap = 4 * instance.n ** 2 * instance.m ** 2
+    q = instance.k.denominator
     prev_least = None
     while rounds.step():
         least = rounds.least
         if prev_least is not None and least < prev_least:
             raise LemmaViolation(
                 f"least earner earning dropped from "
-                f"{rounds.fraction(prev_least)} to {rounds.fraction(least)}")
+                f"{Fraction(prev_least, q)} to {Fraction(least, q)}")
         prev_least = least
         if rounds.round_count > cap:
             raise IterationCapExceeded(

@@ -23,15 +23,19 @@ class TraceEvent:
       swap         agents=(i, j),     items=(e_i, e_j): e_i i -> j, e_j j -> i
       move         agents=(i, j),     items=(e_i,): e_i i -> j
     A raise-and-transfer round emits two events sharing the round number.
+
+    Earnings are integers in 1/q units, where q is the denominator of the
+    cost ratio k = p/q: an agent earning u units earns u / q.  Every
+    payment is 1 or k, so every earning is a whole number of units.
     """
     stage: str
     round: int
     kind: str
     agents: tuple[int, ...]
     items: tuple[int, ...]
-    earn_before: tuple[Fraction, ...] = ()
-    earn_after: tuple[Fraction, ...] = ()
-    least_earning: Fraction | None = None
+    earn_before: tuple[int, ...] = ()
+    earn_after: tuple[int, ...] = ()
+    least_earning: int | None = None
 
     def moves(self) -> list[tuple[int, int, int]]:
         """(item, from_agent, to_agent) triples in execution order."""
@@ -67,20 +71,16 @@ def _check_shape(ev: TraceEvent, n: int, m: int) -> None:
                          f"all in 0..{m - 1}")
 
 
-def _check_earnings(ev: TraceEvent, key: str, claimed, units: list[int],
-                    agents, q: int) -> None:
-    """The earnings the event states under key are units[a] / q for its
-    agents a, in order."""
-    if len(claimed) == len(agents):
-        for x, a in zip(claimed, agents):
-            if x.numerator * q != units[a] * x.denominator:
-                break
-        else:
-            return
-    raise ValueError(
-        f"replay: round {ev.round} {ev.kind} says {key} "
-        f"{', '.join(map(str, claimed))}, not "
-        f"{', '.join(str(Fraction(units[a], q)) for a in agents)}")
+def _check_earnings(ev: TraceEvent, key: str, claimed: tuple[int, ...],
+                    units: list[int], agents, q: int) -> None:
+    """The earnings the event states under key are units[a] for its agents
+    a, in order; the message states both sides as values, units / q."""
+    reached = tuple(units[a] for a in agents)
+    if claimed != reached:
+        raise ValueError(
+            f"replay: round {ev.round} {ev.kind} says {key} "
+            f"{', '.join(str(Fraction(x, q)) for x in claimed)}, not "
+            f"{', '.join(str(Fraction(x, q)) for x in reached)}")
 
 
 def replay_trace(owner, pay_high, events, n: int, k: Fraction

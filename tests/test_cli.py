@@ -1,13 +1,20 @@
 """Command-line surface: gen, solve, verify, oracle, bench."""
 
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chorefair.harness import load_report
+from chorefair.errors import ParseError
+from chorefair.harness import (load_instance, load_report, parse_report,
+                               verify_report)
 from chorefair.cli import main
 
 from conftest import rotation_instance, save_instance
@@ -315,6 +322,28 @@ def test_verify_rejects_a_false_event_earning(paths, capsys, kind, key):
     assert f" {kind} says {key} " in err
 
 
+@pytest.mark.parametrize("k, earning", [("2", "1/3"), ("5/2", "1/4")])
+def test_verify_rejects_an_earning_of_no_whole_unit(paths, capsys, k,
+                                                    earning):
+    # earnings are whole 1/q units at k = p/q; any other is a parse error
+    assert main(["gen", "--n", "4", "--m", "10", "--k", k,
+                 "--high-prob", "3/4", "--seed", "7",
+                 "--out", paths["inst"]]) == 0
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    lines = open(paths["report"]).read().splitlines()
+    idx = next(i for i, line in enumerate(lines) if " kind=raise " in line)
+    before = lines[idx].split(" earn_before=", 1)[1].split()[0]
+    lines[idx] = lines[idx].replace(f" earn_before={before} ",
+                                    f" earn_before={earning} ")
+    open(paths["report"], "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 2
+    q = Fraction(k).denominator
+    assert capsys.readouterr().err == (
+        f"ParseError: line {idx + 1}: event earning {earning!r} is not a "
+        f"whole number of 1/{q} units at k = {k}\n")
+
+
 def test_verify_rejects_a_pef1_event_without_least(paths, capsys):
     # the payment rounds state the least earning on every event they write
     assert main(["gen", "--n", "4", "--m", "8", "--k", "2", "--seed", "13",
@@ -620,3 +649,82 @@ def test_a_timing_line_of_any_name_still_verifies(paths, capsys):
     capsys.readouterr()
     assert main(["verify", paths["inst"], paths["report"]]) == 0
     assert capsys.readouterr().out.startswith("verify: ok")
+
+
+# ------------------------------------------------ whole reports, mutated
+
+# the values a corrupted line or token takes
+CORRUPTIONS = ("x", "1/0", "-1", "1/3", "")
+# the instances of the mutated reports: every event kind, and k = 2, 3, 5/2
+FUZZ_SOURCES = ("rotation", "swap-2382.inst", "move-88.inst",
+                "bundle_swap-838.inst", "bundle_swap-3266.inst")
+
+
+@pytest.fixture(scope="module")
+def solved_reports(tmp_path_factory):
+    """(instance path, report lines) of each fuzz source, solved once."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out = []
+    for source in FUZZ_SOURCES:
+        inst = os.path.join(INPUTS, source)
+        if source == "rotation":
+            inst = str(tmp / "rotation.inst")
+            save_instance(inst, rotation_instance())
+        report = str(tmp / f"{source}.report")
+        assert main(["solve", inst, "--out", report]) == 0
+        out.append((inst, open(report).read().splitlines()))
+    return out
+
+
+@st.composite
+def mutations(draw, n_reports):
+    """(report index, edit): edit drops, duplicates or corrupts one line, or
+    corrupts one token of it (a run of characters between ' ', '=', ',' and
+    ':')."""
+    which = draw(st.integers(0, n_reports - 1))
+    action = draw(st.sampled_from(("drop", "duplicate", "line", "token")))
+    at = draw(st.integers(0, 10 ** 6))
+    value = draw(st.sampled_from(CORRUPTIONS))
+    pick = draw(st.integers(0, 10 ** 6))
+
+    def edit(lines):
+        lines = list(lines)
+        i = at % len(lines)
+        if action == "drop":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        elif action == "line":
+            lines[i] = value
+        else:
+            parts = re.split(r"([ =,:]+)", lines[i])
+            parts[2 * (pick % ((len(parts) + 1) // 2))] = value
+            lines[i] = "".join(parts)
+        return lines
+
+    return which, edit
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_a_mutated_report_parses_or_fails_with_a_parse_error(solved_reports,
+                                                             data):
+    which, edit = data.draw(mutations(len(solved_reports)))
+    inst_path, lines = solved_reports[which]
+    text = "\n".join(edit(lines)) + "\n"
+    try:
+        report = parse_report(text)
+    except ParseError:
+        pass
+    else:
+        assert isinstance(verify_report(load_instance(inst_path), report),
+                          list)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", inst_path, path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,6 +1,7 @@
 """Generator determinism, text formats, pipeline reports, report
 verification, bench grid."""
 
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from chorefair.model import RawInstance, relabel_agents
 from chorefair.trace import replay_trace
 
 from conftest import (high_rows, owned_instance, rotation_instance,
-                      save_instance)
+                      save_instance, skewed_owned_instance)
 
 
 def reference_splitmix64(seed):
@@ -199,18 +200,27 @@ def test_a_failed_report_keeps_the_instance_and_the_resolved_mode(
     assert parsed.mode == "approx"
 
 
+# the golden grid's skewed k = 5/2 case: payment rounds at q = 2, where an
+# earning's 1/q units differ from its value (at the rotation's k = 2 they
+# coincide)
+SKEWED_Q2 = (Fraction(5, 2), (30, 25, 20, 2, 2, 1, 1, 1), 0, Fraction(1, 20))
+
+
 def test_report_text_round_trips_through_parse():
-    report = run_pipeline(rotation_instance(), oracle_budget=1 << 24)
-    parsed = parse_report(report_text(report))
-    assert parsed.digest == report.digest
-    assert parsed.mode == report.mode
-    assert parsed.owner == report.owner
-    assert parsed.pay_high == report.pay_high
-    assert parsed.entry_owner == report.entry_owner
-    assert parsed.verdicts == report.verdicts
-    assert parsed.stages == report.stages
-    assert parsed.success == report.success
-    assert set(parsed.timings) == set(report.timings)
+    for report in (run_pipeline(rotation_instance(), oracle_budget=1 << 24),
+                   run_pipeline(skewed_owned_instance(*SKEWED_Q2))):
+        text = report_text(report)
+        parsed = parse_report(text)
+        assert parsed.digest == report.digest
+        assert parsed.mode == report.mode
+        assert parsed.owner == report.owner
+        assert parsed.pay_high == report.pay_high
+        assert parsed.entry_owner == report.entry_owner
+        assert parsed.verdicts == report.verdicts
+        assert parsed.stages == report.stages
+        assert parsed.success == report.success
+        assert set(parsed.timings) == set(report.timings)
+        assert report_text(parsed) == text
 
 
 def test_report_file_round_trip(tmp_path):
@@ -605,17 +615,30 @@ def test_parse_instance_matches_the_fraction_path(case):
                                         fraction_raw_rows(numbered, m)))
 
 
-EARNINGS = ("3", "3/1", "6/2", "5/2", "10/4", "0", "-1/2", "x", "2/0", "1/")
+EARNINGS = ("3", "3/1", "6/2", "5/2", "10/4", "0", "-1/2", "1/3", "x", "2/0",
+            "1/")
 EARNING_FIELDS = st.tuples(st.lists(st.sampled_from(EARNINGS), max_size=6),
                            st.lists(st.sampled_from(EARNINGS), max_size=6),
                            st.none() | st.sampled_from(EARNINGS))
 
 
-@given(st.lists(EARNING_FIELDS, min_size=1, max_size=3))
+@functools.cache
+def report_lines(case):
+    """The text lines of the round-trip test's reports, by k."""
+    instance = rotation_instance() if case == "k=2" \
+        else skewed_owned_instance(*SKEWED_Q2)
+    return tuple(report_text(run_pipeline(instance)).splitlines())
+
+
+@given(st.sampled_from(("k=2", "k=5/2")),
+       st.lists(EARNING_FIELDS, min_size=1, max_size=3))
+@example("k=2", [(["3"], ["5/2"], None)])  # a half unit at q = 1
+@example("k=5/2", [(["5/2", "3"], ["10/4"], "-1/2")])  # whole at q = 2
+@example("k=5/2", [(["3"], [], "1/3"), (["x"], [], None)])  # a bad token wins
 @settings(max_examples=200)
-def test_event_earnings_match_the_per_token_reference(events):
+def test_event_earnings_match_the_per_token_reference(case, events):
     # the events share one stage, so a spelling recurs across lines
-    lines = report_text(run_pipeline(rotation_instance())).splitlines()
+    lines = list(report_lines(case))
     at = next(i for i, line in enumerate(lines) if line.startswith("stage:"))
     for e, (before, after, least) in enumerate(events):
         event = (f"event: stage=pef1 round={e + 1} kind=raise agents=0 "
@@ -624,16 +647,28 @@ def test_event_earnings_match_the_per_token_reference(events):
         if least is not None:
             event += f" least={least}"
         lines.insert(at + 1 + e, event)
+    k = Fraction(case[len("k="):])
 
     def reference():
-        out = []
-        for e, (before, after, least) in enumerate(events):
-            where = f"line {at + 2 + e}"
-            out.append((
-                tuple(reference_rational(t, where) for t in before),
-                tuple(reference_rational(t, where) for t in after),
-                None if least is None else reference_rational(least, where)))
-        return out
+        stated = [(f"line {at + 2 + e}", before, after, least)
+                  for e, (before, after, least) in enumerate(events)]
+        # every token is parsed, in line order, before any is read in units
+        for where, before, after, least in stated:
+            for t in before + after + ([] if least is None else [least]):
+                reference_rational(t, where)
+
+        def units(t, where):
+            u = reference_rational(t, where) * k.denominator
+            if u.denominator != 1:
+                raise ParseError(
+                    f"{where}: event earning {t!r} is not a whole number of "
+                    f"1/{k.denominator} units at k = {k}")
+            return u.numerator
+
+        return [(tuple(units(t, where) for t in before),
+                 tuple(units(t, where) for t in after),
+                 None if least is None else units(least, where))
+                for where, before, after, least in stated]
 
     expected = outcome(reference)
     parsed = outcome(parse_report, "\n".join(lines) + "\n")
