@@ -5,7 +5,8 @@ File formats are line-oriented text with a leading format/version field.
 Rationals serialize as "num/den", booleans as "true"/"false", matrices as
 one row per line.  Reports carry every verdict needed to re-check a run
 from the stored allocation alone; timing lines are excluded from the
-report fingerprint so identical runs fingerprint identically.
+report fingerprint so identical runs fingerprint identically.  A parsed
+report keeps its event lines when all are canonical, to be written as read.
 
 The generator uses splitmix64 (Steele, Lea and Flood's 64-bit mixer) so
 instances reproduce bit-for-bit across implementations: draws are
@@ -17,9 +18,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import re
 import time
 from collections.abc import Callable
 from functools import cache
+from itertools import islice
 from math import gcd
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -316,6 +319,9 @@ class RunReport:
     success: bool
     error: str | None = None
     timings: dict[str, float] = field(default_factory=dict)
+    # parse_report's event lines, when all are canonical; replace() drops them
+    event_lines: tuple[str, ...] | None = field(
+        init=False, default=None, repr=False, compare=False)
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
@@ -481,9 +487,11 @@ def report_text(report: RunReport, *, timings: bool = True) -> str:
                   "1" if h else "0" for h in report.pay_high)]
     q = report.k.denominator  # each distinct earning is rendered once
     text = cache(lambda units: _fmt_rational(Fraction(units, q)))
+    events = iter(report.event_lines
+                  or [_event_line(ev, text) for ev in report.trace])
     for stage in report.stages:
         lines.append(f"stage: {stage.name} rounds={stage.rounds}")
-        lines.extend(_event_line(ev, text) for ev in stage.events)
+        lines.extend(islice(events, len(stage.events)))
     v = report.verdicts
     for key, name in VERDICT_KEYS:
         value = None if v is None else getattr(v, name)
@@ -529,9 +537,38 @@ def _parse_choice(token: str, choices: tuple[str, str], where: str) -> bool:
 
 _EVENT_KEYS = frozenset(("stage", "round", "kind", "agents", "items",
                          "earn_before", "earn_after", "least"))
+# a body as _event_line writes it; [0-9]: int() also reads '_', other digits
+_INDEX = "(?:0|[1-9][0-9]*)"
+_INDICES = f"((?:{_INDEX}(?:,{_INDEX})*)?)"
+_SPELLINGS = r"((?:[^\s,]+(?:,[^\s,]+)*)?)"
+_CANONICAL_EVENT = re.compile(
+    rf"stage=(\S*) round=({_INDEX}) kind=(\S*) agents={_INDICES} "
+    rf"items={_INDICES} earn_before={_SPELLINGS} earn_after={_SPELLINGS}"
+    r"(?: least=([^\s,]+))?")
 
 
 def _parse_event(lineno: int, body: str, known: dict[str, tuple[int, int]]):
+    """_parse_event_tokens of an event body, and its line when the body
+    matched _CANONICAL_EVENT, which that parse then skips (else None)."""
+    match = _CANONICAL_EVENT.fullmatch(body)
+    if match is None:
+        return _parse_event_tokens(lineno, body, known), None
+    stage, rnd, kind, agents, items, before, after, least = match.groups()
+    try:  # fails only past int()'s digit limit; the token parse names it
+        head = (stage, int(rnd), kind,
+                tuple(map(int, agents.split(","))) if agents else (),
+                tuple(map(int, items.split(","))) if items else ())
+    except ValueError:
+        return _parse_event_tokens(lineno, body, known), None
+    before, after = [s.split(",") if s else [] for s in (before, after)]
+    for t in (*before, *after) if least is None else (*before, *after, least):
+        if t not in known:
+            known[t] = _parse_pair(t, f"line {lineno}")
+    return (lineno, head, before, after, least), "event: " + body
+
+
+def _parse_event_tokens(lineno: int, body: str,
+                        known: dict[str, tuple[int, int]]):
     """(lineno, (stage, round, kind, agents, items), earn_before,
     earn_after, least) of an event line, earnings as spellings; a spelling
     new to the report is parsed once, into known."""
@@ -585,10 +622,13 @@ def load_report(path: str) -> RunReport:
 def parse_report(text: str) -> RunReport:
     """The report of a report file's text.  Event earnings become 1/q
     units in a last pass, once k is known; one that is not a whole number
-    of units is a ParseError naming its line, after every other error."""
+    of units is a ParseError naming its line, after every other error.
+    When every event line is canonical (_parse_event) and every earning is
+    its own lowest-terms 'num/den', the report keeps them in event_lines."""
     head: dict[str, str] = {}
     stages: list[tuple[str, int, list]] = []  # name, rounds, parsed events
     events: list = []
+    event_lines: list[str | None] = []  # None for a line not canonical
     verdict_raw: dict[str, str] = {}
     timings: dict[str, float] = {}
     stage_open: tuple[str, int] | None = None
@@ -615,7 +655,9 @@ def parse_report(text: str) -> RunReport:
         elif key == "event":
             if stage_open is None:
                 raise ParseError(f"line {lineno}: event outside a stage")
-            events.append(_parse_event(lineno, value, known))
+            event, line = _parse_event(lineno, value, known)
+            events.append(event)
+            event_lines.append(line)
         elif key.startswith("verdict "):
             name = key[len("verdict "):]
             if name not in _VERDICT_NAMES:
@@ -678,7 +720,11 @@ def parse_report(text: str) -> RunReport:
         pay_high=vectors["pay-high"], stages=(), verdicts=verdicts,
         success=_parse_choice(want("status"), ("ok", "failed"), "status"),
         error=head.get("error"), timings=timings)
-    return replace(report, stages=_stages_in_units(stages, known, report.k))
+    report = replace(report, stages=_stages_in_units(stages, known, report.k))
+    if None not in event_lines and all(
+            t == f"{num}/{den}" for t, (num, den) in known.items()):
+        object.__setattr__(report, "event_lines", tuple(event_lines))
+    return report
 
 
 def _stages_in_units(stages, known: dict[str, tuple[int, int]],
@@ -722,6 +768,9 @@ def verify_report(inst: Instance, report: RunReport) -> list[str]:
         problems.append("digest mismatch: report was made for a different instance")
     if report.verdicts is None:
         return problems + ["report carries no verdicts"]
+    if report.error is not None:  # run_pipeline's failed runs have no verdicts
+        problems.append(f"error: report says {report.error!r}, but a run "
+                        f"with verdicts has no error")
     if sorted(report.new_to_old) != list(range(inst.n)):
         return problems + ["new-to-old is not a permutation"]
     # the stored states cannot be built for an instance of another shape

@@ -1,13 +1,16 @@
 """Shared builders: hand-checked fixture states and hypothesis strategies."""
 
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
 from chorefair import AlreadyUniform, Instance, normalize_instance
-from chorefair.harness import GenParams, gen_instance, instance_text
+from chorefair.harness import (GenParams, gen_instance, instance_text,
+                               report_text)
 from chorefair.model import (MarketState, RawInstance, build_market_state,
                              bundle_masks)
 
@@ -68,6 +71,15 @@ def save_instance(path, instance) -> None:
     """Write an instance file, as `chorefair gen --out` does."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(instance_text(instance))
+
+
+def rendered_fingerprint(report) -> str:
+    """report_fingerprint of the report rendered from its fields alone, as
+    a replace() copy, which keeps no event lines, renders it."""
+    copy = replace(report)
+    assert copy.event_lines is None
+    return hashlib.sha256(
+        report_text(copy, timings=False).encode()).hexdigest()
 
 
 def instance_to_raw(instance: Instance) -> RawInstance:

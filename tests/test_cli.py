@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorefair.errors import ParseError
-from chorefair.harness import (load_instance, load_report, parse_report,
+from chorefair.harness import (load_report, parse_instance,
+                               parse_report, report_fingerprint,
                                verify_report)
 from chorefair.cli import main
 
-from conftest import rotation_instance, save_instance
+from conftest import rendered_fingerprint, rotation_instance, save_instance
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INPUTS = os.path.join(ROOT, "bench", "inputs")
@@ -150,6 +151,16 @@ def test_verify_rejects_a_forged_verdict(paths, capsys):
         text.replace("verdict beta-efx: 1/1", "verdict beta-efx: 2/1"))
     capsys.readouterr()
     assert main(["verify", paths["inst"], paths["report"]]) == 1
+
+
+def test_verify_rejects_a_forged_error_line(paths, capsys):
+    # a run that stored verdicts ended without an error
+    edit_report(paths, "status: ok", "status: ok\nerror: boom")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 1
+    assert capsys.readouterr() == (
+        "", "verify: error: report says 'boom', but a run with verdicts has "
+        "no error\n")
 
 
 def test_verify_accepts_a_report_whose_payment_rounds_ran(paths, capsys):
@@ -662,7 +673,7 @@ FUZZ_SOURCES = ("rotation", "swap-2382.inst", "move-88.inst",
 
 @pytest.fixture(scope="module")
 def solved_reports(tmp_path_factory):
-    """(instance path, report lines) of each fuzz source, solved once."""
+    """(instance text, report text) of each fuzz source, solved once."""
     tmp = tmp_path_factory.mktemp("fuzz")
     out = []
     for source in FUZZ_SOURCES:
@@ -672,16 +683,14 @@ def solved_reports(tmp_path_factory):
             save_instance(inst, rotation_instance())
         report = str(tmp / f"{source}.report")
         assert main(["solve", inst, "--out", report]) == 0
-        out.append((inst, open(report).read().splitlines()))
+        out.append((open(inst).read(), open(report).read()))
     return out
 
 
 @st.composite
-def mutations(draw, n_reports):
-    """(report index, edit): edit drops, duplicates or corrupts one line, or
-    corrupts one token of it (a run of characters between ' ', '=', ',' and
-    ':')."""
-    which = draw(st.integers(0, n_reports - 1))
+def line_edits(draw):
+    """An edit that drops, duplicates or corrupts one line, or corrupts one
+    token of it (a run of characters between ' ', '=', ',' and ':')."""
     action = draw(st.sampled_from(("drop", "duplicate", "line", "token")))
     at = draw(st.integers(0, 10 ** 6))
     value = draw(st.sampled_from(CORRUPTIONS))
@@ -702,29 +711,56 @@ def mutations(draw, n_reports):
             lines[i] = "".join(parts)
         return lines
 
-    return which, edit
+    return edit
+
+
+@st.composite
+def mutations(draw, n_reports):
+    """(source index, file, edit): edit makes one or two line edits, one
+    after the other, to the source's "report" or "instance" file."""
+    which = draw(st.integers(0, n_reports - 1))
+    target = draw(st.sampled_from(("report", "instance")))
+    edits = draw(st.lists(line_edits(), min_size=1, max_size=2))
+
+    def edit(text):
+        lines = text.splitlines()
+        for one in edits:
+            lines = one(lines)
+        return "\n".join(lines) + "\n"
+
+    return which, target, edit
 
 
 @given(st.data())
-@settings(max_examples=300)
+@settings(max_examples=400)
 def test_a_mutated_report_parses_or_fails_with_a_parse_error(solved_reports,
                                                              data):
-    which, edit = data.draw(mutations(len(solved_reports)))
-    inst_path, lines = solved_reports[which]
-    text = "\n".join(edit(lines)) + "\n"
+    which, target, edit = data.draw(mutations(len(solved_reports)))
+    texts = dict(zip(("instance", "report"), solved_reports[which]))
+    texts[target] = edit(texts[target])
     try:
-        report = parse_report(text)
+        inst = parse_instance(texts["instance"])
+    except ParseError:
+        inst = None
+    try:
+        report = parse_report(texts["report"])
     except ParseError:
         pass
     else:
-        assert isinstance(verify_report(load_instance(inst_path), report),
-                          list)
+        assert report_fingerprint(report) == rendered_fingerprint(report)
+        if inst is not None:
+            assert isinstance(verify_report(inst, report), list)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "report.txt")
-        with open(path, "w") as fh:
-            fh.write(text)
+        for name, text in texts.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        inst_path, report_path = (os.path.join(tmp, "instance"),
+                                  os.path.join(tmp, "report"))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["verify", inst_path, path])
-    assert code in (0, 1, 2)
+            codes = [main(["verify", inst_path, report_path])]
+            if target == "instance":
+                codes.append(main(["solve", inst_path, "--out",
+                                   os.path.join(tmp, "solved")]))
+    assert set(codes) <= {0, 1, 2}
     assert "Traceback" not in out.getvalue() + err.getvalue()

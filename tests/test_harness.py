@@ -36,10 +36,10 @@ from chorefair.harness import (
     verify_report,
 )
 from chorefair.model import RawInstance, relabel_agents
-from chorefair.trace import replay_trace
+from chorefair.trace import TraceEvent, replay_trace
 
-from conftest import (high_rows, owned_instance, rotation_instance,
-                      save_instance, skewed_owned_instance)
+from conftest import (high_rows, owned_instance, rendered_fingerprint,
+                      rotation_instance, save_instance, skewed_owned_instance)
 
 
 def reference_splitmix64(seed):
@@ -704,3 +704,123 @@ def test_instance_text_matches_the_per_cell_rendering(n, m, data):
             + ["row: " + "".join("1" if h else "0" for h in row)
                for row in high_rows(case)]) + "\n"
         assert instance_text(case) == expected
+
+
+# ------------------------------------------ the canonical event line parse
+
+# each value of an event body, as _event_line writes it ...
+EVENT_PARTS = (("stage", ("pef1", "approx_efx", "", "a=b")),
+               ("round", ("1", "0", "17", "120")),
+               ("kind", ("raise", "transfer", "", "rotate")),
+               ("agents", ("0", "3,1", "", "10,0,2")),
+               ("items", ("2", "", "0,11", "5,6,7")),
+               ("earn_before", ("3/1", "5/2,1/1", "", "0/1,7/2")),
+               ("earn_after", ("1/1", "", "3/1,5/2", "9/2")),
+               ("least", ("1/1", "5/2", "0/1")))
+# ... and what an edit puts in or around a value: a spelling int() or
+# Fraction reads but _event_line never writes, a separator or a bad token
+VALUE_EDITS = ("01", "+1", "-0", "1_0", "٣", "\t", "  ", ",", "", "x",
+               "2/2", "3", "-0/1", "1/0", "1/2", "-1")
+
+
+@st.composite
+def event_bodies(draw):
+    """A canonical event body (least optional), with up to three edits:
+    a value replaced, or something put in front of, after or inside it;
+    two keys swapped; a key repeated or dropped; a separator replaced."""
+    parts = [[key, draw(st.sampled_from(values))]
+             for key, values in EVENT_PARTS[:-1]]
+    if draw(st.booleans()):
+        parts.append(["least", draw(st.sampled_from(EVENT_PARTS[-1][1]))])
+    seps = [" "] * len(parts)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(parts) - 1))
+        action = draw(st.sampled_from(("value", "before", "after", "inside",
+                                       "swap", "repeat", "drop", "sep")))
+        edit = draw(st.sampled_from(VALUE_EDITS))
+        value = parts[i][1]
+        if action == "value":
+            parts[i][1] = edit
+        elif action in ("before", "after"):
+            parts[i][1] = edit + value if action == "before" else value + edit
+        elif action == "inside":
+            at = draw(st.integers(0, len(value)))
+            parts[i][1] = value[:at] + edit + value[at:]
+        elif action == "swap":
+            j = draw(st.integers(0, len(parts) - 1))
+            parts[i], parts[j] = parts[j], parts[i]
+        elif action == "repeat":
+            parts.insert(i, list(parts[i]))
+            seps.insert(i, " ")
+        elif action == "drop" and len(parts) > 1:
+            del parts[i], seps[i]
+        elif action == "sep":
+            seps[i] = draw(st.sampled_from(("\t", "  ", "\xa0")))
+    body = "".join(sep + f"{key}={value}" for sep, (key, value)
+                   in zip(seps, parts))
+    return body.strip()  # as parse_report reads a line's value
+
+
+@given(event_bodies())
+@example("stage=pef1 round=1٣ kind=raise agents=0 items= "
+         "earn_before=3/1 earn_after=1/1 least=1/1")  # [0-9], not \d
+@example("stage=pef1 round=1 kind=transfer agents=3,1٣ items=2 "
+         "earn_before=3/1 earn_after=1/1")
+@example("stage=pef1 round=1 kind=raise agents=0 items= "
+         "earn_before=2/2 earn_after=1/1 least=1/1")  # a spelling of 1/1
+@example("stage=pef1 round=1 kind=raise agents=0 items=1_0 "
+         "earn_before=3/1 earn_after=1/1")
+@settings(max_examples=400)
+def test_the_canonical_event_parse_matches_the_token_parse(body):
+    known, known_tokens = {}, {}
+    fast = outcome(harness._parse_event, 7, body, known)
+    tokens = outcome(harness._parse_event_tokens, 7, body, known_tokens)
+    if isinstance(tokens[0], type):
+        assert fast == tokens
+        return
+    parsed, line = fast
+    assert parsed == tokens
+    assert known == known_tokens
+    if line is not None:  # the body is the line its values render to
+        _, head, before, after, least = parsed
+        event = TraceEvent(*head, tuple(before), tuple(after), least)
+        assert harness._event_line(event, str) == line == f"event: {body}"
+    # in a whole report, a kept line is exactly the rendered one
+    lines = list(report_lines("k=5/2"))
+    at = next(i for i, line in enumerate(lines) if line.startswith("event:"))
+    lines[at] = f"event: {body}"
+    report = outcome(parse_report, "\n".join(lines) + "\n")
+    if not isinstance(report, tuple):
+        assert report_fingerprint(report) == rendered_fingerprint(report)
+
+
+def test_a_parsed_report_keeps_its_event_lines_until_replaced():
+    report = run_pipeline(skewed_owned_instance(*SKEWED_Q2))
+    text = report_text(report)
+    parsed = parse_report(text)
+    lines = [line for line in text.splitlines() if line.startswith("event:")]
+    assert len(lines) > 1
+    assert parsed.event_lines == tuple(lines)
+    # the kept lines are neither compared nor shown
+    copy = replace(parsed)
+    assert copy == parsed and repr(copy) == repr(parsed)
+    assert report_text(copy) == report_text(parsed) == text
+    first, *rest = parsed.stages[0].events
+    moved = replace(first, round=first.round + 7)
+    tampered = with_pef1_events(parsed, [moved, *rest])
+    assert tampered.event_lines is None
+    want = text.replace(lines[0], lines[0].replace(
+        f" round={first.round} ", f" round={moved.round} "), 1)
+    assert want != text
+    assert report_text(tampered) == want
+
+
+def test_a_report_with_a_non_canonical_event_renders_every_event():
+    text = report_text(run_pipeline(skewed_owned_instance(*SKEWED_Q2)))
+    canonical = next(line for line in text.splitlines()
+                     if line.startswith("event:"))
+    for spelled in (canonical.replace(" kind=", "  kind="),
+                    canonical.replace("earn_after=", "earn_after=,")):
+        parsed = parse_report(text.replace(canonical, spelled))
+        assert parsed.event_lines is None
+        assert report_text(parsed) == text
