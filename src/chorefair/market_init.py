@@ -10,11 +10,14 @@ Earnings are then balanced by firing transfer chains: a chain ships one
 chore out of an over-earner, one chore into an under-earner, and passes
 through intermediaries so that every single move hands a chore to an agent
 for which it is ratio-minimal (so the equilibrium survives each move).
-Finally agents are partitioned into groups headed by successive big earners;
-the groups are ordered so that all later processing can treat "raised before
-unraised" as "smaller index before larger index".  Everything here runs on
-bitmasks: Python ints over chores for bundles and MPB sets, and over agents
-for the search layers and the groups.
+Nearly all chains are direct, one chore from an over-earner straight to an
+under-earner; they are found without a search, and each strictly lowers
+the sum of squared earnings.  Finally agents are partitioned into groups
+headed by successive big earners; the groups are ordered so that all later
+processing can treat "raised before unraised" as "smaller index before
+larger index".  Everything here runs on bitmasks: Python ints over chores
+for bundles and MPB sets, and over agents for the search layers and the
+groups.
 """
 from __future__ import annotations
 
@@ -55,36 +58,58 @@ def build_initial_state(instance: Instance) -> MarketState:
 class _ChainView(MarketView):
     """The market view for the chains and the partition; payments stay fixed.
 
-    earn_units[i] is re-derived from the masks for the agents of each
-    fired chain.  takers[e] is the bitmask of agents for which chore e is
-    ratio-minimal, and succ[u] the bitmask of agents v != u that u can
-    give a chore to (u's bundle meets MPB_v), the union of takers over u's
-    bundle.  MPB sets depend only on payments, so takers never changes and
-    succ[u] changes only when u's own bundle does.  A giver's succ is
-    recomputed from its bundle; a chain's tail only receives, so its succ
-    grows by the takers of the chore it gained.
+    mpbs caches the MPB masks.  takers[e] is the bitmask of agents for which
+    chore e is ratio-minimal, and succ[u] the bitmask of agents v != u that
+    u can give a chore to (u's bundle meets MPB_v), the union of takers over
+    u's bundle.  levels maps each earning to the mask of the agents earning
+    it; set_earn, the only writer of earn_units, keeps it in step.
+
+    succ[u] is exact outside the agent mask stale and a superset of the
+    exact set inside it.  A chain's head only loses a chore, so it joins
+    stale rather than having its succ rebuilt; the tail only gains one, so
+    its succ grows by that chore's takers; an intermediate does both, so
+    refresh rebuilds its succ and takes it out of stale.  Whoever reads a
+    stale succ checks each bit against the bundle or refreshes it first.
     """
 
     def __init__(self, state: MarketState):
         super().__init__(state)
+        self.mpbs = [self.mpb(v) for v in range(self.n)]
         # takers transposes the MPB masks: in their binary numerals, agent
         # n-1's first, chore m-1-j's digits sit at j, j + m, j + 2m, ...
         m = state.instance.m
-        digits = "".join([format(self.mpb(v), f"0{m}b")
-                          for v in reversed(range(self.n))])
+        digits = "".join([format(mask, f"0{m}b")
+                          for mask in reversed(self.mpbs)])
         self.takers = [int(digits[j::m], 2) for j in range(m)][::-1]
+        self.levels: dict[int, int] = {}
+        for u, units in enumerate(self.earn_units):
+            self.levels[units] = self.levels.get(units, 0) | 1 << u
         self.succ = [0] * self.n
+        self.stale = 0
         for u in range(self.n):
             self.refresh(u)
 
+    def set_earn(self, u: int, units: int) -> None:
+        levels, old = self.levels, self.earn_units[u]
+        levels[old] &= ~(1 << u)
+        if not levels[old]:
+            del levels[old]
+        self.earn_units[u] = units
+        levels[units] = levels.get(units, 0) | 1 << u
+
+    def below(self, units: int) -> int:
+        """The agents earning less than units (the levels are disjoint)."""
+        return sum(mask for e, mask in self.levels.items() if e < units)
+
     def refresh(self, u: int) -> None:
-        """Recompute earn_units[u] and succ[u] from u's current bundle."""
-        self.earn_units[u] = self.earning(u)
+        """Recompute earn_units[u] and the exact succ[u] from u's bundle."""
+        self.set_earn(u, self.earning(u))
         takers, bundle, reach = self.takers, self.bundles[u], 0
         while bundle:
             reach |= takers[(bundle & -bundle).bit_length() - 1]
             bundle &= bundle - 1
         self.succ[u] = reach & ~(1 << u)
+        self.stale &= ~(1 << u)
 
     def hat(self, i: int) -> int:
         return self.earn_units[i] - self.top_pay(i)
@@ -136,52 +161,78 @@ def _best_chain(view: _ChainView) -> list[int] | None:
     that can give to it.  This is not always the lexicographically least
     shortest chain.  A later head can only win with a strictly shorter
     chain, so its search is cut one agent below the best length so far.
+
+    A two-agent chain is the shortest possible, so the first head with a
+    direct receiver wins outright; that is read off succ and the earning
+    levels, pruning each stale bit met.  Only when no head has one are the
+    stale agents refreshed and the searches run.
     """
+    floor = min(view.levels)
+    succ, bundles, mpbs = view.succ, view.bundles, view.mpbs
+    for i in range(view.n):
+        hat_i = view.hat(i)
+        if hat_i <= floor:
+            continue  # no endpoint anywhere could satisfy the condition
+        receivers = succ[i] & view.below(hat_i)
+        while receivers:
+            low = receivers & -receivers
+            j = low.bit_length() - 1
+            if bundles[i] & mpbs[j]:
+                return [i, j]
+            succ[i] ^= low  # stale: i gave away every chore j could take
+            receivers ^= low
+    for u in bits(view.stale):
+        view.refresh(u)
     best: list[int] | None = None
-    floor = min(view.earn_units)
     for i in range(view.n):
         if view.hat(i) <= floor:
-            continue  # no endpoint anywhere could satisfy the condition
+            continue
         chain = _shortest_chain_from(
             view, i, view.n if best is None else len(best) - 1)
         if chain is not None:
             best = chain
-            if len(best) == 2:
-                break
     return best
 
 
 def _fire(view: _ChainView, chain: list[int]) -> None:
     """Execute moves from the receiving end backward so every giver still
-    holds its original bundle at giving time."""
-    tail = chain[-1]
+    holds its original bundle at giving time.  The head joins stale."""
+    head, tail = chain[0], chain[-1]
     held = view.bundles[tail]
     for s in range(len(chain) - 2, -1, -1):
         u, v = chain[s], chain[s + 1]
-        options = view.bundles[u] & view.mpb(v)
+        options = view.bundles[u] & view.mpbs[v]
         if not options:
             raise MPBViolation(f"chain edge {u}->{v} lost its witness chore")
         low = options & ~view.high  # prefer payment-1
         pick = low or options
         view.move((pick & -pick).bit_length() - 1, u, v)
-    for u in chain[:-1]:
+    for u in chain[1:-1]:
         view.refresh(u)
+    view.set_earn(head, view.earning(head))
+    view.stale |= 1 << head
     gained = view.bundles[tail] & ~held
-    view.earn_units[tail] = view.earning(tail)
+    view.set_earn(tail, view.earning(tail))
     view.succ[tail] |= view.takers[gained.bit_length() - 1] & ~(1 << tail)
 
 
 def resolve_overpaid_paths(state: MarketState) -> MarketState:
     """Fire violating chains until none remains.
 
-    Per chain: the head's earning strictly drops, the tail gains exactly one
-    chore's payment, and no allocation ever repeats (the chosen termination
-    certificate; a repeat or cap hit raises IterationCapExceeded).
+    Per chain: the head's earning strictly drops and the tail gains exactly
+    one chore's payment.  A direct chain i -> j moves a chore paying
+    c <= top_pay(i) and needs earn_j < earn_i - top_pay(i), so it changes
+    Phi = sum of earning^2 by 2c(earn_j + c - earn_i) < 0; each direct fire
+    checks earn_j + c < earn_i (InternalInvariant).  The chain chosen
+    depends only on the bundles, so a repeat would cycle forever, and the
+    cycle would hold a multi-hop fire, as Phi cannot strictly drop around
+    it.  Hence only allocations after multi-hop fires are kept; a repeat
+    among them or a cap hit raises IterationCapExceeded.
     """
     n, m = state.instance.n, state.instance.m
     view = _ChainView(state)
     cap = 4 * n * m * (n + m)
-    seen = {tuple(view.bundles)}
+    seen: set[tuple[int, ...]] = set()
     fires = 0
     while True:
         best = _best_chain(view)
@@ -196,10 +247,16 @@ def resolve_overpaid_paths(state: MarketState) -> MarketState:
         gain = earn[tail] - before_tail
         if gain not in (view.pay_low, view.pay_high):
             raise InternalInvariant("chain tail gained other than one chore's payment")
-        key = tuple(view.bundles)
-        if key in seen:
-            raise IterationCapExceeded("chain resolution revisited an allocation")
-        seen.add(key)
+        if len(best) == 2:
+            if not (earn[tail] < before_head):
+                raise InternalInvariant(
+                    "direct chain did not lower the sum of squared earnings")
+        else:
+            key = tuple(view.bundles)
+            if key in seen:
+                raise IterationCapExceeded(
+                    "chain resolution revisited an allocation")
+            seen.add(key)
         fires += 1
         if fires > cap:
             raise IterationCapExceeded(f"more than {cap} chains fired")

@@ -2,12 +2,15 @@
 
 from collections import deque
 from fractions import Fraction
+from itertools import cycle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chorefair import Instance, normalize_instance
-from chorefair.errors import GroupPropertyViolation
+from chorefair import market_init
+from chorefair.errors import (GroupPropertyViolation, InternalInvariant,
+                              IterationCapExceeded)
 from chorefair.harness import GenParams, gen_instance
 from chorefair.market_init import (
     _best_chain,
@@ -33,7 +36,8 @@ def violating_chain(state):
 class ReferenceChainView(MarketView):
     """The chain view on model.bits generators, with every chain agent's
     succ rebuilt from its bundle after a fire: the reference for the
-    bitmask loops and the tail's grow-only update in _ChainView."""
+    bitmask loops, the earning levels, the head's stale succ and the
+    tail's grow-only update in _ChainView."""
 
     def __init__(self, state):
         super().__init__(state)
@@ -118,19 +122,43 @@ def reference_chains(state):
     return fired, tuple(view.bundles)
 
 
+def potential(view):
+    """Sum of squared earnings, which every direct fire strictly lowers."""
+    return sum(units * units for units in view.earn_units)
+
+
 def fired_chains(state):
     """The same for the solver's view.  After every fire, its earnings and
-    succ masks equal those of a view built afresh on its bundles."""
+    earning levels equal those of a view built afresh on its bundles, and
+    so does the succ mask of every agent outside view.stale; a stale
+    agent's succ is a superset of the fresh one.  Whenever _best_chain has
+    run its searches (it returns None or a multi-hop chain), it has
+    refreshed every stale agent first, so all succ masks are exact.  Every
+    direct fire strictly lowers the potential."""
     view = _ChainView(state)
     reference = ReferenceChainView(state)
     assert (view.takers, view.succ) == (reference.takers, reference.succ)
     fired = []
-    while (chain := _best_chain(view)) is not None:
+    while True:
+        chain = _best_chain(view)
+        if chain is None or len(chain) > 2:
+            assert view.stale == 0
+            assert view.succ == _ChainView(view.market()).succ
+        if chain is None:
+            break
         fired.append(chain)
+        before = potential(view)
         _fire(view, chain)
+        if len(chain) == 2:
+            assert potential(view) < before
         fresh = _ChainView(view.market())
         assert view.earn_units == fresh.earn_units
-        assert view.succ == fresh.succ
+        assert view.levels == fresh.levels
+        for u in range(view.n):
+            if view.stale >> u & 1:
+                assert view.succ[u] | fresh.succ[u] == view.succ[u]
+            else:
+                assert view.succ[u] == fresh.succ[u]
     return fired, tuple(view.bundles)
 
 
@@ -203,6 +231,91 @@ def test_chain_ties_follow_the_smallest_parent_not_the_least_chain():
     # from 2, so the lexicographically larger chain wins
     assert violating_chain(entry) == [0, 2, 3, 5]
     assert assert_fires_like_the_reference(entry)[0] == [0, 2, 3, 5]
+
+
+def test_a_later_heads_direct_chain_beats_the_first_heads_longer_one():
+    # a0 (earning 4) can give only to a1 (3), which is not below hat(0) =
+    # 3, so a0's shortest chain is [0, 1, 2]; a1 gives straight to a2 (1)
+    inst = low_sets({0, 1}, {0}, {0}, {0}, {1, 2}, {1}, {1}, {2})
+    entry = build_initial_state(inst)
+    assert [entry.earn_units[i] for i in range(3)] == [4, 3, 1]
+    assert violating_chain(entry) == [1, 2]
+    assert assert_fires_like_the_reference(entry) == [[1, 2], [0, 1]]
+
+
+def test_the_searches_run_on_refreshed_succ_when_no_head_gives_directly():
+    # a1 gives chore 0, low to a1, a2 and a3, to a3 (a2 earns 2, not below
+    # hat(1) = 2); a1 then reaches nobody, but its stale succ still holds
+    # a2, through which a0's search would end at a4 (a0 -> a1 -> a2 -> a4)
+    inst = low_sets({1, 2, 3}, {1}, {1}, {0, 1}, {0}, {0}, {2, 4}, {2},
+                    {3}, {4})
+    entry = build_initial_state(inst)
+    assert [entry.earn_units[i] for i in range(5)] == [3, 3, 2, 1, 1]
+    view = _ChainView(entry)
+    _fire(view, _best_chain(view))
+    assert (view.stale, view.succ[1]) == (0b00010, 0b01100)
+    assert _best_chain(view) is None
+    assert (view.stale, view.succ[1]) == (0, 0)
+    assert assert_fires_like_the_reference(entry) == [[1, 3]]
+
+
+def test_a_stale_succ_bit_is_pruned_before_the_next_receiver_is_taken():
+    # a0 gives a1 chore 0, the only one a1 costs 1 on; a1 stays below
+    # hat(0) and first in a0's stale succ, so a0's next chain goes to a2
+    inst = low_sets({0, 1}, {0, 2}, {0}, {0}, {0}, {0}, {1}, {2})
+    entry = build_initial_state(inst)
+    view = _ChainView(entry)
+    _fire(view, _best_chain(view))
+    assert (view.stale, view.succ[0]) == (0b001, 0b110)
+    assert _best_chain(view) == [0, 2]
+    assert view.succ[0] == 0b100
+    assert assert_fires_like_the_reference(entry) == [[0, 1], [0, 2]]
+
+
+def test_a_multi_hop_chain_rebuilds_its_intermediates_succ():
+    # the two-hop instance, with a3 also costing 1 on chore 3: a1 takes
+    # chore 3 from a0 and hands chore 4 to a2, so a1 now reaches a0 and
+    # a3 and no longer a2
+    inst = low_sets({0}, {0}, {0}, {0, 1, 3}, {1, 2}, {1}, {1}, {2}, {2},
+                    {3}, {3}, {3})
+    entry = build_initial_state(inst)
+    view = _ChainView(entry)
+    assert view.succ[1] == 0b0100
+    _fire(view, [0, 1, 2])
+    assert (view.stale, view.succ[1]) == (0b0001, 0b1001)
+    assert assert_fires_like_the_reference(entry) == [[0, 1, 2]]
+
+
+def all_low_market(*owners):
+    """Every agent costs 1 on every chore, all payments 1; owners[e] holds
+    chore e."""
+    n = max(owners) + 1
+    inst = Instance(n, len(owners), Fraction(2),
+                    tuple((False,) * len(owners) for _ in range(n)))
+    return market_from_parts(inst, owners, set())
+
+
+def test_multi_hop_chains_that_undo_each_other_are_caught(monkeypatch):
+    # [0, 1, 2] then [2, 1, 0] restores the entry allocation; the one
+    # after the first chain recurs after the third
+    chains = cycle([[0, 1, 2], [2, 1, 0]])
+    calls = []
+    monkeypatch.setattr(market_init, "_best_chain",
+                        lambda view: calls.append(1) or next(chains))
+    with pytest.raises(IterationCapExceeded,
+                       match="^chain resolution revisited an allocation$"):
+        resolve_overpaid_paths(all_low_market(0, 1, 2))
+    assert len(calls) == 3
+
+
+def test_a_direct_chain_that_keeps_the_potential_raises(monkeypatch):
+    # a0 earns 2 and a1 1, so hat(0) = 1 is not above earning(1): moving
+    # one chore swaps the earnings and leaves the sum of squares at 5
+    monkeypatch.setattr(market_init, "_best_chain", lambda view: [0, 1])
+    with pytest.raises(InternalInvariant,
+                       match="^direct chain did not lower the sum of "
+                             "squared earnings$"):
+        resolve_overpaid_paths(all_low_market(0, 0, 1))
 
 
 CHAIN_KS = (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(5))
