@@ -15,24 +15,24 @@ all-high row to pick the entry that gets lowered.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import re
 import time
+from collections import namedtuple
 from collections.abc import Callable
 from functools import cache
 from itertools import islice
 from math import gcd
-from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .approx_efx import approx_from_equilibrium
 from .efx_k2 import k2_from_equilibrium
 from .errors import ChorefairError, ParseError
-from .model import (Instance, MarketState, RawInstance, as_rational,
-                    build_market_state, bundle_masks, normalize_instance,
-                    normalize_rows, relabel_agents)
+from .model import (CheckedRecord, Instance, MarketState, RawInstance,
+                    as_rational, build_market_state, bundle_masks,
+                    normalize_instance, normalize_rows, relabel_agents)
 from .oracle import is_pareto_optimal
 from .pef1 import run_pef1
 from .trace import TraceEvent, replay_trace
@@ -62,19 +62,18 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class GenParams:
-    n: int
-    m: int
-    k: Fraction
-    high_prob: Fraction
-    seed: int
+class GenParams(CheckedRecord,
+                namedtuple("GenParams", "n m k high_prob seed")):
+    """A generator draw: shape, cost ratio k, the chance that a cost is k,
+    and the seed; k and high_prob are coerced by as_rational."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, m: int, k: Fraction, high_prob: Fraction,
+                seed: int):
+        self = super().__new__(cls, n, m, as_rational(k),
+                               as_rational(high_prob), seed)
         # each message starts with the field's name, which the CLI maps to
         # its option
-        object.__setattr__(self, "k", as_rational(self.k))
-        object.__setattr__(self, "high_prob", as_rational(self.high_prob))
         for name, ok, need in (
                 ("n", self.n >= 1, "at least 1"),
                 ("m", self.m >= 1, "at least 1"),
@@ -84,6 +83,7 @@ class GenParams:
             if not ok:
                 raise ValueError(
                     f"{name} must be {need}, got {getattr(self, name)}")
+        return self
 
 
 def gen_instance(params: GenParams) -> RawInstance:
@@ -277,15 +277,13 @@ def instance_digest(instance: Instance) -> str:
 
 # --------------------------------------------------------------- pipeline
 
-@dataclass(frozen=True)
-class StageSummary:
+class StageSummary(NamedTuple):
     name: str
     rounds: int
     events: tuple[TraceEvent, ...]
 
 
-@dataclass(frozen=True)
-class Verdicts:
+class Verdicts(NamedTuple):
     entry_equilibrium: bool
     entry_pef1: bool
     entry_ef1: bool
@@ -297,12 +295,11 @@ class Verdicts:
 
 
 # (report key, Verdicts field) pairs in report order; oracle-po is optional
-VERDICT_KEYS = tuple((f.name.replace("_", "-"), f.name)
-                     for f in fields(Verdicts))
+VERDICT_KEYS = tuple((name.replace("_", "-"), name)
+                     for name in Verdicts._fields)
 
 
-@dataclass(frozen=True)
-class RunReport:
+class _RunReport(NamedTuple):
     digest: str
     mode: str
     requested_mode: str
@@ -318,10 +315,20 @@ class RunReport:
     verdicts: Verdicts | None
     success: bool
     error: str | None = None
-    timings: dict[str, float] = field(default_factory=dict)
-    # parse_report's event lines, when all are canonical; replace() drops them
-    event_lines: tuple[str, ...] | None = field(
-        init=False, default=None, repr=False, compare=False)
+    timings: dict[str, float] = {}  # RunReport gives each report its own
+
+
+class RunReport(_RunReport):
+    """A run: the instance's identity, the entry and final states, the
+    stages' events and the verdicts.  event_lines is not a field: it holds
+    parse_report's event lines when all are canonical, and equality, repr
+    and _replace copies leave it out."""
+    event_lines: tuple[str, ...] | None = None
+
+    def __new__(cls, *fields, **named):
+        if len(fields) < len(cls._fields) and "timings" not in named:
+            named["timings"] = {}
+        return super().__new__(cls, *fields, **named)
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
@@ -720,10 +727,11 @@ def parse_report(text: str) -> RunReport:
         pay_high=vectors["pay-high"], stages=(), verdicts=verdicts,
         success=_parse_choice(want("status"), ("ok", "failed"), "status"),
         error=head.get("error"), timings=timings)
-    report = replace(report, stages=_stages_in_units(stages, known, report.k))
+    report = report._replace(
+        stages=_stages_in_units(stages, known, report.k))
     if None not in event_lines and all(
             t == f"{num}/{den}" for t, (num, den) in known.items()):
-        object.__setattr__(report, "event_lines", tuple(event_lines))
+        report.event_lines = tuple(event_lines)
     return report
 
 
@@ -875,6 +883,8 @@ def bench(grid: list[GenParams], *, mode: str = "auto") -> tuple[str, int]:
     failed rows: a failed status, or an error other than AlreadyUniform,
     which is a property of the seed's draw.
     """
+    import csv  # only bench writes CSV; solve and verify never load it
+
     failed = 0
     out = io.StringIO()
     writer = csv.writer(out)

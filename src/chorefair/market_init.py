@@ -21,7 +21,7 @@ groups.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (GroupPropertyViolation, InternalInvariant,
                      IterationCapExceeded, MPBViolation)
@@ -265,8 +265,7 @@ def resolve_overpaid_paths(state: MarketState) -> MarketState:
     return view.market()
 
 
-@dataclass(frozen=True)
-class AgentGroups:
+class AgentGroups(NamedTuple):
     """Ordered groups headed by successive big earners.
 
     new_to_old[r] lists agents in reindexed order (group by group, ascending

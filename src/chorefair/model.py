@@ -9,12 +9,12 @@ comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
 from operator import ne
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (AlreadyUniform, ChorefairError, InternalInvariant,
                      LemmaViolation, MPBViolation, NotBiValued, ZeroCost)
@@ -31,22 +31,44 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class RawInstance:
+class CheckedRecord(tuple):
+    """Mixin for a namedtuple class that checks or derives its fields in
+    __new__.  Every copy (_replace, _make, copy.copy, pickle) is built by
+    _make, which calls the class with the fields by name, so no copy skips
+    the checks.  A record equals only records of its own class.
+    """
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(**dict(zip(cls._fields, fields)))
+
+    def __reduce__(self):
+        return type(self)._make, (tuple(self),)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class RawInstance(CheckedRecord, namedtuple("RawInstance", "n m costs")):
     """A cost matrix as supplied by the user, prior to normalization.
 
     costs[i][e] is agent i's cost for chore e.  Shape must match (n, m);
     positivity and the bi-valued property are checked by normalize_instance.
     """
-    n: int
-    m: int
-    costs: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got n={self.n} m={self.m}")
-        if len(self.costs) != self.n or any(len(r) != self.m for r in self.costs):
+    def __new__(cls, n: int, m: int, costs: tuple[tuple[Fraction, ...], ...]):
+        if n < 1 or m < 1:
+            raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
+        if len(costs) != n or any(len(r) != m for r in costs):
             raise ValueError("cost matrix shape does not match (n, m)")
+        return super().__new__(cls, n, m, costs)
 
 
 def raw_instance(costs: Sequence[Sequence]) -> RawInstance:
@@ -59,8 +81,7 @@ def raw_instance(costs: Sequence[Sequence]) -> RawInstance:
 _LOW_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
 
 
-@dataclass(frozen=True, init=False)
-class Instance:
+class Instance(CheckedRecord, namedtuple("Instance", "n m k low_masks")):
     """Normalized bi-valued instance: every cost is 1 or k, with k > 1.
 
     The instance is its cost-1 masks: bit e of low_masks[i] is set iff
@@ -70,14 +91,11 @@ class Instance:
     matrix of high flags (True where the cost is k) with
     Instance(n, m, k, high).
     """
-    n: int
-    m: int
-    k: Fraction
-    low_masks: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, n: int, m: int, k: Fraction,
-                 high: Sequence[Sequence[bool]] | None = None, *,
-                 low_masks: Sequence[int] = ()):
+    def __new__(cls, n: int, m: int, k: Fraction,
+                high: Sequence[Sequence[bool]] | None = None, *,
+                low_masks: Sequence[int] = ()):
         if n < 1 or m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
         if k <= 1:
@@ -92,9 +110,7 @@ class Instance:
         for i, low in enumerate(low_masks):
             if not low:
                 raise ValueError(f"agent {i} has no cost-1 chore; instances require one per row")
-        for name, value in (("n", n), ("m", m), ("k", k),
-                            ("low_masks", tuple(low_masks))):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, n, m, k, tuple(low_masks))
 
     def cost(self, agent: int, item: int) -> Fraction:
         return ONE if self.low_masks[agent] >> item & 1 else self.k
@@ -195,8 +211,7 @@ def relabel_agents(instance: Instance, new_to_old: Sequence[int]) -> Instance:
         instance.low_masks[old] for old in new_to_old))
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Total assignment of chores to agents: owner[e] is the agent holding e."""
     owner: tuple[int, ...]
 
@@ -239,20 +254,26 @@ class _MarketMasks:
                 for e, b in zip(earn, self.bundles)]
 
 
-@dataclass(frozen=True)
-class MarketState(_MarketMasks):
+class MarketState(_MarketMasks, CheckedRecord, namedtuple(
+        "MarketState", "instance bundles high earn_units")):
     """A frozen market: one chore bitmask per agent, the payment-k mask
-    high and each agent's earning in 1/q units (derived on construction).
-    Ratios, MPB sets and hats come from _MarketMasks.
+    high and each agent's earning in 1/q units (derived on construction,
+    and again for every copy).  Ratios, MPB sets and hats come from
+    _MarketMasks.
     """
-    instance: Instance
-    bundles: tuple[int, ...]
-    high: int
-    earn_units: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "earn_units", tuple(
-            self.earning(i) for i in range(self.instance.n)))
+    def __new__(cls, instance: Instance, bundles: tuple[int, ...],
+                high: int):
+        q, p = instance.unit, instance.high_units
+        # _MarketMasks.earning of each bundle
+        return super().__new__(cls, instance, bundles, high, tuple(
+            q * b.bit_count() + (p - q) * (b & high).bit_count()
+            for b in bundles))
+
+    @classmethod
+    def _make(cls, fields):
+        instance, bundles, high, _ = fields
+        return cls(instance, bundles, high)
 
     @cached_property
     def kernel(self) -> EnvyKernel:
@@ -389,25 +410,40 @@ class MarketView(_MarketMasks):
         earn_units holds.  noun names the step in the messages.  Returns the
         earnings recomputed by popcount; earn_units is left as it was.
 
-        The partition is checked over the whole market.  The MPB test and
-        the earning are rederived for each agent whose bundle mask differs
-        from the last passing check's, and for every agent when high
-        differs or on the view's first check; the other agents keep the
-        verdict and earning of the same masks (see the class docstring).
+        The partition is checked over the whole market on the view's first
+        check, and afterwards over the agents whose bundle mask differs
+        from the last passing check's; a failure is named by the whole
+        scan.  The MPB test and the earning are rederived for those agents,
+        and for every agent when high differs or on the view's first
+        check; the other agents keep the verdict and earning of the same
+        masks (see the class docstring).
         The whole earnings list is then compared with earn_units, so the
         errors and their order are those of a recheck of every agent.
         """
-        bundles, high = self.bundles, self.high
-        fault = _partition_fault(bundles, self.instance.m)
-        if fault:
-            raise InternalInvariant(fault)
+        bundles, high, m = self.bundles, self.high, self.instance.m
         checked = self._checked
-        if checked is not None and checked[1] == high:
-            earn = checked[2][:]
-            changed = compress(count(), map(ne, bundles, checked[0]))
+        if checked is None:
+            changed = range(self.n)
+            intact = _partition_fault(bundles, m) is None
         else:
+            # the snapshot's bundles partition the chores, so these do iff
+            # the changed ones are pairwise disjoint and together hold what
+            # they held there (a bit >= m or a negative mask breaks that)
+            old = checked[0]
+            changed = list(compress(count(), map(ne, bundles, old)))
+            held = was = size = 0
+            for i in changed:
+                held |= bundles[i]
+                was |= old[i]
+                size += bundles[i].bit_count()
+            intact = held == was and size == held.bit_count()
+        if not intact:
+            raise InternalInvariant(_partition_fault(bundles, m))
+        if checked is None or checked[1] != high:
             earn = [0] * self.n
             changed = range(self.n)
+        else:
+            earn = checked[2][:]
         for i in changed:
             if bundles[i] & ~self.mpb(i):
                 raise MPBViolation(f"{noun} broke the equilibrium at agent {i}")

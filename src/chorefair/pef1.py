@@ -23,8 +23,8 @@ ratios and group order are rechecked only after a raise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (IterationCapExceeded, LemmaViolation,
                      MissingIntermediary, MPBViolation, RaiseOverflow)
@@ -35,8 +35,7 @@ from .model import (Instance, MarketState, MarketView, bits,
 from .trace import TraceEvent
 
 
-@dataclass(frozen=True)
-class SolverState:
+class SolverState(NamedTuple):
     """Loop state: current market, which agents are still unraised, the fixed
     group structure and the entry market, the one before the first round
     (the rotation branch consults its bundles).
@@ -49,8 +48,7 @@ class SolverState:
     trace: tuple[TraceEvent, ...] = ()
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     """The market after a reallocation stage run on a pEF1 equilibrium,
     with the stage's trace, one event per round; pef1 is the state it
     started from, when the stage was run on one."""

@@ -7,13 +7,13 @@ exhaustive check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 from operator import getitem, sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .model import ONE, EnvyKernel, MarketState
+from .model import ONE, CheckedRecord, EnvyKernel, MarketState
 
 
 class Unbounded:
@@ -41,8 +41,7 @@ def beta_le(a, b) -> bool:
     return a <= b
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """The tuple that reproduces a violated inequality: lhs > rhs."""
     agent: int
     other: int | None
@@ -51,17 +50,18 @@ class Witness:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class FairnessVerdict:
-    holds: bool
-    witness: Witness | None
+class FairnessVerdict(CheckedRecord,
+                      namedtuple("FairnessVerdict", "holds witness")):
+    """Whether a notion holds; when it does not, the witness of the first
+    violation."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.holds == (self.witness is None)
+    def __new__(cls, holds: bool, witness: Witness | None):
+        assert holds == (witness is None)
+        return super().__new__(cls, holds, witness)
 
 
-@dataclass(frozen=True)
-class BetaResult:
+class BetaResult(NamedTuple):
     """Minimal factor for which the corresponding beta-notion holds."""
     value: Fraction | Unbounded
     binding_pair: tuple[int, int] | None

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -75,8 +74,8 @@ def save_instance(path, instance) -> None:
 
 def rendered_fingerprint(report) -> str:
     """report_fingerprint of the report rendered from its fields alone, as
-    a replace() copy, which keeps no event lines, renders it."""
-    copy = replace(report)
+    a _replace() copy, which keeps no event lines, renders it."""
+    copy = report._replace()
     assert copy.event_lines is None
     return hashlib.sha256(
         report_text(copy, timings=False).encode()).hexdigest()

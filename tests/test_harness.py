@@ -2,7 +2,6 @@
 verification, bench grid."""
 
 import functools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +21,7 @@ from chorefair.errors import (InternalInvariant, NotBiValued, ParseError,
                               ZeroCost)
 from chorefair.harness import (
     GenParams,
+    RunReport,
     SplitMix64,
     bench,
     equilibrium_from_parts,
@@ -234,7 +234,7 @@ def test_report_file_round_trip(tmp_path):
 def test_fingerprint_ignores_timings():
     report = run_pipeline(rotation_instance())
     jittered = type(report)(
-        **{**report.__dict__, "timings": {"total": 123.456}})
+        **{**report._asdict(), "timings": {"total": 123.456}})
     assert report_fingerprint(jittered) == report_fingerprint(report)
     assert report_fingerprint(report) != report.digest
 
@@ -256,7 +256,7 @@ def stored(report):
 
 def with_pef1_events(report, events):
     pef1, *later = report.stages
-    return replace(report, stages=(replace(pef1, events=tuple(events)),
+    return report._replace(stages=(pef1._replace(events=tuple(events)),
                                    *later))
 
 
@@ -280,7 +280,7 @@ def test_verify_report_names_a_chore_moved_by_a_non_owner():
     owner, _ = replay_trace(report.entry_owner, report.entry_pay_high,
                             events[:t], inst.n, inst.k)
     e = next(e for e, o in enumerate(owner) if o != giver)
-    events[t] = replace(events[t], items=(e,))
+    events[t] = events[t]._replace(items=(e,))
     assert verify_report(inst, with_pef1_events(report, events)) == [
         f"trace replay failed: replay: chore {e} owned by {owner[e]}, "
         f"event says {giver}"]
@@ -290,7 +290,7 @@ def test_verify_report_rejects_a_new_to_old_that_is_no_permutation():
     inst = rotation_instance()
     report = stored(run_pipeline(inst))
     assert verify_report(inst, report) == []
-    tampered = replace(report, new_to_old=(0,) * inst.n)
+    tampered = report._replace(new_to_old=(0,) * inst.n)
     assert verify_report(inst, tampered) == [
         "new-to-old is not a permutation"]
 
@@ -317,7 +317,7 @@ def test_verify_report_returns_a_mis_shaped_vector_as_a_problem(case):
     inst = rotation_instance()
     report = run_pipeline(inst)
     assert (inst.n, inst.m) == (4, 17)
-    assert verify_report(inst, replace(report, **change(report))) == [problem]
+    assert verify_report(inst, report._replace(**change(report))) == [problem]
 
 
 # (n, m, k, high_prob, seed) of drawn instances whose payment rounds and
@@ -337,8 +337,8 @@ def test_verify_report_rebuilds_the_pef1_output_between_the_stages(params):
     assert pef1_parts[0] not in (report.entry_owner, report.owner)
     assert verify_report(inst, report) == []
     # the entry-* verdicts are judged on that rebuilt state
-    forged = replace(report.verdicts, entry_ef1=False)
-    assert verify_report(inst, replace(report, verdicts=forged)) == [
+    forged = report.verdicts._replace(entry_ef1=False)
+    assert verify_report(inst, report._replace(verdicts=forged)) == [
         "entry-ef1: recomputed True, report says False"]
 
 
@@ -790,29 +790,47 @@ def test_the_canonical_event_parse_matches_the_token_parse(body):
     at = next(i for i, line in enumerate(lines) if line.startswith("event:"))
     lines[at] = f"event: {body}"
     report = outcome(parse_report, "\n".join(lines) + "\n")
-    if not isinstance(report, tuple):
+    if isinstance(report, RunReport):
         assert report_fingerprint(report) == rendered_fingerprint(report)
 
 
 def test_a_parsed_report_keeps_its_event_lines_until_replaced():
-    report = run_pipeline(skewed_owned_instance(*SKEWED_Q2))
+    inst = skewed_owned_instance(*SKEWED_Q2)
+    report = run_pipeline(inst)
     text = report_text(report)
     parsed = parse_report(text)
     lines = [line for line in text.splitlines() if line.startswith("event:")]
     assert len(lines) > 1
     assert parsed.event_lines == tuple(lines)
     # the kept lines are neither compared nor shown
-    copy = replace(parsed)
+    copy = parsed._replace()
+    assert copy.event_lines is None
     assert copy == parsed and repr(copy) == repr(parsed)
     assert report_text(copy) == report_text(parsed) == text
     first, *rest = parsed.stages[0].events
-    moved = replace(first, round=first.round + 7)
+    moved = first._replace(round=first.round + 7)
     tampered = with_pef1_events(parsed, [moved, *rest])
     assert tampered.event_lines is None
     want = text.replace(lines[0], lines[0].replace(
         f" round={first.round} ", f" round={moved.round} "), 1)
     assert want != text
     assert report_text(tampered) == want
+    # the copy is checked as edited, not as its source's lines say
+    assert verify_report(inst, parsed) == []
+    [problem] = verify_report(inst, tampered)
+    assert problem.startswith("trace replay failed: replay: round 1 ")
+
+
+def test_report_equality_ignores_event_lines():
+    report = run_pipeline(skewed_owned_instance(*SKEWED_Q2))
+    parsed = parse_report(report_text(report))
+    other = parse_report(report_text(report))
+    other.event_lines = ("event: not compared",)
+    assert parsed.event_lines is not None
+    assert other == parsed and repr(other) == repr(parsed)
+    assert other._replace() == parsed._replace() == parsed
+    assert RunReport(*parsed) == parsed and RunReport(*parsed).event_lines \
+        is None
 
 
 def test_a_report_with_a_non_canonical_event_renders_every_event():

@@ -1,5 +1,7 @@
 """Instance normalization, unit arithmetic, and market-state accounting."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from chorefair import (
 from chorefair.errors import (ChorefairError, InternalInvariant,
                               LemmaViolation, MPBViolation, NotBiValued,
                               ZeroCost)
+from chorefair.harness import GenParams
 from chorefair.model import (
     Allocation,
     MarketView,
@@ -24,6 +27,7 @@ from chorefair.model import (
     relabel_agents,
 )
 from chorefair.pef1 import SolverState, _Rounds, run_pef1
+from chorefair.verify import FairnessVerdict, Witness
 
 from conftest import (generated_instances, high_rows, instance_to_raw,
                       instances, owned_instance, unit_cost)
@@ -194,6 +198,66 @@ def test_build_market_state_rejects_bad_masks(bundles, high, message):
         build_market_state(inst, bundles, high)
 
 
+# a valid record, one field change that its class rejects, and the error
+RECORD_FAULTS = [
+    (Instance(2, 3, Fraction(2), low_masks=(0b011, 0b100)),
+     {"k": Fraction(1)}, ValueError, "k must exceed 1, got 1"),
+    (Instance(2, 3, Fraction(2), low_masks=(0b011, 0b100)),
+     {"low_masks": (0b011, 0)}, ValueError,
+     "agent 1 has no cost-1 chore; instances require one per row"),
+    (Instance(2, 3, Fraction(2), low_masks=(0b011, 0b100)),
+     {"low_masks": (0b1000, 1)}, ValueError,
+     "cost-1 masks do not match (n, m)"),
+    (RawInstance(2, 2, ((1, 2), (2, 1))), {"m": 3}, ValueError,
+     "cost matrix shape does not match (n, m)"),
+    (RawInstance(2, 2, ((1, 2), (2, 1))), {"n": 0}, ValueError,
+     "need n >= 1 and m >= 1, got n=0 m=2"),
+    (GenParams(4, 8, 2, "1/2", 0), {"seed": -1}, ValueError,
+     "seed must be in [0, 2^64), got -1"),
+    (GenParams(4, 8, 2, "1/2", 0), {"k": "1"}, ValueError,
+     "k must be above 1, got 1"),
+    (GenParams(4, 8, 2, "1/2", 0), {"high_prob": 0.5}, TypeError,
+     "floats are not exact; pass a Fraction, int or 'p/q' string"),
+    (FairnessVerdict(True, None), {"holds": False}, AssertionError, ""),
+    (FairnessVerdict(False, Witness(0, 1, 2, Fraction(3), Fraction(1))),
+     {"witness": None}, AssertionError, ""),
+]
+
+
+@pytest.mark.parametrize("record, change, error, message", RECORD_FAULTS)
+def test_checked_records_reject_bad_fields_however_built(record, change,
+                                                          error, message):
+    cls = type(record)
+    fields = {**record._asdict(), **change}
+    for build in (lambda: cls(**fields), lambda: record._replace(**change),
+                  lambda: cls._make(fields.values())):
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("record", [
+    *{type(r): r for r, *_ in RECORD_FAULTS}.values(),
+    build_market_state(owned_instance(2, [0, 0, 1]), (0b011, 0b100), 0b010)])
+def test_checked_records_copy_through_their_class(record):
+    for duplicate in (record._replace(), copy.copy(record),
+                      copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+        assert type(duplicate) is type(record)
+        assert duplicate == record and hash(duplicate) == hash(record)
+    # as for a frozen dataclass: equal only within the class, and immutable
+    assert record != tuple(record)
+    with pytest.raises(AttributeError):
+        record.__setattr__(record._fields[0], None)
+
+
+def test_a_market_state_copy_derives_its_earnings_again():
+    state = _two_agent_state()
+    raised = state._replace(high=0b111, earn_units=(0, 0))
+    assert raised == build_market_state(state.instance, state.bundles, 0b111)
+    assert raised.earn_units == (4, 2)
+
+
 def test_earning_views_agree_with_manual_sums():
     state = _two_agent_state()
     # agent 0 holds payments 1 and 2, agent 1 holds payment 1
@@ -321,11 +385,35 @@ def _edit_earning(view):
     view.earn_units[1] += 1
 
 
+def _edit_stray(view):
+    view.bundles[0] |= 1 << 4  # m = 4
+
+
+def _edit_share(view):
+    view.bundles[0] |= 0b0100  # agent 1 holds chore 2
+
+
+def _edit_share_both(view):
+    # both agents change, and together they still hold every chore
+    view.bundles[0] |= 0b0100
+    view.bundles[1] |= 0b0001
+
+
+def _edit_drop(view):
+    view.bundles[0] &= ~0b0001
+
+
 @pytest.mark.parametrize("edit,error,message", [
     (_edit_move, MPBViolation, "round broke the equilibrium at agent 1"),
     (_edit_high, MPBViolation, "round broke the equilibrium at agent 1"),
     (_edit_earning, LemmaViolation,
      "earning of uninvolved agent 1 changed during the round"),
+    # the partition is checked on the changed agent 0 alone
+    (_edit_stray, InternalInvariant,
+     "a bundle mask has a bit outside chores 0..3"),
+    (_edit_share, InternalInvariant, "two bundles share a chore"),
+    (_edit_share_both, InternalInvariant, "two bundles share a chore"),
+    (_edit_drop, InternalInvariant, "some chore is in no bundle"),
 ])
 def test_check_round_catches_an_edit_between_two_checks(edit, error,
                                                         message):
@@ -369,8 +457,8 @@ def _view_edits(draw):
     touched agents and whether to adopt the earnings a passing check
     returns."""
     kind = draw(st.sampled_from((
-        "solver", "move", "raise", "flip", "share", "drop", "stray", "force",
-        "earn", "sync", "undo")))
+        "solver", "move", "raise", "flip", "share", "twin", "drop", "stray",
+        "force", "earn", "sync", "undo")))
     touched = draw(st.one_of(st.just(set(range(6))),
                              st.sets(st.integers(0, 5))))
     return kind, draw(st.integers(0, 63)), draw(st.integers(0, 63)), \
@@ -397,6 +485,10 @@ def _apply(view, kind, x, y, good, solver):
     elif kind == "flip":
         view.high ^= bit
     elif kind == "share":
+        view.bundles[u] |= bit
+    elif kind == "twin" and owner not in (None, u) and view.bundles[u]:
+        # u takes e and its owner a chore of u's: the union is unchanged
+        view.bundles[owner] |= view.bundles[u] & -view.bundles[u]
         view.bundles[u] |= bit
     elif kind == "drop":
         view.bundles[u] &= ~bit

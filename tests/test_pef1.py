@@ -1,6 +1,5 @@
 """Payment-EF1 solver: round mechanics, the rotation branch, termination."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -180,8 +179,8 @@ def test_final_allocation_is_a_permutation_of_the_items(inst):
 def _entry_state(final):
     """The solver state before the first round of a finished run."""
     n = final.market.instance.n
-    return replace(final, market=final.entry, unraised=frozenset(range(n)),
-                   round_count=0, trace=())
+    return final._replace(market=final.entry, unraised=frozenset(range(n)),
+                          round_count=0, trace=())
 
 
 @given(generated_instances(max_n=5, max_m=9))

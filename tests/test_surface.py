@@ -11,6 +11,8 @@ import argparse
 import ast
 import os
 import re
+import subprocess
+import sys
 
 import chorefair
 from chorefair.cli import build_parser
@@ -151,3 +153,22 @@ def test_every_module_parses_at_the_oldest_declared_python():
     for fname in modules:
         with open(os.path.join(package, fname), encoding="utf-8") as fh:
             ast.parse(fh.read(), fname, feature_version=version)
+
+
+def test_a_cli_process_loads_no_dataclasses_inspect_or_csv():
+    """A fresh interpreter importing the CLI and the oracle, as every
+    `chorefair` command does, loads none of these modules: dataclasses
+    alone pulls in inspect, ast, dis and tokenize, and only `chorefair
+    bench` writes CSV.  Modules loaded before the import are not counted."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import chorefair.cli, chorefair.oracle\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout.split())
+    assert "chorefair.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "csv"}
