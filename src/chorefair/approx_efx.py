@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import IterationCapExceeded, LemmaViolation
 from .model import Instance, MarketState, MarketView, bits
-from .pef1 import SolverState, StageResult, run_pef1
+from .pef1 import StageResult, run_pef1
 from .trace import TraceEvent
 
 
@@ -128,11 +128,10 @@ def _assert_round(view: MarketView, z_units: int, i: int, j: int,
     return earn
 
 
-def approx_from_equilibrium(market: MarketState,
-                            pef1: SolverState | None = None) -> StageResult:
+def approx_from_equilibrium(market: MarketState) -> StageResult:
     found = strong_envy_target(market)
     if found is None:
-        return StageResult(market, (), pef1)
+        return StageResult(market, ())
     view = MarketView(market)
     z = entry_tier_units(view)
     trace: list[TraceEvent] = []
@@ -143,7 +142,7 @@ def approx_from_equilibrium(market: MarketState,
             raise IterationCapExceeded(
                 f"exchange stage exceeded {cap} rounds")
         found = strong_envy_target(view)
-    return StageResult(view.market(), tuple(trace), pef1)
+    return StageResult(view.market(), tuple(trace))
 
 
 def run_approx_efx(instance: Instance) -> StageResult:
@@ -153,4 +152,4 @@ def run_approx_efx(instance: Instance) -> StageResult:
     result.pef1.groups.new_to_old maps back to the caller's labels.
     """
     state = run_pef1(instance)
-    return approx_from_equilibrium(state.market, state)
+    return approx_from_equilibrium(state.market)._replace(pef1=state)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .errors import (IterationCapExceeded, LemmaViolation, MPBViolation,
                      PreconditionViolated, TierViolation)
 from .model import Instance, MarketState, MarketView
-from .pef1 import SolverState, StageResult, run_pef1
+from .pef1 import StageResult, run_pef1
 from .trace import TraceEvent
 
 
@@ -126,8 +126,7 @@ def _assert_round(view: MarketView, z: int, i: int, j: int, kind: str,
     return earn
 
 
-def k2_from_equilibrium(market: MarketState,
-                        pef1: SolverState | None = None) -> StageResult:
+def k2_from_equilibrium(market: MarketState) -> StageResult:
     if market.instance.k != 2:
         raise PreconditionViolated(
             f"exact EFX stage needs k = 2, got {market.instance.k}")
@@ -138,8 +137,7 @@ def k2_from_equilibrium(market: MarketState,
         trace.append(event)
         if len(trace) > cap:
             raise IterationCapExceeded(f"trade stage exceeded {cap} rounds")
-    return StageResult(view.market() if trace else market, tuple(trace),
-                       pef1)
+    return StageResult(view.market() if trace else market, tuple(trace))
 
 
 def run_efx_k2(instance: Instance) -> StageResult:
@@ -149,4 +147,4 @@ def run_efx_k2(instance: Instance) -> StageResult:
     result.pef1.groups.new_to_old maps back to the caller's labels.
     """
     state = run_pef1(instance)
-    return k2_from_equilibrium(state.market, state)
+    return k2_from_equilibrium(state.market)._replace(pef1=state)

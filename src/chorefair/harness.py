@@ -179,9 +179,19 @@ def instance_text(instance: RawInstance | Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """A file's text; a byte sequence that is not UTF-8 is a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"byte {err.start}: not UTF-8 "
+                         f"(0x{data[err.start]:02x})") from None
+
+
 def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return parse_instance(_read_text(path))
 
 
 # the fields of each kind of instance file, besides its row lines
@@ -314,8 +324,8 @@ class _RunReport(NamedTuple):
     stages: tuple[StageSummary, ...]
     verdicts: Verdicts | None
     success: bool
-    error: str | None = None
-    timings: dict[str, float] = {}  # RunReport gives each report its own
+    error: str | None
+    timings: dict[str, float]
 
 
 class RunReport(_RunReport):
@@ -324,11 +334,6 @@ class RunReport(_RunReport):
     parse_report's event lines when all are canonical, and equality, repr
     and _replace copies leave it out."""
     event_lines: tuple[str, ...] | None = None
-
-    def __new__(cls, *fields, **named):
-        if len(fields) < len(cls._fields) and "timings" not in named:
-            named["timings"] = {}
-        return super().__new__(cls, *fields, **named)
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
@@ -392,9 +397,9 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
             final = pef1_market
         else:
             if resolved == "approx":
-                result = approx_from_equilibrium(pef1_market, state)
+                result = approx_from_equilibrium(pef1_market)
             else:
-                result = k2_from_equilibrium(pef1_market, state)
+                result = k2_from_equilibrium(pef1_market)
             stages.append(StageSummary(names[1], len(result.trace),
                                        result.trace))
             final = result.market
@@ -430,7 +435,7 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
         entry_pay_high=_flags(entry.high, inst.m),
         owner=final.allocation.owner, pay_high=_flags(final.high, inst.m),
         stages=tuple(stages), verdicts=verdicts, success=success,
-        timings=timings)
+        error=None, timings=timings)
 
 
 def compute_verdicts(pef1: MarketState, final: MarketState,
@@ -622,8 +627,7 @@ _VERDICT_NAMES = frozenset(key for key, _ in VERDICT_KEYS)
 
 
 def load_report(path: str) -> RunReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_report(fh.read())
+    return parse_report(_read_text(path))
 
 
 def parse_report(text: str) -> RunReport:
@@ -801,10 +805,9 @@ def verify_report(inst: Instance, report: RunReport) -> list[str]:
         return problems + shape
     problems += _verify_stages(report)
     reindexed = relabel_agents(inst, report.new_to_old)
-    # replay the pef1 events, then the later stages' from where they end
+    # replay the first stage's events, then the later ones' from their end
     trace = report.trace
-    cut = next((t for t, ev in enumerate(trace) if ev.stage != "pef1"),
-               len(trace))
+    cut = len(report.stages[0].events) if report.stages else 0
     entry_parts = (report.entry_owner, report.entry_pay_high)
     final_parts = (report.owner, report.pay_high)
     try:
@@ -840,8 +843,9 @@ def verify_report(inst: Instance, report: RunReport) -> list[str]:
 
 
 def _verify_stages(report: RunReport) -> list[str]:
-    """Stage names against the mode; each stage's rounds against its
-    events, which number the rounds 1..R."""
+    """Stage names against the mode; each stage's name against its events'
+    stage fields, and its rounds against its events, which number the
+    rounds 1..R."""
     problems = []
     names = [stage.name for stage in report.stages]
     want = list(MODE_STAGES.get(report.mode, names))
@@ -849,6 +853,11 @@ def _verify_stages(report: RunReport) -> list[str]:
         problems.append(f"stages: {names} are not {want} "
                         f"for mode {report.mode}")
     for stage in report.stages:
+        stray = next((ev for ev in stage.events if ev.stage != stage.name),
+                     None)
+        if stray is not None:
+            problems.append(f"stage {stage.name}: the event of round "
+                            f"{stray.round} says stage={stray.stage}")
         numbers = {ev.round for ev in stage.events}
         if numbers != set(range(1, stage.rounds + 1)):
             problems.append(f"stage {stage.name}: rounds={stage.rounds} but "

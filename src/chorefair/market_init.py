@@ -56,7 +56,7 @@ def build_initial_state(instance: Instance) -> MarketState:
 
 
 class _ChainView(MarketView):
-    """The market view for the chains and the partition; payments stay fixed.
+    """The market view for the chain resolution; payments stay fixed.
 
     mpbs caches the MPB masks.  takers[e] is the bitmask of agents for which
     chore e is ratio-minimal, and succ[u] the bitmask of agents v != u that
@@ -279,32 +279,29 @@ class AgentGroups(NamedTuple):
 def partition_agent_groups(state: MarketState) -> AgentGroups:
     """Repeatedly take the big earner b among ungrouped agents and group it
     with every ungrouped agent having a directed path to b in the MPB graph
-    restricted to ungrouped vertices.
+    restricted to ungrouped vertices: an agent joins when its MPB set meets
+    the bundle of a member, until none does.
 
     Asserts the three structural facts later stages rely on: agents of later
     groups cost k on every chore held by earlier groups, all consistently
     large chores sit in the last group, and pEF1 holds inside each group.
     """
-    view = _ChainView(state)
-    hats = view.hats(view.earn_units)
-    ungrouped = (1 << view.n) - 1
+    bundles, hats = state.bundles, state.hats(state.earn_units)
+    ungrouped = list(range(state.instance.n))
+    mpbs = [state.mpb(a) for a in ungrouped]
     groups: list[int] = []
     while ungrouped:
-        b = min(bits(ungrouped), key=lambda a: (-hats[a], a))
-        # reverse reachability to b: the predecessors of y are the agents
-        # whose MPB set meets y's bundle, which is succ[y]
-        members = frontier = 1 << b
-        while frontier:
-            reach = 0
-            while frontier:
-                reach |= view.succ[(frontier & -frontier).bit_length() - 1]
-                frontier &= frontier - 1
-            frontier = reach & ungrouped & ~members
-            members |= frontier
+        b = max(ungrouped, key=hats.__getitem__)  # ties to the smaller index
+        ungrouped.remove(b)
+        members, held = 1 << b, bundles[b]
+        while joining := [a for a in ungrouped if mpbs[a] & held]:
+            for a in joining:
+                ungrouped.remove(a)
+                members |= 1 << a
+                held |= bundles[a]
         groups.append(members)
-        ungrouped &= ~members
 
-    _assert_group_properties(view, hats, groups)
+    _assert_group_properties(state, hats, groups)
     return AgentGroups(tuple(frozenset(bits(g)) for g in groups),
                        tuple(a for g in groups for a in bits(g)))
 
@@ -316,18 +313,18 @@ def _union(masks: list[int], group: int) -> int:
     return out
 
 
-def _assert_group_properties(view: _ChainView, hats: list[int],
+def _assert_group_properties(state: MarketState, hats: list[int],
                              groups: list[int]) -> None:
     """Check the group facts from the masks; each witness is the first in
     ascending index order."""
-    low, earn = view.low_cost, view.earn_units
+    low, earn, bundles = state.low_cost, state.earn_units, state.bundles
     for r, g in enumerate(groups):
-        held = _union(view.bundles, g)
+        held = _union(bundles, g)
         for g2 in groups[r + 1:]:
             if held & _union(low, g2):
                 i, j = next((i, j) for i in bits(g) for j in bits(g2)
-                            if view.bundles[i] & low[j])
-                shared = view.bundles[i] & low[j]
+                            if bundles[i] & low[j])
+                shared = bundles[i] & low[j]
                 raise GroupPropertyViolation(
                     f"agent {j} (later group) costs 1 on chore "
                     f"{(shared & -shared).bit_length() - 1} held by "
@@ -342,8 +339,8 @@ def _assert_group_properties(view: _ChainView, hats: list[int],
                 f"pEF1 fails inside a group: hat({i})={hats[i]} > "
                 f"earning({j})={earn[j]} (units)")
     # consistently large chores: no agent costs 1 on them
-    large = ((1 << view.instance.m) - 1) & ~_union(low, (1 << view.n) - 1)
-    stray = large & ~_union(view.bundles, groups[-1])
+    large = ((1 << state.instance.m) - 1) & ~_union(low, (1 << len(low)) - 1)
+    stray = large & ~_union(bundles, groups[-1])
     if stray:
         raise GroupPropertyViolation(
             f"consistently large chore {(stray & -stray).bit_length() - 1} "

@@ -255,25 +255,18 @@ class _MarketMasks:
 
 
 class MarketState(_MarketMasks, CheckedRecord, namedtuple(
-        "MarketState", "instance bundles high earn_units")):
-    """A frozen market: one chore bitmask per agent, the payment-k mask
-    high and each agent's earning in 1/q units (derived on construction,
-    and again for every copy).  Ratios, MPB sets and hats come from
-    _MarketMasks.
+        "MarketState", "instance bundles high")):
+    """A frozen market: one chore bitmask per agent and the payment-k mask
+    high.  Ratios, MPB sets and hats come from _MarketMasks; the earnings
+    and the envy kernel are derived from the masks on first use.
     """
 
-    def __new__(cls, instance: Instance, bundles: tuple[int, ...],
-                high: int):
-        q, p = instance.unit, instance.high_units
-        # _MarketMasks.earning of each bundle
-        return super().__new__(cls, instance, bundles, high, tuple(
-            q * b.bit_count() + (p - q) * (b & high).bit_count()
-            for b in bundles))
-
-    @classmethod
-    def _make(cls, fields):
-        instance, bundles, high, _ = fields
-        return cls(instance, bundles, high)
+    @cached_property
+    def earn_units(self) -> tuple[int, ...]:
+        """Each agent's earning in 1/q units (_MarketMasks.earning)."""
+        q, p, high = self.pay_low, self.pay_high, self.high
+        return tuple(q * b.bit_count() + (p - q) * (b & high).bit_count()
+                     for b in self.bundles)
 
     @cached_property
     def kernel(self) -> EnvyKernel:

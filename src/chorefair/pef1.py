@@ -50,8 +50,8 @@ class SolverState(NamedTuple):
 
 class StageResult(NamedTuple):
     """The market after a reallocation stage run on a pEF1 equilibrium,
-    with the stage's trace, one event per round; pef1 is the state it
-    started from, when the stage was run on one."""
+    with the stage's trace, one event per round; pef1 is the pEF1 state it
+    started from, which run_approx_efx and run_efx_k2 attach."""
     market: MarketState
     trace: tuple[TraceEvent, ...]
     pef1: SolverState | None = None

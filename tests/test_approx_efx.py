@@ -126,6 +126,15 @@ def test_full_run_meets_the_beta_bound(inst):
 
 
 @given(generated_instances(ks=K_NOT_TWO))
+@settings(max_examples=30)
+def test_the_full_run_is_the_stage_on_the_pef1_market(inst):
+    result = run_approx_efx(inst)
+    pef1 = run_pef1(inst)
+    assert result.pef1 == pef1
+    assert approx_from_equilibrium(pef1.market) == result._replace(pef1=None)
+
+
+@given(generated_instances(ks=K_NOT_TWO))
 @settings(max_examples=60)
 def test_round_count_is_at_most_n(inst):
     result = run_approx_efx(inst)

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorefair.errors import ParseError
-from chorefair.harness import (load_report, parse_instance,
-                               parse_report, report_fingerprint,
-                               verify_report)
+from chorefair.harness import (load_instance, load_report,
+                               report_fingerprint, verify_report)
 from chorefair.cli import main
 
 from conftest import rendered_fingerprint, rotation_instance, save_instance
@@ -383,6 +382,38 @@ MALFORMED_INSTANCES = {
 }
 
 
+# a byte that is not UTF-8 first, midway (a lead byte before a '(') and last
+NON_UTF8 = {
+    "first byte": lambda data: b"\xff" + data[1:],
+    "midway": lambda data: data[:len(data) // 2] + b"\xc3(" +
+    data[len(data) // 2:],
+    "last byte": lambda data: data[:-1] + b"\x80",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8))
+@pytest.mark.parametrize("command, target", [("solve", "inst"),
+                                             ("oracle", "inst"),
+                                             ("verify", "inst"),
+                                             ("verify", "report")])
+def test_non_utf8_input_exits_2_naming_the_byte(paths, capsys, case,
+                                                command, target):
+    gen_ok(paths)
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    with open(paths[target], "rb") as fh:
+        data = fh.read()
+    bad = NON_UTF8[case](data)
+    with open(paths[target], "wb") as fh:
+        fh.write(bad)
+    at = next(i for i, byte in enumerate(bad) if byte > 0x7f)
+    argv = [command, paths["inst"]] + \
+        ([paths["report"]] if command == "verify" else [])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"ParseError: byte {at}: not UTF-8 (0x{bad[at]:02x})\n"
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_INSTANCES))
 def test_malformed_instances_exit_2_without_a_traceback(paths, capsys, case):
     lines = ("format: chorefair-instance/1",) + MALFORMED_INSTANCES[case]
@@ -462,6 +493,22 @@ def test_verify_rejects_stages_that_do_not_fit_the_mode(paths, capsys):
     assert main(["verify", paths["inst"], paths["report"]]) == 1
     assert "verify: stages: ['pef1', 'efx_k2'] are not ['pef1', " \
         "'approx_efx'] for mode approx" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stated", ["anything", "efx_k2"])
+def test_verify_rejects_an_event_stating_another_stage(paths, capsys,
+                                                      stated):
+    inst = os.path.join(INPUTS, "bundle_swap-838.inst")
+    assert main(["solve", inst, "--out", paths["report"]]) == 0
+    text = open(paths["report"]).read()
+    assert text.count("event: stage=approx_efx ") == 1
+    open(paths["report"], "w").write(text.replace(
+        "event: stage=approx_efx ", f"event: stage={stated} "))
+    capsys.readouterr()
+    assert main(["verify", inst, paths["report"]]) == 1
+    assert capsys.readouterr().err == (
+        f"verify: stage approx_efx: the event of round 1 says "
+        f"stage={stated}\n")
 
 
 def test_verify_rejects_an_event_outside_the_stated_rounds(paths, capsys):
@@ -715,18 +762,37 @@ def line_edits(draw):
 
 
 @st.composite
+def byte_edits(draw):
+    """An edit that writes one byte above 0x7f over one byte of the file.
+    Every multi-byte UTF-8 sequence has two or more such bytes, so an ASCII
+    file with one of them is not UTF-8."""
+    at = draw(st.integers(0, 10 ** 6))
+    byte = bytes([draw(st.integers(0x80, 0xff))])
+
+    def edit(data):
+        i = at % len(data)
+        return data[:i] + byte + data[i + 1:]
+
+    return edit
+
+
+@st.composite
 def mutations(draw, n_reports):
-    """(source index, file, edit): edit makes one or two line edits, one
-    after the other, to the source's "report" or "instance" file."""
+    """(source index, file, edit): edit takes the source's "report" or
+    "instance" text and returns the file's bytes after one or two line
+    edits, one after the other, or after one byte edit."""
     which = draw(st.integers(0, n_reports - 1))
     target = draw(st.sampled_from(("report", "instance")))
+    if draw(st.integers(0, 4)) == 0:
+        one = draw(byte_edits())
+        return which, target, lambda text: one(text.encode())
     edits = draw(st.lists(line_edits(), min_size=1, max_size=2))
 
     def edit(text):
         lines = text.splitlines()
         for one in edits:
             lines = one(lines)
-        return "\n".join(lines) + "\n"
+        return ("\n".join(lines) + "\n").encode()
 
     return which, target, edit
 
@@ -737,25 +803,26 @@ def test_a_mutated_report_parses_or_fails_with_a_parse_error(solved_reports,
                                                              data):
     which, target, edit = data.draw(mutations(len(solved_reports)))
     texts = dict(zip(("instance", "report"), solved_reports[which]))
-    texts[target] = edit(texts[target])
-    try:
-        inst = parse_instance(texts["instance"])
-    except ParseError:
-        inst = None
-    try:
-        report = parse_report(texts["report"])
-    except ParseError:
-        pass
-    else:
-        assert report_fingerprint(report) == rendered_fingerprint(report)
-        if inst is not None:
-            assert isinstance(verify_report(inst, report), list)
+    files = {name: text.encode() for name, text in texts.items()}
+    files[target] = edit(texts[target])
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in texts.items():
-            with open(os.path.join(tmp, name), "w") as fh:
-                fh.write(text)
         inst_path, report_path = (os.path.join(tmp, "instance"),
                                   os.path.join(tmp, "report"))
+        for path, name in ((inst_path, "instance"), (report_path, "report")):
+            with open(path, "wb") as fh:
+                fh.write(files[name])
+        try:
+            inst = load_instance(inst_path)
+        except ParseError:
+            inst = None
+        try:
+            report = load_report(report_path)
+        except ParseError:
+            pass
+        else:
+            assert report_fingerprint(report) == rendered_fingerprint(report)
+            if inst is not None:
+                assert isinstance(verify_report(inst, report), list)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             codes = [main(["verify", inst_path, report_path])]
@@ -764,3 +831,6 @@ def test_a_mutated_report_parses_or_fails_with_a_parse_error(solved_reports,
                                    os.path.join(tmp, "solved")]))
     assert set(codes) <= {0, 1, 2}
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    if not files[target].isascii():  # a byte edit: never UTF-8
+        assert set(codes) == {2}
+        assert err.getvalue().startswith("ParseError: byte ")

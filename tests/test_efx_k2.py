@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from chorefair import check_equilibrium, check_pEF1, min_beta_EFX, run_efx_k2
+from chorefair import (check_equilibrium, check_pEF1, min_beta_EFX,
+                       run_efx_k2, run_pef1)
 from chorefair.efx_k2 import (
     earning_tiers,
     efx_violation,
@@ -113,6 +114,15 @@ def test_full_run_reaches_exact_efx(inst):
     assert beta == Fraction(1)
     assert check_equilibrium(result.market).holds
     assert check_pEF1(result.market).holds
+
+
+@given(generated_instances(ks=(Fraction(2),)))
+@settings(max_examples=30)
+def test_the_full_run_is_the_stage_on_the_pef1_market(inst):
+    result = run_efx_k2(inst)
+    pef1 = run_pef1(inst)
+    assert result.pef1 == pef1
+    assert k2_from_equilibrium(pef1.market) == result._replace(pef1=None)
 
 
 @given(generated_instances(ks=(Fraction(2),)))

@@ -342,6 +342,30 @@ def test_verify_report_rebuilds_the_pef1_output_between_the_stages(params):
         "entry-ef1: recomputed True, report says False"]
 
 
+@pytest.mark.parametrize("params", ROUNDS_THEN_STAGE)
+def test_verify_report_names_an_event_stating_another_stage(params):
+    inst = normalize_instance(gen_instance(GenParams(*params)))
+    report = stored(run_pipeline(inst))
+    pef1, stage = report.stages
+    first, *rest = pef1.events
+    # the later stage's events state a stage no mode has: only that is wrong
+    renamed = stage._replace(events=tuple(ev._replace(stage="x")
+                                          for ev in stage.events))
+    assert verify_report(inst, report._replace(stages=(pef1, renamed))) == [
+        f"stage {stage.name}: the event of round 1 says stage=x"]
+    # the two stages' names swapped on one event each: the replay then
+    # fails too, but the stage is named first
+    for stages, problem in (
+            ((pef1._replace(events=(first._replace(stage=stage.name),
+                                    *rest)), stage),
+             f"stage pef1: the event of round 1 says stage={stage.name}"),
+            ((pef1, stage._replace(events=tuple(
+                ev._replace(stage="pef1") for ev in stage.events))),
+             f"stage {stage.name}: the event of round 1 says stage=pef1")):
+        assert verify_report(inst, report._replace(stages=stages))[0] == \
+            problem
+
+
 @pytest.mark.parametrize("owner, message", [
     ((0, 0), "allocation length"),
     ((0, 0, 2), "owner out of range"),

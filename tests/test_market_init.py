@@ -13,6 +13,8 @@ from chorefair.errors import (GroupPropertyViolation, InternalInvariant,
                               IterationCapExceeded)
 from chorefair.harness import GenParams, gen_instance
 from chorefair.market_init import (
+    AgentGroups,
+    _assert_group_properties,
     _best_chain,
     _ChainView,
     _fire,
@@ -480,3 +482,76 @@ def test_partition_matches_the_frozenset_reference(inst):
 def test_partition_matches_the_reference_on_skewed_owned_states(
         k, sizes, seed, sprinkle):
     assert_matches_reference(skewed_owned_instance(k, sizes, seed, sprinkle))
+
+
+def reference_partition(state):
+    """The partition as a reverse breadth-first search over a _ChainView's
+    succ masks, the algorithm partition_agent_groups used before it read
+    the groups off the state's own masks."""
+    view = _ChainView(state)
+    hats = view.hats(view.earn_units)
+    ungrouped = (1 << view.n) - 1
+    groups: list[int] = []
+    while ungrouped:
+        b = min(bits(ungrouped), key=lambda a: (-hats[a], a))
+        # reverse reachability to b: the predecessors of y are the agents
+        # whose MPB set meets y's bundle, which is succ[y]
+        members = frontier = 1 << b
+        while frontier:
+            reach = 0
+            while frontier:
+                reach |= view.succ[(frontier & -frontier).bit_length() - 1]
+                frontier &= frontier - 1
+            frontier = reach & ungrouped & ~members
+            members |= frontier
+        groups.append(members)
+        ungrouped &= ~members
+
+    _assert_group_properties(view, hats, groups)
+    return AgentGroups(tuple(frozenset(bits(g)) for g in groups),
+                       tuple(a for g in groups for a in bits(g)))
+
+
+def outcome(partition, state):
+    """partition(state), or the text of the GroupPropertyViolation it
+    raises."""
+    try:
+        return partition(state)
+    except GroupPropertyViolation as err:
+        return f"GroupPropertyViolation: {err}"
+
+
+def owned_states():
+    """Skewed owned instances, as the owned-rounds workload draws them:
+    one agent owns many chores, the rest few, and a sprinkle of extra
+    cost-1 entries joins some of the small owners into groups."""
+    return st.builds(
+        skewed_owned_instance, st.sampled_from(K_VALUES),
+        st.lists(st.integers(1, 9), min_size=2, max_size=16),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([Fraction(0), Fraction(1, 32), Fraction(1, 8)]))
+
+
+@given(st.one_of(generated_instances(max_n=8, max_m=12), owned_states()),
+       st.booleans())
+def test_partition_matches_the_chain_view_reference(inst, resolved):
+    # entry states are compared too: there pEF1 can fail inside a group,
+    # and both must then raise the same violation
+    state = build_initial_state(inst)
+    if resolved:
+        state = resolve_overpaid_paths(state)
+    assert outcome(partition_agent_groups, state) == \
+        outcome(reference_partition, state)
+
+
+@pytest.mark.parametrize("seed", [111, 999])
+def test_partition_matches_the_reference_on_many_groups(seed):
+    # 21 agents whose chores cost 1 to their owner alone, with a few
+    # extra cost-1 entries: the resolved state splits into many groups,
+    # some of them joined by the extra entries
+    inst = skewed_owned_instance(3, [30] + [2] * 20, seed, Fraction(1, 64))
+    state = resolve_overpaid_paths(build_initial_state(inst))
+    groups = partition_agent_groups(state)
+    assert len(groups.groups) > 10
+    assert any(len(g) > 1 for g in groups.groups)
+    assert groups == reference_partition(state)

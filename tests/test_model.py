@@ -19,6 +19,7 @@ from chorefair.errors import (ChorefairError, InternalInvariant,
 from chorefair.harness import GenParams
 from chorefair.model import (
     Allocation,
+    MarketState,
     MarketView,
     RawInstance,
     as_rational,
@@ -253,9 +254,14 @@ def test_checked_records_copy_through_their_class(record):
 
 def test_a_market_state_copy_derives_its_earnings_again():
     state = _two_agent_state()
-    raised = state._replace(high=0b111, earn_units=(0, 0))
+    assert state.earn_units == (3, 1)
+    raised = state._replace(high=0b111)
     assert raised == build_market_state(state.instance, state.bundles, 0b111)
     assert raised.earn_units == (4, 2)
+    # the earnings are derived from the masks, not a field to overwrite
+    assert MarketState._fields == ("instance", "bundles", "high")
+    with pytest.raises(ValueError, match="earn_units"):
+        state._replace(earn_units=(0, 0))
 
 
 def test_earning_views_agree_with_manual_sums():
