@@ -5,8 +5,9 @@ File formats are line-oriented text with a leading format/version field.
 Rationals serialize as "num/den", booleans as "true"/"false", matrices as
 one row per line.  Reports carry every verdict needed to re-check a run
 from the stored allocation alone; timing lines are excluded from the
-report fingerprint so identical runs fingerprint identically.  A parsed
-report keeps its event lines when all are canonical, to be written as read.
+report fingerprint so identical runs fingerprint identically.  An event
+line is read only in the one form report_text writes, so a parsed report
+keeps its event lines, to be written as read.
 
 The generator uses splitmix64 (Steele, Lea and Flood's 64-bit mixer) so
 instances reproduce bit-for-bit across implementations: draws are
@@ -25,7 +26,6 @@ from functools import cache
 from itertools import islice
 from math import gcd
 from fractions import Fraction
-from typing import NamedTuple
 
 from .approx_efx import approx_from_equilibrium
 from .efx_k2 import k2_from_equilibrium
@@ -287,21 +287,17 @@ def instance_digest(instance: Instance) -> str:
 
 # --------------------------------------------------------------- pipeline
 
-class StageSummary(NamedTuple):
-    name: str
-    rounds: int
-    events: tuple[TraceEvent, ...]
+class StageSummary(namedtuple("StageSummary", "name rounds events")):
+    """A report's stage: its name, its round count and its TraceEvents."""
+    __slots__ = ()
 
 
-class Verdicts(NamedTuple):
-    entry_equilibrium: bool
-    entry_pef1: bool
-    entry_ef1: bool
-    final_equilibrium: bool
-    final_pef1: bool
-    beta_pefx: Fraction | Unbounded
-    beta_efx: Fraction | Unbounded
-    oracle_po: bool | None = None
+class Verdicts(namedtuple("Verdicts", "entry_equilibrium entry_pef1 entry_ef1 "
+                          "final_equilibrium final_pef1 beta_pefx beta_efx "
+                          "oracle_po", defaults=(None,))):
+    """A run's verdicts: booleans, and the two envy factors as Fractions
+    or UNBOUNDED; oracle_po is None when the oracle did not run."""
+    __slots__ = ()
 
 
 # (report key, Verdicts field) pairs in report order; oracle-po is optional
@@ -309,30 +305,14 @@ VERDICT_KEYS = tuple((name.replace("_", "-"), name)
                      for name in Verdicts._fields)
 
 
-class _RunReport(NamedTuple):
-    digest: str
-    mode: str
-    requested_mode: str
-    n: int
-    m: int
-    k: Fraction
-    new_to_old: tuple[int, ...]
-    entry_owner: tuple[int, ...]
-    entry_pay_high: tuple[bool, ...]
-    owner: tuple[int, ...]
-    pay_high: tuple[bool, ...]
-    stages: tuple[StageSummary, ...]
-    verdicts: Verdicts | None
-    success: bool
-    error: str | None
-    timings: dict[str, float]
-
-
-class RunReport(_RunReport):
+class RunReport(namedtuple(
+        "RunReport", "digest mode requested_mode n m k new_to_old entry_owner "
+        "entry_pay_high owner pay_high stages verdicts success error "
+        "timings")):
     """A run: the instance's identity, the entry and final states, the
     stages' events and the verdicts.  event_lines is not a field: it holds
-    parse_report's event lines when all are canonical, and equality, repr
-    and _replace copies leave it out."""
+    parse_report's event lines, and equality, repr and _replace copies
+    leave it out, so a copy is rendered from its fields."""
     event_lines: tuple[str, ...] | None = None
 
     @property
@@ -547,8 +527,6 @@ def _parse_choice(token: str, choices: tuple[str, str], where: str) -> bool:
     return token == choices[0]
 
 
-_EVENT_KEYS = frozenset(("stage", "round", "kind", "agents", "items",
-                         "earn_before", "earn_after", "least"))
 # a body as _event_line writes it; [0-9]: int() also reads '_', other digits
 _INDEX = "(?:0|[1-9][0-9]*)"
 _INDICES = f"((?:{_INDEX}(?:,{_INDEX})*)?)"
@@ -557,65 +535,37 @@ _CANONICAL_EVENT = re.compile(
     rf"stage=(\S*) round=({_INDEX}) kind=(\S*) agents={_INDICES} "
     rf"items={_INDICES} earn_before={_SPELLINGS} earn_after={_SPELLINGS}"
     r"(?: least=([^\s,]+))?")
+_EVENT_FORM = ("stage=S round=R kind=K agents=A items=I earn_before=E "
+               "earn_after=E [least=L]")
 
 
 def _parse_event(lineno: int, body: str, known: dict[str, tuple[int, int]]):
-    """_parse_event_tokens of an event body, and its line when the body
-    matched _CANONICAL_EVENT, which that parse then skips (else None)."""
+    """(lineno, (stage, round, kind, agents, items), earn_before,
+    earn_after, least) of an event body as _event_line writes it, earnings
+    as spellings; any other body is a ParseError naming its line.  A
+    spelling new to the report must be its own lowest-terms 'num/den'; it
+    is parsed once, into known."""
+    where = f"line {lineno}"
     match = _CANONICAL_EVENT.fullmatch(body)
     if match is None:
-        return _parse_event_tokens(lineno, body, known), None
+        raise ParseError(f"{where}: expected an event as {_EVENT_FORM}")
     stage, rnd, kind, agents, items, before, after, least = match.groups()
-    try:  # fails only past int()'s digit limit; the token parse names it
+    try:
         head = (stage, int(rnd), kind,
                 tuple(map(int, agents.split(","))) if agents else (),
                 tuple(map(int, items.split(","))) if items else ())
-    except ValueError:
-        return _parse_event_tokens(lineno, body, known), None
+    except ValueError:  # past int()'s digit limit
+        raise ParseError(f"{where}: an event index has too many digits") \
+            from None
     before, after = [s.split(",") if s else [] for s in (before, after)]
     for t in (*before, *after) if least is None else (*before, *after, least):
         if t not in known:
-            known[t] = _parse_pair(t, f"line {lineno}")
-    return (lineno, head, before, after, least), "event: " + body
-
-
-def _parse_event_tokens(lineno: int, body: str,
-                        known: dict[str, tuple[int, int]]):
-    """(lineno, (stage, round, kind, agents, items), earn_before,
-    earn_after, least) of an event line, earnings as spellings; a spelling
-    new to the report is parsed once, into known."""
-    kv = {}
-    where = f"line {lineno}"
-    for token in body.split():
-        if "=" not in token:
-            raise ParseError(f"{where}: bad event token {token!r}")
-        key, value = token.split("=", 1)
-        if key in kv:
-            raise ParseError(f"{where}: duplicate event key {key!r}")
-        kv[key] = value
-    if not kv.keys() <= _EVENT_KEYS:
-        unknown = next(key for key in kv if key not in _EVENT_KEYS)
-        raise ParseError(f"{where}: unknown event key {unknown!r}")
-
-    def tokens(key):
-        return list(filter(None, kv.get(key, "").split(",")))
-
-    def earnings(spellings):
-        for t in spellings:
-            if t not in known:
-                known[t] = _parse_pair(t, where)
-        return spellings
-
-    try:
-        stage, kind, least = kv["stage"], kv["kind"], kv.get("least")
-        return (lineno, (stage, parse_int(kv["round"], where), kind,
-                         _parse_ints(tokens("agents"), where),
-                         _parse_ints(tokens("items"), where)),
-                earnings(tokens("earn_before")),
-                earnings(tokens("earn_after")),
-                None if least is None else earnings([least])[0])
-    except KeyError as missing:
-        raise ParseError(f"line {lineno}: event missing {missing}") from None
+            num, den = pair = _parse_pair(t, where)
+            if t != f"{num}/{den}":
+                raise ParseError(f"{where}: event earning {t!r} is not "
+                                 f"written as num/den in lowest terms")
+            known[t] = pair
+    return lineno, head, before, after, least
 
 
 # the header fields report_text writes; verdict, stage, event and timing
@@ -631,15 +581,15 @@ def load_report(path: str) -> RunReport:
 
 
 def parse_report(text: str) -> RunReport:
-    """The report of a report file's text.  Event earnings become 1/q
-    units in a last pass, once k is known; one that is not a whole number
-    of units is a ParseError naming its line, after every other error.
-    When every event line is canonical (_parse_event) and every earning is
-    its own lowest-terms 'num/den', the report keeps them in event_lines."""
+    """The report of a report file's text, which keeps its event lines in
+    event_lines.  An event line must be as report_text writes it
+    (_parse_event).  Event earnings become 1/q units in a last pass, once
+    k is known; one that is not a whole number of units is a ParseError
+    naming its line, after every other error."""
     head: dict[str, str] = {}
     stages: list[tuple[str, int, list]] = []  # name, rounds, parsed events
     events: list = []
-    event_lines: list[str | None] = []  # None for a line not canonical
+    event_lines: list[str] = []
     verdict_raw: dict[str, str] = {}
     timings: dict[str, float] = {}
     stage_open: tuple[str, int] | None = None
@@ -666,9 +616,8 @@ def parse_report(text: str) -> RunReport:
         elif key == "event":
             if stage_open is None:
                 raise ParseError(f"line {lineno}: event outside a stage")
-            event, line = _parse_event(lineno, value, known)
-            events.append(event)
-            event_lines.append(line)
+            events.append(_parse_event(lineno, value, known))
+            event_lines.append("event: " + value)
         elif key.startswith("verdict "):
             name = key[len("verdict "):]
             if name not in _VERDICT_NAMES:
@@ -733,9 +682,7 @@ def parse_report(text: str) -> RunReport:
         error=head.get("error"), timings=timings)
     report = report._replace(
         stages=_stages_in_units(stages, known, report.k))
-    if None not in event_lines and all(
-            t == f"{num}/{den}" for t, (num, den) in known.items()):
-        report.event_lines = tuple(event_lines)
+    report.event_lines = tuple(event_lines)
     return report
 
 

@@ -21,7 +21,9 @@ groups.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
+from itertools import accumulate
+from operator import or_
 
 from .errors import (GroupPropertyViolation, InternalInvariant,
                      IterationCapExceeded, MPBViolation)
@@ -265,15 +267,14 @@ def resolve_overpaid_paths(state: MarketState) -> MarketState:
     return view.market()
 
 
-class AgentGroups(NamedTuple):
+class AgentGroups(namedtuple("AgentGroups", "groups new_to_old")):
     """Ordered groups headed by successive big earners.
 
     new_to_old[r] lists agents in reindexed order (group by group, ascending
     original index inside a group).  Group membership is decided once, on
     the resolved entry state, and never changes afterwards.
     """
-    groups: tuple[frozenset[int], ...]
-    new_to_old: tuple[int, ...]
+    __slots__ = ()
 
 
 def partition_agent_groups(state: MarketState) -> AgentGroups:
@@ -315,20 +316,21 @@ def _union(masks: list[int], group: int) -> int:
 
 def _assert_group_properties(state: MarketState, hats: list[int],
                              groups: list[int]) -> None:
-    """Check the group facts from the masks; each witness is the first in
-    ascending index order."""
+    """Check the group facts of groups, which partition the agents, from
+    the masks; each witness is the first in ascending index order."""
     low, earn, bundles = state.low_cost, state.earn_units, state.bundles
+    # lows[r]: the cost-1 chores of groups r, r + 1, ..., from the last back
+    lows = list(accumulate((_union(low, g) for g in reversed(groups)), or_,
+                           initial=0))[::-1]
     for r, g in enumerate(groups):
-        held = _union(bundles, g)
-        for g2 in groups[r + 1:]:
-            if held & _union(low, g2):
-                i, j = next((i, j) for i in bits(g) for j in bits(g2)
-                            if bundles[i] & low[j])
-                shared = bundles[i] & low[j]
-                raise GroupPropertyViolation(
-                    f"agent {j} (later group) costs 1 on chore "
-                    f"{(shared & -shared).bit_length() - 1} held by "
-                    f"agent {i} (earlier group)")
+        if _union(bundles, g) & lows[r + 1]:
+            i, j = next((i, j) for g2 in groups[r + 1:] for i in bits(g)
+                        for j in bits(g2) if bundles[i] & low[j])
+            shared = bundles[i] & low[j]
+            raise GroupPropertyViolation(
+                f"agent {j} (later group) costs 1 on chore "
+                f"{(shared & -shared).bit_length() - 1} held by "
+                f"agent {i} (earlier group)")
         # hat <= earning for every agent, so pEF1 fails inside a group iff
         # its largest hat exceeds its smallest earning
         members = list(bits(g))
@@ -339,7 +341,7 @@ def _assert_group_properties(state: MarketState, hats: list[int],
                 f"pEF1 fails inside a group: hat({i})={hats[i]} > "
                 f"earning({j})={earn[j]} (units)")
     # consistently large chores: no agent costs 1 on them
-    large = ((1 << state.instance.m) - 1) & ~_union(low, (1 << len(low)) - 1)
+    large = ((1 << state.instance.m) - 1) & ~lows[0]
     stray = large & ~_union(bundles, groups[-1])
     if stray:
         raise GroupPropertyViolation(

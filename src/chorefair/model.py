@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
 from operator import ne
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (AlreadyUniform, ChorefairError, InternalInvariant,
                      LemmaViolation, MPBViolation, NotBiValued, ZeroCost)
@@ -211,9 +211,9 @@ def relabel_agents(instance: Instance, new_to_old: Sequence[int]) -> Instance:
         instance.low_masks[old] for old in new_to_old))
 
 
-class Allocation(NamedTuple):
+class Allocation(namedtuple("Allocation", "owner")):
     """Total assignment of chores to agents: owner[e] is the agent holding e."""
-    owner: tuple[int, ...]
+    __slots__ = ()
 
 
 class _MarketMasks:

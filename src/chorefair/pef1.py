@@ -23,8 +23,8 @@ ratios and group order are rechecked only after a raise.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (IterationCapExceeded, LemmaViolation,
                      MissingIntermediary, MPBViolation, RaiseOverflow)
@@ -35,26 +35,22 @@ from .model import (Instance, MarketState, MarketView, bits,
 from .trace import TraceEvent
 
 
-class SolverState(NamedTuple):
+class SolverState(namedtuple(
+        "SolverState", "market unraised groups entry round_count trace",
+        defaults=((),))):
     """Loop state: current market, which agents are still unraised, the fixed
     group structure and the entry market, the one before the first round
     (the rotation branch consults its bundles).
     """
-    market: MarketState
-    unraised: frozenset[int]
-    groups: AgentGroups
-    entry: MarketState
-    round_count: int
-    trace: tuple[TraceEvent, ...] = ()
+    __slots__ = ()
 
 
-class StageResult(NamedTuple):
+class StageResult(namedtuple("StageResult", "market trace pef1",
+                             defaults=(None,))):
     """The market after a reallocation stage run on a pEF1 equilibrium,
     with the stage's trace, one event per round; pef1 is the pEF1 state it
     started from, which run_approx_efx and run_efx_k2 attach."""
-    market: MarketState
-    trace: tuple[TraceEvent, ...]
-    pef1: SolverState | None = None
+    __slots__ = ()
 
 
 def select_big_earner(hats: list[int]) -> int:

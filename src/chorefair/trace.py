@@ -7,11 +7,13 @@ this for every report.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 
-class TraceEvent(NamedTuple):
+class TraceEvent(namedtuple(
+        "TraceEvent", "stage round kind agents items earn_before earn_after "
+        "least_earning", defaults=((), (), None))):
     """One solver round.
 
     kind / agents / items semantics:
@@ -27,14 +29,7 @@ class TraceEvent(NamedTuple):
     cost ratio k = p/q: an agent earning u units earns u / q.  Every
     payment is 1 or k, so every earning is a whole number of units.
     """
-    stage: str
-    round: int
-    kind: str
-    agents: tuple[int, ...]
-    items: tuple[int, ...]
-    earn_before: tuple[int, ...] = ()
-    earn_after: tuple[int, ...] = ()
-    least_earning: int | None = None
+    __slots__ = ()
 
     def moves(self) -> list[tuple[int, int, int]]:
         """(item, from_agent, to_agent) triples in execution order."""

@@ -11,7 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 from operator import getitem, sub
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .model import ONE, CheckedRecord, EnvyKernel, MarketState
 
@@ -41,13 +41,9 @@ def beta_le(a, b) -> bool:
     return a <= b
 
 
-class Witness(NamedTuple):
+class Witness(namedtuple("Witness", "agent other item lhs rhs")):
     """The tuple that reproduces a violated inequality: lhs > rhs."""
-    agent: int
-    other: int | None
-    item: int | None
-    lhs: Fraction
-    rhs: Fraction
+    __slots__ = ()
 
 
 class FairnessVerdict(CheckedRecord,
@@ -61,10 +57,9 @@ class FairnessVerdict(CheckedRecord,
         return super().__new__(cls, holds, witness)
 
 
-class BetaResult(NamedTuple):
+class BetaResult(namedtuple("BetaResult", "value binding_pair")):
     """Minimal factor for which the corresponding beta-notion holds."""
-    value: Fraction | Unbounded
-    binding_pair: tuple[int, int] | None
+    __slots__ = ()
 
 
 _OK = FairnessVerdict(holds=True, witness=None)

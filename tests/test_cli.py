@@ -271,8 +271,6 @@ def test_solve_rejects_uniform_instances_cleanly(paths, capsys):
 TAMPERED_EVENTS = {
     "raise of a chore past m": ("kind=raise agents=0 items=1,3,6,9",
                                 "kind=raise agents=0 items=999"),
-    "raise of a negative chore": ("kind=raise agents=0 items=1,3,6,9",
-                                  "kind=raise agents=0 items=-1"),
     "transfer with one agent": ("kind=transfer agents=0,3 items=1",
                                 "kind=transfer agents=0 items=1"),
     "transfer with no chore": ("kind=transfer agents=0,3 items=1",
@@ -322,7 +320,9 @@ def test_verify_rejects_a_false_event_earning(paths, capsys, kind, key):
     t = next(t for t, token in enumerate(tokens)
              if token.startswith(f"{key}="))
     first, *rest = tokens[t].split("=", 1)[1].split(",")
-    tokens[t] = f"{key}=" + ",".join([str(Fraction(first) + 1), *rest])
+    more = Fraction(first) + 1  # written as report_text writes it
+    tokens[t] = f"{key}=" + ",".join(
+        [f"{more.numerator}/{more.denominator}", *rest])
     lines[idx] = " ".join(tokens)
     open(paths["report"], "w").write("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -556,6 +556,10 @@ MALFORMED_REPORTS = {
     "event round not an integer": lambda lines: lines + [
         "event: stage=pef1 round=x kind=transfer agents=0,1 items=0 "
         "earn_before=1/1,0/1 earn_after=0/1,1/1"],
+    # indices are plain decimals, so -1 fails the parse, not the replay
+    "raise of a negative chore": lambda lines: lines + [
+        "event: stage=pef1 round=1 kind=raise agents=0 items=-1 "
+        "earn_before=1/1 earn_after=1/1 least=1/1"],
 }
 
 
@@ -612,18 +616,17 @@ def test_a_negative_stage_round_count_exits_2_naming_its_line(paths,
         f"ParseError: line {no + 1}: negative stage rounds -4")
 
 
-# an event line's edit, and the error it must raise
+# an event line's edit; either is not the one form report_text writes
 BAD_EVENT_KEYS = {
-    "unknown": (lambda line: line + " foo=1", "unknown event key 'foo'"),
-    "repeated": (lambda line: line.replace(" kind=", " kind=rotate kind=", 1),
-                 "duplicate event key 'kind'"),
+    "unknown": lambda line: line + " foo=1",
+    "repeated": lambda line: line.replace(" kind=", " kind=rotate kind=", 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_EVENT_KEYS))
 def test_an_unknown_or_repeated_event_key_exits_2_naming_it(paths, capsys,
                                                            case):
-    edit, problem = BAD_EVENT_KEYS[case]
+    edit = BAD_EVENT_KEYS[case]
     assert main(["gen", "--n", "4", "--m", "8", "--k", "2", "--seed", "13",
                  "--out", paths["inst"]]) == 0
     assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
@@ -634,8 +637,9 @@ def test_an_unknown_or_repeated_event_key_exits_2_naming_it(paths, capsys,
     open(paths["report"], "w").write("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["verify", paths["inst"], paths["report"]]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"ParseError: line {no + 1}: {problem}")
+    assert capsys.readouterr().err == (
+        f"ParseError: line {no + 1}: expected an event as stage=S round=R "
+        f"kind=K agents=A items=I earn_before=E earn_after=E [least=L]\n")
 
 
 BAD_OPTIONS = {

@@ -656,9 +656,11 @@ def report_lines(case):
 
 @given(st.sampled_from(("k=2", "k=5/2")),
        st.lists(EARNING_FIELDS, min_size=1, max_size=3))
-@example("k=2", [(["3"], ["5/2"], None)])  # a half unit at q = 1
-@example("k=5/2", [(["5/2", "3"], ["10/4"], "-1/2")])  # whole at q = 2
-@example("k=5/2", [(["3"], [], "1/3"), (["x"], [], None)])  # a bad token wins
+@example("k=2", [(["3/1"], ["5/2"], None)])  # a half unit at q = 1
+@example("k=5/2", [(["5/2", "3/1"], ["5/2"], "-1/2")])  # whole at q = 2
+@example("k=5/2", [(["3/1"], [], "1/3"), (["x"], [], None)])  # bad token wins
+@example("k=5/2", [(["5/2"], ["10/4"], None), (["x"], [], None)])  # unreduced
+@example("k=2", [(["3"], [], None)])  # no denominator
 @settings(max_examples=200)
 def test_event_earnings_match_the_per_token_reference(case, events):
     # the events share one stage, so a spelling recurs across lines
@@ -676,10 +678,14 @@ def test_event_earnings_match_the_per_token_reference(case, events):
     def reference():
         stated = [(f"line {at + 2 + e}", before, after, least)
                   for e, (before, after, least) in enumerate(events)]
-        # every token is parsed, in line order, before any is read in units
+        # every token is parsed, in line order, before any is read in
+        # units, and must be spelled as its own lowest-terms num/den
         for where, before, after, least in stated:
             for t in before + after + ([] if least is None else [least]):
-                reference_rational(t, where)
+                x = reference_rational(t, where)
+                if t != f"{x.numerator}/{x.denominator}":
+                    raise ParseError(f"{where}: event earning {t!r} is not "
+                                     f"written as num/den in lowest terms")
 
         def units(t, where):
             u = reference_rational(t, where) * k.denominator
@@ -785,6 +791,33 @@ def event_bodies(draw):
     return body.strip()  # as parse_report reads a line's value
 
 
+def lenient_rendering(body):
+    """The body _event_line writes for the values a lenient reading of body
+    finds (keys in any order and repeated, any whitespace, indices as int()
+    reads them but not negative, earnings as Fraction reads them), or None
+    when that reading fails."""
+    def ints(value):
+        out = tuple(map(int, filter(None, value.split(","))))
+        if any(i < 0 for i in out):
+            raise ValueError("a negative index")
+        return out
+
+    def earnings(value):
+        return tuple(f"{x.numerator}/{x.denominator}" for x in
+                     map(Fraction, filter(None, value.split(","))))
+
+    try:
+        kv = dict(token.split("=", 1) for token in body.split())
+        least = earnings(kv["least"])[0] if "least" in kv else None
+        event = TraceEvent(kv["stage"], ints(kv["round"])[0], kv["kind"],
+                           ints(kv["agents"]), ints(kv["items"]),
+                           earnings(kv["earn_before"]),
+                           earnings(kv["earn_after"]), least)
+    except (ValueError, KeyError, IndexError, ZeroDivisionError):
+        return None
+    return harness._event_line(event, str)[len("event: "):]
+
+
 @given(event_bodies())
 @example("stage=pef1 round=1٣ kind=raise agents=0 items= "
          "earn_before=3/1 earn_after=1/1 least=1/1")  # [0-9], not \d
@@ -794,21 +827,24 @@ def event_bodies(draw):
          "earn_before=2/2 earn_after=1/1 least=1/1")  # a spelling of 1/1
 @example("stage=pef1 round=1 kind=raise agents=0 items=1_0 "
          "earn_before=3/1 earn_after=1/1")
+@example("stage=pef1 round=1 kind=raise agents=0 items=-1 "
+         "earn_before=3/1 earn_after=1/1")  # an index is never negative
+@example("stage=pef1 round=1 kind=raise agents=0 items= "
+         "earn_before=-1/2 earn_after=-0/1")  # -1/2 is canonical, -0/1 not
+@example("stage=pef1 round=1 kind=raise agents=0 items=" + "7" * 5000
+         + " earn_before=3/1 earn_after=1/1")  # past int()'s digit limit
 @settings(max_examples=400)
-def test_the_canonical_event_parse_matches_the_token_parse(body):
-    known, known_tokens = {}, {}
-    fast = outcome(harness._parse_event, 7, body, known)
-    tokens = outcome(harness._parse_event_tokens, 7, body, known_tokens)
-    if isinstance(tokens[0], type):
-        assert fast == tokens
+def test_an_event_body_parses_iff_it_is_the_line_its_values_render_to(body):
+    parsed = outcome(harness._parse_event, 7, body, {})
+    if isinstance(parsed[0], type):
+        error, message = parsed
+        assert error is ParseError and message.startswith("line 7: ")
+        assert lenient_rendering(body) != body
         return
-    parsed, line = fast
-    assert parsed == tokens
-    assert known == known_tokens
-    if line is not None:  # the body is the line its values render to
-        _, head, before, after, least = parsed
-        event = TraceEvent(*head, tuple(before), tuple(after), least)
-        assert harness._event_line(event, str) == line == f"event: {body}"
+    _, head, before, after, least = parsed
+    event = TraceEvent(*head, tuple(before), tuple(after), least)
+    assert harness._event_line(event, str) == f"event: {body}"
+    assert lenient_rendering(body) == body
     # in a whole report, a kept line is exactly the rendered one
     lines = list(report_lines("k=5/2"))
     at = next(i for i, line in enumerate(lines) if line.startswith("event:"))
@@ -857,12 +893,13 @@ def test_report_equality_ignores_event_lines():
         is None
 
 
-def test_a_report_with_a_non_canonical_event_renders_every_event():
+def test_a_report_with_a_non_canonical_event_exits_2_naming_its_line():
     text = report_text(run_pipeline(skewed_owned_instance(*SKEWED_Q2)))
-    canonical = next(line for line in text.splitlines()
-                     if line.startswith("event:"))
+    no, canonical = next((no, line) for no, line
+                         in enumerate(text.splitlines(), start=1)
+                         if line.startswith("event:"))
     for spelled in (canonical.replace(" kind=", "  kind="),
                     canonical.replace("earn_after=", "earn_after=,")):
-        parsed = parse_report(text.replace(canonical, spelled))
-        assert parsed.event_lines is None
-        assert report_text(parsed) == text
+        with pytest.raises(ParseError,
+                           match=rf"^line {no}: expected an event as "):
+            parse_report(text.replace(canonical, spelled))

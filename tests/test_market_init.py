@@ -555,3 +555,77 @@ def test_partition_matches_the_reference_on_many_groups(seed):
     assert len(groups.groups) > 10
     assert any(len(g) > 1 for g in groups.groups)
     assert groups == reference_partition(state)
+
+
+def reference_group_check(state, hats, groups):
+    """_assert_group_properties as it was before the suffix union: the
+    cost-1 masks of every later group are ORed again for each group."""
+    low, earn, bundles = state.low_cost, state.earn_units, state.bundles
+
+    def union(masks, group):
+        out = 0
+        for a in bits(group):
+            out |= masks[a]
+        return out
+
+    for r, g in enumerate(groups):
+        held = union(bundles, g)
+        for g2 in groups[r + 1:]:
+            if held & union(low, g2):
+                i, j = next((i, j) for i in bits(g) for j in bits(g2)
+                            if bundles[i] & low[j])
+                shared = bundles[i] & low[j]
+                raise GroupPropertyViolation(
+                    f"agent {j} (later group) costs 1 on chore "
+                    f"{(shared & -shared).bit_length() - 1} held by "
+                    f"agent {i} (earlier group)")
+        members = list(bits(g))
+        if max(hats[a] for a in members) > min(earn[a] for a in members):
+            i, j = next((i, j) for i in members for j in members
+                        if i != j and hats[i] > earn[j])
+            raise GroupPropertyViolation(
+                f"pEF1 fails inside a group: hat({i})={hats[i]} > "
+                f"earning({j})={earn[j]} (units)")
+    large = ((1 << state.instance.m) - 1) & ~union(low, (1 << len(low)) - 1)
+    stray = large & ~union(bundles, groups[-1])
+    if stray:
+        raise GroupPropertyViolation(
+            f"consistently large chore {(stray & -stray).bit_length() - 1} "
+            f"held outside the last group")
+
+
+@given(st.one_of(generated_instances(max_n=8, max_m=12), owned_states()),
+       st.booleans(), st.data())
+def test_the_group_check_names_the_quadratic_references_witness(
+        inst, resolved, data):
+    # any ordered partition of the agents, so that most of them clash
+    state = build_initial_state(inst)
+    if resolved:
+        state = resolve_overpaid_paths(state)
+    order = data.draw(st.permutations(range(inst.n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, inst.n - 1))))
+    groups = [sum(1 << a for a in order[lo:hi])
+              for lo, hi in zip([0, *cuts], [*cuts, inst.n])]
+    hats = state.hats(state.earn_units)
+    assert outcome(lambda s: _assert_group_properties(s, hats, groups),
+                   state) == \
+        outcome(lambda s: reference_group_check(s, hats, groups), state)
+
+
+def test_the_group_check_matches_the_reference_on_crafted_states():
+    # the three violations above, under every ordered grouping of 2 agents
+    states = [market_from_parts(low_rows(2, 3, {0, 1}, {1, 2}), (0, 0, 1),
+                                {2}),
+              market_from_parts(low_rows(2, 4, {0, 1, 2, 3}, {0, 1, 2, 3}),
+                                (0, 0, 0, 1), set()),
+              market_from_parts(low_rows(2, 3, {0}, {1}), (0, 1, 0), {1, 2})]
+    seen = set()
+    for state in states:
+        hats = state.hats(state.earn_units)
+        for groups in ([1, 2], [2, 1], [3]):
+            got = outcome(lambda s: _assert_group_properties(s, hats, groups),
+                          state)
+            assert got == outcome(
+                lambda s: reference_group_check(s, hats, groups), state)
+            seen.add(str(got).split(":")[1].split()[0] if got else None)
+    assert seen == {None, "agent", "pEF1", "consistently"}
