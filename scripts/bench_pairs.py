@@ -16,14 +16,15 @@ keeps the runs it made.  It holds `parent` (the full commit id), `command`,
 `host`, `note`, `runs` and `summary`.  Each run gives its order, workload,
 seed, seconds, trace, side ("parent" or "change") and `result`, the JSON
 object on the last line `bench/run.py` printed.  The summary covers the
-untraced runs of each WORKLOAD:SEED and each end-to-end metric of
-BENCHMARK.json: each side's median and quartiles, and over the complete
-pairs the change's wins and ties, so that a claim (wins in nine tenths of
-the pairs, and a median gap above the parent's interquartile range) can be
-read off the file.  A run that exits non-zero stops the campaign with its
-error output.  A run whose result says `"correct": false` or counts failed
-operations is written to the file and then stops the campaign, with a
-nonzero exit naming the run.
+untraced runs of each WORKLOAD:SEED over each end-to-end metric of
+BENCHMARK.json, and the traced runs of each WORKLOAD:SEED, keyed
+WORKLOAD:SEED:traced, over each per-layer metric: each side's median and
+quartiles, and over the complete pairs the change's wins and ties, so that
+a claim (wins in nine tenths of the pairs, and a median gap above the
+parent's interquartile range) can be read off the file.  A run that exits
+non-zero stops the campaign with its error output.  A run whose result
+says `"correct": false` or counts failed operations is written to the
+file and then stops the campaign, with a nonzero exit naming the run.
 """
 from __future__ import annotations
 
@@ -62,22 +63,26 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per WORKLOAD:SEED, over its untraced runs, and per metric in better
-    (name to "lower" or "higher"): each side's spread, and the change's
-    wins and ties over the pairs.  A campaign appends a pair's two runs
-    one after the other, so a group's runs pair off in order; a pair cut
-    short by an interrupted campaign is left out of the pair count."""
+def summarize(runs: list[dict], end_to_end: dict[str, str],
+              per_layer: dict[str, str]) -> dict:
+    """Per WORKLOAD:SEED over its untraced runs and each metric in
+    end_to_end, and per WORKLOAD:SEED:traced over its traced runs and each
+    metric in per_layer (metric name to "lower" or "higher"): each side's
+    spread, and the change's wins and ties over the pairs.  A campaign
+    appends a pair's two runs one after the other, so a group's runs pair
+    off in order; a pair cut short by an interrupted campaign is left out
+    of the pair count."""
     groups: dict[str, list[dict]] = {}
     for run in runs:
-        if run["trace"] == 0:
-            groups.setdefault(f"{run['workload']}:{run['seed']}",
-                              []).append(run)
+        traced = ":traced" if run["trace"] else ""
+        groups.setdefault(f"{run['workload']}:{run['seed']}{traced}",
+                          []).append(run)
     summary = {}
     for group, members in groups.items():
         pairs = [{r["side"]: r["result"]["metrics"] for r in two}
                  for two in zip(members[::2], members[1::2])]
         out: dict = {"pairs": len(pairs)}
+        better = per_layer if members[0]["trace"] else end_to_end
         for metric, direction in better.items():
             sign = 1 if direction == "lower" else -1
             values = {side: [r["result"]["metrics"][metric]["value"]
@@ -169,7 +174,9 @@ def bench(root: str, workload: str, seed: int, seconds: int,
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    better = {m["name"]: m["better"] for m in benchmark()["end_to_end"]}
+    spec = benchmark()
+    end_to_end, per_layer = ({m["name"]: m["better"] for m in spec[kind]}
+                             for kind in ("end_to_end", "per_layer"))
     parent = git("rev-parse", "--verify",
                  f"{args.parent}^{{commit}}").decode().strip()
     doc = {
@@ -200,7 +207,8 @@ def main(argv=None) -> int:
                         "order": len(doc["runs"]) + 1, "workload": workload,
                         "seed": seed, "seconds": args.seconds,
                         "trace": trace, "side": side, "result": result})
-                    doc["summary"] = summarize(doc["runs"], better)
+                    doc["summary"] = summarize(doc["runs"], end_to_end,
+                                               per_layer)
                     with open(args.out, "w", encoding="utf-8") as fh:
                         json.dump(doc, fh, indent=1)
                         fh.write("\n")

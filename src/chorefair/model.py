@@ -348,13 +348,22 @@ class EnvyKernel:
     With L_i agent i's cost-1 mask and X_j a bundle mask, in 1/q units
     cost[i][j] = c_i(X_j) = p*|X_j| - (p - q)*|X_j & L_i|.  Agent i's
     cheapest own chore costs q when X_i meets L_i, p otherwise and 0 for an
-    empty bundle.
+    empty bundle.  The kernel keeps its own copy of the bundle masks.
+
+    give and take move one chore into or out of one bundle in place,
+    updating that bundle's column and cheapest chore, so a search that
+    moves chores one at a time keeps one kernel in step.  They mutate the
+    kernel, so never call them on a kernel that others read: not on a
+    MarketState's cached kernel, whose masks never change, nor on a
+    MarketView's.
     """
 
     def __init__(self, instance: Instance, bundles: Sequence[int]):
         p, q = instance.high_units, instance.unit
-        sizes = [p * b.bit_count() for b in bundles]
         low_masks = instance.low_masks
+        self.low_masks, self.units = low_masks, (q, p)
+        self.bundles = list(bundles)
+        sizes = [p * b.bit_count() for b in bundles]
         self.cost = [[s - (p - q) * (b & low).bit_count()
                       for b, s in zip(bundles, sizes)] for low in low_masks]
         self.cheapest = [(q if b & low else p) if b else 0
@@ -363,6 +372,23 @@ class EnvyKernel:
     def residual(self, i: int) -> int:
         """c_i(X_i) less i's cheapest own chore, the EFX comparison's left side."""
         return self.cost[i][i] - self.cheapest[i]
+
+    def give(self, e: int, o: int) -> None:
+        """Add chore e, which no bundle holds, to agent o's bundle."""
+        q, p = self.units
+        for row, low in zip(self.cost, self.low_masks):
+            row[o] += q if low >> e & 1 else p
+        bundle = self.bundles[o] = self.bundles[o] | 1 << e
+        self.cheapest[o] = q if bundle & self.low_masks[o] else p
+
+    def take(self, e: int, o: int) -> None:
+        """Remove chore e, which agent o's bundle holds, from it."""
+        q, p = self.units
+        for row, low in zip(self.cost, self.low_masks):
+            row[o] -= q if low >> e & 1 else p
+        bundle = self.bundles[o] = self.bundles[o] ^ 1 << e
+        self.cheapest[o] = (q if bundle & self.low_masks[o] else p) \
+            if bundle else 0
 
 
 class MarketView(_MarketMasks):

@@ -158,6 +158,26 @@ def move_market() -> MarketState:
     return _natural_market(2, MOVE_OWNERS, MOVE_HIGH_PAY, raised_agent=5)
 
 
+# instances on which the exchange stage reaches the largest factor a
+# search found at non-integer k: k, then one normalized row per agent
+# (1 marks a cost-k chore)
+TIGHT_WITNESSES = {
+    Fraction(3, 2): ("001100111", "101000111", "001001101", "001010110"),
+    Fraction(19, 5): ("0000100001010101", "0000110101010100",
+                      "1100111010011011", "1011100110011000"),
+    Fraction(29, 10): ("110100110001101101", "111011010101000010",
+                       "101000010001110000", "011101010111000101",
+                       "110010001001101000"),
+}
+
+
+def tight_witness(k) -> Instance:
+    """The TIGHT_WITNESSES instance at k."""
+    rows = TIGHT_WITNESSES[k]
+    return Instance(len(rows), len(rows[0]), k, tuple(
+        tuple(flag == "1" for flag in row) for row in rows))
+
+
 # -- hypothesis strategies ---------------------------------------------------
 
 K_VALUES = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(6))

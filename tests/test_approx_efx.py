@@ -14,11 +14,12 @@ from chorefair.approx_efx import (
     strong_envy_target,
 )
 from chorefair.errors import InternalInvariant, LemmaViolation, MPBViolation
-from chorefair.harness import parse_instance, run_pipeline, verify_report
+from chorefair.harness import run_pipeline, verify_report
 from chorefair import model
 from chorefair.model import EnvyKernel, MarketView
 
-from conftest import generated_instances, golden6_market
+from conftest import (TIGHT_WITNESSES, generated_instances, golden6_market,
+                      tight_witness)
 
 K_NOT_TWO = (Fraction(3), Fraction(5, 2), Fraction(6))
 
@@ -244,27 +245,9 @@ def test_a_move_drops_the_view_kernel():
     assert view.kernel.cost == EnvyKernel(view.instance, view.bundles).cost
 
 
-# instances on which the exchange stage reaches the largest factor a
-# search found at non-integer k: k, then one normalized row per agent
-# (1 marks a cost-k chore)
-TIGHT_WITNESSES = {
-    Fraction(3, 2): ("001100111", "101000111", "001001101", "001010110"),
-    Fraction(19, 5): ("0000100001010101", "0000110101010100",
-                      "1100111010011011", "1011100110011000"),
-    Fraction(29, 10): ("110100110001101101", "111011010101000010",
-                       "101000010001110000", "011101010111000101",
-                       "110010001001101000"),
-}
-
-
 @pytest.mark.parametrize("k", sorted(TIGHT_WITNESSES))
 def test_a_tight_witness_reaches_beta_star_below_two_minus_one_over_k(k):
-    rows = TIGHT_WITNESSES[k]
-    inst = parse_instance("\n".join(
-        ["format: chorefair-instance/1", "kind: normalized",
-         f"n: {len(rows)}", f"m: {len(rows[0])}",
-         f"k: {k.numerator}/{k.denominator}"]
-        + [f"row: {row}" for row in rows]) + "\n")
+    inst = tight_witness(k)
     report = run_pipeline(inst, "approx")
     assert report.success
     assert verify_report(inst, report) == []

@@ -19,6 +19,7 @@ from chorefair.errors import (ChorefairError, InternalInvariant,
 from chorefair.harness import GenParams
 from chorefair.model import (
     Allocation,
+    EnvyKernel,
     MarketState,
     MarketView,
     RawInstance,
@@ -528,3 +529,49 @@ def test_check_round_matches_the_full_recheck(inst, steps, noun):
             good = (view.bundles[:], view.high)
             if adopt:  # as the stages do after a checked step
                 view.earn_units = want
+
+
+@st.composite
+def kernel_moves(draw):
+    """An instance, a partial allocation (None for an unheld chore) and
+    up to 30 (chore, agent) moves: each takes the chore back from its
+    holder when it is held, and gives it to the agent otherwise."""
+    inst = draw(instances(max_n=4, max_m=8))
+    agents = st.integers(0, inst.n - 1)
+    start = draw(st.lists(st.none() | agents, min_size=inst.m,
+                          max_size=inst.m))
+    moves = draw(st.lists(st.tuples(st.integers(0, inst.m - 1), agents),
+                          max_size=30))
+    return inst, start, moves
+
+
+@given(kernel_moves())
+@settings(max_examples=60)
+def test_give_and_take_keep_the_kernel_a_fresh_build(case):
+    inst, holder, moves = case
+    n, m = inst.n, inst.m
+
+    def bundles():
+        return [sum(1 << e for e, o in enumerate(holder) if o == i)
+                for i in range(n)]
+
+    kernel = EnvyKernel(inst, bundles())
+    for e, agent in moves:
+        if holder[e] is None:
+            kernel.give(e, agent)
+            holder[e] = agent
+        else:
+            kernel.take(e, holder[e])
+            holder[e] = None
+        fresh = EnvyKernel(inst, bundles())
+        assert (kernel.bundles, kernel.cost, kernel.cheapest) == \
+            (fresh.bundles, fresh.cost, fresh.cheapest)
+        # and each cost, summed chore by chore
+        assert kernel.cost == [[sum(unit_cost(inst, i, c) for c in range(m)
+                                    if holder[c] == j) for j in range(n)]
+                               for i in range(n)]
+    for e in range(m):  # take every chore still held back
+        if holder[e] is not None:
+            kernel.take(e, holder[e])
+    assert (kernel.bundles, kernel.cost, kernel.cheapest) == \
+        ([0] * n, [[0] * n for _ in range(n)], [0] * n)

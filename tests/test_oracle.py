@@ -14,12 +14,12 @@ from itertools import product
 from typing import Iterator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chorefair import Instance, min_beta_EFX, run_pipeline
 from chorefair.errors import BudgetExceeded
 from chorefair.harness import load_instance
-from chorefair.model import Allocation, RawInstance
+from chorefair.model import Allocation, EnvyKernel, RawInstance, bundle_masks
 from chorefair.oracle import (
     DEFAULT_BUDGET,
     _check_budget,
@@ -34,7 +34,7 @@ from chorefair.cli import main
 
 from conftest import (generated_instances, high_matrices, instance_to_raw,
                       instances, market_from_parts, owned_instance,
-                      save_instance, unit_cost)
+                      save_instance, tight_witness, unit_cost)
 
 INPUTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "inputs")
@@ -325,7 +325,17 @@ def reference_po_owners(inst, canonical_only):
 @given(oracle_instances())
 @settings(max_examples=40)
 def test_the_walk_yields_exactly_the_po_owner_vectors(inst):
-    assert list(_po_owners(inst)) == reference_po_owners(inst, True)
+    assert [owner for owner, _ in _po_owners(inst)] == \
+        reference_po_owners(inst, True)
+
+
+@given(oracle_instances())
+@settings(max_examples=40)
+def test_the_walks_kernel_is_each_vectors_own(inst):
+    for owner, kernel in _po_owners(inst):
+        fresh = EnvyKernel(inst, bundle_masks(owner, inst.n))
+        assert (kernel.bundles, kernel.cost, kernel.cheapest) == \
+            (fresh.bundles, fresh.cost, fresh.cheapest)
 
 
 def test_the_walk_cuts_relabelings_of_three_identical_agents():
@@ -335,7 +345,7 @@ def test_the_walk_cuts_relabelings_of_three_identical_agents():
     inst = Instance(4, 6, Fraction(3), (
         same, (False, True, True, True, False, True), same, same))
     assert _agent_classes(inst) == ((0, 2, 3),)
-    walked = list(_po_owners(inst))
+    walked = [owner for owner, _ in _po_owners(inst)]
     po = reference_po_owners(inst, False)
     assert walked == [owner for owner in po
                       if _canonical(owner, _agent_classes(inst))]
@@ -352,12 +362,29 @@ def bounded_frontier_cases(draw):
     return inst, tuple(owner)
 
 
+# k = 7/3: the unbounded frontier keeps up to 424 profiles in a layer, and
+# the one bounded by WIDE_OWNER up to 95, so both pack past 64 slots
+WIDE = Instance(4, 8, Fraction(7, 3), tuple(
+    tuple(flag == "1" for flag in row)
+    for row in ("10001010", "01111100", "01101010", "01101011")))
+WIDE_OWNER = (0, 1, 2, 3, 0, 1, 2, 3)
+
+
 @given(bounded_frontier_cases())
 @settings(max_examples=30, deadline=None)
+@example((Instance(1, 1, Fraction(2), ((False,),)), (0,)))
+@example((Instance(1, 6, Fraction(5, 2), (
+    (True, False, True, True, False, True),)), (0,) * 6))
+@example((WIDE, WIDE_OWNER))
 def test_packed_filter_matches_the_pairwise_one(case):
     inst, owner = case
     for bound in (None, owner):
         assert _frontier(inst, bound) == pairwise_frontier(inst, bound)
+
+
+def test_the_wide_case_packs_past_64_slots():
+    for bound, widest in ((None, 424), (WIDE_OWNER, 95)):
+        assert max(map(len, _frontier(WIDE, bound)[1])) == widest
 
 
 def test_no_slack_field_under_the_guard():
@@ -392,6 +419,13 @@ def test_both_searches_return_the_lex_first_answer(inst):
     assert (value, witness.owner) == (best, want)
     found = exists_efx_po(inst)
     assert (found and found.owner) == efx
+
+
+def test_best_beta_on_the_three_halves_tight_witness():
+    # 4 x 9: the exchange stage ends at beta 5/4 there, and an exactly EFX
+    # Pareto-optimal allocation exists
+    value, witness = best_efx_beta_over_po(tight_witness(Fraction(3, 2)))
+    assert (value, witness.owner) == (1, (0, 0, 0, 1, 1, 3, 2, 2, 3))
 
 
 # `chorefair oracle` on the committed stage instances, as printed before the

@@ -78,11 +78,15 @@ def test_bench_pairs_summary_reads_off_the_claim_rule():
     for order, (t, r) in zip(sides, zip(times, rates)):
         values = {"parent": (t[0], r[0]), "change": (t[1], r[1])}
         runs += [run("dense", side, 0, *values[side]) for side in order]
-    runs.append(run("dense", "parent", 1, 100, 0))  # traced: left out
+    runs.append(run("dense", "parent", 1, 100, 0))  # traced: its own group
     runs.append(run("dense", "change", 0, 1, 100))  # no partner yet
     runs.insert(3, run("other", "parent", 0, 50, 1))  # another group
     summary = load_bench_pairs().summarize(
-        runs, {"time": "lower", "rate": "higher"})
+        runs, {"time": "lower", "rate": "higher"}, {"rate": "higher"})
+    assert set(summary) == {"dense:111", "other:111", "dense:111:traced"}
+    assert summary["dense:111:traced"] == {
+        "pairs": 0, "rate": {"parent": {"median": 0, "q1": 0, "q3": 0},
+                             "wins": 0, "ties": 0}}
     assert summary["other:111"]["pairs"] == 0
     assert summary["other:111"]["time"] == {
         "parent": {"median": 50, "q1": 50, "q3": 50}, "wins": 0, "ties": 0}
@@ -94,6 +98,40 @@ def test_bench_pairs_summary_reads_off_the_claim_rule():
         "change": {"median": 8.5, "q1": 5.5, "q3": 9},
         "wins": 4, "ties": 1}
     assert (dense["rate"]["wins"], dense["rate"]["ties"]) == (3, 1)
+
+
+def test_bench_pairs_summarizes_traced_pairs_per_layer(tmp_path,
+                                                      monkeypatch):
+    module = load_bench_pairs()
+    spec = module.benchmark()
+    better = {kind: {m["name"]: m["better"] for m in spec[kind]}
+              for kind in ("end_to_end", "per_layer")}
+
+    def bench(root, workload, seed, seconds, trace):
+        # the change reads 1 below the parent on every metric
+        value = 10.0 - (root == module.ROOT)
+        names = better["per_layer" if trace else "end_to_end"]
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {name: {"value": value} for name in names}}
+
+    monkeypatch.setattr(module, "git", lambda *args: b"f" * 40 + b"\n")
+    monkeypatch.setattr(module, "extract", lambda commit, into: None)
+    monkeypatch.setattr(module, "bench", bench)
+    out = tmp_path / "pairs.json"
+    assert module.main(["--parent", "HEAD", "--seconds", "1", "--out",
+                        str(out), "ground-truth:111:3:1",
+                        "ground-truth:111:1"]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert list(summary) == ["ground-truth:111:traced", "ground-truth:111"]
+    for group, kind, pairs in (("ground-truth:111:traced", "per_layer", 3),
+                               ("ground-truth:111", "end_to_end", 1)):
+        rows = summary[group]
+        assert rows.pop("pairs") == pairs
+        assert list(rows) == list(better[kind])
+        for name, row in rows.items():
+            wins = pairs if better[kind][name] == "lower" else 0
+            assert row["change"]["median"] == 9.0
+            assert (row["wins"], row["ties"]) == (wins, 0)
 
 
 @pytest.mark.parametrize("wrong", [{"correct": False, "failed": 0},
