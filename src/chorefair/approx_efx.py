@@ -8,16 +8,12 @@ so the market remains an equilibrium and the result is Pareto optimal.
 
 The count of high-payment holders that also hold a low-payment chore drops
 by exactly one per round, which bounds the loop by n.
-
-The stage runs on one bitmask MarketView: chores move through its
-MPB-checked move, envy is read off the popcount EnvyKernel, and a
-MarketState is built once, at the end.
 """
 from __future__ import annotations
 
-from .errors import IterationCapExceeded, LemmaViolation
+from .errors import LemmaViolation
 from .model import Instance, MarketState, MarketView, bits
-from .pef1 import StageResult, run_pef1
+from .pef1 import StageResult, reallocate, run_pef1
 from .trace import TraceEvent
 
 
@@ -45,14 +41,14 @@ def _mixed_holder_count(view: MarketView) -> int:
     return sum(1 for b in view.bundles if b & view.high and b & ~view.high)
 
 
-def entry_tier_units(view: MarketView) -> int:
+def entry_tier_units(market: MarketState | MarketView) -> int:
     """Smallest earning among agents without a high-payment chore, validated
     against the band structure every strongly-envied entry state must have.
     """
-    p, q = view.pay_high, view.pay_low
-    earn = view.earn_units
-    high = [i for i, b in enumerate(view.bundles) if b & view.high]
-    lows = [i for i, b in enumerate(view.bundles) if not b & view.high]
+    p, q = market.pay_high, market.pay_low
+    earn = market.earn_units
+    high = [i for i, b in enumerate(market.bundles) if b & market.high]
+    lows = [i for i, b in enumerate(market.bundles) if not b & market.high]
     if not lows:
         raise LemmaViolation(
             "strong envy requires an agent without high-payment chores")
@@ -92,13 +88,8 @@ def _exchange(view: MarketView, z_units: int, round_no: int,
     for x in bits(bundle_j):
         view.move(x, j, i)
     after = _assert_round(view, z_units, i, j, mixed_before)
-    before = view.earn_units
-    event = TraceEvent(
-        stage="approx_efx", round=round_no, kind="bundle_swap",
-        agents=(i, j), items=(e, *bits(bundle_j)),
-        earn_before=(before[i], before[j]), earn_after=(after[i], after[j]))
-    view.earn_units = after
-    return event
+    return view.record("approx_efx", round_no, "bundle_swap", (i, j),
+                       (e, *bits(bundle_j)), after)
 
 
 def _assert_round(view: MarketView, z_units: int, i: int, j: int,
@@ -129,20 +120,11 @@ def _assert_round(view: MarketView, z_units: int, i: int, j: int,
 
 
 def approx_from_equilibrium(market: MarketState) -> StageResult:
-    found = strong_envy_target(market)
-    if found is None:
-        return StageResult(market, ())
-    view = MarketView(market)
-    z = entry_tier_units(view)
-    trace: list[TraceEvent] = []
-    cap = market.instance.n + 1
-    while found is not None:
-        trace.append(_exchange(view, z, len(trace) + 1, *found))
-        if len(trace) > cap:
-            raise IterationCapExceeded(
-                f"exchange stage exceeded {cap} rounds")
-        found = strong_envy_target(view)
-    return StageResult(view.market(), tuple(trace))
+    """Exchanges on the pEF1 market until (2 - 1/k)-EFX holds; every
+    exchange checks the band of the input market's base z."""
+    def trade(view, round_no, i, j):
+        return _exchange(view, entry_tier_units(market), round_no, i, j)
+    return reallocate(market, strong_envy_target, trade, "exchange")
 
 
 def run_approx_efx(instance: Instance) -> StageResult:

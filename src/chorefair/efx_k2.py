@@ -10,16 +10,13 @@ optimality survive; the count of top-tier agents holding both payment
 values drops by one per round.
 
 Payments stay fixed, so the masks say who is raised throughout.
-The stage runs on one bitmask MarketView: chores move through its
-MPB-checked move, envy is read off the popcount EnvyKernel, and a
-MarketState is built once, at the end.
 """
 from __future__ import annotations
 
-from .errors import (IterationCapExceeded, LemmaViolation, MPBViolation,
-                     PreconditionViolated, TierViolation)
+from .errors import (LemmaViolation, MPBViolation, PreconditionViolated,
+                     TierViolation)
 from .model import Instance, MarketState, MarketView
-from .pef1 import StageResult, run_pef1
+from .pef1 import StageResult, reallocate, run_pef1
 from .trace import TraceEvent
 
 
@@ -44,9 +41,10 @@ def efx_violation(market: MarketState | MarketView
     kernel = market.kernel
     for i, row in enumerate(kernel.cost):
         residual = kernel.residual(i)
-        for j, c in enumerate(row):
-            if j != i and residual > c:
-                return i, j
+        # residual <= row[i], so i never fails against its own bundle: read
+        # the row minimum, and scan for j only when some j fails
+        if residual > min(row):
+            return i, next(j for j, c in enumerate(row) if residual > c)
     return None
 
 
@@ -55,13 +53,9 @@ def _mixed_top_count(view: MarketView, earn: list[int], z: int) -> int:
                if units == z + 2 and b & view.high and b & ~view.high)
 
 
-def k2_round(view: MarketView, round_no: int) -> TraceEvent | None:
-    """One trade on the view; None when the allocation is exactly EFX.
-    The view's earn_units is updated."""
-    found = efx_violation(view)
-    if found is None:
-        return None
-    i, j = found
+def k2_round(view: MarketView, round_no: int, i: int, j: int) -> TraceEvent:
+    """Violator i trades with target j on the view (efx_violation names
+    the pair); returns the round's event."""
     z, tiers = earning_tiers(view)
     if tiers[i] != 2 or tiers[j] != 0:
         raise TierViolation(
@@ -91,12 +85,7 @@ def k2_round(view: MarketView, round_no: int) -> TraceEvent | None:
     else:
         kind, items = "move", (e_i,)
     after = _assert_round(view, z, i, j, kind, mixed_before)
-    before = view.earn_units
-    event = TraceEvent(
-        stage="efx_k2", round=round_no, kind=kind, agents=(i, j), items=items,
-        earn_before=(before[i], before[j]), earn_after=(after[i], after[j]))
-    view.earn_units = after
-    return event
+    return view.record("efx_k2", round_no, kind, (i, j), items, after)
 
 
 def _assert_round(view: MarketView, z: int, i: int, j: int, kind: str,
@@ -127,17 +116,11 @@ def _assert_round(view: MarketView, z: int, i: int, j: int, kind: str,
 
 
 def k2_from_equilibrium(market: MarketState) -> StageResult:
+    """Trades on the pEF1 market until exact EFX holds; k must be 2."""
     if market.instance.k != 2:
         raise PreconditionViolated(
             f"exact EFX stage needs k = 2, got {market.instance.k}")
-    view = MarketView(market)
-    trace: list[TraceEvent] = []
-    cap = market.instance.n + 1
-    while (event := k2_round(view, len(trace) + 1)) is not None:
-        trace.append(event)
-        if len(trace) > cap:
-            raise IterationCapExceeded(f"trade stage exceeded {cap} rounds")
-    return StageResult(view.market() if trace else market, tuple(trace))
+    return reallocate(market, efx_violation, k2_round, "trade")
 
 
 def run_efx_k2(instance: Instance) -> StageResult:

@@ -806,7 +806,9 @@ def _verify_stages(report: RunReport) -> list[str]:
             problems.append(f"stage {stage.name}: the event of round "
                             f"{stray.round} says stage={stray.stage}")
         numbers = {ev.round for ev in stage.events}
-        if numbers != set(range(1, stage.rounds + 1)):
+        # compare the counts first: rounds= may be any size
+        if len(numbers) != stage.rounds or \
+                numbers != set(range(1, len(numbers) + 1)):
             problems.append(f"stage {stage.name}: rounds={stage.rounds} but "
                             f"its events number rounds {sorted(numbers)}")
     return problems

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import (AlreadyUniform, ChorefairError, InternalInvariant,
                      LemmaViolation, MPBViolation, NotBiValued, ZeroCost)
+from .trace import TraceEvent
 
 ONE = Fraction(1)
 
@@ -397,7 +398,8 @@ class MarketView(_MarketMasks):
 
     The view maintains bundles[i] and high, from which everything else
     derives as in _MarketMasks.  earn_units holds each agent's earning as
-    of the loop's last checked step; the loop refreshes it.  The bundles
+    of the loop's last checked step; it changes only through record (and,
+    on the chain resolution's view, _ChainView.set_earn).  The bundles
     change only through move, which drops the kernel built on them.
 
     check_round keeps the masks its last passing check saw: a copy of the
@@ -490,6 +492,16 @@ class MarketView(_MarketMasks):
         self.bundles[u] ^= bit
         self.bundles[v] |= bit
         self._kernel = None
+
+    def record(self, stage: str, round_no: int, kind: str, agents, items,
+               after: list[int], least: int | None = None) -> TraceEvent:
+        """The event of a checked round: the agents' earnings before it
+        from earn_units, after it from after, which earn_units becomes."""
+        before, self.earn_units = self.earn_units, after
+        return TraceEvent(
+            stage=stage, round=round_no, kind=kind, agents=agents,
+            items=items, earn_before=tuple(before[a] for a in agents),
+            earn_after=tuple(after[a] for a in agents), least_earning=least)
 
     def market(self) -> MarketState:
         return build_market_state(self.instance, self.bundles, self.high)

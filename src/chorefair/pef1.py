@@ -53,6 +53,30 @@ class StageResult(namedtuple("StageResult", "market trace pef1",
     __slots__ = ()
 
 
+def reallocate(market: MarketState, find, trade, noun: str) -> StageResult:
+    """A reallocation stage on a pEF1 market, under fixed payments.
+
+    While find names a violating pair (i, j), trade(view, round_no, i, j)
+    moves chores on one bitmask MarketView through its MPB-checked move,
+    checks the round and returns its event; envy is read off the view's
+    popcount EnvyKernel, and a MarketState is built once, at the end.  When
+    find names no pair on the input market, the result holds that same
+    object and no view is built.  Past n rounds, the noun's stage fails.
+    """
+    found = find(market)
+    if found is None:
+        return StageResult(market, ())
+    view = MarketView(market)
+    trace: list[TraceEvent] = []
+    cap = market.instance.n
+    while found is not None:
+        trace.append(trade(view, len(trace) + 1, *found))
+        if len(trace) > cap:
+            raise IterationCapExceeded(f"{noun} stage exceeded {cap} rounds")
+        found = find(view)
+    return StageResult(view.market(), tuple(trace))
+
+
 def select_big_earner(hats: list[int]) -> int:
     """Agent maximizing earning-after-dropping-one-chore (its hat), ties to
     smaller index."""
@@ -167,15 +191,11 @@ class _Rounds:
             kind, agents, items = "rotate", (b, i, l), (e1, e2)
         self.unraised = unraised
         after, self.hats = self._assert_round(touched)
-        events.append(TraceEvent(
-            stage="pef1", round=rnd, kind=kind, agents=agents, items=items,
-            earn_before=tuple(earn[a] for a in agents),
-            earn_after=tuple(after[a] for a in agents),
-            least_earning=earn[l]))
+        events.append(view.record("pef1", rnd, kind, agents, items, after,
+                                  earn[l]))
         self.events += events
         self.round_count = rnd
         self.least = earn[l]
-        view.earn_units = after
         return True
 
     def _assert_round(self, touched: set[int]) -> tuple[list[int], list[int]]:

@@ -178,6 +178,14 @@ def tight_witness(k) -> Instance:
         tuple(flag == "1" for flag in row) for row in rows))
 
 
+def beta_star(k: Fraction) -> Fraction:
+    """max(2 - 1/floor(k), (floor(k) + k) / (floor(k) + 1)), the largest
+    factor a search found the exchange stage to reach; 2 - 1/k at integer k.
+    """
+    f = k.numerator // k.denominator
+    return max(2 - Fraction(1, f), (f + k) / (f + 1))
+
+
 # -- hypothesis strategies ---------------------------------------------------
 
 K_VALUES = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(6))

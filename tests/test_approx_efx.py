@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from chorefair import check_equilibrium, min_beta_EFX, run_approx_efx, run_pef1
+from chorefair import (AlreadyUniform, check_equilibrium, min_beta_EFX,
+                       normalize_instance, run_approx_efx, run_pef1)
 from chorefair.approx_efx import (
     _exchange,
     approx_from_equilibrium,
@@ -14,12 +15,13 @@ from chorefair.approx_efx import (
     strong_envy_target,
 )
 from chorefair.errors import InternalInvariant, LemmaViolation, MPBViolation
-from chorefair.harness import run_pipeline, verify_report
+from chorefair.harness import (GenParams, gen_instance, run_pipeline,
+                               verify_report)
 from chorefair import model
 from chorefair.model import EnvyKernel, MarketView
 
-from conftest import (TIGHT_WITNESSES, generated_instances, golden6_market,
-                      tight_witness)
+from conftest import (TIGHT_WITNESSES, beta_star, generated_instances,
+                      golden6_market, tight_witness)
 
 K_NOT_TWO = (Fraction(3), Fraction(5, 2), Fraction(6))
 
@@ -251,6 +253,35 @@ def test_a_tight_witness_reaches_beta_star_below_two_minus_one_over_k(k):
     report = run_pipeline(inst, "approx")
     assert report.success
     assert verify_report(inst, report) == []
-    floor = k.numerator // k.denominator
-    beta_star = max(2 - Fraction(1, floor), (floor + k) / (floor + 1))
-    assert report.verdicts.beta_efx == beta_star < 2 - 1 / k
+    assert report.verdicts.beta_efx == beta_star(k) < 2 - 1 / k
+
+
+# the k of the direction-1 search table, and those at which the seeded
+# grid below reaches beta_star(k)
+BETA_STAR_KS = tuple(map(Fraction, (
+    "5/4", "3/2", "9/5", "2", "3", "4", "7/3", "5/2", "11/4", "29/10",
+    "10/3", "7/2", "19/5")))
+GRID_REACHES = frozenset(map(Fraction, (
+    "5/4", "3/2", "9/5", "2", "3", "4", "7/3", "5/2", "10/3")))
+
+
+def test_no_seeded_grid_output_exceeds_beta_star():
+    # an output above beta_star(k) is a counterexample to the searched
+    # bound: commit the draw as a fixture and report it; keep the grid
+    runs, reached = 0, set()
+    for k, n, high_prob, seed in product(
+            BETA_STAR_KS, range(2, 7),
+            (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), (0, 1)):
+        for m in range(n + 1, 3 * n + 1):
+            try:
+                inst = normalize_instance(gen_instance(
+                    GenParams(n, m, k, high_prob, seed)))
+            except AlreadyUniform:
+                continue
+            runs += 1
+            beta = min_beta_EFX(run_approx_efx(inst).market).value
+            assert beta <= beta_star(k), (k, n, m, high_prob, seed, beta)
+            if beta == beta_star(k):
+                reached.add(k)
+    assert runs == 3042
+    assert reached == GRID_REACHES

@@ -57,15 +57,15 @@ def test_solve_prints_the_report_without_out(paths, capsys):
     assert "status: ok" in out
 
 
-def run_module(*argv, cwd):
+def run_module(*argv, cwd, **kwargs):
     """`python -m chorefair ARGV` in a new interpreter, with the package
-    taken from this checkout's src/."""
+    taken from this checkout's src/; kwargs go to subprocess.run."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"),
                       os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "chorefair", *argv],
                           cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, **kwargs)
 
 
 def test_the_module_entry_point_round_trips_and_fails_cleanly(tmp_path):
@@ -484,6 +484,24 @@ def test_verify_rejects_a_tampered_header(paths, capsys, field):
     capsys.readouterr()
     assert main(["verify", paths["inst"], paths["report"]]) == 1
     assert f"verify: {problem}" in capsys.readouterr().err
+
+
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_verify_reads_a_huge_stated_round_count_in_bounded_memory(paths):
+    # verify once built the set 1..R from a report's rounds=R; the child
+    # runs under a 1 GiB address-space limit, so that would fail fast
+    rounds = 10 ** 12
+    edit_report(paths, "stage: pef1 rounds=0", f"stage: pef1 rounds={rounds}")
+    proc = run_module("verify", paths["inst"], paths["report"],
+                      cwd=os.path.dirname(paths["inst"]),
+                      preexec_fn=_cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (f"verify: stage pef1: rounds={rounds} but its "
+                           "events number rounds []\n")
 
 
 def test_verify_rejects_stages_that_do_not_fit_the_mode(paths, capsys):

@@ -1,12 +1,14 @@
 """Exact EFX for two-valued {1,2} costs: swap and move rounds."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from chorefair import (check_equilibrium, check_pEF1, min_beta_EFX,
                        run_efx_k2, run_pef1)
+from chorefair import model
 from chorefair.efx_k2 import (
     earning_tiers,
     efx_violation,
@@ -19,13 +21,31 @@ from chorefair.errors import (
     MPBViolation,
     PreconditionViolated,
 )
-from chorefair.model import MarketView
+from chorefair.model import (EnvyKernel, MarketView, build_market_state,
+                             bundle_masks)
 
 from conftest import (
     generated_instances,
+    instances,
     move_market,
     swap_market,
 )
+
+
+def nested_efx_violation(market):
+    """The first (i, j) in lexicographic order with i failing exact EFX
+    toward j, by plain Fraction costs over every ordered pair."""
+    inst = market.instance
+    owner = market.allocation.owner
+    for i, j in product(range(inst.n), repeat=2):
+        mine = [inst.cost(i, e) for e, o in enumerate(owner) if o == i]
+        if i == j or not mine:
+            continue
+        envied = sum((inst.cost(i, e) for e, o in enumerate(owner) if o == j),
+                     Fraction(0))
+        if sum(mine) - min(mine) > envied:
+            return i, j
+    return None
 
 
 def test_swap_market_layout():
@@ -140,6 +160,40 @@ def test_final_earnings_span_at_most_two_units(inst):
     assert max(earns) - min(earns) <= 2
 
 
+@given(instances(), st.data())
+@settings(max_examples=200)
+def test_efx_violation_agrees_with_the_nested_scan(inst, data):
+    owner = data.draw(st.lists(st.integers(0, inst.n - 1),
+                               min_size=inst.m, max_size=inst.m))
+    market = build_market_state(inst, bundle_masks(owner, inst.n), 0)
+    assert efx_violation(market) == nested_efx_violation(market)
+
+
+@given(generated_instances(ks=(Fraction(2),)))
+@settings(max_examples=60)
+def test_efx_violation_agrees_with_the_nested_scan_on_pef1_markets(inst):
+    market = run_pef1(inst).market
+    assert efx_violation(market) == nested_efx_violation(market)
+
+
+def test_a_market_with_nothing_to_trade_builds_one_kernel(monkeypatch):
+    builds = []
+
+    class CountedKernel(EnvyKernel):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    # the swap's result is exactly EFX and pEF1, and has built no kernel
+    market = k2_from_equilibrium(swap_market()).market
+    monkeypatch.setattr(model, "EnvyKernel", CountedKernel)
+    result = k2_from_equilibrium(market)
+    assert result.market is market and result.trace == ()
+    assert min_beta_EFX(result.market).value == 1
+    # the stage's search and the verdict read the market's one kernel
+    assert len(builds) == 1
+
+
 def _trade_view():
     """The swap market's view before its one trade, (4, 0)."""
     return MarketView(swap_market())
@@ -172,7 +226,7 @@ def test_a_corrupted_view_fails_the_trade(corrupt, error, match):
     view = _trade_view()
     corrupt(view)
     with pytest.raises(error, match=match):
-        k2_round(view, 1)
+        k2_round(view, 1, *efx_violation(view))
 
 
 def test_a_raised_agent_in_the_violating_pair_fails_the_trade():
@@ -182,7 +236,7 @@ def test_a_raised_agent_in_the_violating_pair_fails_the_trade():
     view.high |= 1 << 1
     with pytest.raises(LemmaViolation,
                        match=r"violating pair \(4, 0\) must both be unraised"):
-        k2_round(view, 1)
+        k2_round(view, 1, *efx_violation(view))
 
 
 @CORRUPTIONS
@@ -190,7 +244,7 @@ def test_a_view_corrupted_after_a_trade_fails_the_next_check(
         corrupt, error, match):
     # the swap (4, 0) leaves agents 1, 2, 3 and 5 untouched
     view = _trade_view()
-    assert k2_round(view, 1).agents == (4, 0)
+    assert k2_round(view, 1, *efx_violation(view)).agents == (4, 0)
     corrupt(view)
     with pytest.raises(error, match=match):
         view.check_round("trade", (4, 0))
@@ -198,7 +252,7 @@ def test_a_view_corrupted_after_a_trade_fails_the_next_check(
 
 def test_a_trade_on_the_view_matches_the_stage():
     view = _trade_view()
-    event = k2_round(view, 1)
+    event = k2_round(view, 1, *efx_violation(view))
     result = k2_from_equilibrium(swap_market())
     assert (event,) == result.trace
     assert view.market() == result.market

@@ -12,20 +12,22 @@ from chorefair import (
     check_pEF1,
     run_pef1,
 )
-from chorefair.errors import InternalInvariant, LemmaViolation, MPBViolation
+from chorefair.errors import (InternalInvariant, IterationCapExceeded,
+                              LemmaViolation, MPBViolation)
 from chorefair.harness import equilibrium_from_parts
 from chorefair.market_init import AgentGroups
 from chorefair.model import build_market_state, bundle_masks
 from chorefair.pef1 import (
     SolverState,
     _Rounds,
+    reallocate,
     select_big_earner,
     select_least_earner,
 )
-from chorefair.trace import replay_trace
+from chorefair.trace import TraceEvent, replay_trace
 
-from conftest import (generated_instances, owned_instance, rotation_instance,
-                      skewed_owned_instance)
+from conftest import (generated_instances, golden6_market, owned_instance,
+                      rotation_instance, skewed_owned_instance)
 
 
 def test_selectors_break_ties_toward_smaller_index():
@@ -355,3 +357,20 @@ def test_round_checks_pef1_inside_each_group():
 def test_round_checks_pass_on_a_legal_state():
     rounds, (earn, hats) = _checked_rounds([{0}, {1}, {2}], 0b000011, {1, 2})
     assert earn == [4, 2, 2] and hats == [2, 1, 1]
+
+
+@pytest.mark.parametrize("noun", ["exchange", "trade"])
+def test_a_reallocation_stage_that_never_settles_stops_after_n_rounds(noun):
+    # the stages' checks allow at most n rounds; a find that always names
+    # a pair meets the cap on round n + 1
+    market = golden6_market()
+    rounds = []
+
+    def trade(view, round_no, i, j):
+        rounds.append(round_no)
+        return TraceEvent("x", round_no, "move", (i, j), (0,))
+
+    with pytest.raises(IterationCapExceeded,
+                       match=f"^{noun} stage exceeded 7 rounds$"):
+        reallocate(market, lambda m: (0, 1), trade, noun)
+    assert rounds == list(range(1, 9))
