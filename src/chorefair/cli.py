@@ -4,6 +4,10 @@ Exit status is nonzero whenever a contractual verdict fails: a solve whose
 report is not successful, a verify that finds a stored report inconsistent,
 an oracle run contradicting a requested property, or a bench grid with a
 failed row.
+
+Each call builds a new parser with only the subparser of the command that
+argv names (all five when it names none), so a command does not pay for
+the other four; help, usage errors and exit status read as with all five.
 """
 from __future__ import annotations
 
@@ -107,14 +111,7 @@ def _cmd_bench(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chorefair",
-        description="Fair chore division: equilibrium computation, "
-                    "envy-bounded reallocation, verification, ground truth.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a seeded random instance")
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", required=True, help="cost ratio, NUM/DEN or integer")
@@ -123,29 +120,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalized", action="store_true",
                    help="emit the normalized form instead of raw costs")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("solve", help="run the pipeline on an instance file")
+
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("--mode", default="auto", choices=MODES)
     p.add_argument("--oracle-budget", type=int, default=None,
                    help="also decide Pareto optimality when n^m is below this")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="recheck a stored report")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("report")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("oracle", help="exhaustive search on a small instance")
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--expect-efx", action="store_true",
                    help="exit nonzero when no exact EFX + PO allocation exists")
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("bench", help="grid benchmark to CSV")
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", default="4")
     p.add_argument("--m", default="8")
     p.add_argument("--k", default="2")
@@ -155,12 +152,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--mode", default="auto", choices=MODES)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
+
+
+# command name -> (help, function adding its arguments, handler), in the
+# order the top-level help lists them
+_COMMANDS = {
+    "gen": ("generate a seeded random instance", _gen_arguments, _cmd_gen),
+    "solve": ("run the pipeline on an instance file", _solve_arguments,
+              _cmd_solve),
+    "verify": ("recheck a stored report", _verify_arguments, _cmd_verify),
+    "oracle": ("exhaustive search on a small instance", _oracle_arguments,
+               _cmd_oracle),
+    "bench": ("grid benchmark to CSV", _bench_arguments, _cmd_bench),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A new parser with every command's subparser, or with only command's
+    when command names one.  Parsing an argv that starts with that command
+    prints and exits exactly as the full parser does: the command list is
+    still spelled out in full where the top-level usage line shows it."""
+    parser = argparse.ArgumentParser(
+        prog="chorefair",
+        description="Fair chore division: equilibrium computation, "
+                    "envy-bounded reallocation, verification, ground truth.")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # the metavar spells out every command where one is registered; on the
+    # full parser it would also rename the command in the two errors only
+    # that parser raises, for no command and for an unknown one
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ChorefairError as err:

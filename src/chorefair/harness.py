@@ -510,13 +510,43 @@ def parse_int(token: str, where: str) -> int:
         raise ParseError(f"{where}: not an integer: {token!r}") from None
 
 
-def _parse_ints(tokens: list[str], where: str) -> tuple[int, ...]:
-    """parse_int of every token, converted at C speed; on a bad token the
-    per-token pass names the first one."""
+# a count or index as report_text writes it; [0-9]: int() also reads '+',
+# '_', surrounding spaces and other digits
+_INDEX = "(?:0|[1-9][0-9]*)"
+_INDEX_TOKEN = re.compile(_INDEX)
+_INDEX_TOKENS = re.compile(f"(?:{_INDEX}(?: {_INDEX})*)?")
+
+
+def _parse_index(token: str, where: str) -> int:
+    if _INDEX_TOKEN.fullmatch(token) is None:
+        raise ParseError(f"{where}: not written as a decimal without sign "
+                         f"or leading zero: {token!r}")
     try:
-        return tuple(map(int, tokens))
-    except ValueError:
-        return tuple(parse_int(t, where) for t in tokens)
+        return int(token)
+    except ValueError:  # past int()'s digit limit
+        raise ParseError(f"{where}: too many digits in {token!r}") from None
+
+
+def _parse_ints(tokens: list[str], where: str) -> tuple[int, ...]:
+    """_parse_index of every token, converted at C speed; on a bad token
+    the per-token pass names the first one."""
+    if _INDEX_TOKENS.fullmatch(" ".join(tokens)):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # past int()'s digit limit
+            pass
+    return tuple(_parse_index(t, where) for t in tokens)
+
+
+def _parse_lowest_terms(token: str, where: str,
+                        what: str) -> tuple[int, int]:
+    """_parse_pair of a token that is its own lowest-terms 'num/den', as
+    _fmt_rational writes it; any other spelling is a ParseError."""
+    num, den = pair = _parse_pair(token, where)
+    if token != f"{num}/{den}":
+        raise ParseError(f"{where}: {what} {token!r} is not written as "
+                         f"num/den in lowest terms")
+    return pair
 
 
 def _parse_choice(token: str, choices: tuple[str, str], where: str) -> bool:
@@ -527,8 +557,7 @@ def _parse_choice(token: str, choices: tuple[str, str], where: str) -> bool:
     return token == choices[0]
 
 
-# a body as _event_line writes it; [0-9]: int() also reads '_', other digits
-_INDEX = "(?:0|[1-9][0-9]*)"
+# a body as _event_line writes it
 _INDICES = f"((?:{_INDEX}(?:,{_INDEX})*)?)"
 _SPELLINGS = r"((?:[^\s,]+(?:,[^\s,]+)*)?)"
 _CANONICAL_EVENT = re.compile(
@@ -560,11 +589,7 @@ def _parse_event(lineno: int, body: str, known: dict[str, tuple[int, int]]):
     before, after = [s.split(",") if s else [] for s in (before, after)]
     for t in (*before, *after) if least is None else (*before, *after, least):
         if t not in known:
-            num, den = pair = _parse_pair(t, where)
-            if t != f"{num}/{den}":
-                raise ParseError(f"{where}: event earning {t!r} is not "
-                                 f"written as num/den in lowest terms")
-            known[t] = pair
+            known[t] = _parse_lowest_terms(t, where, "event earning")
     return lineno, head, before, after, least
 
 
@@ -605,14 +630,14 @@ def parse_report(text: str) -> RunReport:
                                       ("stage", "event")):
         if key == "stage":
             close_stage()
-            try:
-                name, rounds_part = value.split(" rounds=", 1)
-                stage_open = (name.strip(), int(rounds_part))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad stage line") from None
-            if stage_open[1] < 0:
+            name, sep, rounds = value.partition(" rounds=")
+            if not sep:
+                raise ParseError(f"line {lineno}: bad stage line")
+            if rounds[:1] == "-" and _INDEX_TOKEN.fullmatch(rounds[1:]):
                 raise ParseError(f"line {lineno}: negative stage rounds "
-                                 f"{stage_open[1]}")
+                                 f"{rounds}")
+            stage_open = (name.strip(),
+                          _parse_index(rounds, f"line {lineno}: stage rounds"))
         elif key == "event":
             if stage_open is None:
                 raise ParseError(f"line {lineno}: event outside a stage")
@@ -646,7 +671,7 @@ def parse_report(text: str) -> RunReport:
         token, where = verdict_raw[key], f"verdict {key}"
         if key.startswith("beta-"):
             return UNBOUNDED if token == "unbounded" \
-                else parse_rational(token, where)
+                else Fraction(*_parse_lowest_terms(token, where, "value"))
         return _parse_choice(token, ("true", "false"), where)
 
     verdicts = None
@@ -654,12 +679,12 @@ def parse_report(text: str) -> RunReport:
         verdicts = Verdicts(**{
             name: verdict(key) for key, name in VERDICT_KEYS
             if key != "oracle-po" or key in verdict_raw})
-    n = parse_int(want("n"), "field n")
+    n = _parse_index(want("n"), "field n")
     vectors = {}  # one entry per chore in each; verify compares with m
     for key in ("entry-owner", "owner"):
         owners = vectors[key] = _parse_ints(head.get(key, "").split(),
                                             f"field {key}")
-        if owners and not 0 <= min(owners) <= max(owners) < n:
+        if owners and max(owners) >= n:
             raise ParseError(f"field {key}: an agent index is not below {n}")
     for key in ("entry-pay-high", "pay-high"):
         if head.get(key, "").strip("01"):
@@ -671,8 +696,8 @@ def parse_report(text: str) -> RunReport:
     report = RunReport(
         digest=want("digest"), mode=want("mode"),
         requested_mode=want("requested-mode"),
-        n=n, m=parse_int(want("m"), "field m"),
-        k=parse_rational(want("k"), "field k"),
+        n=n, m=_parse_index(want("m"), "field m"),
+        k=Fraction(*_parse_lowest_terms(want("k"), "field k", "value")),
         new_to_old=_parse_ints(head.get("new-to-old", "").split(),
                                "field new-to-old"),
         entry_owner=vectors["entry-owner"],

@@ -1,5 +1,6 @@
 """Command-line surface: gen, solve, verify, oracle, bench."""
 
+import argparse
 import io
 import os
 import re
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from chorefair.errors import ParseError
 from chorefair.harness import (load_instance, load_report,
                                report_fingerprint, verify_report)
-from chorefair.cli import main
+from chorefair.cli import build_parser, main
 
 from conftest import rendered_fingerprint, rotation_instance, save_instance
 
@@ -634,6 +635,42 @@ def test_a_negative_stage_round_count_exits_2_naming_its_line(paths,
         f"ParseError: line {no + 1}: negative stage rounds -4")
 
 
+# a header number respelled in a way int() reads but report_text never
+# writes: the line as written, its respelling, and where the error points
+RESPELLED_NUMBERS = {
+    "n": ("n: 3", "n: 0_3", "field n"),
+    "m": ("m: 5", "m: +5", "field m"),
+    "k": ("k: 2/1", "k: 4/2", "field k"),
+    "new-to-old": ("new-to-old: 0 1 2", "new-to-old: 0 01 2",
+                   "field new-to-old"),
+    "entry-owner": ("entry-owner: 1 0 0 2 1", "entry-owner: 1 0 0 2 \u0661",
+                    "field entry-owner"),
+    "owner": ("owner: 1 0 0 2 1", "owner: +1 0 0 2 1", "field owner"),
+    "rounds": ("stage: pef1 rounds=0", "stage: pef1 rounds=0_0",
+               "line 14: stage rounds"),
+    "beta-pefx": ("verdict beta-pefx: 1/1", "verdict beta-pefx: 1",
+                  "verdict beta-pefx"),
+    "beta-efx": ("verdict beta-efx: 1/1", "verdict beta-efx: \u0661/1",
+                 "verdict beta-efx"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(RESPELLED_NUMBERS))
+def test_a_respelled_header_number_exits_2_naming_its_field(paths, capsys,
+                                                            field):
+    old, new, where = RESPELLED_NUMBERS[field]
+    assert main(["gen", "--n", "3", "--m", "5", "--k", "2", "--seed", "1",
+                 "--out", paths["inst"]]) == 0
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    lines = open(paths["report"]).read().splitlines()
+    lines[lines.index(old)] = new
+    open(paths["report"], "w", encoding="utf-8").write("\n".join(lines)
+                                                       + "\n")
+    capsys.readouterr()
+    assert main(["verify", paths["inst"], paths["report"]]) == 2
+    assert capsys.readouterr().err.startswith(f"ParseError: {where}: ")
+
+
 # an event line's edit; either is not the one form report_text writes
 BAD_EVENT_KEYS = {
     "unknown": lambda line: line + " foo=1",
@@ -729,6 +766,69 @@ def test_a_timing_line_of_any_name_still_verifies(paths, capsys):
     capsys.readouterr()
     assert main(["verify", paths["inst"], paths["report"]]) == 0
     assert capsys.readouterr().out.startswith("verify: ok")
+
+
+# ---------------------------------------------------- the argument parser
+
+# argv that end in argparse's help or usage error, before a command runs
+PARSER_EXITS = [
+    [], ["-h"], ["--help", "solve"], ["solv"],
+    *([command, "-h"] for command in ("gen", "solve", "verify", "oracle",
+                                      "bench")),
+    ["solve"], ["gen", "--n", "3"], ["solve", "x", "--mode", "fast"],
+    ["gen", "--n", "x", "--m", "2", "--k", "2"],
+    ["solve", "x", "--wat"], ["verify", "a", "b", "c"],
+]
+
+
+def parser_exit(parse, argv):
+    """(stdout, stderr, exit status) of parse(argv), which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            pytest.raises(SystemExit) as exit_:
+        parse(list(argv))
+    return out.getvalue(), err.getvalue(), exit_.value.code
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv", PARSER_EXITS,
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_exits_on_bad_argv_as_the_full_parser_does(monkeypatch, argv,
+                                                         columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    assert parser_exit(main, argv) == \
+        parser_exit(build_parser().parse_args, argv)
+
+
+def test_an_unrecognized_argument_shows_every_command(monkeypatch):
+    # the top-level parser raises it, with its own usage line
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parser_exit(main, ["solve", "x", "--wat"]) == (
+        "", "usage: chorefair [-h] {gen,solve,verify,oracle,bench} ...\n"
+        "chorefair: error: unrecognized arguments: --wat\n", 2)
+
+
+def test_a_command_builds_only_its_own_subparser(paths, monkeypatch,
+                                                 capsys):
+    gen_ok(paths)
+    assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, *args, **kwargs):
+        built.append(name)
+        return add_parser(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["verify", paths["inst"], paths["report"]]) == 0
+    assert main(["oracle", paths["inst"]]) == 0
+    assert built == ["verify", "oracle"]
+    every = ["gen", "solve", "verify", "oracle", "bench"]
+    for argv in (["-h"], ["solv"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == every
 
 
 # ------------------------------------------------ whole reports, mutated
