@@ -25,6 +25,13 @@ parent's interquartile range) can be read off the file.  A run that exits
 non-zero stops the campaign with its error output.  A run whose result
 says `"correct": false` or counts failed operations is written to the
 file and then stops the campaign, with a nonzero exit naming the run.
+
+Traced per-layer times are measured, not scaled to reference speed as
+`bench/run.py` scales its end-to-end times, so the host's speed drift
+moves every span of a traced run together: one traced pair can read every
+solver span tens of percent lower (or higher) on a side that changed none
+of them.  Compare spans over several traced pairs, and read a span
+against the spread of the parent's own runs; the counters are exact.
 """
 from __future__ import annotations
 

@@ -67,7 +67,7 @@ def entry_tier_units(market: MarketState | MarketView) -> int:
 
 
 def _exchange(view: MarketView, z_units: int, round_no: int,
-              i: int, j: int) -> TraceEvent:
+              i: int, j: int) -> list[TraceEvent]:
     """Violator i trades its high-payment chore for target j's bundle."""
     highs_i, bundle_j = view.bundles[i] & view.high, view.bundles[j]
     if not highs_i or bundle_j & view.high:
@@ -88,8 +88,8 @@ def _exchange(view: MarketView, z_units: int, round_no: int,
     for x in bits(bundle_j):
         view.move(x, j, i)
     after = _assert_round(view, z_units, i, j, mixed_before)
-    return view.record("approx_efx", round_no, "bundle_swap", (i, j),
-                       (e, *bits(bundle_j)), after)
+    return [view.record("approx_efx", round_no, "bundle_swap", (i, j),
+                        (e, *bits(bundle_j)), after)]
 
 
 def _assert_round(view: MarketView, z_units: int, i: int, j: int,
@@ -124,7 +124,8 @@ def approx_from_equilibrium(market: MarketState) -> StageResult:
     exchange checks the band of the input market's base z."""
     def trade(view, round_no, i, j):
         return _exchange(view, entry_tier_units(market), round_no, i, j)
-    return reallocate(market, strong_envy_target, trade, "exchange")
+    return reallocate(market, strong_envy_target, trade, "exchange",
+                      market.instance.n)
 
 
 def run_approx_efx(instance: Instance) -> StageResult:

@@ -53,9 +53,10 @@ def _mixed_top_count(view: MarketView, earn: list[int], z: int) -> int:
                if units == z + 2 and b & view.high and b & ~view.high)
 
 
-def k2_round(view: MarketView, round_no: int, i: int, j: int) -> TraceEvent:
+def k2_round(view: MarketView, round_no: int, i: int,
+             j: int) -> list[TraceEvent]:
     """Violator i trades with target j on the view (efx_violation names
-    the pair); returns the round's event."""
+    the pair); returns the round's one event, in a list."""
     z, tiers = earning_tiers(view)
     if tiers[i] != 2 or tiers[j] != 0:
         raise TierViolation(
@@ -85,7 +86,7 @@ def k2_round(view: MarketView, round_no: int, i: int, j: int) -> TraceEvent:
     else:
         kind, items = "move", (e_i,)
     after = _assert_round(view, z, i, j, kind, mixed_before)
-    return view.record("efx_k2", round_no, kind, (i, j), items, after)
+    return [view.record("efx_k2", round_no, kind, (i, j), items, after)]
 
 
 def _assert_round(view: MarketView, z: int, i: int, j: int, kind: str,
@@ -120,7 +121,8 @@ def k2_from_equilibrium(market: MarketState) -> StageResult:
     if market.instance.k != 2:
         raise PreconditionViolated(
             f"exact EFX stage needs k = 2, got {market.instance.k}")
-    return reallocate(market, efx_violation, k2_round, "trade")
+    return reallocate(market, efx_violation, k2_round, "trade",
+                      market.instance.n)
 
 
 def run_efx_k2(instance: Instance) -> StageResult:

@@ -11,15 +11,18 @@ Agents are relabeled once, before the loop, so that the group order produced
 by the partition coincides with index order; all tie-breaks favor smaller
 indices, which makes raised agents win ties against unraised ones.
 
-The rounds run on one bitmask MarketView; a MarketState is built once, for
-the result.  Every round is checked from the masks alone: the partition,
-each bundle inside its MPB set, the earnings of uninvolved agents, each
-agent's ratio against the unraised set, the raised groups as a prefix of
-the group order, and pEF1 inside each group.  A check rederives only what
-its inputs changed since the last passing check, found by comparing the
-masks (and the unraised set) by value, so it is as strong as a recheck
-of the whole market; a transfer round rederives two agents, and the
-ratios and group order are rechecked only after a raise.
+The rounds run on reallocate, the one loop every stage of the pipeline
+shares: _Rounds.find names the pair and _Rounds.trade plays the round on
+one bitmask MarketView, and a MarketState is built once, for the result
+(neither is built when no round runs).  Every round is checked from the
+masks alone: the partition, each bundle inside its MPB set, the earnings
+of uninvolved agents, each agent's ratio against the unraised set, the
+raised groups as a prefix of the group order, and pEF1 inside each group.
+A check rederives only what its inputs changed since the last passing
+check, found by comparing the masks (and the unraised set) by value, so
+it is as strong as a recheck of the whole market; a transfer round
+rederives two agents, and the ratios and group order are rechecked only
+after a raise.
 """
 from __future__ import annotations
 
@@ -36,107 +39,94 @@ from .trace import TraceEvent
 
 
 class SolverState(namedtuple(
-        "SolverState", "market unraised groups entry round_count trace",
-        defaults=((),))):
-    """Loop state: current market, which agents are still unraised, the fixed
-    group structure and the entry market, the one before the first round
-    (the rotation branch consults its bundles).
+        "SolverState", "market unraised groups entry round_count trace")):
+    """The payment stage's result: the final market, which agents are still
+    unraised, the fixed group structure, the entry market (the one before
+    the first round, whose bundles the rotation branch consults), the
+    number of rounds and their trace.
     """
     __slots__ = ()
 
 
 class StageResult(namedtuple("StageResult", "market trace pef1",
                              defaults=(None,))):
-    """The market after a reallocation stage run on a pEF1 equilibrium,
-    with the stage's trace, one event per round; pef1 is the pEF1 state it
-    started from, which run_approx_efx and run_efx_k2 attach."""
+    """The market after a stage of rounds, with the stage's trace in round
+    order (one event per round, or a raise and then its transfer); pef1 is
+    the pEF1 state a reallocation stage started from, which run_approx_efx
+    and run_efx_k2 attach."""
     __slots__ = ()
 
 
-def reallocate(market: MarketState, find, trade, noun: str) -> StageResult:
-    """A reallocation stage on a pEF1 market, under fixed payments.
+def reallocate(market: MarketState, find, trade, noun: str,
+               cap: int) -> StageResult:
+    """A stage of rounds on a market: the payment rounds, or a reallocation
+    stage on a pEF1 market under fixed payments.
 
-    While find names a violating pair (i, j), trade(view, round_no, i, j)
-    moves chores on one bitmask MarketView through its MPB-checked move,
-    checks the round and returns its event; envy is read off the view's
-    popcount EnvyKernel, and a MarketState is built once, at the end.  When
-    find names no pair on the input market, the result holds that same
-    object and no view is built.  Past n rounds, the noun's stage fails.
+    While find names a pair (i, j), trade(view, round_no, i, j) changes one
+    bitmask MarketView through its MPB-checked moves (and, for a payment
+    round, a raise), checks the round and returns its events; the EFX
+    stages read envy off the view's popcount EnvyKernel.  A MarketState is
+    built once, at the end.  When find names no pair on the input market,
+    the result holds that same object and no view is built.  Past cap
+    rounds, the noun's stage fails.
     """
     found = find(market)
     if found is None:
         return StageResult(market, ())
     view = MarketView(market)
     trace: list[TraceEvent] = []
-    cap = market.instance.n
+    round_no = 0
     while found is not None:
-        trace.append(trade(view, len(trace) + 1, *found))
-        if len(trace) > cap:
+        round_no += 1
+        trace += trade(view, round_no, *found)
+        if round_no > cap:
             raise IterationCapExceeded(f"{noun} stage exceeded {cap} rounds")
         found = find(view)
     return StageResult(view.market(), tuple(trace))
 
 
-def select_big_earner(hats: list[int]) -> int:
-    """Agent maximizing earning-after-dropping-one-chore (its hat), ties to
-    smaller index."""
-    return hats.index(max(hats))
-
-
-def select_least_earner(market: MarketState | MarketView) -> int:
-    """Smallest earning, ties to the smaller index."""
-    earn = market.earn_units
-    return earn.index(min(earn))
-
-
 class _Rounds:
-    """The payment rounds, run on one MarketView.
-
-    The view's bundle masks and payment-k mask are the state; each round
-    derives earnings, hats, MPB sets and ratios from them.  A MarketState
-    is built only when state() is asked for.  Trace earnings are the
-    view's 1/q units.
+    """The payment rounds' find and trade, and the state they carry from
+    round to round: the unraised set, the hats and least earning of the
+    last checked round, and the (high, unraised) whose ratios last passed.
+    Trace earnings are the view's 1/q units.
     """
 
-    def __init__(self, state: SolverState):
-        self.start = state
-        self.view = MarketView(state.market)
-        self.unraised = state.unraised
-        self.round_count = state.round_count
-        self.events: list[TraceEvent] = []
+    def __init__(self, market: MarketState, groups: AgentGroups):
+        self.entry = market
+        self.groups = groups.groups
+        self.unraised = frozenset(range(market.instance.n))
         # groups of two or more agents, as ascending member lists
-        self.shared = [sorted(g) for g in state.groups.groups if len(g) > 1]
-        self.hats = self.view.hats(self.view.earn_units)
+        self.shared = [sorted(g) for g in self.groups if len(g) > 1]
+        self.hats = market.hats(market.earn_units)
         self.least: int | None = None  # the last round's least earning
         # the (high, unraised) whose ratios and group order last passed
         self._ratios_checked: tuple[int, frozenset[int]] | None = None
 
-    def state(self) -> SolverState:
-        if not self.events:
-            return self.start
-        start = self.start
-        return SolverState(self.view.market(), self.unraised, start.groups,
-                           start.entry, self.round_count,
-                           start.trace + tuple(self.events))
+    def find(self, market: MarketState | MarketView
+             ) -> tuple[int, int] | None:
+        """The big earner b (largest hat) and the least earner l, ties to
+        smaller indices, while hat b exceeds l's earning; None at pEF1.
+        The hats are those the last checked round computed."""
+        hats, earn = self.hats, market.earn_units
+        b = hats.index(max(hats))
+        l = earn.index(min(earn))
+        return (b, l) if hats[b] > earn[l] else None
 
-    def step(self) -> bool:
-        """Execute one round; False signals the terminal pEF1 condition."""
-        view, hats = self.view, self.hats
+    def trade(self, view: MarketView, rnd: int, b: int,
+              l: int) -> list[TraceEvent]:
+        """Execute round rnd for big earner b and least earner l on the
+        view; return its events.  The least earning at selection never
+        decreases across rounds (asserted after the round's checks)."""
         earn = view.earn_units
         inst = view.instance
-        b = select_big_earner(hats)
-        l = select_least_earner(view)
-        if hats[b] <= earn[l]:
-            return False
         unraised = self.unraised
         events: list[TraceEvent] = []
-        rnd = self.round_count + 1
         touched = {b, l}
 
         if l in unraised:
             if b in unraised:
-                group = next((g for g in self.start.groups.groups if b in g),
-                             None)
+                group = next((g for g in self.groups if b in g), None)
                 if group is None:
                     raise LemmaViolation(f"agent {b} belongs to no group")
                 if l in group:
@@ -171,7 +161,7 @@ class _Rounds:
             if b in unraised:
                 raise LemmaViolation(
                     "least earner is raised while the big earner is not")
-            entry_l = self.start.entry.bundles[l]
+            entry_l = self.entry.bundles[l]
             i = next((a for a in sorted(unraised)
                       if view.bundles[a] & entry_l), None)
             if i is None:
@@ -190,24 +180,28 @@ class _Rounds:
             touched.add(i)
             kind, agents, items = "rotate", (b, i, l), (e1, e2)
         self.unraised = unraised
-        after, self.hats = self._assert_round(touched)
+        after, self.hats = self._assert_round(view, touched)
+        least = earn[l]
         events.append(view.record("pef1", rnd, kind, agents, items, after,
-                                  earn[l]))
-        self.events += events
-        self.round_count = rnd
-        self.least = earn[l]
-        return True
+                                  least))
+        if self.least is not None and least < self.least:
+            q = inst.k.denominator
+            raise LemmaViolation(
+                f"least earner earning dropped from "
+                f"{Fraction(self.least, q)} to {Fraction(least, q)}")
+        self.least = least
+        return events
 
-    def _assert_round(self, touched: set[int]) -> tuple[list[int], list[int]]:
+    def _assert_round(self, view: MarketView,
+                      touched: set[int]) -> tuple[list[int], list[int]]:
         """Check the round from the view's masks alone; return the
         earnings and hats.  The ratio and group-order checks read only
         high and unraised, so they rerun only when that pair differs by
         value from the last pair that passed them."""
-        view = self.view
         unraised = self.unraised
         earn = view.check_round("round", touched)
         if self._ratios_checked != (view.high, unraised):
-            self._assert_ratios(unraised)
+            self._assert_ratios(view, unraised)
             self._ratios_checked = (view.high, unraised)
         hats = view.hats(earn)
         # hat <= earning for every agent, so pEF1 fails inside a group iff
@@ -222,12 +216,12 @@ class _Rounds:
                     f"{g[g_earn.index(floor)]}")
         return earn, hats
 
-    def _assert_ratios(self, unraised: frozenset[int]) -> None:
+    def _assert_ratios(self, view: MarketView,
+                       unraised: frozenset[int]) -> None:
         """Agents are raised exactly outside unraised, and the raised
         groups form a proper prefix of the group order."""
-        view = self.view
         k = view.instance.k
-        groups = self.start.groups.groups
+        groups = self.groups
         for i in range(view.n):
             if view.raised(i) == (i in unraised):
                 got, want = (1 / k, 1) if i in unraised else (1, 1 / k)
@@ -260,31 +254,19 @@ def _reindex(resolved: MarketState, groups: AgentGroups
 
 
 def run_pef1(instance: Instance) -> SolverState:
-    """Entry equilibrium, chain resolution, partition, then rounds until pEF1.
+    """Entry equilibrium, chain resolution, partition, then payment rounds
+    until pEF1, at most 4 n^2 m^2 of them.
 
     The result lives in the reindexed agent frame; groups.new_to_old maps
-    back to the caller's labels.  The least earner's earning at selection
-    time never decreases across rounds (asserted).
+    back to the caller's labels.  With no round to run, its market is the
+    reindexed entry market itself.
     """
     entry = build_initial_state(instance)
     resolved = resolve_overpaid_paths(entry)
-    groups = partition_agent_groups(resolved)
-    market, groups = _reindex(resolved, groups)
-
-    state = SolverState(market=market, unraised=frozenset(range(instance.n)),
-                        groups=groups, entry=market, round_count=0)
-    rounds = _Rounds(state)
-    cap = 4 * instance.n ** 2 * instance.m ** 2
-    q = instance.k.denominator
-    prev_least = None
-    while rounds.step():
-        least = rounds.least
-        if prev_least is not None and least < prev_least:
-            raise LemmaViolation(
-                f"least earner earning dropped from "
-                f"{Fraction(prev_least, q)} to {Fraction(least, q)}")
-        prev_least = least
-        if rounds.round_count > cap:
-            raise IterationCapExceeded(
-                f"solver exceeded {cap} rounds on n={instance.n} m={instance.m}")
-    return rounds.state()
+    market, groups = _reindex(resolved, partition_agent_groups(resolved))
+    rounds = _Rounds(market, groups)
+    result = reallocate(market, rounds.find, rounds.trade, "payment",
+                        4 * instance.n ** 2 * instance.m ** 2)
+    trace = result.trace
+    return SolverState(result.market, rounds.unraised, groups, market,
+                       trace[-1].round if trace else 0, trace)

@@ -214,9 +214,9 @@ def test_a_view_corrupted_after_an_exchange_fails_the_next_check(
 
 def test_an_exchange_on_the_view_matches_the_stage():
     view, z = _exchange_view()
-    event = _exchange(view, z, 1, *strong_envy_target(view))
+    events = _exchange(view, z, 1, *strong_envy_target(view))
     result = approx_from_equilibrium(golden6_market())
-    assert (event,) == result.trace
+    assert tuple(events) == result.trace
     assert view.market() == result.market
     assert view.earn_units == list(result.market.earn_units)
 

@@ -28,7 +28,7 @@ from chorefair.model import (
     bundle_masks,
     relabel_agents,
 )
-from chorefair.pef1 import SolverState, _Rounds, run_pef1
+from chorefair.pef1 import _Rounds, reallocate, run_pef1
 from chorefair.verify import FairnessVerdict, Witness
 
 from conftest import (generated_instances, high_rows, instance_to_raw,
@@ -449,11 +449,14 @@ def _solver_states(inst):
     of each market along the run from the entry on."""
     final = run_pef1(inst)
     entry = final.entry
-    rounds = _Rounds(SolverState(entry, frozenset(range(inst.n)),
-                                 final.groups, entry, 0))
+    rounds = _Rounds(entry, final.groups)
     states = [(list(entry.bundles), entry.high)]
-    while rounds.step():
-        states.append((rounds.view.bundles[:], rounds.view.high))
+
+    def trade(view, round_no, b, l):
+        events = rounds.trade(view, round_no, b, l)
+        states.append((view.bundles[:], view.high))
+        return events
+    reallocate(entry, rounds.find, trade, "payment", final.round_count)
     return entry, states
 
 

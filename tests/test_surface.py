@@ -140,6 +140,25 @@ def test_the_cli_leaves_the_report_contract_to_the_harness():
     assert ".harness" in modules
 
 
+def test_every_stage_runs_on_the_one_round_loop():
+    """The three stage modules hold one while loop, in pef1.reallocate, so
+    the payment rounds and both reallocation stages run on it."""
+    loops = []
+    for name in ("pef1", "approx_efx", "efx_k2"):
+        with open(os.path.join(ROOT, "src", "chorefair", f"{name}.py"),
+                  encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        # each node named by its innermost enclosing function, which
+        # ast.walk reaches after the outer ones
+        holder = {id(inner): f"{name}.{node.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for inner in ast.walk(node)}
+        loops += [holder.get(id(node), name) for node in ast.walk(tree)
+                  if isinstance(node, ast.While)]
+    assert loops == ["pef1.reallocate"]
+
+
 def test_every_module_parses_at_the_oldest_declared_python():
     """pyproject.toml's requires-python floor, checked with the grammar of
     that version, since the suite itself runs on a newer interpreter."""
