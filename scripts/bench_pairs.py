@@ -19,9 +19,12 @@ object on the last line `bench/run.py` printed.  The summary covers the
 untraced runs of each WORKLOAD:SEED over each end-to-end metric of
 BENCHMARK.json, and the traced runs of each WORKLOAD:SEED, keyed
 WORKLOAD:SEED:traced, over each per-layer metric: each side's median and
-quartiles, and over the complete pairs the change's wins and ties, so that
-a claim (wins in nine tenths of the pairs, and a median gap above the
-parent's interquartile range) can be read off the file.  A run that exits
+quartiles, and over the complete pairs the change's wins and ties.  Each
+end-to-end row also says whether the claim rule holds (`gain`: the change
+wins at least nine tenths of the pairs, and its median beats the parent's
+by more than the parent's interquartile range) and whether the change's
+median is within the metric's bound of the parent's (`within_bound`: no
+worse by more than that fraction of the parent's median).  A run that exits
 non-zero stops the campaign with its error output.  A run whose result
 says `"correct": false` or counts failed operations is written to the
 file and then stops the campaign, with a nonzero exit naming the run.
@@ -71,11 +74,13 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], end_to_end: dict[str, str],
-              per_layer: dict[str, str]) -> dict:
+              per_layer: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per WORKLOAD:SEED over its untraced runs and each metric in
     end_to_end, and per WORKLOAD:SEED:traced over its traced runs and each
     metric in per_layer (metric name to "lower" or "higher"): each side's
-    spread, and the change's wins and ties over the pairs.  A campaign
+    spread, and the change's wins and ties over the pairs; an end-to-end
+    row adds `gain` and `within_bound` (bounds maps each end-to-end metric
+    to its bound), both false until each side has a run.  A campaign
     appends a pair's two runs one after the other, so a group's runs pair
     off in order; a pair cut short by an interrupted campaign is left out
     of the pair count."""
@@ -101,6 +106,15 @@ def summarize(runs: list[dict], end_to_end: dict[str, str],
                     for pair in pairs]
             row["wins"] = sum(gap > 0 for gap in gaps)
             row["ties"] = sum(gap == 0 for gap in gaps)
+            if not members[0]["trace"]:
+                gain = within = False
+                if all(values.values()):
+                    parent, change = row["parent"], row["change"]
+                    ahead = sign * (parent["median"] - change["median"])
+                    gain = 10 * row["wins"] >= 9 * len(pairs) > 0 and \
+                        ahead > parent["q3"] - parent["q1"]
+                    within = -ahead <= bounds[metric] * parent["median"]
+                row["gain"], row["within_bound"] = gain, within
             out[metric] = row
         summary[group] = out
     return summary
@@ -184,6 +198,7 @@ def main(argv=None) -> int:
     spec = benchmark()
     end_to_end, per_layer = ({m["name"]: m["better"] for m in spec[kind]}
                              for kind in ("end_to_end", "per_layer"))
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent = git("rev-parse", "--verify",
                  f"{args.parent}^{{commit}}").decode().strip()
     doc = {
@@ -215,7 +230,7 @@ def main(argv=None) -> int:
                         "seed": seed, "seconds": args.seconds,
                         "trace": trace, "side": side, "result": result})
                     doc["summary"] = summarize(doc["runs"], end_to_end,
-                                               per_layer)
+                                               per_layer, bounds)
                     with open(args.out, "w", encoding="utf-8") as fh:
                         json.dump(doc, fh, indent=1)
                         fh.write("\n")

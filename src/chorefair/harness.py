@@ -205,7 +205,9 @@ def parse_instance(text: str) -> Instance:
     A normalized row is its cost-1 mask, read by one translate.  A raw row
     is read in one pass: each spelling new to the file is parsed once into
     an integer (numerator, denominator) pair, the row's pairs are
-    classified by cross-multiplication, and its mask is emitted directly.
+    classified by cross-multiplication, and its mask is emitted directly;
+    a row of one or two spellings one space apart, as instance_text writes
+    it, is read whole, any other row token by token (see _raw_rows).
     A ParseError names the first bad token in row order, and beats a
     normalize error in an earlier row (see normalize_rows).  A field the
     file's kind does not define is a ParseError naming its line.
@@ -260,25 +262,75 @@ def parse_instance(text: str) -> Instance:
 
 
 def _raw_rows(rows: list[tuple[int, str]], m: int):
-    """Per raw row line, its tokens and each distinct spelling's value pair,
-    as normalize_rows takes them; one row's tokens at a time.  A spelling
-    new to the file is parsed once; on a bad one, a pass over the row's
-    spellings in first-seen order names the first bad token."""
+    """Per raw row line, its cells and each distinct cell's value pair, as
+    normalize_rows takes them; one row at a time.  A spelling new to the
+    file is parsed once.  A row that _whole_row reads and whose spellings
+    parse yields its key characters; any other row is split into tokens,
+    and on a bad spelling a pass over the row's spellings in first-seen
+    order names the first bad token."""
     known: dict[str, tuple[int, int]] = {}
+
+    def pair(t: str, lineno: int) -> tuple[int, int]:
+        if t not in known:
+            known[t] = _parse_pair(t, f"line {lineno}")
+        return known[t]
+
     for lineno, value in rows:
+        whole = _whole_row(value, m)
+        if whole is not None:
+            cells, spelling = whole
+            try:
+                value_of = {key: pair(t, lineno)
+                            for key, t in spelling.items()}
+            except ParseError:
+                pass  # the token path names the first bad token
+            else:
+                yield cells, value_of
+                continue
         tokens = value.split()
         if len(tokens) != m:
             raise ParseError(
                 f"line {lineno}: expected {m} entries, found {len(tokens)}")
-        spellings, where = set(tokens), f"line {lineno}"
         try:
-            for t in spellings.difference(known):
-                known[t] = _parse_pair(t, where)
+            value_of = {t: pair(t, lineno) for t in set(tokens)}
         except ParseError:
             for t in dict.fromkeys(tokens):
-                _parse_pair(t, where)
+                _parse_pair(t, f"line {lineno}")
             raise
-        yield tokens, {t: known[t] for t in spellings}
+        yield tokens, value_of
+
+
+def _whole_row(value: str, m: int) -> tuple[str, dict[str, str]] | None:
+    """A row line's key characters and each key's spelling in first-seen
+    order, when the row is m tokens one space apart in at most two
+    spellings, as instance_text writes it; else None.
+
+    The spellings are a, the first token, and b, the first other one.  A
+    row line holds no '\\r' or '\\n', since splitlines ends a line at
+    either, so the longer spelling is replaced by '\\r' and then the
+    shorter by '\\n' (the shorter cannot match inside the longer).  The row
+    is taken when a and b are nonempty and hold no whitespace, and the
+    result is 2m - 1 characters with a space at every odd index and a key
+    character at every even one.  Then every character of the result
+    stands for itself or for its key's spelling, so the row is exactly m
+    tokens, each a or b, one space apart: value.split() would give them.
+    Nothing sized by m is built before the length test, as m is read from
+    the file."""
+    a = value.partition(" ")[0]
+    lead, at = a + " ", 0
+    while value.startswith(lead, at):
+        at += len(lead)
+    b = value[at:].partition(" ")[0]
+    if f"{a} {b}".split() != [a, b]:
+        return None
+    long, short = (a, b) if len(a) >= len(b) else (b, a)
+    text = value.replace(long, "\r").replace(short, "\n")
+    cells = text[::2]
+    if len(text) != 2 * m - 1 or text[1::2] != " " * (m - 1) \
+            or cells.count("\r") + cells.count("\n") != m:
+        return None
+    # a uniform row (b == a) has the one key '\r'
+    return cells, {"\r" if t == long else "\n": t for t in (a, b)}
 
 
 def instance_digest(instance: Instance) -> str:

@@ -129,13 +129,15 @@ class Instance(CheckedRecord, namedtuple("Instance", "n m k low_masks")):
 def normalize_rows(n: int, m: int, rows: Iterable) -> Instance:
     """The normalized instance of n raw rows of m entries, one mask each.
 
-    Each row comes as (cells, value_of): cells are the row's keys (a
-    spelling, or an object's id) in chore order, and value_of maps each
-    distinct key to its value as an integer pair (numerator, denominator)
-    in lowest terms with a positive denominator, so equal values are equal
-    pairs.  A row's two values are ordered, and the row ratios compared, by
-    cross-multiplication; k is the one Fraction built, and the row's cost-1
-    mask is one map over the cells.  Only a faulty row builds Fractions, in
+    Each row comes as (cells, value_of): cells are the row's keys in chore
+    order, either a list (of spellings, or of object ids, any number of
+    them distinct) or a str of one key character per chore, and value_of
+    maps each distinct key to its value as an integer pair (numerator,
+    denominator) in lowest terms with a positive denominator, so equal
+    values are equal pairs.  A row's two values are ordered, and the row
+    ratios compared, by cross-multiplication; k is the one Fraction built,
+    and the row's cost-1 mask is one map over a list of cells or one
+    translate of a str.  Only a faulty row builds Fractions, in
     first-seen order, for its message.  The first ZeroCost or NotBiValued
     is raised only after the last row is drawn, so an error that drawing a
     row raises comes first.
@@ -165,7 +167,11 @@ def normalize_rows(n: int, m: int, rows: Iterable) -> Instance:
             ratio = row_ratio
         digit = {key: "1" if value == low else "0"
                  for key, value in value_of.items()}
-        masks.append(int("".join(map(digit.__getitem__, reversed(cells))), 2))
+        if isinstance(cells, str):  # one key character per chore
+            masks.append(int(cells[::-1].translate(str.maketrans(digit)), 2))
+        else:
+            masks.append(
+                int("".join(map(digit.__getitem__, reversed(cells))), 2))
     if fault is not None:
         raise fault
     if ratio is None:

@@ -160,9 +160,15 @@ def move_market() -> MarketState:
 
 # instances on which the exchange stage reaches the largest factor a
 # search found at non-integer k: k, then one normalized row per agent
-# (1 marks a cost-k chore)
+# (1 marks a cost-k chore).  The exchange stage runs one round at 7/2 and
+# none at the others, where the pEF1 market already reaches beta_star(k).
 TIGHT_WITNESSES = {
     Fraction(3, 2): ("001100111", "101000111", "001001101", "001010110"),
+    Fraction(11, 4): ("01011101111111", "10011010110010", "00011000011000",
+                      "10111110001011"),
+    Fraction(7, 2): ("0010000101110001001", "0000100010010010101",
+                     "0100100000011000001", "0010010101111111100",
+                     "0101010101011001100", "1010010101010111111"),
     Fraction(19, 5): ("0000100001010101", "0000110101010100",
                       "1100111010011011", "1011100110011000"),
     Fraction(29, 10): ("110100110001101101", "111011010101000010",

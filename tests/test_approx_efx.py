@@ -254,6 +254,10 @@ def test_a_tight_witness_reaches_beta_star_below_two_minus_one_over_k(k):
     assert report.success
     assert verify_report(inst, report) == []
     assert report.verdicts.beta_efx == beta_star(k) < 2 - 1 / k
+    # at 7/2 the exchange stage takes the market to beta_star(k); at the
+    # others the pEF1 market is already there
+    exchange = next(s for s in report.stages if s.name == "approx_efx")
+    assert exchange.rounds == (1 if k == Fraction(7, 2) else 0)
 
 
 # the k of the direction-1 search table, and those at which the seeded

@@ -425,6 +425,17 @@ def test_malformed_instances_exit_2_without_a_traceback(paths, capsys, case):
     assert "Traceback" not in err
 
 
+def test_a_huge_declared_m_with_a_short_row_exits_2(paths, capsys):
+    # m is read from the file: nothing sized by it is built before a row
+    # is found to hold m entries
+    lines = ("format: chorefair-instance/1", "kind: raw", "n: 1",
+             f"m: {10**12}", "row: 1 2 2")
+    open(paths["inst"], "w").write("\n".join(lines) + "\n")
+    assert main(["solve", paths["inst"]]) == 2
+    assert capsys.readouterr().err == \
+        f"ParseError: line 5: expected {10**12} entries, found 3\n"
+
+
 def test_bench_writes_the_grid(paths):
     assert main(["bench", "--n", "2,3", "--m", "4", "--k", "2,3",
                  "--high-prob", "1/2", "--seeds", "2",

@@ -2,6 +2,7 @@
 verification, bench grid."""
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -585,7 +586,8 @@ def fraction_normalize_rows(n, m, rows):
 # included; rows drawn from two of them share ratio 2, 3, 3/2, ...
 SPELLED_VALUES = (("1", "1/1", "2/2", "-1/-1"), ("2", "4/2", "-2/-1"),
                   ("3", "6/2", "-6/-2"), ("1/2", "2/4", "-1/-2", "3/6"),
-                  ("3/2", "6/4", "-3/-2"), ("4", "8/2"))
+                  ("3/2", "6/4", "-3/-2"), ("4", "8/2"), ("11", "22/2"),
+                  ("4/5", "8/10"), ("14/5", "28/10"))
 NONPOSITIVE = ("0", "0/7", "-1", "1/-2", "-3/2")
 MALFORMED = ("x", "1/", "/2", "1//2", "3/0", "0/0", "1.5", "+-1")
 
@@ -594,7 +596,7 @@ MALFORMED = ("x", "1/", "/2", "1//2", "3/0", "0/0", "1.5", "+-1")
 def spelled_rows(draw):
     """Raw row lines: each row spells one to three values, maybe with a
     nonpositive one; then maybe malformed tokens in one row or a wrong
-    count."""
+    count, and maybe a tab or a second space after one token."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     rows = []
     for _ in range(n):
@@ -615,6 +617,9 @@ def spelled_rows(draw):
             rows[r].append("1")
         else:
             rows[r].pop()
+    if rows[r] and draw(st.integers(0, 4)) == 0:
+        rows[r][draw(st.integers(0, len(rows[r]) - 1))] += draw(
+            st.sampled_from(("\t", " ")))
     return m, rows
 
 
@@ -626,6 +631,19 @@ def spelled_rows(draw):
 @example((2, [["1", "2"], ["3/2", "1/2"]]))  # ratios 2 and 3
 @example((2, [["1", "2"], ["2", "4"], ["1/2", "1"]]))  # ratio 2, unreduced
 @example((4, [["1", "x", "1/", "3/0"]]))  # three bad tokens, first named
+# rows read whole, and the rows beside them that are split into tokens
+@example((3, [["4/5", "14/5", "4/5"], ["14/5", "4/5", "4/5"]]))  # nested
+@example((3, [["1", "11", "1"], ["11", "11", "1"]]))  # nested, ratio 11
+@example((3, [["1", "2", "1"], ["3", "3", "6"]]))  # spellings of one length
+@example((2, [["1", "2"], ["3/2", "3/2"], ["5", "5"]]))  # uniform rows
+@example((1, [["2"], ["1"]]))  # m = 1, every row uniform
+@example((1, [["2"], ["1/0"]]))  # m = 1, a bad spelling
+@example((3, [["1\t2", "2"], ["1", "", "2", "2"]]))  # a tab; two spaces
+@example((3, [["1", "1", "x"]]))  # a bad second spelling
+@example((3, [["1", "2", "2/1"], ["2/1", "1", "1/1"]]))  # three spellings
+@example((4, [["1", "2", "121"]]))  # 2m - 1 characters, but not m tokens
+@example((2, [["1/\t2", "1"]]))  # whitespace inside the first spelling
+@example((2, [["1", "3/\t2"]]))  # and inside the second
 @settings(max_examples=300)
 def test_parse_instance_matches_the_fraction_path(case):
     m, rows = case
@@ -637,6 +655,29 @@ def test_parse_instance_matches_the_fraction_path(case):
     assert outcome(parse_instance, text) == outcome(
         lambda: fraction_normalize_rows(len(rows), m,
                                         fraction_raw_rows(numbered, m)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_raw_files_match_the_fraction_path(seed):
+    # the random-dense shape: 64 rows of 256 entries, each entry k times
+    # the row's cost 1 with chance 3/4, every row scaled by its own rational
+    rng = random.Random(seed)
+    n, m = 64, 256
+    k = Fraction(rng.choice(("2", "3", "5/2")))
+    lines = []
+    for _ in range(n):
+        low = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+        spell = {False: f"{low.numerator}/{low.denominator}",
+                 True: f"{(low * k).numerator}/{(low * k).denominator}"}
+        lines.append(" ".join(spell[rng.random() < 3 / 4] for _ in range(m)))
+    text = "\n".join(["format: chorefair-instance/1", "kind: raw", f"n: {n}",
+                      f"m: {m}"] + ["row: " + line for line in lines]) + "\n"
+    numbered = [(5 + i, line) for i, line in enumerate(lines)]
+    expected = fraction_normalize_rows(n, m, fraction_raw_rows(numbered, m))
+    assert parse_instance(text) == expected
+    # every row is read whole: its cells are one key character per chore
+    assert all(isinstance(cells, str)
+               for cells, _ in harness._raw_rows(numbered, m))
 
 
 EARNINGS = ("3", "3/1", "6/2", "5/2", "10/4", "0", "-1/2", "1/3", "x", "2/0",

@@ -81,23 +81,39 @@ def test_bench_pairs_summary_reads_off_the_claim_rule():
     runs.append(run("dense", "parent", 1, 100, 0))  # traced: its own group
     runs.append(run("dense", "change", 0, 1, 100))  # no partner yet
     runs.insert(3, run("other", "parent", 0, 50, 1))  # another group
+    # two pairs: the change halves the time and loses 30% of the rate
+    for t, r in (((10, 5), (10, 7)), ((12, 6), (10, 7))):
+        runs += [run("fast", "parent", 0, t[0], r[0]),
+                 run("fast", "change", 0, t[1], r[1])]
     summary = load_bench_pairs().summarize(
-        runs, {"time": "lower", "rate": "higher"}, {"rate": "higher"})
-    assert set(summary) == {"dense:111", "other:111", "dense:111:traced"}
+        runs, {"time": "lower", "rate": "higher"}, {"rate": "higher"},
+        {"time": 0.25, "rate": 0.25})
+    assert set(summary) == {"dense:111", "other:111", "fast:111",
+                            "dense:111:traced"}
+    # a traced row reads no claim
     assert summary["dense:111:traced"] == {
         "pairs": 0, "rate": {"parent": {"median": 0, "q1": 0, "q3": 0},
                              "wins": 0, "ties": 0}}
     assert summary["other:111"]["pairs"] == 0
     assert summary["other:111"]["time"] == {
-        "parent": {"median": 50, "q1": 50, "q3": 50}, "wins": 0, "ties": 0}
+        "parent": {"median": 50, "q1": 50, "q3": 50}, "wins": 0, "ties": 0,
+        "gain": False, "within_bound": False}
     dense = summary["dense:111"]
     assert dense["pairs"] == 5
-    # parent times 9, 10, 11, 11, 12; change 1, 7, 8, 9, 9, 9
+    # parent times 9, 10, 11, 11, 12; change 1, 7, 8, 9, 9, 9: the median
+    # gap 2.5 beats the parent's IQR 2, but 4 wins of 5 are short of 9/10
     assert dense["time"] == {
         "parent": {"median": 11, "q1": 9.5, "q3": 11.5},
         "change": {"median": 8.5, "q1": 5.5, "q3": 9},
-        "wins": 4, "ties": 1}
+        "wins": 4, "ties": 1, "gain": False, "within_bound": True}
     assert (dense["rate"]["wins"], dense["rate"]["ties"]) == (3, 1)
+    # parent times 10, 12 (IQR 3) against change 5, 6: a gain; rate 10
+    # against 7 is 30% worse, past the 0.25 bound
+    fast = summary["fast:111"]
+    assert (fast["time"]["gain"], fast["time"]["within_bound"]) == \
+        (True, True)
+    assert (fast["rate"]["gain"], fast["rate"]["within_bound"]) == \
+        (False, False)
 
 
 def test_bench_pairs_summarizes_traced_pairs_per_layer(tmp_path,
