@@ -2,12 +2,12 @@
 verification, benchmarking.
 
 File formats are line-oriented text with a leading format/version field.
-Rationals serialize as "num/den", booleans as "true"/"false", matrices as
-one row per line.  Reports carry every verdict needed to re-check a run
-from the stored allocation alone; timing lines are excluded from the
-report fingerprint so identical runs fingerprint identically.  An event
-line is read only in the one form report_text writes, so a parsed report
-keeps its event lines, to be written as read.
+A report's header and verdict lines are the rows of one table (key, field,
+value kind) that report_text writes and parse_report reads, each value only
+as written.  So is an event line, and a parsed report keeps its event
+lines, to be written as read.  Reports carry every verdict needed to
+re-check a run from the stored allocation alone; timing lines are excluded
+from the report fingerprint so identical runs fingerprint identically.
 
 The generator uses splitmix64 (Steele, Lea and Flood's 64-bit mixer) so
 instances reproduce bit-for-bit across implementations: draws are
@@ -352,19 +352,14 @@ class Verdicts(namedtuple("Verdicts", "entry_equilibrium entry_pef1 entry_ef1 "
     __slots__ = ()
 
 
-# (report key, Verdicts field) pairs in report order; oracle-po is optional
-VERDICT_KEYS = tuple((name.replace("_", "-"), name)
-                     for name in Verdicts._fields)
-
-
 class RunReport(namedtuple(
         "RunReport", "digest mode requested_mode n m k new_to_old entry_owner "
-        "entry_pay_high owner pay_high stages verdicts success error "
-        "timings")):
+        "entry_pay_high owner pay_high stages verdicts success timings "
+        "error", defaults=(None,))):
     """A run: the instance's identity, the entry and final states, the
-    stages' events and the verdicts.  event_lines is not a field: it holds
-    parse_report's event lines, and equality, repr and _replace copies
-    leave it out, so a copy is rendered from its fields."""
+    stages' events, the verdicts, and the error of a run without verdicts.
+    event_lines is not a field: it holds parse_report's event lines, and
+    equality, repr and _replace copies leave it out."""
     event_lines: tuple[str, ...] | None = None
 
     @property
@@ -467,7 +462,7 @@ def run_pipeline(instance: Instance | RawInstance, mode: str = "auto", *,
         entry_pay_high=_flags(entry.high, inst.m),
         owner=final.allocation.owner, pay_high=_flags(final.high, inst.m),
         stages=tuple(stages), verdicts=verdicts, success=success,
-        error=None, timings=timings)
+        timings=timings)
 
 
 def compute_verdicts(pef1: MarketState, final: MarketState,
@@ -513,22 +508,7 @@ def _event_line(ev: TraceEvent, text: Callable[[int], str]) -> str:
 
 
 def report_text(report: RunReport, *, timings: bool = True) -> str:
-    lines = [f"format: {REPORT_FORMAT}",
-             f"digest: {report.digest}",
-             f"mode: {report.mode}",
-             f"requested-mode: {report.requested_mode}",
-             f"status: {_fmt_status(report.success)}"]
-    if report.error is not None:
-        lines.append(f"error: {report.error}")
-    lines += [f"n: {report.n}", f"m: {report.m}",
-              f"k: {_fmt_rational(report.k)}",
-              "new-to-old: " + " ".join(map(str, report.new_to_old)),
-              "entry-owner: " + " ".join(map(str, report.entry_owner)),
-              "entry-pay-high: " + "".join(
-                  "1" if h else "0" for h in report.entry_pay_high),
-              "owner: " + " ".join(map(str, report.owner)),
-              "pay-high: " + "".join(
-                  "1" if h else "0" for h in report.pay_high)]
+    lines = [f"format: {REPORT_FORMAT}", *_render(report, _HEADER, "")]
     q = report.k.denominator  # each distinct earning is rendered once
     text = cache(lambda units: _fmt_rational(Fraction(units, q)))
     events = iter(report.event_lines
@@ -536,13 +516,8 @@ def report_text(report: RunReport, *, timings: bool = True) -> str:
     for stage in report.stages:
         lines.append(f"stage: {stage.name} rounds={stage.rounds}")
         lines.extend(islice(events, len(stage.events)))
-    v = report.verdicts
-    for key, name in VERDICT_KEYS:
-        value = None if v is None else getattr(v, name)
-        if value is not None:
-            text = _fmt_bool(value) if isinstance(value, bool) \
-                else _fmt_rational(value)
-            lines.append(f"verdict {key}: {text}")
+    if report.verdicts is not None:
+        lines += _render(report.verdicts, _VERDICTS, "verdict ")
     if timings:
         for name in sorted(report.timings):
             lines.append(f"timing {name}: {report.timings[name]:.6f}")
@@ -609,6 +584,75 @@ def _parse_choice(token: str, choices: tuple[str, str], where: str) -> bool:
     return token == choices[0]
 
 
+# A value kind is a (render, read) pair: read(token, where) gives back the
+# value that render wrote as token, or raises a ParseError starting with where
+
+def _read_rational(token: str, where: str) -> Fraction:
+    return Fraction(*_parse_lowest_terms(token, where, "value"))
+
+
+def _read_flags(token: str, where: str) -> tuple[bool, ...]:
+    if token.strip("01"):
+        raise ParseError(f"{where}: expected characters 0/1")
+    return tuple(map(_BITS.__getitem__, token))
+
+
+_TEXT = (str, lambda token, where: token)
+_COUNT = (str, _parse_index)
+_RATIONAL = (_fmt_rational, _read_rational)
+_INDEX_LIST = (lambda v: " ".join(map(str, v)),
+               lambda token, where: _parse_ints(token.split(), where))
+_FLAGS = (lambda v: "".join("1" if h else "0" for h in v), _read_flags)
+_STATUS = (_fmt_status, lambda token, where:  # named by its key alone
+           _parse_choice(token, ("ok", "failed"), "status"))
+_BOOLEAN = (_fmt_bool, lambda token, where:
+            _parse_choice(token, ("true", "false"), where))
+_BETA = (_fmt_rational, lambda token, where: UNBOUNDED
+         if token == "unbounded" else _read_rational(token, where))
+
+# Every header line and every verdict line of a report, in report order:
+# key -> (record field, value kind).  A field that is None writes no line,
+# and a line may be missing only when its field defaults to None.
+_HEADER = {
+    "digest": ("digest", _TEXT), "mode": ("mode", _TEXT),
+    "requested-mode": ("requested_mode", _TEXT),
+    "status": ("success", _STATUS), "error": ("error", _TEXT),
+    "n": ("n", _COUNT), "m": ("m", _COUNT), "k": ("k", _RATIONAL),
+    "new-to-old": ("new_to_old", _INDEX_LIST),
+    "entry-owner": ("entry_owner", _INDEX_LIST),
+    "entry-pay-high": ("entry_pay_high", _FLAGS),
+    "owner": ("owner", _INDEX_LIST), "pay-high": ("pay_high", _FLAGS)}
+_VERDICTS = {
+    "entry-equilibrium": ("entry_equilibrium", _BOOLEAN),
+    "entry-pef1": ("entry_pef1", _BOOLEAN),
+    "entry-ef1": ("entry_ef1", _BOOLEAN),
+    "final-equilibrium": ("final_equilibrium", _BOOLEAN),
+    "final-pef1": ("final_pef1", _BOOLEAN),
+    "beta-pefx": ("beta_pefx", _BETA), "beta-efx": ("beta_efx", _BETA),
+    "oracle-po": ("oracle_po", _BOOLEAN)}
+
+
+def _render(record, rows: dict, prefix: str) -> list[str]:
+    """The lines of rows' fields of record that are not None."""
+    return [f"{prefix}{key}: {render(value)}"
+            for key, (field, (render, _)) in rows.items()
+            if (value := getattr(record, field)) is not None]
+
+
+def _read(record: type, rows: dict, raw: dict[str, str],
+          group: str) -> dict:
+    """The fields of record that rows read from raw, the values by key, in
+    row order; the first line that does not read is a ParseError, and so
+    is a missing line whose field has no default."""
+    fields = {}
+    for key, (field, (_, read)) in rows.items():
+        if key in raw:
+            fields[field] = read(raw[key], f"{group} {key}")
+        elif field not in record._field_defaults:
+            raise ParseError(f"missing {group} {key!r}")
+    return fields
+
+
 # a body as _event_line writes it
 _INDICES = f"((?:{_INDEX}(?:,{_INDEX})*)?)"
 _SPELLINGS = r"((?:[^\s,]+(?:,[^\s,]+)*)?)"
@@ -645,59 +689,44 @@ def _parse_event(lineno: int, body: str, known: dict[str, tuple[int, int]]):
     return lineno, head, before, after, least
 
 
-# the header fields report_text writes; verdict, stage, event and timing
-# lines are told apart by their keys
-_REPORT_FIELDS = frozenset((
-    "digest", "mode", "requested-mode", "status", "error", "n", "m", "k",
-    "new-to-old", "entry-owner", "entry-pay-high", "owner", "pay-high"))
-_VERDICT_NAMES = frozenset(key for key, _ in VERDICT_KEYS)
-
-
 def load_report(path: str) -> RunReport:
     return parse_report(_read_text(path))
 
 
 def parse_report(text: str) -> RunReport:
     """The report of a report file's text, which keeps its event lines in
-    event_lines.  An event line must be as report_text writes it
-    (_parse_event).  Event earnings become 1/q units in a last pass, once
-    k is known; one that is not a whole number of units is a ParseError
-    naming its line, after every other error."""
+    event_lines.  The header lines are read (_read), then the chore vectors
+    checked against n and each other, then the verdicts read; a stage line
+    must be NAME rounds=R, an event line as _event_line writes it.  Event
+    earnings become 1/q units last, once k is known: one that is not a
+    whole number of units is a ParseError naming its line."""
     head: dict[str, str] = {}
-    stages: list[tuple[str, int, list]] = []  # name, rounds, parsed events
-    events: list = []
-    event_lines: list[str] = []
     verdict_raw: dict[str, str] = {}
+    stages: list[tuple[str, int, list]] = []  # name, rounds, parsed events
+    event_lines: list[str] = []
     timings: dict[str, float] = {}
-    stage_open: tuple[str, int] | None = None
     known: dict[str, tuple[int, int]] = {}  # event earnings, by spelling
-
-    def close_stage():
-        nonlocal stage_open, events
-        if stage_open is not None:
-            stages.append((*stage_open, events))
-            stage_open, events = None, []
 
     for lineno, key, value in _fields(text, REPORT_FORMAT,
                                       ("stage", "event")):
         if key == "stage":
-            close_stage()
+            # NAME rounds=R, with no whitespace in NAME
             name, sep, rounds = value.partition(" rounds=")
-            if not sep:
+            if not sep or name.split() != [name]:
                 raise ParseError(f"line {lineno}: bad stage line")
             if rounds[:1] == "-" and _INDEX_TOKEN.fullmatch(rounds[1:]):
                 raise ParseError(f"line {lineno}: negative stage rounds "
                                  f"{rounds}")
-            stage_open = (name.strip(),
-                          _parse_index(rounds, f"line {lineno}: stage rounds"))
+            stages.append((name, _parse_index(
+                rounds, f"line {lineno}: stage rounds"), []))
         elif key == "event":
-            if stage_open is None:
+            if not stages:
                 raise ParseError(f"line {lineno}: event outside a stage")
-            events.append(_parse_event(lineno, value, known))
+            stages[-1][2].append(_parse_event(lineno, value, known))
             event_lines.append("event: " + value)
         elif key.startswith("verdict "):
             name = key[len("verdict "):]
-            if name not in _VERDICT_NAMES:
+            if name not in _VERDICTS:
                 raise ParseError(f"line {lineno}: unknown verdict {name!r}")
             verdict_raw[name] = value
         elif key.startswith("timing "):
@@ -706,59 +735,26 @@ def parse_report(text: str) -> RunReport:
             except ValueError:
                 raise ParseError(f"line {lineno}: timing is not a number: "
                                  f"{value!r}") from None
-        elif key in _REPORT_FIELDS:
+        elif key in _HEADER:
             head[key] = value
         else:
             raise ParseError(f"line {lineno}: unknown field {key!r}")
-    close_stage()
 
-    def want(key):
-        if key not in head:
-            raise ParseError(f"missing field {key!r}")
-        return head[key]
-
-    def verdict(key):
-        if key not in verdict_raw:
-            raise ParseError(f"missing verdict {key!r}")
-        token, where = verdict_raw[key], f"verdict {key}"
-        if key.startswith("beta-"):
-            return UNBOUNDED if token == "unbounded" \
-                else Fraction(*_parse_lowest_terms(token, where, "value"))
-        return _parse_choice(token, ("true", "false"), where)
-
-    verdicts = None
-    if verdict_raw:
-        verdicts = Verdicts(**{
-            name: verdict(key) for key, name in VERDICT_KEYS
-            if key != "oracle-po" or key in verdict_raw})
-    n = _parse_index(want("n"), "field n")
-    vectors = {}  # one entry per chore in each; verify compares with m
-    for key in ("entry-owner", "owner"):
-        owners = vectors[key] = _parse_ints(head.get(key, "").split(),
-                                            f"field {key}")
+    fields = _read(RunReport, _HEADER, head, "field")
+    n = fields["n"]
+    for key, owners in (("entry-owner", fields["entry_owner"]),
+                        ("owner", fields["owner"])):
         if owners and max(owners) >= n:
             raise ParseError(f"field {key}: an agent index is not below {n}")
-    for key in ("entry-pay-high", "pay-high"):
-        if head.get(key, "").strip("01"):
-            raise ParseError(f"field {key}: expected characters 0/1")
-        vectors[key] = tuple(map(_BITS.__getitem__, head.get(key, "")))
-    if len({len(v) for v in vectors.values()}) > 1:
+    # one entry per chore in each; verify compares them with m
+    if len({len(fields[name]) for name in ("entry_owner", "entry_pay_high",
+                                           "owner", "pay_high")}) > 1:
         raise ParseError("fields entry-owner, entry-pay-high, owner and "
                          "pay-high differ in length")
-    report = RunReport(
-        digest=want("digest"), mode=want("mode"),
-        requested_mode=want("requested-mode"),
-        n=n, m=_parse_index(want("m"), "field m"),
-        k=Fraction(*_parse_lowest_terms(want("k"), "field k", "value")),
-        new_to_old=_parse_ints(head.get("new-to-old", "").split(),
-                               "field new-to-old"),
-        entry_owner=vectors["entry-owner"],
-        entry_pay_high=vectors["entry-pay-high"], owner=vectors["owner"],
-        pay_high=vectors["pay-high"], stages=(), verdicts=verdicts,
-        success=_parse_choice(want("status"), ("ok", "failed"), "status"),
-        error=head.get("error"), timings=timings)
-    report = report._replace(
-        stages=_stages_in_units(stages, known, report.k))
+    verdicts = Verdicts(**_read(Verdicts, _VERDICTS, verdict_raw,
+                                "verdict")) if verdict_raw else None
+    report = RunReport(**fields, verdicts=verdicts, timings=timings,
+                       stages=_stages_in_units(stages, known, fields["k"]))
     report.event_lines = tuple(event_lines)
     return report
 
@@ -851,7 +847,7 @@ def verify_report(inst: Instance, report: RunReport) -> list[str]:
         problems.append("the stored entry state is not an equilibrium")
     v = report.verdicts
     fresh = compute_verdicts(pef1_out, final, v.oracle_po)
-    for key, name in VERDICT_KEYS:
+    for key, (name, _) in _VERDICTS.items():
         if getattr(fresh, name) != getattr(v, name):
             problems.append(f"{key}: recomputed {getattr(fresh, name)}, "
                             f"report says {getattr(v, name)}")

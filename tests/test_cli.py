@@ -567,41 +567,65 @@ def _edit_field(key, change):
     return edit
 
 
+NOT_DECIMAL = "not written as a decimal without sign or leading zero"
+DIFFER = ("fields entry-owner, entry-pay-high, owner and pay-high differ in "
+          "length")
+EVENT_FORM = ("expected an event as stage=S round=R kind=K agents=A items=I "
+              "earn_before=E earn_after=E [least=L]")
+# an edit of the solved report and its ParseError message; {no} is the
+# number of the first line the edit changed or added
 MALFORMED_REPORTS = {
-    "n not an integer": _edit_field("n", lambda v: "x"),
-    "timing not a number": _edit_field("timing total", lambda v: "abc"),
-    "verdict missing": _drop_field("verdict entry-pef1"),
-    "verdict not a boolean": _edit_field("verdict entry-pef1",
-                                         lambda v: "yes"),
-    "status unknown": _edit_field("status", lambda v: "fine"),
-    "owner entry out of range": _edit_field("owner", lambda v: "3" + v[1:]),
-    "owner entry not an integer": _edit_field("owner",
-                                              lambda v: "x" + v[1:]),
-    "owner one entry too many": _edit_field("owner", lambda v: v + " 0"),
-    "entry-owner one entry short": _edit_field("entry-owner",
-                                               lambda v: v[:-2]),
-    "pay-high not 0/1": _edit_field("entry-pay-high",
-                                    lambda v: "7" + v[1:]),
-    "pay-high one flag too many": _edit_field("pay-high", lambda v: v + "0"),
-    "event round not an integer": lambda lines: lines + [
+    "n not an integer": (_edit_field("n", lambda v: "x"),
+                         f"field n: {NOT_DECIMAL}: 'x'"),
+    "timing not a number": (_edit_field("timing total", lambda v: "abc"),
+                            "line {no}: timing is not a number: 'abc'"),
+    "verdict missing": (_drop_field("verdict entry-pef1"),
+                        "missing verdict 'entry-pef1'"),
+    "verdict not a boolean": (
+        _edit_field("verdict entry-pef1", lambda v: "yes"),
+        "verdict entry-pef1: expected true or false, got 'yes'"),
+    "status unknown": (_edit_field("status", lambda v: "fine"),
+                       "status: expected ok or failed, got 'fine'"),
+    "owner entry out of range": (_edit_field("owner", lambda v: "3" + v[1:]),
+                                 "field owner: an agent index is not below 3"),
+    "owner entry not an integer": (
+        _edit_field("owner", lambda v: "x" + v[1:]),
+        f"field owner: {NOT_DECIMAL}: 'x'"),
+    "owner one entry too many": (_edit_field("owner", lambda v: v + " 0"),
+                                 DIFFER),
+    "entry-owner one entry short": (
+        _edit_field("entry-owner", lambda v: v[:-2]), DIFFER),
+    "pay-high not 0/1": (_edit_field("entry-pay-high", lambda v: "7" + v[1:]),
+                         "field entry-pay-high: expected characters 0/1"),
+    "pay-high one flag too many": (_edit_field("pay-high", lambda v: v + "0"),
+                                   DIFFER),
+    "event before any stage": (lambda lines: lines[:1] + [
+        "event: stage=pef1 round=1 kind=transfer agents=0,1 items=0 "
+        "earn_before=1/1,0/1 earn_after=0/1,1/1"] + lines[1:],
+        "line {no}: event outside a stage"),
+    "event round not an integer": (lambda lines: lines + [
         "event: stage=pef1 round=x kind=transfer agents=0,1 items=0 "
-        "earn_before=1/1,0/1 earn_after=0/1,1/1"],
+        "earn_before=1/1,0/1 earn_after=0/1,1/1"], "line {no}: " + EVENT_FORM),
     # indices are plain decimals, so -1 fails the parse, not the replay
-    "raise of a negative chore": lambda lines: lines + [
+    "raise of a negative chore": (lambda lines: lines + [
         "event: stage=pef1 round=1 kind=raise agents=0 items=-1 "
         "earn_before=1/1 earn_after=1/1 least=1/1"],
+        "line {no}: " + EVENT_FORM),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
 def test_malformed_reports_exit_2_without_a_traceback(paths, capsys, case):
-    lines = MALFORMED_REPORTS[case](solved_report_lines(paths))
+    edit, message = MALFORMED_REPORTS[case]
+    original = solved_report_lines(paths)
+    lines = edit(original)
+    no = next(no for no, (line, was) in enumerate(
+        zip(lines, original + [None]), start=1) if line != was)
     open(paths["report"], "w").write("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["verify", paths["inst"], paths["report"]]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("ParseError: ")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == \
+        f"ParseError: {message.format(no=no)}\n"
 
 
 # a second copy of one field of each kind, inserted after the format line:
@@ -632,18 +656,27 @@ def test_a_repeated_report_field_exits_2_naming_its_line(paths, capsys,
 
 def test_a_negative_stage_round_count_exits_2_naming_its_line(paths,
                                                               capsys):
-    # set(range(1, -3)) is empty, so an event-free stage would pass verify
+    # set(range(1, -3)) is empty, so an event-free stage would pass verify;
+    # a stage line is read only as written, NAME rounds=R, so a respelled
+    # one fails too
     assert main(["gen", "--n", "3", "--m", "5", "--k", "3", "--seed", "4",
                  "--out", paths["inst"]]) == 0
     assert main(["solve", paths["inst"], "--out", paths["report"]]) == 0
     lines = open(paths["report"]).read().splitlines()
     no = lines.index("stage: approx_efx rounds=0")
-    lines[no] = "stage: approx_efx rounds=-4"
-    open(paths["report"], "w").write("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["verify", paths["inst"], paths["report"]]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"ParseError: line {no + 1}: negative stage rounds -4")
+    for spelled, message in (
+            ("approx_efx rounds=-4", "negative stage rounds -4"),
+            ("approx_efx  rounds=0", "bad stage line"),
+            ("approx_efx\trounds=0", "bad stage line"),
+            ("approx_efx \trounds=0", "bad stage line"),
+            ("approx efx rounds=0", "bad stage line"),
+            ("rounds=0", "bad stage line")):
+        lines[no] = f"stage: {spelled}"
+        open(paths["report"], "w").write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", paths["inst"], paths["report"]]) == 2
+        assert capsys.readouterr().err == \
+            f"ParseError: line {no + 1}: {message}\n", spelled
 
 
 # a header number respelled in a way int() reads but report_text never
@@ -703,9 +736,8 @@ def test_an_unknown_or_repeated_event_key_exits_2_naming_it(paths, capsys,
     open(paths["report"], "w").write("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["verify", paths["inst"], paths["report"]]) == 2
-    assert capsys.readouterr().err == (
-        f"ParseError: line {no + 1}: expected an event as stage=S round=R "
-        f"kind=K agents=A items=I earn_before=E earn_after=E [least=L]\n")
+    assert capsys.readouterr().err == \
+        f"ParseError: line {no + 1}: {EVENT_FORM}\n"
 
 
 BAD_OPTIONS = {

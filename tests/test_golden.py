@@ -9,11 +9,14 @@ a fingerprint must be justified in CHANGES.md; regenerate the file with
 
 import os
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from chorefair import report_fingerprint, run_pipeline
-from chorefair.harness import GenParams, gen_instance, load_instance
+from chorefair import normalize_instance, report_fingerprint, run_pipeline
+from chorefair.harness import (GenParams, gen_instance, load_instance,
+                               parse_report, report_text, verify_report)
+from chorefair.model import RawInstance
 
 from conftest import rotation_instance, skewed_owned_instance
 
@@ -60,8 +63,14 @@ def stage_cases() -> list[str]:
                   if f.endswith(".inst"))
 
 
+@cache
+def solved(instance):
+    """The instance's auto-mode report, solved once for both tests."""
+    return run_pipeline(instance)
+
+
 def fingerprint(instance) -> str:
-    return report_fingerprint(run_pipeline(instance))
+    return report_fingerprint(solved(instance))
 
 
 def load_golden() -> dict[str, str]:
@@ -81,6 +90,17 @@ def test_golden_file_covers_the_grid():
                          ids=[name for name, _ in grid()])
 def test_fingerprint_is_unchanged(name, instance):
     assert fingerprint(instance) == load_golden()[name]
+
+
+@pytest.mark.parametrize("name,instance", list(grid()),
+                         ids=[name for name, _ in grid()])
+def test_a_golden_report_reads_back_as_written_and_verifies(name, instance):
+    text = report_text(solved(instance))
+    parsed = parse_report(text)
+    assert report_text(parsed) == text
+    if isinstance(instance, RawInstance):
+        instance = normalize_instance(instance)
+    assert verify_report(instance, parsed) == []
 
 
 def test_stage_cases_fire_every_reallocation_kind():

@@ -178,6 +178,10 @@ def test_pipeline_turns_engine_errors_into_failed_reports():
     assert "AlreadyUniform" in report.error
 
 
+def stage_fault(*args):
+    raise InternalInvariant("stage fault")
+
+
 def test_a_failed_report_keeps_the_instance_and_the_resolved_mode(
         monkeypatch):
     raw = gen_instance(GenParams(3, 6, Fraction(3), Fraction(1, 2), 5))
@@ -187,9 +191,6 @@ def test_a_failed_report_keeps_the_instance_and_the_resolved_mode(
     assert "needs k = 2" in report.error
     assert (report.digest, report.n, report.m, report.k) == identity
     assert (report.mode, report.requested_mode) == ("exact2", "exact2")
-
-    def stage_fault(*args):
-        raise InternalInvariant("stage fault")
 
     monkeypatch.setattr(harness, "approx_from_equilibrium", stage_fault)
     report = run_pipeline(raw)
@@ -205,23 +206,106 @@ def test_a_failed_report_keeps_the_instance_and_the_resolved_mode(
 # earning's 1/q units differ from its value (at the rotation's k = 2 they
 # coincide)
 SKEWED_Q2 = (Fraction(5, 2), (30, 25, 20, 2, 2, 1, 1, 1), 0, Fraction(1, 20))
+# the k = 3 recipe instance of tests/test_cli.py; small enough for oracle-po
+RECIPE = GenParams(3, 6, Fraction(3), Fraction(1, 2), 5)
 
 
-def test_report_text_round_trips_through_parse():
-    for report in (run_pipeline(rotation_instance(), oracle_budget=1 << 24),
-                   run_pipeline(skewed_owned_instance(*SKEWED_Q2))):
+def test_report_text_round_trips_through_parse(monkeypatch):
+    reports = [run_pipeline(rotation_instance(), oracle_budget=1 << 24),
+               run_pipeline(skewed_owned_instance(*SKEWED_Q2)),
+               # failed before normalizing: no digest, k = 0, no vectors
+               run_pipeline(gen_instance(GenParams(2, 2, Fraction(2),
+                                                   Fraction(0), 0)))]
+    monkeypatch.setattr(harness, "approx_from_equilibrium", stage_fault)
+    reports.append(run_pipeline(gen_instance(RECIPE)))
+    assert [r.success for r in reports] == [True, True, False, False]
+    assert reports[2].digest == "" and reports[2].k == 0
+    assert reports[3].error == "InternalInvariant: stage fault"
+    for report in reports:
         text = report_text(report)
         parsed = parse_report(text)
-        assert parsed.digest == report.digest
-        assert parsed.mode == report.mode
-        assert parsed.owner == report.owner
-        assert parsed.pay_high == report.pay_high
-        assert parsed.entry_owner == report.entry_owner
-        assert parsed.verdicts == report.verdicts
-        assert parsed.stages == report.stages
-        assert parsed.success == report.success
+        assert parsed._replace(timings={}) == report._replace(timings={})
         assert set(parsed.timings) == set(report.timings)
         assert report_text(parsed) == text
+
+
+def _not_decimal(where):
+    return f"{where}: not written as a decimal without sign or leading " \
+        f"zero: 'x'"
+
+
+# each header and verdict line of a report, garbled to 'x': the ParseError
+# message, or for a free-text field the problems verify_report finds
+GARBLED_LINES = {
+    "digest": ["digest mismatch: report was made for a different instance"],
+    "mode": ["mode: 'x' is not what requested mode 'auto' resolves to"],
+    "requested-mode": [
+        "mode: 'approx' is not what requested mode 'x' resolves to"],
+    "status": "status: expected ok or failed, got 'x'",
+    # an ok report has no error line: 'error: x' is added
+    "error": ["error: report says 'x', but a run with verdicts has no error"],
+    "n": _not_decimal("field n"),
+    "m": _not_decimal("field m"),
+    "k": "field k: not a rational: 'x'",
+    "new-to-old": _not_decimal("field new-to-old"),
+    "entry-owner": _not_decimal("field entry-owner"),
+    "entry-pay-high": "field entry-pay-high: expected characters 0/1",
+    "owner": _not_decimal("field owner"),
+    "pay-high": "field pay-high: expected characters 0/1",
+    **{f"verdict {key}": f"verdict {key}: expected true or false, got 'x'"
+       for key in ("entry-equilibrium", "entry-pef1", "entry-ef1",
+                   "final-equilibrium", "final-pef1", "oracle-po")},
+    **{f"verdict {key}": f"verdict {key}: not a rational: 'x'"
+       for key in ("beta-pefx", "beta-efx")},
+}
+# a dropped line is 'missing field ...' or 'missing verdict ...', except
+# these two, which a report may leave out
+OPTIONAL_LINES = ("error", "verdict oracle-po")
+@functools.cache
+def recipe_report_lines() -> tuple[str, ...]:
+    report = run_pipeline(gen_instance(RECIPE), oracle_budget=1 << 24)
+    assert report.success and report.verdicts.oracle_po
+    return tuple(report_text(report, timings=False).splitlines())
+
+
+def parse_outcome(lines) -> str | list[str]:
+    """parse_report's ParseError message, or verify_report's problems."""
+    try:
+        report = parse_report("\n".join(lines) + "\n")
+    except ParseError as err:
+        return str(err)
+    return verify_report(normalize_instance(gen_instance(RECIPE)), report)
+
+
+@pytest.mark.parametrize("key", GARBLED_LINES)
+def test_each_report_line_dropped_or_garbled_fails_as_pinned(key):
+    lines = list(recipe_report_lines())
+    if key == "error":
+        at = lines.index("status: ok") + 1
+        lines.insert(at, "error: x")
+    else:
+        at = next(no for no, line in enumerate(lines)
+                  if line.startswith(f"{key}: "))
+        lines[at] = f"{key}: x"
+    assert parse_outcome(lines) == GARBLED_LINES[key]
+    del lines[at]
+    group, _, name = key.rpartition(" ")
+    assert parse_outcome(lines) == ([] if key in OPTIONAL_LINES else
+                                    f"missing {group or 'field'} {name!r}")
+
+
+def test_of_two_bad_header_lines_the_first_is_named():
+    lines = [{"status": "status: x", "n": "n: x"}.get(line.split(":")[0],
+                                                      line)
+             for line in recipe_report_lines()]
+    assert parse_outcome(lines) == "status: expected ok or failed, got 'x'"
+
+
+def test_a_beta_verdict_may_read_unbounded():
+    lines = [line.replace("beta-pefx: 3/2", "beta-pefx: unbounded")
+             for line in recipe_report_lines()]
+    assert parse_outcome(lines) == [
+        "beta-pefx: recomputed 3/2, report says Unbounded"]
 
 
 def test_report_file_round_trip(tmp_path):
