@@ -554,15 +554,15 @@ def _parse_index(token: str, where: str) -> int:
         raise ParseError(f"{where}: too many digits in {token!r}") from None
 
 
-def _parse_ints(tokens: list[str], where: str) -> tuple[int, ...]:
-    """_parse_index of every token, converted at C speed; on a bad token
-    the per-token pass names the first one."""
-    if _INDEX_TOKENS.fullmatch(" ".join(tokens)):
+def _parse_ints(value: str, where: str) -> tuple[int, ...]:
+    """The indices of a list written one space apart, at C speed; in any
+    other list a pass over its one-space pieces names the first bad one."""
+    if _INDEX_TOKENS.fullmatch(value):
         try:
-            return tuple(map(int, tokens))
+            return tuple(map(int, value.split()))
         except ValueError:  # past int()'s digit limit
             pass
-    return tuple(_parse_index(t, where) for t in tokens)
+    return tuple(_parse_index(t, where) for t in value.split(" "))
 
 
 def _parse_lowest_terms(token: str, where: str,
@@ -600,8 +600,7 @@ def _read_flags(token: str, where: str) -> tuple[bool, ...]:
 _TEXT = (str, lambda token, where: token)
 _COUNT = (str, _parse_index)
 _RATIONAL = (_fmt_rational, _read_rational)
-_INDEX_LIST = (lambda v: " ".join(map(str, v)),
-               lambda token, where: _parse_ints(token.split(), where))
+_INDEX_LIST = (lambda v: " ".join(map(str, v)), _parse_ints)
 _FLAGS = (lambda v: "".join("1" if h else "0" for h in v), _read_flags)
 _STATUS = (_fmt_status, lambda token, where:  # named by its key alone
            _parse_choice(token, ("ok", "failed"), "status"))
@@ -790,10 +789,12 @@ def verify_report(inst: Instance, report: RunReport) -> list[str]:
     """Every inconsistency of a stored report with the instance, in a fixed
     order; empty when the report verifies.
 
-    The final verdicts are recomputed on the stored final state.  The
-    entry-* verdicts describe the pEF1 output, so that state is rebuilt by
-    replaying the report's pef1 events on the stored entry state, which
-    must itself be an equilibrium.  oracle-po is taken from the report.
+    The stored entry and final states are built once each, as markets.
+    The entry-* verdicts describe the pEF1 output, the market that the
+    report's pef1 events reach from the stored entry one, which must itself
+    be an equilibrium; the later stages' events must take it to the stored
+    final market, on which the final verdicts are recomputed.  oracle-po is
+    taken from the report; the status is recomputed for a known mode only.
     """
     problems: list[str] = []
     if report.digest != instance_digest(inst):
@@ -825,40 +826,42 @@ def verify_report(inst: Instance, report: RunReport) -> list[str]:
         return problems + shape
     problems += _verify_stages(report)
     reindexed = relabel_agents(inst, report.new_to_old)
+
+    def market(owner, flags):  # a pay-high line reversed is the mask in binary
+        return build_market_state(reindexed, bundle_masks(owner, inst.n),
+                                  int(_FLAGS[0](flags)[::-1], 2))
+    entry = market(report.entry_owner, report.entry_pay_high)
+    final = market(report.owner, report.pay_high)
     # replay the first stage's events, then the later ones' from their end
     trace = report.trace
     cut = len(report.stages[0].events) if report.stages else 0
-    entry_parts = (report.entry_owner, report.entry_pay_high)
-    final_parts = (report.owner, report.pay_high)
     try:
-        pef1_parts = replay_trace(*entry_parts, trace[:cut], inst.n, inst.k)
-        replayed = replay_trace(*pef1_parts, trace[cut:], inst.n, inst.k)
+        pef1_out = replay_trace(entry, trace[:cut])
+        replayed = replay_trace(pef1_out, trace[cut:])
     except ValueError as err:
         return problems + [f"trace replay failed: {err}"]
-    if replayed != final_parts:
+    if replayed != final:
         problems.append("trace replay does not reach the final state")
-    entry = equilibrium_from_parts(reindexed, *entry_parts)
-    final = equilibrium_from_parts(reindexed, *final_parts)
-    # the pEF1 output is the final state when no later stage moved a
-    # chore, and the entry state when no payment round ran
-    pef1_out = {entry_parts: entry, final_parts: final}.get(pef1_parts) \
-        or equilibrium_from_parts(reindexed, *pef1_parts)
+    if pef1_out == final:  # no later stage moved a chore: check it once
+        pef1_out = final
     if not check_equilibrium(entry).holds:
         problems.append("the stored entry state is not an equilibrium")
     v = report.verdicts
     fresh = compute_verdicts(pef1_out, final, v.oracle_po)
-    for key, (name, _) in _VERDICTS.items():
-        if getattr(fresh, name) != getattr(v, name):
-            problems.append(f"{key}: recomputed {getattr(fresh, name)}, "
-                            f"report says {getattr(v, name)}")
+    for key, (name, (render, _)) in _VERDICTS.items():
+        got, said = getattr(fresh, name), getattr(v, name)
+        if got != said:
+            problems.append(f"{key}: recomputed {render(got)}, "
+                            f"report says {render(said)}")
     if report.mode not in MODE_STAGES or \
             report.mode != resolve_mode(report.requested_mode, inst.k):
         problems.append(f"mode: {report.mode!r} is not what requested mode "
                         f"{report.requested_mode!r} resolves to")
-    status = verdicts_succeed(fresh, report.mode, inst.k)
-    if status != report.success:
-        problems.append(f"status: recomputed {_fmt_status(status)}, "
-                        f"report says {_fmt_status(report.success)}")
+    if report.mode in MODE_STAGES:  # an unknown mode has no status to check
+        status = verdicts_succeed(fresh, report.mode, inst.k)
+        if status != report.success:
+            problems.append(f"status: recomputed {_fmt_status(status)}, "
+                            f"report says {_fmt_status(report.success)}")
     return problems
 
 
@@ -885,20 +888,6 @@ def _verify_stages(report: RunReport) -> list[str]:
             problems.append(f"stage {stage.name}: rounds={stage.rounds} but "
                             f"its events number rounds {sorted(numbers)}")
     return problems
-
-
-def equilibrium_from_parts(instance: Instance, owner: tuple[int, ...],
-                           pay_high: tuple[bool, ...]) -> MarketState:
-    """The market of an owner vector and per-chore payment-k flags."""
-    n, m = instance.n, instance.m
-    if len(owner) != m:
-        raise ValueError("allocation length does not match m")
-    if min(owner) < 0 or max(owner) >= n:
-        raise ValueError("allocation owner out of range")
-    if len(pay_high) != m:
-        raise ValueError("payment flags length does not match m")
-    high = int("".join("1" if h else "0" for h in reversed(pay_high)), 2)
-    return build_market_state(instance, bundle_masks(owner, n), high)
 
 
 # -------------------------------------------------------------------- bench

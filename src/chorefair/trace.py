@@ -1,9 +1,9 @@
 """Round-by-round trace records and their replay.
 
-Every solver round emits one event.  Replaying the events of a run against
-its entry allocation must reproduce the final allocation and payments
-exactly, and every earning the events state; `chorefair verify` checks
-this for every report.
+Every solver round emits one event.  Replaying the events of a run on its
+entry market's bundle masks and payment-k mask must reproduce its final
+market exactly, and every earning the events state; `chorefair verify`
+checks this for every report.
 """
 from __future__ import annotations
 
@@ -77,22 +77,21 @@ def _check_earnings(ev: TraceEvent, key: str, claimed: tuple[int, ...],
             f"{', '.join(str(Fraction(x, q)) for x in reached)}")
 
 
-def replay_trace(owner, pay_high, events, n: int, k: Fraction
-                 ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """Apply events to an entry (owner, payment-is-high) pair over n agents
-    at cost ratio k.  ValueError when an event does not fit its kind, names
-    an agent or chore that does not exist, or states an earning the replay
-    does not reach: earn_before and least at the start of its round,
-    earn_after right after it.  Every pef1 event must state least."""
-    owner = list(owner)
-    pay_high = list(pay_high)
-    p, q = k.numerator, k.denominator
-    units = [0] * n  # each agent's earning in 1/q units
-    for o, high in zip(owner, pay_high):
-        units[o] += p if high else q
+def replay_trace(market, events):
+    """The MarketState that events reach from market, by stepping its bundle
+    masks and its payment-k mask; market itself when there are no events.
+    ValueError when an event does not fit its kind, names an agent or chore
+    that does not exist, or states an earning the replay does not reach:
+    earn_before and least at the start of its round, earn_after right after
+    it.  Every pef1 event must state least."""
+    if not events:
+        return market
+    bundles, high = list(market.bundles), market.high
+    p, q = market.pay_high, market.pay_low
+    units = list(market.earn_units)  # each agent's earning in 1/q units
     at = None  # (stage, round) whose start earnings are start
     for ev in events:
-        _check_shape(ev, n, len(owner))
+        _check_shape(ev, len(bundles), market.instance.m)
         if (ev.stage, ev.round) != at:
             at, start = (ev.stage, ev.round), units[:]
             least = (start.index(min(start)),)  # a least earner
@@ -104,17 +103,22 @@ def replay_trace(owner, pay_high, events, n: int, k: Fraction
                 f"replay: round {ev.round} {ev.kind} states no least")
         if ev.kind == "raise":
             for e in ev.items:
-                if pay_high[e]:
+                if high >> e & 1:
                     raise ValueError(f"replay: chore {e} raised twice")
-                pay_high[e] = True
-                units[owner[e]] += p - q
+                high |= 1 << e
+            raised = sum(1 << e for e in ev.items)
+            for i, b in enumerate(bundles):  # each raised chore earns p - q more
+                units[i] += (p - q) * (b & raised).bit_count()
         for e, src, dst in ev.moves():
-            if owner[e] != src:
+            bit = 1 << e
+            if not bundles[src] & bit:
+                holder = next(i for i, b in enumerate(bundles) if b & bit)
                 raise ValueError(
-                    f"replay: chore {e} owned by {owner[e]}, event says {src}")
-            owner[e] = dst
-            pay = p if pay_high[e] else q
+                    f"replay: chore {e} owned by {holder}, event says {src}")
+            bundles[src] ^= bit
+            bundles[dst] |= bit
+            pay = p if high & bit else q
             units[src] -= pay
             units[dst] += pay
         _check_earnings(ev, "earn_after", ev.earn_after, units, ev.agents, q)
-    return tuple(owner), tuple(pay_high)
+    return market._replace(bundles=tuple(bundles), high=high)

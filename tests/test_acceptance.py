@@ -36,7 +36,7 @@ from chorefair.errors import (
     RaiseOverflow,
     TierViolation,
 )
-from chorefair.harness import GenParams, equilibrium_from_parts, gen_instance
+from chorefair.harness import GenParams, gen_instance
 from chorefair.model import Allocation
 from chorefair.oracle import is_pareto_optimal
 from chorefair.trace import replay_trace
@@ -256,17 +256,12 @@ def test_c06_ground_truth_pareto(capsys, oracle_suite):
 
 
 def _states_along(result):
-    """Every event-boundary state of a run, replayed from the entry."""
-    pef1 = result.pef1
-    inst = pef1.market.instance
-    owner = pef1.entry.allocation.owner
-    pay = [not any(low >> e & 1 for low in inst.low_masks)
-           for e in range(inst.m)]
-    events = list(pef1.trace) + list(result.trace)
-    yield equilibrium_from_parts(inst, owner, tuple(pay))
-    for idx in range(1, len(events) + 1):
-        o, p = replay_trace(owner, pay, events[:idx], inst.n, inst.k)
-        yield equilibrium_from_parts(inst, o, p)
+    """Every event-boundary state of a run, each prefix of its events
+    replayed from the entry (so each round's earnings are checked against
+    its start, also between a raise and its transfer)."""
+    events = (*result.pef1.trace, *result.trace)
+    for idx in range(len(events) + 1):
+        yield replay_trace(result.pef1.entry, events[:idx])
 
 
 def test_c07_relations_between_notions(capsys, mixed_suite, k2_suite):

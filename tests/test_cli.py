@@ -183,7 +183,8 @@ def test_verify_rejects_a_forged_entry_verdict(paths, capsys):
         text.replace("verdict entry-pef1: true", "verdict entry-pef1: false"))
     capsys.readouterr()
     assert main(["verify", paths["inst"], paths["report"]]) == 1
-    assert "entry-pef1: recomputed True" in capsys.readouterr().err
+    assert "entry-pef1: recomputed true, report says false" in \
+        capsys.readouterr().err
 
 
 def test_verify_recomputes_status_and_beta_pefx(paths, capsys):
@@ -486,6 +487,9 @@ TAMPERED_HEADERS = {
     "m": ("m: 6", "m: 7", "m: report says 7, instance has 6"),
     "rounds": ("stage: pef1 rounds=0", "stage: pef1 rounds=7",
                "stage pef1: rounds=7 but its events number rounds []"),
+    # the same bundles under another payment-k mask
+    "pay-high": ("pay-high: 000001", "pay-high: 000011",
+                 "trace replay does not reach the final state"),
 }
 
 
@@ -591,6 +595,16 @@ MALFORMED_REPORTS = {
     "owner entry not an integer": (
         _edit_field("owner", lambda v: "x" + v[1:]),
         f"field owner: {NOT_DECIMAL}: 'x'"),
+    # an index list is read only one space apart, as report_text writes it
+    "owner entries two spaces apart": (
+        _edit_field("owner", lambda v: v.replace(" ", "  ", 1)),
+        f"field owner: {NOT_DECIMAL}: ''"),
+    "entry-owner entries a tab apart": (
+        _edit_field("entry-owner", lambda v: v.replace(" ", "\t", 1)),
+        f"field entry-owner: {NOT_DECIMAL}: '1\\t0'"),
+    "new-to-old entries spaced and tabbed": (
+        _edit_field("new-to-old", lambda v: v.replace(" ", " \t")),
+        f"field new-to-old: {NOT_DECIMAL}: '\\t1'"),
     "owner one entry too many": (_edit_field("owner", lambda v: v + " 0"),
                                  DIFFER),
     "entry-owner one entry short": (

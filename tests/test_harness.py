@@ -15,6 +15,7 @@ from chorefair import (
     check_equilibrium,
     normalize_instance,
     report_fingerprint,
+    run_pef1,
     run_pipeline,
 )
 from chorefair import harness
@@ -25,7 +26,6 @@ from chorefair.harness import (
     RunReport,
     SplitMix64,
     bench,
-    equilibrium_from_parts,
     gen_instance,
     instance_digest,
     instance_text,
@@ -39,7 +39,7 @@ from chorefair.harness import (
 from chorefair.model import RawInstance, relabel_agents
 from chorefair.trace import TraceEvent, replay_trace
 
-from conftest import (high_rows, owned_instance, rendered_fingerprint,
+from conftest import (high_rows, rendered_fingerprint,
                       rotation_instance, save_instance, skewed_owned_instance)
 
 
@@ -305,7 +305,7 @@ def test_a_beta_verdict_may_read_unbounded():
     lines = [line.replace("beta-pefx: 3/2", "beta-pefx: unbounded")
              for line in recipe_report_lines()]
     assert parse_outcome(lines) == [
-        "beta-pefx: recomputed 3/2, report says Unbounded"]
+        "beta-pefx: recomputed 3/2, report says unbounded"]
 
 
 def test_report_file_round_trip(tmp_path):
@@ -325,11 +325,11 @@ def test_fingerprint_ignores_timings():
 
 
 def test_replay_report_reproduces_the_final_state():
-    report = run_pipeline(rotation_instance())
-    owner, pay_high = replay_trace(report.entry_owner, report.entry_pay_high,
-                                   report.trace, report.n, report.k)
-    assert owner == report.owner
-    assert pay_high == report.pay_high
+    inst = rotation_instance()
+    report = run_pipeline(inst)
+    final = replay_trace(run_pef1(inst).entry, report.trace)
+    assert final.allocation.owner == report.owner
+    assert harness._flags(final.high, inst.m) == report.pay_high
 
 
 # ---------------------------------------------------- verify_report directly
@@ -362,8 +362,7 @@ def test_verify_report_names_a_chore_moved_by_a_non_owner():
     events = list(report.stages[0].events)
     t = next(t for t, ev in enumerate(events) if ev.kind == "transfer")
     giver = events[t].agents[0]
-    owner, _ = replay_trace(report.entry_owner, report.entry_pay_high,
-                            events[:t], inst.n, inst.k)
+    owner = replay_trace(run_pef1(inst).entry, events[:t]).allocation.owner
     e = next(e for e, o in enumerate(owner) if o != giver)
     events[t] = events[t]._replace(items=(e,))
     assert verify_report(inst, with_pef1_events(report, events)) == [
@@ -417,14 +416,15 @@ def test_verify_report_rebuilds_the_pef1_output_between_the_stages(params):
     report = stored(run_pipeline(inst))
     pef1, stage = report.stages
     assert pef1.rounds > 0 and stage.rounds > 0
-    pef1_parts = replay_trace(report.entry_owner, report.entry_pay_high,
-                              pef1.events, inst.n, inst.k)
-    assert pef1_parts[0] not in (report.entry_owner, report.owner)
+    state = run_pef1(inst)
+    assert replay_trace(state.entry, pef1.events) == state.market
+    assert state.market.allocation.owner not in (report.entry_owner,
+                                                 report.owner)
     assert verify_report(inst, report) == []
     # the entry-* verdicts are judged on that rebuilt state
     forged = report.verdicts._replace(entry_ef1=False)
     assert verify_report(inst, report._replace(verdicts=forged)) == [
-        "entry-ef1: recomputed True, report says False"]
+        "entry-ef1: recomputed true, report says false"]
 
 
 @pytest.mark.parametrize("params", ROUNDS_THEN_STAGE)
@@ -451,22 +451,91 @@ def test_verify_report_names_an_event_stating_another_stage(params):
             problem
 
 
-@pytest.mark.parametrize("owner, message", [
-    ((0, 0), "allocation length"),
-    ((0, 0, 2), "owner out of range"),
-    ((0, 0, -1), "owner out of range"),
-])
-def test_equilibrium_from_parts_rejects_bad_owners(owner, message):
-    inst = owned_instance(2, [0, 0, 1])
-    with pytest.raises(ValueError, match=message):
-        equilibrium_from_parts(inst, owner, (False,) * 3)
-
-
-def test_equilibrium_from_parts_rebuilds_the_market():
-    report = run_pipeline(rotation_instance())
+def test_a_pef1_output_equal_to_the_final_state_is_checked_once(
+        monkeypatch):
     inst = rotation_instance()
-    market = equilibrium_from_parts(inst, report.owner, report.pay_high)
-    assert check_equilibrium(market).holds
+    report = stored(run_pipeline(inst))
+    pef1, stage = report.stages
+    assert pef1.events and not stage.events
+    checked = []
+
+    def counted(market):
+        checked.append(market)
+        return check_equilibrium(market)
+    monkeypatch.setattr(harness, "check_equilibrium", counted)
+    assert verify_report(inst, report) == []
+    # the stored entry, then the pEF1 output, which is the final state
+    assert len(checked) == 2 and checked[0] != checked[1]
+
+
+def test_an_unknown_stored_mode_is_named_once():
+    inst = normalize_instance(gen_instance(GenParams(4, 8, 3,
+                                                     Fraction(1, 2), 5)))
+    report = stored(run_pipeline(inst, "approx"))
+    # beta-efx 3/2 meets approx's bound 5/3, not exact2's 1
+    assert report.verdicts.beta_efx == Fraction(3, 2) and report.success
+    relabeled = report._replace(mode="bogus", requested_mode="bogus")
+    assert verify_report(inst, relabeled) == [
+        "mode: 'bogus' is not what requested mode 'bogus' resolves to"]
+
+
+TRACE_KINDS = ("raise", "transfer", "rotate", "bundle_swap", "swap", "move",
+               "x")
+
+
+def single_event_tamperings(report, n, m, rng):
+    """(event, what takes its place or None, stage slots) for each event of
+    the report in turn: it with a drawn first item, first agent, first
+    earn_after or kind, nothing, or a drawn event that it swaps with.  A
+    slot is a (stage index, event) pair; a swapped event takes the other's
+    slot.  The slots differ from the report's iff the two events differ."""
+    slots = [(s, ev) for s, stage in enumerate(report.stages)
+             for ev in stage.events]
+    for t, (s, ev) in enumerate(slots):
+        u = rng.randrange(len(slots))
+        for new in (
+                ev._replace(items=(rng.randrange(m), *ev.items[1:])),
+                ev._replace(agents=(rng.randrange(n), *ev.agents[1:])),
+                ev._replace(earn_after=(ev.earn_after[0] + rng.choice((-1, 1)),
+                                        *ev.earn_after[1:])),
+                ev._replace(kind=rng.choice([kind for kind in TRACE_KINDS
+                                             if kind != ev.kind]))):
+            yield ev, new, slots[:t] + [(s, new)] + slots[t + 1:]
+        yield ev, None, slots[:t] + slots[t + 1:]
+        swapped = slots[:]
+        swapped[t], swapped[u] = (s, slots[u][1]), (slots[u][0], ev)
+        yield ev, slots[u][1], swapped
+
+
+def replays_alike(ev, new):
+    """Whether new is ev relabeled to a kind that moves the same chores:
+    transfer, move and a one-chore bundle_swap; swap and a two-chore
+    bundle_swap."""
+    kinds = {1: {"transfer", "move", "bundle_swap"},
+             2: {"swap", "bundle_swap"}}.get(len(ev.items), set())
+    return new is not None and new == ev._replace(kind=new.kind) and \
+        {ev.kind, new.kind} <= kinds
+
+
+@pytest.mark.parametrize("params", [None, *ROUNDS_THEN_STAGE])
+def test_verify_report_names_every_single_event_change(params):
+    inst = rotation_instance() if params is None else \
+        normalize_instance(gen_instance(GenParams(*params)))
+    report = stored(run_pipeline(inst))
+    rng = random.Random(33)
+    tried = 0
+    for ev, new, slots in single_event_tamperings(report, inst.n, inst.m,
+                                                  rng):
+        stages = tuple(stage._replace(events=tuple(
+            e for s, e in slots if s == i))
+            for i, stage in enumerate(report.stages))
+        problems = verify_report(inst, report._replace(stages=stages))
+        # no check ties an event's kind to its stage yet, so a relabel that
+        # replays alike verifies
+        if new != ev and not replays_alike(ev, new):
+            assert problems, (ev, new)
+            tried += 1
+    assert tried >= 4 * len(report.trace)
 
 
 def test_bench_emits_one_row_per_cell_plus_aggregates():

@@ -17,7 +17,7 @@ from chorefair import approx_efx, efx_k2, pef1
 from chorefair.errors import (InternalInvariant, IterationCapExceeded,
                               LemmaViolation, MissingIntermediary,
                               MPBViolation, RaiseOverflow)
-from chorefair.harness import GenParams, equilibrium_from_parts, gen_instance
+from chorefair.harness import GenParams, gen_instance
 from chorefair.market_init import AgentGroups
 from chorefair.model import MarketView, build_market_state, bundle_masks
 from chorefair.pef1 import _Rounds, reallocate
@@ -91,21 +91,13 @@ def test_rotation_routes_through_the_entry_bundle_holder(rotation):
     assert ev.earn_before is not None and ev.earn_after is not None
 
 
-def _pay_flags(market):
-    return tuple(bool(market.high >> e & 1)
-                 for e in range(market.instance.m))
-
-
 def _replayed_markets(state):
     """The entry market of a finished run and its market after each round,
     rebuilt round by round from the trace."""
-    inst = state.entry.instance
-    parts = (state.entry.allocation.owner, _pay_flags(state.entry))
     markets = [state.entry]
     for rnd in range(1, state.round_count + 1):
-        events = [ev for ev in state.trace if ev.round == rnd]
-        parts = replay_trace(*parts, events, inst.n, inst.k)
-        markets.append(equilibrium_from_parts(inst, *parts))
+        markets.append(replay_trace(
+            markets[-1], [ev for ev in state.trace if ev.round == rnd]))
     return markets
 
 
@@ -121,11 +113,8 @@ def test_raise_multiplies_group_payments(rotation):
 
 def test_trace_replays_to_the_final_state(rotation):
     state = run_pef1(rotation)
-    owner, pay_high = replay_trace(
-        state.entry.allocation.owner, _pay_flags(state.entry),
-        state.trace, rotation.n, rotation.k)
-    assert owner == state.market.allocation.owner
-    assert pay_high == _pay_flags(state.market)
+    assert replay_trace(state.entry, state.trace) == state.market
+    assert replay_trace(state.entry, ()) is state.entry
 
 
 def test_least_earning_never_drops_along_the_trace(rotation):
